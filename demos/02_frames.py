@@ -1,5 +1,11 @@
 #!/usr/bin/env python3
-"""Frame constructions and their tightness/equidistribution diagnostics."""
+"""Frame constructions and their tightness/equidistribution diagnostics.
+
+Writes fibonacci_500.csv to $FRAMEPCM_OUTDIR, or ./framepcm_out, like the CLI.
+"""
+
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -34,5 +40,7 @@ for N in (100, 1000, 10000, 100000):
     extra = f"  moment discrepancy (deg<=3) = {diag:.2e}" if diag is not None else ""
     print(f"  N={N:6d}: defect = {f.tightness_defect:.3e}{extra}")
 
-frame_to_csv(fibonacci_sphere_frame(500), "fibonacci_500.csv")
-print("\nwrote fibonacci_500.csv (one unit vector per row, columns c0,c1,c2)")
+outdir = Path(os.environ.get("FRAMEPCM_OUTDIR", "framepcm_out"))
+outdir.mkdir(parents=True, exist_ok=True)
+frame_to_csv(fibonacci_sphere_frame(500), outdir / "fibonacci_500.csv")
+print(f"\nwrote {outdir / 'fibonacci_500.csv'} (one unit vector per row, columns c0,c1,c2)")

@@ -34,15 +34,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .quantization import QuantScheme, SignalSpec
-from .special_fn import PrecisionExhausted, alternating_bessel_sum_info, gauss_legendre
+from .quantization import QuantScheme, SignalSpec, quant_error
+from .special_fn import EPS, PrecisionExhausted, alternating_bessel_sum_info, gauss_legendre
 
 __all__ = [
     "Method",
     "LimitErrorResult",
+    "ParitySplit",
+    "parity_split",
     "angular_constant",
     "integral_even",
     "integral_odd",
@@ -52,11 +55,11 @@ __all__ = [
     "LIMIT_CSV_FIELDS",
 ]
 
-EPS = float(np.finfo(float).eps)
-
-# default per-piece quadrature target and Monte Carlo sample count
+# default per-piece quadrature target, Monte Carlo sample count and the
+# samples drawn per Monte Carlo batch
 DEFAULT_PIECE_TOL = 1e-10
 DEFAULT_MC_SAMPLES = 10 ** 6
+_MC_BATCH = 1 << 17
 
 
 class Method(str, Enum):
@@ -82,6 +85,33 @@ class LimitErrorResult:
 
 
 LIMIT_CSV_FIELDS = ["r", "delta", "eps", "d", "method", "value", "error_estimate"]
+
+
+class ParitySplit(NamedTuple):
+    """How the dimension d = 2n (even) or 2n+1 (odd) enters the 1-D integral.
+
+    The integrand is Delta(r cos t) cos t sin^{sin_pow} t, its closed form
+    goes through J_order, and its size is ``scale(r, delta)`` =
+    delta^s / r^{s-1}.
+    """
+
+    n: int
+    parity: str
+    sin_pow: int
+    order: float
+    s: float
+
+    def scale(self, r: float, delta: float) -> float:
+        return delta ** self.s / r ** (self.s - 1.0)
+
+
+def parity_split(d: int) -> ParitySplit:
+    """The :class:`ParitySplit` of dimension d: (n, "even", 2n-2, n, n+1/2) for
+    d = 2n, (n, "odd", 2n-1, n+1/2, n+1) for d = 2n+1."""
+    n = d // 2
+    if d % 2 == 0:
+        return ParitySplit(n, "even", 2 * n - 2, float(n), n + 0.5)
+    return ParitySplit(n, "odd", 2 * n - 1, n + 0.5, n + 1.0)
 
 
 def angular_constant(d: int) -> float:
@@ -119,13 +149,13 @@ def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
     half = 0.5 * widths[keep]
     npieces = lo.size
     target = tol if tol is not None else DEFAULT_PIECE_TOL * npieces
+    scheme = QuantScheme(delta)
 
     prev = None
     for order in (16, 32, 64, 128, 256, 512):
         nodes, weights = gauss_legendre(order)
         theta = lo[:, None] + half[:, None] * (nodes[None, :] + 1.0)
-        u = r * np.cos(theta)
-        f = (u - delta * np.floor(u / delta + 0.5)) * np.cos(theta) * np.sin(theta) ** sin_pow
+        f = quant_error(r * np.cos(theta), scheme) * np.cos(theta) * np.sin(theta) ** sin_pow
         pieces = half * (f @ weights)
         val = math.fsum(pieces.tolist())
         if prev is not None:
@@ -156,36 +186,33 @@ def _odd_prefactor(r: float, delta: float, n: int) -> float:
     return -(math.factorial(n - 1) / math.pi ** n) * (delta ** (n + 0.5) / r ** (n - 0.5))
 
 
-def _series_integral(r: float, delta: float, n: int, parity: str, tol: float | None):
-    R = r / delta
-    if parity == "even":
-        prefac = _even_prefactor(r, delta, n)
-        order = float(n)
-        scale = delta ** (n + 0.5) / r ** (n - 0.5)
-    else:
-        prefac = _odd_prefactor(r, delta, n)
-        order = n + 0.5
-        scale = delta ** (n + 1) / r ** n
-    total_tol = tol if tol is not None else 1e-10 * scale
-    ev, trunc_k = alternating_bessel_sum_info(order, order, R, total_tol / abs(prefac))
+def _series_integral(r: float, delta: float, split: ParitySplit, tol: float | None):
+    prefactor = _even_prefactor if split.parity == "even" else _odd_prefactor
+    prefac = prefactor(r, delta, split.n)
+    total_tol = tol if tol is not None else 1e-10 * split.scale(r, delta)
+    ev, trunc_k = alternating_bessel_sum_info(split.order, split.order, r / delta,
+                                              total_tol / abs(prefac))
     return prefac * ev.value, abs(prefac) * ev.abs_error_bound, trunc_k
 
 
-def _integral_full(r, delta, n, parity, method, tol):
+def _integral_full(r, delta, split: ParitySplit, method, tol):
     """Returns (value, error_estimate, breakpoint_count, truncation_K)."""
     if not (r > 0 and delta > 0):
         raise ValueError("need r > 0 and delta > 0")
-    if n < 1 or n != int(n):
-        raise ValueError("need integer n >= 1")
     method = _as_method(method)
     if method == Method.QUADRATURE:
-        sin_pow = 2 * n - 2 if parity == "even" else 2 * n - 1
-        val, err, npieces = _quad_integral(r, delta, sin_pow, tol)
+        val, err, npieces = _quad_integral(r, delta, split.sin_pow, tol)
         return val, err, npieces, None
     if method == Method.BESSEL_SERIES:
-        val, err, trunc_k = _series_integral(r, delta, int(n), parity, tol)
+        val, err, trunc_k = _series_integral(r, delta, split, tol)
         return val, err, None, trunc_k
     raise ValueError(f"method {method} not available for the 1-D integrals")
+
+
+def _checked_n(n) -> int:
+    if n < 1 or n != int(n):
+        raise ValueError("need integer n >= 1")
+    return int(n)
 
 
 def integral_even(r: float, delta: float, n: int, method=Method.QUADRATURE,
@@ -196,13 +223,13 @@ def integral_even(r: float, delta: float, n: int, method=Method.QUADRATURE,
     piece gives the closed Beta-type value; QUADRATURE handles that case
     naturally.
     """
-    return _integral_full(r, delta, n, "even", method, tol)[0]
+    return _integral_full(r, delta, parity_split(2 * _checked_n(n)), method, tol)[0]
 
 
 def integral_odd(r: float, delta: float, n: int, method=Method.QUADRATURE,
                  tol: float | None = None) -> float:
     """int_0^pi Delta(r cos t) cos t sin^{2n-1} t dt by the chosen route."""
-    return _integral_full(r, delta, n, "odd", method, tol)[0]
+    return _integral_full(r, delta, parity_split(2 * _checked_n(n) + 1), method, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +259,8 @@ def limiting_error(x, scheme: QuantScheme, method=Method.QUADRATURE,
         return monte_carlo_limit(sig, scheme, samples=DEFAULT_MC_SAMPLES, seed=0)
     if sig.r == 0.0:
         return LimitErrorResult(0.0, method, 0.0)
-    if d % 2 == 0:
-        n, parity = d // 2, "even"
-    else:
-        n, parity = (d - 1) // 2, "odd"
-    val, err, npieces, trunc_k = _integral_full(sig.r, scheme.delta, n, parity, method, tol)
+    val, err, npieces, trunc_k = _integral_full(sig.r, scheme.delta, parity_split(d),
+                                                method, tol)
     cd = angular_constant(d)
     return LimitErrorResult(
         value=d * cd * abs(val),
@@ -247,12 +271,11 @@ def limiting_error(x, scheme: QuantScheme, method=Method.QUADRATURE,
     )
 
 
-def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int,
-                      batch_size: int = 1 << 17) -> LimitErrorResult:
+def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitErrorResult:
     """Direct Monte Carlo estimate d * ||(1/S) sum Delta(x . z_s) z_s||.
 
-    Uniform sphere samples from normalized Gaussians; deterministic for a
-    fixed (seed, batch_size) configuration.  ``error_estimate`` propagates
+    Uniform sphere samples from normalized Gaussians, drawn in batches of
+    2^17; deterministic for a fixed seed.  ``error_estimate`` propagates
     the per-component standard errors to the norm as sqrt(sum sigma_i^2):
     |  ||mean_hat|| - ||mean||  | <= ||error vector||, whose rms is exactly
     that, so the estimate stays valid even when the true mean sits below
@@ -267,12 +290,11 @@ def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int,
     total_sq = np.zeros(d)
     done = 0
     while done < samples:
-        m = min(batch_size, samples - done)
+        m = min(_MC_BATCH, samples - done)
         z = rng.standard_normal((m, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         t = z @ sig.x
-        delta_t = t - scheme.delta * np.floor(t / scheme.delta + 0.5)
-        contrib = delta_t[:, None] * z
+        contrib = quant_error(t, scheme)[:, None] * z
         total += contrib.sum(axis=0)
         total_sq += (contrib * contrib).sum(axis=0)
         done += m

@@ -57,8 +57,8 @@ __all__ = [
 
 EPS = float(np.finfo(float).eps)
 
-# Largest argument routed to the series inside the auto dispatcher; beyond
-# it the Hankel route is both cheaper and tighter.
+# Largest per-term argument that ``_alt_sum_direct`` evaluates by the
+# series; beyond it the Hankel expansion is both cheaper and tighter.
 _SERIES_AUTO_X = 12.0
 
 
@@ -321,18 +321,19 @@ def _hankel_coeffs(order: float, jmax: int) -> list[float]:
     return a
 
 
-def _hankel_pq(order: float, x: float):
-    """Partial Hankel sums P, Q at argument x with certified remainders.
+def _hankel_plan(order: float, x: float, spare: int):
+    """Coefficients and truncation points of the Hankel sums P, Q at x.
 
-    Returns (P, Q, bound_P, bound_Q).  For real order >= 0 and x > 0 the
-    remainder after the retained terms is bounded by the first omitted
-    term provided enough terms are kept (2*lp >= order - 1/2 for P,
-    2*lq + 1 >= order - 1/2 for Q); both conditions are enforced, then the
-    truncation point is pushed while the omitted term keeps shrinking.
+    Returns (a, lp, lq): P keeps lp terms, Q keeps lq.  For real order >= 0
+    and x > 0 the remainder after the retained terms is bounded by the
+    first omitted term provided enough terms are kept (2*lp >= order - 1/2
+    for P, 2*lq + 1 >= order - 1/2 for Q; DLMF 10.17(iii)); both conditions
+    are enforced, then the truncation point is pushed, by at most ``spare``
+    coefficients, while the omitted term keeps shrinking.
     """
     lp_min = max(1, math.ceil((order - 0.5) / 2.0))
     lq_min = max(1, math.ceil((order - 1.5) / 2.0))
-    jmax = 2 * max(lp_min, lq_min) + 26
+    jmax = 2 * max(lp_min, lq_min) + spare
     a = _hankel_coeffs(order, jmax)
 
     def best_cut(first: int, minimum: int) -> int:
@@ -346,13 +347,33 @@ def _hankel_pq(order: float, x: float):
                 return l
             l += 1
 
-    lp = best_cut(0, lp_min)
-    lq = best_cut(1, lq_min)
+    return a, best_cut(0, lp_min), best_cut(1, lq_min)
+
+
+def _hankel_pq(order: float, x: float):
+    """Partial Hankel sums P, Q at argument x with certified remainders.
+
+    Returns (P, Q, bound_P, bound_Q), truncated by :func:`_hankel_plan`.
+    """
+    a, lp, lq = _hankel_plan(order, x, 26)
     P = math.fsum((-1.0) ** m * a[2 * m] / x ** (2 * m) for m in range(lp))
     Q = math.fsum((-1.0) ** m * a[2 * m + 1] / x ** (2 * m + 1) for m in range(lq))
     bP = abs(a[2 * lp]) / x ** (2 * lp) + 4 * lp * EPS
     bQ = abs(a[2 * lq + 1]) / x ** (2 * lq + 1) + 4 * lq * EPS
     return P, Q, bP, bQ
+
+
+def _hankel_value(order: float, x: float, chi: float, chi_err: float):
+    """sqrt(2/(pi x)) [cos(chi) P - sin(chi) Q] and its certified bound.
+
+    ``chi`` is the phase x - omega, possibly reduced mod 2 pi, and
+    ``chi_err`` bounds its rounding; |d value/d chi| <= amp*(|P|+|Q|).
+    """
+    P, Q, bP, bQ = _hankel_pq(order, x)
+    amp = math.sqrt(2.0 / (math.pi * x))
+    value = amp * (math.cos(chi) * P - math.sin(chi) * Q)
+    bound = amp * (bP + bQ) + amp * (abs(P) + abs(Q)) * chi_err + 4 * EPS * abs(value)
+    return value, bound
 
 
 def bessel_large_x(order: float, x: float) -> BesselEval:
@@ -366,22 +387,9 @@ def bessel_large_x(order: float, x: float) -> BesselEval:
         raise ValueError("need x > 0")
     _require_half_integer(order)
     omega = math.pi * order / 2.0 + math.pi / 4.0
-    P, Q, bP, bQ = _hankel_pq(order, x)
-    amp = math.sqrt(2.0 / (math.pi * x))
-    chi = x - omega
-    value = amp * (math.cos(chi) * P - math.sin(chi) * Q)
-    # phase rounding: x - omega carries ~eps*x, and |d value/d chi| <= amp*(|P|+|Q|)
-    bound = amp * (bP + bQ) + amp * (abs(P) + abs(Q)) * (2 * EPS * (x + 4.0)) + 4 * EPS * abs(value)
+    # x - omega carries ~eps*x of rounding
+    value, bound = _hankel_value(order, x, x - omega, 2 * EPS * (x + 4.0))
     return BesselEval(order, x, value, bound)
-
-
-def _eval_bessel_auto(order: float, x: float) -> BesselEval:
-    """Certified J evaluation picking the natural method for (order, x)."""
-    if x <= _SERIES_AUTO_X:
-        out = _series_eval(order, x)
-        # allowance for the argument itself being a rounded product
-        return BesselEval(order, x, out.value, out.abs_error_bound + 2 * EPS * x)
-    return bessel_large_x(order, x)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +412,7 @@ def _zeta_tail_real(q: float, m0: int):
     return head + em, bound
 
 
-def _tail_phase_sum(q: float, beta: float, K: int, target: float | None = None,
-                    r_max: int = 16):
+def _tail_phase_sum(q: float, beta: float, K: int, target: float):
     """sum_{k>K} e^{2 pi i beta k} k^{-q}, with a certified remainder bound.
 
     beta = 0 reduces to a real zeta tail.  Otherwise the sum is resolved by
@@ -414,10 +421,11 @@ def _tail_phase_sum(q: float, beta: float, K: int, target: float | None = None,
     u = 1/(1-z), and |Delta^r a|_k <= q(q+1)...(q+r-1) (k-r)^{-q-r} because
     t^{-q} is completely monotone.  High-order differences of nearly equal
     values lose bits, and every lost bit is amplified by |u|^{j+1}, so the
-    (M, r) plan minimizes the analytic remainder PLUS the float-noise
-    estimate; when |u| is large (beta near an integer) the start M is
-    pushed outward and the stretch K+1..M-1 is summed directly with
-    split-precision phases (k*beta_hi exact below 2^26).
+    (M, r) plan, r <= 16, minimizes the analytic remainder PLUS the
+    float-noise estimate; when |u| is large (beta near an integer) the
+    start M is pushed outward (K+1, 2^16, 4e5, 2e6: the first whose planned
+    bound meets ``target``) and the stretch K+1..M-1 is summed directly
+    with split-precision phases (k*beta_hi exact below 2^26).
     """
     m0 = K + 1
     if beta == 0.0:
@@ -430,7 +438,7 @@ def _tail_phase_sum(q: float, beta: float, K: int, target: float | None = None,
     def plan(M: int):
         best = None
         rising = 1.0
-        for r in range(1, r_max + 1):
+        for r in range(1, 17):
             rising *= q + r - 1
             rem = au ** r * rising * (M - 1) ** (1 - q - r) / (q + r - 1)
             noise = au ** (r + 1) * 2.0 ** r * 8 * EPS * M ** (-q)
@@ -439,13 +447,12 @@ def _tail_phase_sum(q: float, beta: float, K: int, target: float | None = None,
         return best
 
     M = m0
-    if target is not None:
-        for cand in (m0, 1 << 16, 400_000, 2_000_000):
-            if cand < m0:
-                continue
-            M = cand
-            if plan(M)[1] <= target:
-                break
+    for cand in (m0, 1 << 16, 400_000, 2_000_000):
+        if cand < m0:
+            continue
+        M = cand
+        if plan(M)[1] <= target:
+            break
     r, _, rem = plan(M)
 
     head = 0.0 + 0.0j
@@ -490,42 +497,25 @@ def _alt_sum_direct(order: float, p: float, R: float, eps_frac: float, K: int):
         x = twopiR * k
         w = k ** (-p)
         if x <= _SERIES_AUTO_X:
-            ev = _eval_bessel_auto(order, x)
-            v, b = ev.value, ev.abs_error_bound
+            ev = _series_eval(order, x)
+            # allowance for the argument itself being a rounded product
+            v, b = ev.value, ev.abs_error_bound + 2 * EPS * x
         else:
             # reduced phase: 2 pi k R - omega == 2 pi k eps - omega (mod 2 pi)
-            P, Q, bP, bQ = _hankel_pq(order, x)
             chi = 2.0 * math.pi * math.fmod(k * eps_frac, 1.0) - omega
-            amp = math.sqrt(2.0 / (math.pi * x))
-            v = amp * (math.cos(chi) * P - math.sin(chi) * Q)
-            b = amp * (bP + bQ) + amp * (abs(P) + abs(Q)) * (2 * math.pi * EPS * (k + 4)) + 4 * EPS * abs(v)
+            v, b = _hankel_value(order, x, chi, 2 * math.pi * EPS * (k + 4))
         sgn = -1.0 if k % 2 else 1.0
         terms.append(sgn * w * v)
         bound += w * b + 4 * EPS * w * abs(v)
     return math.fsum(terms), bound
 
 
-def _alt_sum_tail(order: float, p: float, R: float, eps_frac: float, K: int,
-                  tol: float = math.inf):
+def _alt_sum_tail(order: float, p: float, R: float, eps_frac: float, K: int, tol: float):
     """Analytic continuation of the sum past k = K via Hankel + phase sums."""
     omega = math.pi * order / 2.0 + math.pi / 4.0
     twopiR = 2.0 * math.pi * R
-    x_min = twopiR * (K + 1)
-    lp_min = max(1, math.ceil((order - 0.5) / 2.0))
-    lq_min = max(1, math.ceil((order - 1.5) / 2.0))
-    jmax = 2 * max(lp_min, lq_min) + 18
-    a = _hankel_coeffs(order, jmax)
-
-    def best_cut(first, minimum):
-        l = minimum
-        while True:
-            j = first + 2 * l
-            if j + 2 > jmax or abs(a[j + 2]) / x_min ** (j + 2) >= abs(a[j]) / x_min ** j:
-                return l
-            l += 1
-
-    MP = best_cut(0, lp_min)
-    MQ = best_cut(1, lq_min)
+    # truncated where the first tail term k = K+1 needs it
+    a, MP, MQ = _hankel_plan(order, twopiR * (K + 1), 18)
     beta = math.fmod(eps_frac + 0.5, 1.0)
     e_omega = cmath.exp(-1j * omega)
     scale = 1.0 / (math.pi * math.sqrt(R))

@@ -69,6 +69,39 @@ def test_bounds_defect_cell_passes_by_default(tmp_path):
     assert run(tmp_path, "bounds", "--d", "4", "--r", "100.375", "--delta", "1") == EXIT_OK
 
 
+def test_bounds_report_runs_one_quadrature(tmp_path, monkeypatch, capsys):
+    from framepcm import QuantScheme, limit_error, limiting_error
+
+    expected = limiting_error([1000.375, 0.0, 0.0, 0.0], QuantScheme(1.0)).value
+    calls = []
+    quad = limit_error._quad_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(limit_error, "_quad_integral", counting)
+    capsys.readouterr()
+    assert run(tmp_path, "bounds", "--d", "4", "--r", "1000.375") == EXIT_OK
+    assert len(calls) == 1
+    # the limit printed from the sandwich's integral is the limit itself
+    assert f"limiting error (quadrature): {expected:.6e}" in capsys.readouterr().out
+
+
+def test_bounds_report_outside_window_still_prints_limit(tmp_path, capsys):
+    # eps = 0.1 is outside the even window: no sandwich, the limit is computed
+    assert run(tmp_path, "bounds", "--d", "4", "--r", "100.1") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "limiting error (quadrature): " in out and "hypothesis unmet" in out
+
+
+def test_bessel_half_order_envelope_allows_main_term_rounding(tmp_path):
+    # order 1/2 has an exact leading term (zero residual envelope); the
+    # check must still leave room for the rounding of main_term
+    assert run(tmp_path, "bessel", "--orders", "0.5",
+               "--xs", "100", "82.47", "135.06", "266.32") == EXIT_OK
+
+
 def test_config_with_unknown_parameter_is_rejected(tmp_path):
     # the pre-rename bounds flag: silently dropping it would change the kernel
     cfg = tmp_path / "old.json"

@@ -13,7 +13,7 @@ from framepcm import (
     monte_carlo_limit,
     rotation_invariance_check,
 )
-from framepcm.limit_error import angular_constant, result_csv_row
+from framepcm.limit_error import angular_constant, parity_split, result_csv_row
 
 UNIT = QuantScheme(1.0)
 
@@ -31,6 +31,26 @@ def test_angular_constant_values():
     for d in range(2, 9):
         w = math.sqrt(math.pi) * math.gamma((d - 1) / 2) / math.gamma(d / 2)
         assert angular_constant(d) * w == pytest.approx(1.0, abs=1e-14)
+
+
+# d -> (n, parity, sine power, Bessel order, scale exponent s)
+PARITY_TABLE = {
+    2: (1, "even", 0, 1.0, 1.5),
+    3: (1, "odd", 1, 1.5, 2.0),
+    4: (2, "even", 2, 2.0, 2.5),
+    5: (2, "odd", 3, 2.5, 3.0),
+    6: (3, "even", 4, 3.0, 3.5),
+    7: (3, "odd", 5, 3.5, 4.0),
+    8: (4, "even", 6, 4.0, 4.5),
+    9: (4, "odd", 7, 4.5, 5.0),
+}
+
+
+@pytest.mark.parametrize("d", sorted(PARITY_TABLE))
+def test_parity_split_table(d):
+    split = parity_split(d)
+    assert tuple(split) == PARITY_TABLE[d]
+    assert split.scale(3.0, 0.5) == 0.5 ** split.s / 3.0 ** (split.s - 1)
 
 
 def test_below_threshold_closed_forms():
