@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -379,7 +380,10 @@ def _cmd_report(args, outdir: Path) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The parser and its subcommand parsers, built once per process:
+    parsing reads them and never changes them."""
     parser = argparse.ArgumentParser(
         prog="framepcm",
         description="PCM frame-quantization error experiments",

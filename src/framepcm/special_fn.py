@@ -29,7 +29,11 @@ certified tail decays like K^{-p+1/2}), so the tail is *computed*: the
 Hankel expansion turns it into a handful of phase sums
 sum_{k>K} z^k k^{-q} with |z| = 1, and those are evaluated by repeated
 Abel summation by parts (z != 1) or an Euler-Maclaurin zeta tail (z = 1),
-each step with an explicit remainder bound.
+each step with an explicit remainder bound.  The direct part k <= K is
+evaluated as arrays over k: one table of Hankel terms a_j / x_k^j, built
+as running ratios so that no power of x can overflow, cut per row by the
+first-omitted-term rule.  Where the phase sums need a directly summed
+head, one head (its k and phases) serves every q of the same tail.
 """
 
 from __future__ import annotations
@@ -313,49 +317,62 @@ def asymptotic_estimate(order: float, x: float) -> AsymptoticEnvelope:
 # Hankel expansion (large argument), with first-omitted-term remainders
 # ---------------------------------------------------------------------------
 
-def _hankel_coeffs(order: float, jmax: int) -> list[float]:
+@lru_cache(maxsize=128)
+def _hankel_coeffs(order: float, jmax: int) -> tuple[float, ...]:
     """a_0..a_jmax with a_j = prod_{i<=j} (4 order^2 - (2i-1)^2) / (8^j j!)."""
     a = [1.0]
     for j in range(1, jmax + 1):
         a.append(a[-1] * (4.0 * order * order - (2 * j - 1) ** 2) / (8.0 * j))
-    return a
+    return tuple(a)
 
 
-def _hankel_plan(order: float, x: float, spare: int):
-    """Coefficients and truncation points of the Hankel sums P, Q at x.
+def _hankel_plan(order: float, x, spare: int):
+    """Coefficients, terms and truncation points of the Hankel sums P, Q.
 
-    Returns (a, lp, lq): P keeps lp terms, Q keeps lq.  For real order >= 0
-    and x > 0 the remainder after the retained terms is bounded by the
-    first omitted term provided enough terms are kept (2*lp >= order - 1/2
-    for P, 2*lq + 1 >= order - 1/2 for Q; DLMF 10.17(iii)); both conditions
-    are enforced, then the truncation point is pushed, by at most ``spare``
-    coefficients, while the omitted term keeps shrinking.
+    ``x`` is an argument or a 1-D array of them.  Returns (a, terms, lp,
+    lq): a = a_0..a_jmax, ``terms[i, j] = a_j / x_i^j`` built as running
+    ratios (a power of x is never formed, so large x underflows the terms
+    instead of overflowing), and per argument P keeps lp terms, Q keeps lq.
+    For real order >= 0 and x > 0 the remainder after the retained terms
+    is bounded by the first omitted term provided enough terms are kept
+    (2*lp >= order - 1/2 for P, 2*lq + 1 >= order - 1/2 for Q; DLMF
+    10.17(iii)); both conditions are enforced, then the truncation point is
+    pushed, by at most ``spare`` coefficients, while the omitted term keeps
+    shrinking.
     """
     lp_min = max(1, math.ceil((order - 0.5) / 2.0))
     lq_min = max(1, math.ceil((order - 1.5) / 2.0))
     jmax = 2 * max(lp_min, lq_min) + spare
     a = _hankel_coeffs(order, jmax)
+    x = np.atleast_1d(x)
+    j = np.arange(1, jmax + 1)
+    terms = np.empty((x.size, jmax + 1))
+    terms[:, 0] = 1.0
+    terms[:, 1:] = ((4.0 * order * order - (2 * j - 1) ** 2) / (8.0 * j)) / x[:, None]
+    np.cumprod(terms, axis=1, out=terms)
+    mag = np.abs(terms)
 
-    def best_cut(first: int, minimum: int) -> int:
-        # indices first, first+2, ... are the candidate omitted terms
-        l = minimum
-        while True:
-            j = first + 2 * l
-            if j + 2 > jmax:
-                return l
-            if abs(a[j + 2]) / x ** (j + 2) >= abs(a[j]) / x ** j:
-                return l
-            l += 1
+    def best_cut(first: int, minimum: int):
+        # columns first, first+2, ... are the candidate omitted terms; stop
+        # at the first whose successor does not shrink, or at the last one
+        cand = mag[:, first::2]
+        stop = np.ones((x.size, cand.shape[1] - minimum), dtype=bool)
+        np.greater_equal(cand[:, minimum + 1:], cand[:, minimum:-1], out=stop[:, :-1])
+        return minimum + np.argmax(stop, axis=1)
 
-    return a, best_cut(0, lp_min), best_cut(1, lq_min)
+    return a, terms, best_cut(0, lp_min), best_cut(1, lq_min)
 
 
 def _hankel_pq(order: float, x: float):
     """Partial Hankel sums P, Q at argument x with certified remainders.
 
     Returns (P, Q, bound_P, bound_Q), truncated by :func:`_hankel_plan`.
+    The terms are formed as a_j / x^j, not taken from the plan's running
+    ratios, which round differently; x^j overflows once x^(2 lp) passes
+    the binary64 range.
     """
-    a, lp, lq = _hankel_plan(order, x, 26)
+    a, _, lp, lq = _hankel_plan(order, x, 26)
+    lp, lq = int(lp[0]), int(lq[0])
     P = math.fsum((-1.0) ** m * a[2 * m] / x ** (2 * m) for m in range(lp))
     Q = math.fsum((-1.0) ** m * a[2 * m + 1] / x ** (2 * m + 1) for m in range(lq))
     bP = abs(a[2 * lp]) / x ** (2 * lp) + 4 * lp * EPS
@@ -363,15 +380,14 @@ def _hankel_pq(order: float, x: float):
     return P, Q, bP, bQ
 
 
-def _hankel_value(order: float, x: float, chi: float, chi_err: float):
-    """sqrt(2/(pi x)) [cos(chi) P - sin(chi) Q] and its certified bound.
+def _hankel_combine(amp, cos_chi, sin_chi, P, Q, bP, bQ, chi_err):
+    """amp [cos(chi) P - sin(chi) Q] and its certified bound, for floats or arrays.
 
-    ``chi`` is the phase x - omega, possibly reduced mod 2 pi, and
-    ``chi_err`` bounds its rounding; |d value/d chi| <= amp*(|P|+|Q|).
+    ``amp`` is sqrt(2/(pi x)); ``chi`` is the phase x - omega, possibly
+    reduced mod 2 pi, and ``chi_err`` bounds its rounding;
+    |d value/d chi| <= amp*(|P|+|Q|).
     """
-    P, Q, bP, bQ = _hankel_pq(order, x)
-    amp = math.sqrt(2.0 / (math.pi * x))
-    value = amp * (math.cos(chi) * P - math.sin(chi) * Q)
+    value = amp * (cos_chi * P - sin_chi * Q)
     bound = amp * (bP + bQ) + amp * (abs(P) + abs(Q)) * chi_err + 4 * EPS * abs(value)
     return value, bound
 
@@ -387,8 +403,11 @@ def bessel_large_x(order: float, x: float) -> BesselEval:
         raise ValueError("need x > 0")
     _require_half_integer(order)
     omega = math.pi * order / 2.0 + math.pi / 4.0
+    chi = x - omega
+    P, Q, bP, bQ = _hankel_pq(order, x)
     # x - omega carries ~eps*x of rounding
-    value, bound = _hankel_value(order, x, x - omega, 2 * EPS * (x + 4.0))
+    value, bound = _hankel_combine(math.sqrt(2.0 / (math.pi * x)), math.cos(chi),
+                                   math.sin(chi), P, Q, bP, bQ, 2 * EPS * (x + 4.0))
     return BesselEval(order, x, value, bound)
 
 
@@ -412,7 +431,17 @@ def _zeta_tail_real(q: float, m0: int):
     return head + em, bound
 
 
-def _tail_phase_sum(q: float, beta: float, K: int, target: float):
+def _phase_head(beta: float, m0: int, M: int):
+    """k = m0..M-1 and e^{2 pi i beta k}, with split-precision phases
+    (k*beta_hi is exact below 2^26)."""
+    k = np.arange(m0, M, dtype=float)
+    beta_hi = round(beta * (1 << 26)) / (1 << 26)
+    beta_lo = beta - beta_hi
+    phase = np.mod(k * beta_hi, 1.0) + k * beta_lo
+    return k, np.exp((2j * math.pi) * phase)
+
+
+def _tail_phase_sum(q: float, beta: float, K: int, target: float, heads: dict):
     """sum_{k>K} e^{2 pi i beta k} k^{-q}, with a certified remainder bound.
 
     beta = 0 reduces to a real zeta tail.  Otherwise the sum is resolved by
@@ -424,8 +453,10 @@ def _tail_phase_sum(q: float, beta: float, K: int, target: float):
     (M, r) plan, r <= 16, minimizes the analytic remainder PLUS the
     float-noise estimate; when |u| is large (beta near an integer) the
     start M is pushed outward (K+1, 2^16, 4e5, 2e6: the first whose planned
-    bound meets ``target``) and the stretch K+1..M-1 is summed directly
-    with split-precision phases (k*beta_hi exact below 2^26).
+    bound meets ``target``, each start planned once) and the stretch
+    K+1..M-1 is summed directly.  That head's k and phases do not depend
+    on q: ``heads`` maps M to its :func:`_phase_head`, so one tail
+    computes them once for all its q and frees them when it returns.
     """
     m0 = K + 1
     if beta == 0.0:
@@ -446,24 +477,19 @@ def _tail_phase_sum(q: float, beta: float, K: int, target: float):
                 best = (r, rem + noise, rem)
         return best
 
-    M = m0
-    for cand in (m0, 1 << 16, 400_000, 2_000_000):
-        if cand < m0:
-            continue
-        M = cand
-        if plan(M)[1] <= target:
+    for M in [m0] + [c for c in (1 << 16, 400_000, 2_000_000) if c >= m0]:
+        r, planned, rem = plan(M)
+        if planned <= target:
             break
-    r, _, rem = plan(M)
 
     head = 0.0 + 0.0j
     head_fp = 0.0
     if M > m0:
-        k = np.arange(m0, M, dtype=float)
-        beta_hi = round(beta * (1 << 26)) / (1 << 26)
-        beta_lo = beta - beta_hi
-        phase = np.mod(k * beta_hi, 1.0) + k * beta_lo
+        if M not in heads:
+            heads[M] = _phase_head(beta, m0, M)
+        k, unit = heads[M]
         weights = k ** -q
-        head = complex(np.sum(np.exp((2j * math.pi) * phase) * weights))
+        head = complex(np.sum(unit * weights))
         head_fp = (2 * math.pi * 8 + 64) * EPS * float(np.sum(weights))
 
     # backward-difference table over a_M .. a_{M+r-1}
@@ -488,26 +514,39 @@ def _tail_phase_sum(q: float, beta: float, K: int, target: float):
 # ---------------------------------------------------------------------------
 
 def _alt_sum_direct(order: float, p: float, R: float, eps_frac: float, K: int):
-    """sum_{k=1}^{K} (-1)^k k^{-p} J_order(2 pi k R) with certified bound."""
+    """sum_{k=1}^{K} (-1)^k k^{-p} J_order(2 pi k R) with certified bound.
+
+    Evaluated as arrays over k.  Terms with x = 2 pi k R beyond
+    ``_SERIES_AUTO_X`` come from one table of Hankel terms (see
+    :func:`_hankel_plan`), each row cut by the first-omitted-term rule; the
+    few k below it take the series.
+    """
     omega = math.pi * order / 2.0 + math.pi / 4.0
-    twopiR = 2.0 * math.pi * R
-    terms = []
-    bound = 0.0
-    for k in range(1, K + 1):
-        x = twopiR * k
-        w = k ** (-p)
-        if x <= _SERIES_AUTO_X:
-            ev = _series_eval(order, x)
-            # allowance for the argument itself being a rounded product
-            v, b = ev.value, ev.abs_error_bound + 2 * EPS * x
-        else:
-            # reduced phase: 2 pi k R - omega == 2 pi k eps - omega (mod 2 pi)
-            chi = 2.0 * math.pi * math.fmod(k * eps_frac, 1.0) - omega
-            v, b = _hankel_value(order, x, chi, 2 * math.pi * EPS * (k + 4))
-        sgn = -1.0 if k % 2 else 1.0
-        terms.append(sgn * w * v)
-        bound += w * b + 4 * EPS * w * abs(v)
-    return math.fsum(terms), bound
+    k = np.arange(1, K + 1, dtype=float)
+    x = (2.0 * math.pi * R) * k
+    w = k ** (-p)
+    v = np.empty(K)
+    b = np.empty(K)
+    n_series = int(np.count_nonzero(x <= _SERIES_AUTO_X))  # x grows with k
+    for i in range(n_series):
+        ev = _series_eval(order, float(x[i]))
+        # allowance for the argument itself being a rounded product
+        v[i], b[i] = ev.value, ev.abs_error_bound + 2 * EPS * x[i]
+    h = slice(n_series, K)
+    _, terms, lp, lq = _hankel_plan(order, x[h], 26)
+    even, odd = terms[:, 0::2], terms[:, 1::2]
+    m = np.arange(odd.shape[1])
+    sign = np.where(m % 2, -1.0, 1.0)
+    P = np.sum(np.where(m < lp[:, None], sign * even[:, :m.size], 0.0), axis=1)
+    Q = np.sum(np.where(m < lq[:, None], sign * odd, 0.0), axis=1)
+    bP = np.abs(np.take_along_axis(even, lp[:, None], axis=1)[:, 0]) + 4 * lp * EPS
+    bQ = np.abs(np.take_along_axis(odd, lq[:, None], axis=1)[:, 0]) + 4 * lq * EPS
+    # reduced phase: 2 pi k R - omega == 2 pi k eps - omega (mod 2 pi)
+    chi = 2.0 * math.pi * np.fmod(k[h] * eps_frac, 1.0) - omega
+    v[h], b[h] = _hankel_combine(np.sqrt(2.0 / (math.pi * x[h])), np.cos(chi), np.sin(chi),
+                                 P, Q, bP, bQ, 2 * math.pi * EPS * (k[h] + 4))
+    terms = np.where(k % 2, -w, w) * v
+    return math.fsum(terms.tolist()), float(np.sum(w * b + 4 * EPS * w * np.abs(v)))
 
 
 def _alt_sum_tail(order: float, p: float, R: float, eps_frac: float, K: int, tol: float):
@@ -515,25 +554,27 @@ def _alt_sum_tail(order: float, p: float, R: float, eps_frac: float, K: int, tol
     omega = math.pi * order / 2.0 + math.pi / 4.0
     twopiR = 2.0 * math.pi * R
     # truncated where the first tail term k = K+1 needs it
-    a, MP, MQ = _hankel_plan(order, twopiR * (K + 1), 18)
+    a, _, MP, MQ = _hankel_plan(order, twopiR * (K + 1), 18)
+    MP, MQ = int(MP[0]), int(MQ[0])
     beta = math.fmod(eps_frac + 0.5, 1.0)
     e_omega = cmath.exp(-1j * omega)
     scale = 1.0 / (math.pi * math.sqrt(R))
 
+    heads: dict = {}  # the phase-sum heads shared by every q below
     tail = 0.0
     bound = 0.0
     for m in range(MP):
         q = p + 0.5 + 2 * m
         coef = (-1.0) ** m * a[2 * m] * twopiR ** (-2 * m)
         target = tol * 0.4 / ((MP + MQ) * max(abs(coef) * scale, 1e-300))
-        tp, b = _tail_phase_sum(q, beta, K, target)
+        tp, b = _tail_phase_sum(q, beta, K, target, heads)
         tail += coef * (e_omega * tp).real
         bound += abs(coef) * b
     for m in range(MQ):
         q = p + 1.5 + 2 * m
         coef = (-1.0) ** m * a[2 * m + 1] * twopiR ** (-2 * m - 1)
         target = tol * 0.4 / ((MP + MQ) * max(abs(coef) * scale, 1e-300))
-        tp, b = _tail_phase_sum(q, beta, K, target)
+        tp, b = _tail_phase_sum(q, beta, K, target, heads)
         tail -= coef * (e_omega * tp).imag
         bound += abs(coef) * b
 

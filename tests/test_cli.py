@@ -50,6 +50,36 @@ def test_limit_rerun_from_config_reproduces(tmp_path):
     assert (out1 / "limit.csv").read_text() == (out2 / "limit.csv").read_text()
 
 
+def test_commands_in_one_process_share_no_state(tmp_path):
+    # the parser is built once per process; flags of one call must not
+    # leak into the next, nor into a --config rerun
+    first = ["limit", "--d", "3", "--r", "10.25", "--delta", "1",
+             "--methods", "quadrature,bessel_series"]
+    assert main(["--outdir", str(tmp_path / "a")] + first) == EXIT_OK
+    assert main(["--outdir", str(tmp_path / "b"), "bounds", "--d", "4",
+                 "--r", "1000.375"]) == EXIT_OK
+    assert main(["--outdir", str(tmp_path / "c"), "limit", "--d", "5", "--r", "20.3",
+                 "--delta", "0.5", "--methods", "bessel_series", "--tol", "1e-12",
+                 "--agree-rtol", "1e-3"]) == EXIT_OK
+    cfg = tmp_path / "a" / "run_config_limit.json"
+    assert main(["--outdir", str(tmp_path / "d"), "--config", str(cfg)]) == EXIT_OK
+    assert (tmp_path / "a" / "limit.csv").read_bytes() == (tmp_path / "d" / "limit.csv").read_bytes()
+    assert cfg.read_bytes() == (tmp_path / "d" / "run_config_limit.json").read_bytes()
+    bad = tmp_path / "bad.json"
+    params = dict(json.loads(cfg.read_text())["parameters"], no_such_flag=1)
+    bad.write_text(json.dumps({"subcommand": "limit", "parameters": params}))
+    assert main(["--outdir", str(tmp_path / "e"), "--config", str(bad)]) == EXIT_CONFIG
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d, r", [("4", "1000000000.375"), ("40", "100.375")])
+def test_limit_series_at_huge_hankel_arguments_exits_cleanly(tmp_path, d, r):
+    # an exception escaping main would fail the test with its traceback
+    code = run(tmp_path, "limit", "--d", d, "--r", r, "--delta", "1",
+               "--methods", "bessel_series")
+    assert code in (EXIT_OK, EXIT_PRECISION)
+
+
 def test_bounds_point_and_slope(tmp_path):
     assert run(tmp_path, "bounds", "--d", "5", "--r", "100.25", "--delta", "1") == EXIT_OK
     code = run(tmp_path, "bounds", "--slope", "--d-list", "3", "--eps", "0.25",

@@ -5,6 +5,7 @@ import pytest
 
 from framepcm import (
     Method,
+    PrecisionExhausted,
     QuantScheme,
     SignalSpec,
     integral_even,
@@ -196,3 +197,75 @@ def test_csv_row_schema():
     row = result_csv_row(sig, UNIT, res)
     assert list(row.keys()) == ["r", "delta", "eps", "d", "method", "value", "error_estimate"]
     assert row["method"] == "quadrature" and row["d"] == 3
+
+
+# ---------------------------------------------------------------------------
+# the Bessel-series route against an independent breakpoint-sum oracle
+# ---------------------------------------------------------------------------
+
+def _breakpoint_sum_limit(mpmath, d, R):
+    """d c_d |I| at delta = 1, r = R, in mpmath, with I the 1-D integral
+
+        I = r G(3/2) G(s+1)/G(s+5/2) - 1/(s+1) sum_{u_k<1} (1-u_k^2)^{s+1},
+
+    u_k = (k+1/2)/r and s = (d-3)/2: the linear part of the sawtooth minus
+    one closed-form step per jump of the quantizer.
+    """
+    with mpmath.workdps(int(30 + (d + 1) / 2 * math.log10(max(R, 10.0)))):
+        r = mpmath.mpf(R)
+        s = mpmath.mpf(d - 3) / 2
+        main = r * mpmath.gamma(1.5) * mpmath.gamma(s + 1) / mpmath.gamma(s + 2.5)
+        jumps = mpmath.fsum((1 - (mpmath.mpf(2 * k + 1) / (2 * r)) ** 2) ** (s + 1)
+                            for k in range(math.floor(R - 0.5) + 1))
+        integral = main - jumps / (s + 1)
+        cd = mpmath.gamma(mpmath.mpf(d) / 2) / (mpmath.sqrt(mpmath.pi)
+                                                * mpmath.gamma(mpmath.mpf(d - 1) / 2))
+        return float(d * cd * abs(integral))
+
+
+def _oracle_points():
+    """20 seeded (d, R): d = 3..12, R = K + eps with K in [10, 2000]; four
+    with |eps - 1/2| in [4e-4, 0.01] (the phase-sum head) and one R < 2
+    (the series branch of the direct part)."""
+    import random
+
+    rng = random.Random(20141)
+    points = []
+    for i in range(19):
+        d = 3 + i % 10
+        K = round(10 ** rng.uniform(1.0, math.log10(2000.0)))
+        if i < 4:
+            eps = 0.5 + rng.choice((-1.0, 1.0)) * rng.uniform(4e-4, 0.01)
+        else:
+            eps = rng.uniform(0.0, 1.0)
+        points.append((d, K + eps))
+    points.append((rng.randint(3, 12), 1.0 + 0.9 * rng.random()))
+    return points
+
+
+def test_series_route_against_breakpoint_sum_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    points = _oracle_points()
+    assert sum(abs(R % 1.0 - 0.5) <= 0.01 for _, R in points) >= 4
+    assert any(2 * math.pi * R <= 12.0 for _, R in points)
+    for d, R in points:
+        res = limiting_error(_x(d, R), UNIT, Method.BESSEL_SERIES)
+        oracle = _breakpoint_sum_limit(mpmath, d, R)
+        assert abs(res.value - oracle) <= res.error_estimate, (d, R, res, oracle)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d, R", [(4, 1e9 + 0.375), (40, 100.375)])
+def test_series_route_at_huge_hankel_arguments(d, R):
+    # x = 2 pi k R reaches ~1e14 (d = 4) and the order 20 needs ~46
+    # Hankel terms (d = 40); no power of x may overflow
+    try:
+        res = limiting_error(_x(d, R), UNIT, Method.BESSEL_SERIES)
+    except PrecisionExhausted:
+        assert d == 40  # the order-20 sum cancels below binary64 resolution
+        return
+    assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
+    assert res.error_estimate < 1e-6 * res.value
+    # the limit scales like R^{-(d-1)/2} at fixed eps; compare with R = 1e4 + eps
+    ref = limiting_error(_x(d, 1e4 + 0.375), UNIT, Method.BESSEL_SERIES).value
+    assert res.value * R ** 1.5 == pytest.approx(ref * (1e4 + 0.375) ** 1.5, rel=1e-3)

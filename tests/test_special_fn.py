@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
+import framepcm
 from framepcm import (
     PrecisionExhausted,
     alternating_bessel_sum,
@@ -14,6 +19,7 @@ from framepcm import (
     bessel_series,
 )
 from framepcm.limit_error import integral_even
+from framepcm.special_fn import alternating_bessel_sum_info
 
 # scipy reference itself carries a couple of ulps; grant it this allowance
 # when it plays the role of an extra oracle.
@@ -189,3 +195,84 @@ def test_determinism():
     a = alternating_bessel_sum(2.5, 2.5, 12.125, 1e-10)
     b = alternating_bessel_sum(2.5, 2.5, 12.125, 1e-10)
     assert a.value == b.value and a.abs_error_bound == b.abs_error_bound
+
+
+# (order, R): integer and half-integer orders, two of them near eps = 1/2
+# where the tail's phase sums share a directly summed head
+_PURITY_CASES = [(1.5, 57.4), (2.0, 20.4995), (6.0, 1000.3), (6.5, 10.5041)]
+
+
+def test_alternating_sum_caches_are_pure():
+    # each case first in a fresh process, then here after calls at other
+    # orders, other R and eps ~ 1/2: the (BesselEval, K) must not change
+    script = ("import sys; from framepcm.special_fn import alternating_bessel_sum_info as f; "
+              "print(repr(f(float(sys.argv[1]), float(sys.argv[1]), float(sys.argv[2]), 1e-10)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(framepcm.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    fresh = [subprocess.run([sys.executable, "-c", script, repr(order), repr(R)], env=env,
+                            capture_output=True, text=True, check=True).stdout.strip()
+             for order, R in _PURITY_CASES]
+    for order in (0.5, 3.0, 6.0, 9.5):
+        for R in (1.3, 100.375, 3000.4993):
+            alternating_bessel_sum_info(order, order, R, 1e-10)
+    for (order, R), first in zip(_PURITY_CASES, fresh):
+        assert repr(alternating_bessel_sum_info(order, order, R, 1e-10)) == first
+
+
+def _direct_part_loop(order, R, K):
+    """The per-term loop that the array evaluation of the direct part
+    replaced: scalar Hankel sums a_j / x^j at the reduced phase, each cut
+    by walking the first-omitted-term rule (spare 26), or the series for
+    x <= 12.  Returns (sum, bound, rounding scale sum_k w amp (|P|+|Q|))."""
+    from framepcm.special_fn import EPS, _hankel_coeffs, _series_eval
+
+    eps_frac = R - math.floor(R)
+    omega = math.pi * order / 2.0 + math.pi / 4.0
+    lp_min = max(1, math.ceil((order - 0.5) / 2.0))
+    lq_min = max(1, math.ceil((order - 1.5) / 2.0))
+    jmax = 2 * max(lp_min, lq_min) + 26
+    a = _hankel_coeffs(order, jmax)
+
+    def cut(x, first, l):
+        while first + 2 * l + 2 <= jmax and (
+                abs(a[first + 2 * l + 2]) / x ** (first + 2 * l + 2)
+                < abs(a[first + 2 * l]) / x ** (first + 2 * l)):
+            l += 1
+        return l
+
+    terms, bound, scale = [], 0.0, 0.0
+    for k in range(1, K + 1):
+        x = 2.0 * math.pi * R * k
+        w = k ** -order
+        if x <= 12.0:
+            ev = _series_eval(order, x)
+            v, b = ev.value, ev.abs_error_bound + 2 * EPS * x
+            scale += w * abs(v)
+        else:
+            lp, lq = cut(x, 0, lp_min), cut(x, 1, lq_min)
+            P = math.fsum((-1.0) ** m * a[2 * m] / x ** (2 * m) for m in range(lp))
+            Q = math.fsum((-1.0) ** m * a[2 * m + 1] / x ** (2 * m + 1) for m in range(lq))
+            bP = abs(a[2 * lp]) / x ** (2 * lp) + 4 * lp * EPS
+            bQ = abs(a[2 * lq + 1]) / x ** (2 * lq + 1) + 4 * lq * EPS
+            chi = 2.0 * math.pi * math.fmod(k * eps_frac, 1.0) - omega
+            amp = math.sqrt(2.0 / (math.pi * x))
+            v = amp * (math.cos(chi) * P - math.sin(chi) * Q)
+            b = (amp * (bP + bQ) + amp * (abs(P) + abs(Q)) * 2 * math.pi * EPS * (k + 4)
+                 + 4 * EPS * abs(v))
+            scale += w * amp * (abs(P) + abs(Q))
+        terms.append((-1.0) ** k * w * v)
+        bound += w * b + 4 * EPS * w * abs(v)
+    return math.fsum(terms), bound, scale
+
+
+@pytest.mark.parametrize("order, R", [(0.0, 0.3), (2.0, 10.25), (5.5, 57.4),
+                                      (12.0, 3.7), (6.0, 4321.49)])
+def test_direct_part_matches_per_term_loop(order, R):
+    # same terms and cuts; only the rounding of each Hankel term and the
+    # order of the sums changed, a few ulps of each term's scale
+    from framepcm.special_fn import EPS, _alt_sum_direct
+
+    ref, ref_bound, scale = _direct_part_loop(order, R, 256)
+    value, bound = _alt_sum_direct(order, order, R, R - math.floor(R), 256)
+    assert abs(value - ref) <= 32 * EPS * scale
+    assert bound == pytest.approx(ref_bound, rel=1e-14, abs=0.0)

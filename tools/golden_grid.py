@@ -18,7 +18,12 @@ recorded as ``raise <Type>: <message>``.  The grid:
 * ``zeta_tail``, ``M1_constant`` and ``M2_constant``.
 
 The second form prints every key whose value differs between the two
-files, then the largest relative difference, and exits 1 if any differs.
+files, with its relative difference and, for a ``/value`` key, |Δvalue|
+over the key's own certified bound (``abs_error_bound`` or
+``error_estimate``, the larger of the two files'); then, per key prefix
+(``limit/bessel_series``, ``alternating_bessel_sum``, ...), the number of
+differing keys, their largest relative difference and their largest
+|Δvalue|/bound; it exits 1 if any key differs.
 Takes about 30 s and a few hundred MB (the quadrature at R ~ 1e4).
 """
 
@@ -120,22 +125,58 @@ def _rel_diff(a: str, b: str) -> float:
     return abs(x - y) / scale if scale > 0 and math.isfinite(scale) else math.inf
 
 
+def _prefix(key: str) -> str:
+    """The leading path components of a key, before the first ``name=value``."""
+    parts = key.split("/")
+    return "/".join(parts[:next((i for i, p in enumerate(parts) if "=" in p), len(parts))])
+
+
+def _bound_ratio(key: str, a: dict, b: dict) -> float | None:
+    """|Δvalue| of a ``/value`` key over its own certified bound, else None."""
+    if not key.endswith("/value"):
+        return None
+    stem = key[: -len("value")]
+    for name in ("abs_error_bound", "error_estimate"):
+        bounds = [float(f[stem + name]) for f in (a, b) if stem + name in f]
+        if bounds:
+            try:
+                delta = abs(float(a[key]) - float(b[key]))
+            except (KeyError, ValueError):
+                return math.inf
+            bound = max(bounds)
+            return delta / bound if bound > 0 else (0.0 if delta == 0 else math.inf)
+    return None
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a) as fh:
         a = json.load(fh)
     with open(path_b) as fh:
         b = json.load(fh)
+    keys = sorted(set(a) | set(b))
+    per_prefix: dict = {}  # prefix -> [differing keys, largest rel, largest |Δvalue|/bound]
     worst, worst_key, differing = 0.0, None, 0
-    for key in sorted(set(a) | set(b)):
+    for key in keys:
         va, vb = a.get(key, "<missing>"), b.get(key, "<missing>")
         if va == vb:
             continue
         differing += 1
         rel = _rel_diff(va, vb)
-        print(f"{key}: {va} -> {vb} (relative difference {rel:.3g})")
+        ratio = _bound_ratio(key, a, b)
+        note = "" if ratio is None else f", |dvalue|/bound {ratio:.3g}"
+        print(f"{key}: {va} -> {vb} (relative difference {rel:.3g}{note})")
         if worst_key is None or rel > worst:
             worst, worst_key = rel, key
-    print(f"{differing} of {len(set(a) | set(b))} keys differ", end="")
+        acc = per_prefix.setdefault(_prefix(key), [0, 0.0, None])
+        acc[0] += 1
+        acc[1] = max(acc[1], rel)
+        if ratio is not None:
+            acc[2] = ratio if acc[2] is None else max(acc[2], ratio)
+    for prefix, (count, rel, ratio) in sorted(per_prefix.items()):
+        note = "" if ratio is None else f", largest |dvalue|/bound {ratio:.3g}"
+        print(f"prefix {prefix}: {count} keys differ, largest relative difference "
+              f"{rel:.3g}{note}")
+    print(f"{differing} of {len(keys)} keys differ", end="")
     print(f"; largest relative difference {worst:.3g} at {worst_key}" if differing else "")
     return 1 if differing else 0
 
