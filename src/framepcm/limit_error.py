@@ -119,7 +119,13 @@ def angular_constant(d: int) -> float:
     c_d * int_0^pi sin^{d-2} = 1."""
     if d < 2:
         raise ValueError("need d >= 2")
-    return math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d - 1) / 2.0))
+    if d < 344:
+        return math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d - 1) / 2.0))
+    # math.gamma overflows; ln Gamma(y + 1/2) - ln Gamma(y) from the Stirling
+    # series (DLMF 5.11.8), whose next term is below 1e-18 at y >= 171.5
+    t = 2.0 / (d - 1)
+    log_ratio = -t / 8.0 + t ** 3 / 192.0 - t ** 5 / 640.0 + 17.0 * t ** 7 / 14336.0
+    return math.sqrt((d - 1) / (2.0 * math.pi)) * math.exp(log_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +148,8 @@ def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
     Doubles the per-piece rule until the summed inter-order disagreement
     meets the tolerance (``tol``; default DEFAULT_PIECE_TOL per piece).
     """
+    if tol is not None and not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     pts = np.concatenate(([0.0], _breakpoints(r, delta), [math.pi]))
     widths = np.diff(pts)
     keep = widths > 1e-15

@@ -58,8 +58,15 @@ class SignalSpec:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ValueError("signal must be a 1-D vector")
-        r = float(np.linalg.norm(x))
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise ValueError("signal entries must be finite, got "
+                             + ", ".join(f"x[{i}] = {x[i]}" for i in bad[:8]))
+        with np.errstate(over="ignore"):
+            r = float(np.linalg.norm(x))
         R = r / scheme.delta
+        if not math.isfinite(R):
+            raise ValueError(f"signal norm / delta overflows ({r} / {scheme.delta})")
         eps = R - math.floor(R)
         return cls(x=x, r=r, R=R, eps=eps)
 

@@ -27,13 +27,20 @@ On top of these, ``alternating_bessel_sum`` evaluates
 with a certified bound.  Direct summation is hopeless for small p (the
 certified tail decays like K^{-p+1/2}), so the tail is *computed*: the
 Hankel expansion turns it into a handful of phase sums
-sum_{k>K} z^k k^{-q} with |z| = 1, and those are evaluated by repeated
-Abel summation by parts (z != 1) or an Euler-Maclaurin zeta tail (z = 1),
-each step with an explicit remainder bound.  The direct part k <= K is
-evaluated as arrays over k: one table of Hankel terms a_j / x_k^j, built
-as running ratios so that no power of x can overflow, cut per row by the
-first-omitted-term rule.  Where the phase sums need a directly summed
-head, one head (its k and phases) serves every q of the same tail.
+sum_{k>K} z^k k^{-q} with |z| = 1, all at q = p + 1/2 + integer.  For
+z = e^{2 pi i beta} != 1 each is Li_q(z) minus the head sum_{k<=K}, with
+the polylogarithm from its expansion in w = 2 pi i beta (DLMF 25.12.12;
+the harmonic/log form at integer q), which converges for every phase once
+beta is reduced to (-1/2, 1/2].  The expansion's zeta(q - j) come from
+one table of zeta(p + 1/2 + t) per tail (Euler-Maclaurin for positive
+arguments, the functional equation DLMF 25.4.1 for negative ones), so all
+q of a tail are one gather and one row-sum; the omitted terms are bounded
+through DLMF 25.4.2.  Li - head is accurate only in absolute terms, so
+where the trivial bound K^{1-q}/(q-1) is smaller the tail is taken as 0
+with that bound.  At z = 1 the phase sum is an Euler-Maclaurin zeta tail.
+The direct part k <= K is evaluated as arrays over k: one table of Hankel
+terms a_j / x_k^j, built as running ratios so that no power of x can
+overflow, cut per row by the first-omitted-term rule.
 """
 
 from __future__ import annotations
@@ -366,13 +373,17 @@ def _hankel_plan(order: float, x, spare: int):
 def _hankel_pq(order: float, x: float):
     """Partial Hankel sums P, Q at argument x with certified remainders.
 
-    Returns (P, Q, bound_P, bound_Q), truncated by :func:`_hankel_plan`.
-    The terms are formed as a_j / x^j, not taken from the plan's running
-    ratios, which round differently; x^j overflows once x^(2 lp) passes
-    the binary64 range.
+    Returns (P, Q, bound_P, bound_Q), truncated by :func:`_hankel_plan`
+    and, at huge x, where x^j would overflow: there the omitted terms are
+    below a_j / 1.8e308 anyway.  The terms are formed as a_j / x^j, not
+    taken from the plan's running ratios, which round differently.
     """
     a, _, lp, lq = _hankel_plan(order, x, 26)
     lp, lq = int(lp[0]), int(lq[0])
+    if x > 1.0:
+        jcap = int(709.0 / math.log(x))  # x^jcap < e^709 < 1.8e308
+        lp = max(min(lp, jcap // 2), math.ceil((order - 0.5) / 2.0), 1)
+        lq = max(min(lq, (jcap - 1) // 2), math.ceil((order - 1.5) / 2.0), 1)
     P = math.fsum((-1.0) ** m * a[2 * m] / x ** (2 * m) for m in range(lp))
     Q = math.fsum((-1.0) ** m * a[2 * m + 1] / x ** (2 * m + 1) for m in range(lq))
     bP = abs(a[2 * lp]) / x ** (2 * lp) + 4 * lp * EPS
@@ -415,11 +426,6 @@ def bessel_large_x(order: float, x: float) -> BesselEval:
 # phase sums  sum_{k>K} z^k k^{-q}  (|z| = 1)
 # ---------------------------------------------------------------------------
 
-def _unit_phase(beta: float, m: int) -> complex:
-    """e^{2 pi i beta m} via exact reduction of beta*m mod 1."""
-    return cmath.exp(2j * math.pi * math.fmod(beta * m, 1.0))
-
-
 def _zeta_tail_real(q: float, m0: int):
     """sum_{k>=m0} k^{-q} for q > 1 with an Euler-Maclaurin remainder bound."""
     mm = m0 + 1000
@@ -431,82 +437,217 @@ def _zeta_tail_real(q: float, m0: int):
     return head + em, bound
 
 
-def _phase_head(beta: float, m0: int, M: int):
-    """k = m0..M-1 and e^{2 pi i beta k}, with split-precision phases
-    (k*beta_hi is exact below 2^26)."""
-    k = np.arange(m0, M, dtype=float)
-    beta_hi = round(beta * (1 << 26)) / (1 << 26)
-    beta_lo = beta - beta_hi
-    phase = np.mod(k * beta_hi, 1.0) + k * beta_lo
-    return k, np.exp((2j * math.pi) * phase)
+def _tail_majorant(q, K: int):
+    """sum_{k>K} k^{-q} <= K^{1-q} / (q - 1), for q > 1 (floats or arrays)."""
+    return K ** (1.0 - q) / (q - 1.0)
 
 
-def _tail_phase_sum(q: float, beta: float, K: int, target: float, heads: dict):
-    """sum_{k>K} e^{2 pi i beta k} k^{-q}, with a certified remainder bound.
+# Euler-Maclaurin for the zeta table: the terms k < _EM_N are summed and
+# B_2 .. B_16 corrections taken, each B_2m already divided by (2m)!
+_EM_N = 16
+_EM_B = tuple(b / math.factorial(2 * m) for m, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), 1))
+# deepest j of the polylogarithm series; keeps Gamma(1 - s) of the table finite
+_J_CAP = 160
+_I_POW = np.array([1.0, 1j, -1.0, -1j])  # i^j by j mod 4
 
-    beta = 0 reduces to a real zeta tail.  Otherwise the sum is resolved by
-    repeated summation by parts against the geometric sequence: r steps at
-    start M leave boundary terms plus u^r sum (Delta^r a)_k z^k with
-    u = 1/(1-z), and |Delta^r a|_k <= q(q+1)...(q+r-1) (k-r)^{-q-r} because
-    t^{-q} is completely monotone.  High-order differences of nearly equal
-    values lose bits, and every lost bit is amplified by |u|^{j+1}, so the
-    (M, r) plan, r <= 16, minimizes the analytic remainder PLUS the
-    float-noise estimate; when |u| is large (beta near an integer) the
-    start M is pushed outward (K+1, 2^16, 4e5, 2e6: the first whose planned
-    bound meets ``target``, each start planned once) and the stretch
-    K+1..M-1 is summed directly.  That head's k and phases do not depend
-    on q: ``heads`` maps M to its :func:`_phase_head`, so one tail
-    computes them once for all its q and frees them when it returns.
+
+def _cos_half_pi(s: np.ndarray) -> np.ndarray:
+    """cos(pi s / 2), with s reduced exactly mod 4 and exact at integers."""
+    r = np.mod(s, 4.0)
+    exact = np.array([1.0, 0.0, -1.0, 0.0])[np.floor(r).astype(int) % 4]
+    return np.where(r == np.floor(r), exact, np.cos(0.5 * math.pi * r))
+
+
+def _zeta_em(s: np.ndarray):
+    """zeta(s) for real s > 0, s != 1, by Euler-Maclaurin, with absolute bounds.
+
+    zeta(s) = sum_{k<N} k^-s + N^{1-s}/(s-1) + N^-s/2
+              + sum_{m=1}^{8} B_2m/(2m)! (s)_{2m-1} N^{1-s-2m} + R,
+    |R| <= 2 zeta(17) (2 pi)^-17 (s)_16 N^{-s-16} (periodic Bernoulli bound
+    on the remainder integral).  Each term is a few rounded operations, so
+    36 EPS of the sum of |terms| covers them and their summation.  Not
+    :func:`_zeta_tail_real`: its rounding allowance (>= 2.2e-13) is far
+    above the 1e-15 that Li - head needs from each table entry.
     """
-    m0 = K + 1
-    if beta == 0.0:
-        val, bound = _zeta_tail_real(q, m0)
-        return complex(val), bound
-    z = cmath.exp(2j * math.pi * beta)
-    u = 1.0 / (1.0 - z)
-    au = abs(u)
+    n = _EM_N
+    k = np.arange(1.0, n)
+    parts = [k[None, :] ** -s[:, None],
+             (n ** (1.0 - s) / (s - 1.0))[:, None], (0.5 * n ** -s)[:, None]]
+    rising = s.copy()  # (s)_{2m-1}
+    npow = n ** (1.0 - s)
+    for m, b in enumerate(_EM_B, 1):
+        npow = npow / (n * n)
+        parts.append((b * rising * npow)[:, None])
+        rising = rising * (s + 2 * m - 1) * (s + 2 * m)
+    terms = np.concatenate(parts, axis=1)
+    rem = 2.00002 * (2 * math.pi) ** -17 * rising / (s + 16) * n ** (-s - 16.0)
+    return terms.sum(axis=1), rem + 36 * EPS * np.abs(terms).sum(axis=1)
 
-    def plan(M: int):
-        best = None
-        rising = 1.0
-        for r in range(1, 17):
-            rising *= q + r - 1
-            rem = au ** r * rising * (M - 1) ** (1 - q - r) / (q + r - 1)
-            noise = au ** (r + 1) * 2.0 ** r * 8 * EPS * M ** (-q)
-            if best is None or rem + noise < best[1]:
-                best = (r, rem + noise, rem)
-        return best
 
-    for M in [m0] + [c for c in (1 << 16, 400_000, 2_000_000) if c >= m0]:
-        r, planned, rem = plan(M)
-        if planned <= target:
-            break
+@dataclass(frozen=True)
+class _PhaseTable:
+    """The part of the phase tails at q = p + 1/2 + i, i = 0..top, that does
+    not depend on the phase.  ``zeta[depth + t]`` is zeta(p + 1/2 + t) for
+    t = -depth..top, ``zeta_err`` its absolute bound; per i: q, whether q is
+    a positive integer, Gamma(1-q) (other q), H_{q-1} (integer q), and
+    cos, sin of pi (q-1)/2."""
 
-    head = 0.0 + 0.0j
-    head_fp = 0.0
-    if M > m0:
-        if M not in heads:
-            heads[M] = _phase_head(beta, m0, M)
-        k, unit = heads[M]
-        weights = k ** -q
-        head = complex(np.sum(unit * weights))
-        head_fp = (2 * math.pi * 8 + 64) * EPS * float(np.sum(weights))
+    depth: int
+    zeta: np.ndarray
+    zeta_err: np.ndarray
+    q: np.ndarray
+    integer: np.ndarray
+    gamma: np.ndarray
+    harmonic: np.ndarray
+    cos_q: np.ndarray
+    sin_q: np.ndarray
 
-    # backward-difference table over a_M .. a_{M+r-1}
-    row = [(M + i) ** (-q) for i in range(r)]
-    diag = [row[0]]
-    for _ in range(1, r):
-        row = [row[i] - row[i - 1] for i in range(1, len(row))]
-        diag.append(row[0])
-    total = 0.0 + 0.0j
-    fp = 0.0
-    upow = u
-    for j in range(r):
-        total += upow * diag[j] * _unit_phase(beta, M + j)
-        fp += abs(upow) * (2.0 ** j * 4 * EPS * M ** (-q)
-                           + (j + 6 + 2 * math.pi * (M + j)) * EPS * abs(diag[j]))
-        upow *= u
-    return head + total, rem + fp + head_fp
+
+@lru_cache(maxsize=32)
+def _phase_table(p: float, top: int) -> _PhaseTable:
+    """The phase-independent part of :func:`_phase_tails`, cached per (p, top).
+
+    zeta(s) comes from :func:`_zeta_em` for s > 0, from the functional
+    equation zeta(s) = 2 (2 pi)^{s-1} cos(pi (1-s)/2) Gamma(1-s) zeta(1-s)
+    (DLMF 25.4.1) for s < 0, and zeta(0) = -1/2; the pole s = 1 holds 0
+    (integer q take that term from the harmonic/log form).
+    """
+    q = p + 0.5 + np.arange(top + 1, dtype=float)
+    depth = min(math.floor(q[-1]) + 1 + 60, _J_CAP)
+    s = p + 0.5 + np.arange(-depth, top + 1, dtype=float)
+    zeta = np.zeros(s.size)
+    err = np.zeros(s.size)
+    pos = (s > 0) & (s != 1.0)
+    zeta[pos], err[pos] = _zeta_em(s[pos])
+    zeta[s == 0.0] = -0.5
+    neg = s < 0
+    if neg.any():
+        s1 = 1.0 - s[neg]
+        z1, e1 = _zeta_em(s1)
+        # Gamma within 10 ulps and (2 pi)^-s1 within (s1/2 + 1) EPS; the
+        # cosine is exact at integer s1, else within 4 EPS absolute
+        mag = 2.0 * (2 * math.pi) ** -s1 * np.array([math.gamma(v) for v in s1]) * z1
+        cos = _cos_half_pi(s1)
+        zeta[neg] = mag * cos
+        err[neg] = mag * (np.abs(cos) * (e1 / z1 + (s1 / 2 + 16) * EPS)
+                          + np.where(s1 == np.floor(s1), 0.0, 4 * EPS))
+    integer = (q >= 1.0) & (q == np.round(q))
+    gamma = np.array([0.0 if i else math.gamma(1.0 - v) for v, i in zip(q, integer)])
+    harmonic = np.array([math.fsum(1.0 / np.arange(1.0, v)) if i else 0.0
+                         for v, i in zip(q, integer)])
+    arrays = (zeta, err, q, integer, gamma, harmonic, _cos_half_pi(q - 1.0), _cos_half_pi(q - 2.0))
+    for arr in arrays:  # shared by every caller through the cache
+        arr.setflags(write=False)
+    return _PhaseTable(depth, *arrays)
+
+
+def _j_remainder(q: float, J: int, b: float) -> float:
+    """Bound on sum_{j>J} |zeta(q-j)| (2 pi b)^j / j! for J >= q, b = |beta|.
+
+    By |zeta(1-s)| <= 2 (2 pi)^-s Gamma(s) zeta(s) (DLMF 25.4.2), with
+    zeta(s) <= zeta(2), term j is at most 2 zeta(2) (2 pi)^{q-1} b^j
+    Gamma(j-q+1)/Gamma(j+1): a majorant whose ratio rho is b for q >= 0.
+    Infinite where J < q (the table's depth ran out) or rho >= 1.
+    """
+    rho = b * max(1.0, (J + 2.0 - q) / (J + 2.0))
+    if J < q or rho >= 1.0:
+        return math.inf
+    return math.exp(math.log(math.pi ** 2 / 3.0) + (q - 1.0) * math.log(2 * math.pi)
+                    + (J + 1) * math.log(b) + math.lgamma(J + 2.0 - q)
+                    - math.lgamma(J + 2.0)) / (1.0 - rho)
+
+
+def _phase_tails(p: float, top: int, idx: np.ndarray, beta: float, K: int):
+    """sum_{k>K} e^{2 pi i beta k} k^{-q} at every q = p + 1/2 + idx, with
+    certified absolute bounds; ``beta`` is not an integer, ``idx`` lies in
+    0..top.  Returns (values, bounds) as arrays over idx.
+
+    With beta reduced to (-1/2, 1/2] and w = 2 pi i beta, |w| <= pi < 2 pi,
+    so the polylogarithm expansion (DLMF 25.12.12)
+
+        Li_q(e^w) = Gamma(1-q) (-w)^{q-1} + sum_{j>=0} zeta(q-j) w^j / j!
+
+    converges for every phase; for a positive integer q the Gamma term and
+    the j = q-1 term become w^{q-1}/(q-1)! [H_{q-1} - ln(-w)].  Every q of a
+    tail is p + 1/2 + integer, so one table of zeta(p + 1/2 + t)
+    (:func:`_phase_table`) serves them all and the series is one gather and
+    one row-sum.  Row q stops at J_q >= q, where |beta|^j has fallen by
+    2^-52; the omitted terms are bounded through |zeta(1-s)| <=
+    2 (2 pi)^-s Gamma(s) zeta(s) (DLMF 25.4.2) by a geometric majorant of
+    ratio |beta|.  The tail is Li_q(z) minus the head sum_{k<=K} z^k k^-q,
+    one (rows x K) matrix of weights against phases taken from beta k
+    reduced exactly mod 1.  The bound adds that remainder to the rounding
+    of the zeta table, the series, the head and its phases.
+
+    Li - head is accurate only to about 1e-15 absolute, so for q > 1 the
+    trivial |tail| <= min(K^{1-q}/(q-1), (K+1)^-q / sin(pi |beta|)) (the
+    integral test; Abel's inequality) is returned, with value 0, wherever
+    it is the smaller bound; the head of such a row is not computed.
+    """
+    tab = _phase_table(p, top)
+    beta = beta - 1.0 if beta > 0.5 else beta
+    b, sign = abs(beta), math.copysign(1.0, beta)
+    q = tab.q[idx]
+    over = q > 1.0
+    values = np.zeros(q.size, dtype=complex)
+    # the trivial bounds: K^{1-q}/(q-1), and Abel's inequality with
+    # |sum_{K<k<=n} z^k| <= 2/|1-z| = 1/sin(pi b): (K+1)^-q / sin(pi b)
+    abel = (1.0 + 8 * EPS) * (K + 1.0) ** -q / math.sin(math.pi * b)
+    bounds = np.where(over, np.minimum(_tail_majorant(np.where(over, q, 2.0), K), abel), math.inf)
+    # rounding of the head per unit weight: ~18 EPS per term (the phase, its
+    # cos/sin, the power, the product) and (9 + log2(K)/2) EPS of numpy's
+    # pairwise summation.  For q > 1 the weights sum to less than zeta(q),
+    # so on rows not live this alone would exceed the trivial bound.
+    head_scale = (K.bit_length() + 24) * EPS
+    zq = tab.zeta[tab.depth + idx] + tab.zeta_err[tab.depth + idx]
+    live = np.flatnonzero(~over | (head_scale * 2.0 * zq <= bounds))
+    if live.size == 0:
+        return values, bounds
+    idx, q, zq, over = idx[live], q[live], zq[live], over[live]
+    integer = tab.integer[idx]
+
+    # the series, each row cut at J_q (the columns past it hold exact zeros)
+    jq = np.minimum(np.floor(q).astype(int) + 1 + math.ceil(52 * math.log(2) / -math.log(b)),
+                    tab.depth)
+    j = np.arange(int(jq.max()) + 1)
+    keep = j[None, :] <= jq[:, None]
+    at = tab.depth + idx[:, None] - j[None, :]
+    zg = np.where(keep, tab.zeta[at], 0.0)
+    azg = np.abs(zg)
+    x = 2.0 * math.pi * beta
+    c = np.cumprod(np.concatenate(([1.0], x / j[1:])))  # x^j / j!, within 2j EPS
+    ac = np.abs(c)
+    series = zg @ (c * _I_POW[j % 4])
+    # per term (2j + 1) EPS, and J_q/2 EPS of the row sum for its summation
+    series_err = (np.where(keep, tab.zeta_err[at], 0.0) @ ac
+                  + EPS * (azg @ (ac * (2 * j + 1)) + 0.5 * jq * (azg @ ac)))
+
+    # the singular term: the harmonic/log form for integer q, else
+    # Gamma(1-q) (-w)^{q-1} = Gamma(1-q) (2 pi b)^{q-1} e^{-i pi sign (q-1)/2}
+    n = np.where(integer, q, 1.0).astype(int) - 1
+    lw = math.log(2.0 * math.pi * b)
+    bracket = tab.harmonic[idx] - lw + 0.5j * math.pi * sign
+    power_term = tab.gamma[idx] * (2.0 * math.pi * b) ** (q - 1.0) * (
+        tab.cos_q[idx] - 1j * sign * tab.sin_q[idx])
+    sing = np.where(integer, c[n] * _I_POW[n % 4] * bracket, power_term)
+    sing_err = EPS * np.where(
+        integer, np.abs(c[n]) * ((2 * n + 2) * np.abs(bracket) + tab.harmonic[idx] + abs(lw) + 2),
+        np.abs(power_term) * (np.abs(q - 1.0) + 24))
+
+    rem = np.array([_j_remainder(u, v, b) for u, v in zip(q.tolist(), jq.tolist())])
+    fixed = series_err + sing_err + rem + 2 * EPS * (np.abs(series) + np.abs(sing))
+    use = ~over | (fixed + head_scale * 2.0 * zq <= bounds[live])
+    if use.any():
+        rows = live[use]
+        k = np.arange(1.0, K + 1.0)
+        beta_hi = round(beta * (1 << 26)) / (1 << 26)  # k * beta_hi is exact below 2^26
+        theta = (2.0 * math.pi) * (np.mod(k * beta_hi, 1.0) + k * (beta - beta_hi))
+        weights = k[None, :] ** -q[use, None]
+        head = (weights * np.cos(theta)).sum(axis=1) + 1j * (weights * np.sin(theta)).sum(axis=1)
+        values[rows] = series[use] + sing[use] - head
+        bounds[rows] = fixed[use] + head_scale * weights.sum(axis=1) + 2 * EPS * np.abs(head)
+    return values, bounds
 
 
 # ---------------------------------------------------------------------------
@@ -549,41 +690,33 @@ def _alt_sum_direct(order: float, p: float, R: float, eps_frac: float, K: int):
     return math.fsum(terms.tolist()), float(np.sum(w * b + 4 * EPS * w * np.abs(v)))
 
 
-def _alt_sum_tail(order: float, p: float, R: float, eps_frac: float, K: int, tol: float):
+def _alt_sum_tail(order: float, p: float, R: float, eps_frac: float, K: int):
     """Analytic continuation of the sum past k = K via Hankel + phase sums."""
     omega = math.pi * order / 2.0 + math.pi / 4.0
     twopiR = 2.0 * math.pi * R
     # truncated where the first tail term k = K+1 needs it
     a, _, MP, MQ = _hankel_plan(order, twopiR * (K + 1), 18)
     MP, MQ = int(MP[0]), int(MQ[0])
-    beta = math.fmod(eps_frac + 0.5, 1.0)
-    e_omega = cmath.exp(-1j * omega)
-    scale = 1.0 / (math.pi * math.sqrt(R))
-
-    heads: dict = {}  # the phase-sum heads shared by every q below
-    tail = 0.0
-    bound = 0.0
-    for m in range(MP):
-        q = p + 0.5 + 2 * m
-        coef = (-1.0) ** m * a[2 * m] * twopiR ** (-2 * m)
-        target = tol * 0.4 / ((MP + MQ) * max(abs(coef) * scale, 1e-300))
-        tp, b = _tail_phase_sum(q, beta, K, target, heads)
-        tail += coef * (e_omega * tp).real
-        bound += abs(coef) * b
-    for m in range(MQ):
-        q = p + 1.5 + 2 * m
-        coef = (-1.0) ** m * a[2 * m + 1] * twopiR ** (-2 * m - 1)
-        target = tol * 0.4 / ((MP + MQ) * max(abs(coef) * scale, 1e-300))
-        tp, b = _tail_phase_sum(q, beta, K, target, heads)
-        tail -= coef * (e_omega * tp).imag
-        bound += abs(coef) * b
-
+    # phase sums at q = p + 1/2 + i: i = 2m for the P terms, 2m + 1 for the Q terms
+    idx = np.concatenate((np.arange(0, 2 * MP, 2), np.arange(1, 2 * MQ, 2)))
+    coef = np.array([(-1.0) ** (i // 2) * a[i] * twopiR ** -i for i in idx.tolist()])
+    # (-1)^k e^{2 pi i k eps} = e^{2 pi i beta k}: beta = eps - 1/2, exact
+    # (Sterbenz) wherever it is small; eps + 1/2 would round near beta = 0
+    beta = eps_frac - 0.5
+    if beta == 0.0:
+        tp, tb = map(np.array, zip(*(_zeta_tail_real(p + 0.5 + i, K + 1) for i in idx.tolist())))
+        # as in _phase_tails: the trivial bound where it is the smaller one
+        trivial = _tail_majorant(p + 0.5 + idx, K)
+        tp, tb = np.where(tb < trivial, tp, 0.0), np.minimum(tb, trivial)
+    else:
+        tp, tb = _phase_tails(p, len(a) - 1, idx, beta, K)
+    rot = cmath.exp(-1j * omega) * tp
+    tail = math.fsum((coef[:MP] * rot.real[:MP]).tolist() + (-coef[MP:] * rot.imag[MP:]).tolist())
+    bound = float(np.abs(coef) @ tb)
     # Hankel remainder summed over the tail (integral-test zeta bounds)
-    def ztail(q):
-        return K ** (1 - q) / (q - 1)
-
-    bound += abs(a[2 * MP]) * twopiR ** (-2 * MP) * ztail(p + 0.5 + 2 * MP)
-    bound += abs(a[2 * MQ + 1]) * twopiR ** (-2 * MQ - 1) * ztail(p + 1.5 + 2 * MQ)
+    bound += abs(a[2 * MP]) * twopiR ** (-2 * MP) * _tail_majorant(p + 0.5 + 2 * MP, K)
+    bound += abs(a[2 * MQ + 1]) * twopiR ** (-2 * MQ - 1) * _tail_majorant(p + 1.5 + 2 * MQ, K)
+    scale = 1.0 / (math.pi * math.sqrt(R))
     return scale * tail, scale * bound
 
 
@@ -606,7 +739,7 @@ def alternating_bessel_sum_info(order: float, p: float, R: float, tol: float):
     best_bound = math.inf
     for K in (64, 256, 1024, 4096, 16384):
         direct, db = _alt_sum_direct(order, p, R, eps_frac, K)
-        tail, tb = _alt_sum_tail(order, p, R, eps_frac, K, tol)
+        tail, tb = _alt_sum_tail(order, p, R, eps_frac, K)
         bound = db + tb
         best_bound = min(best_bound, bound)
         if bound <= tol:

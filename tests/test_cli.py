@@ -170,5 +170,13 @@ def test_exit_codes(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("extra", [("--r", "inf"), ("--r", "nan"), ("--r", "5", "--tol", "0")])
+def test_non_finite_inputs_and_zero_tol_are_config_errors(tmp_path, capsys, extra):
+    # rejected at the input, before any quadrature runs
+    assert run(tmp_path, "limit", "--d", "3", "--delta", "1", *extra) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "config" and "Traceback" not in err
+
+
 def test_no_subcommand_is_config_error(tmp_path):
     assert run(tmp_path) == EXIT_CONFIG

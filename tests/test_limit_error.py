@@ -34,6 +34,31 @@ def test_angular_constant_values():
         assert angular_constant(d) * w == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("d", [344, 401, 1000, 10 ** 4])
+def test_angular_constant_past_gamma_overflow(d):
+    # math.gamma overflows from d = 344 on
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.gamma(mpmath.mpf(d) / 2) / (mpmath.sqrt(mpmath.pi)
+                                                 * mpmath.gamma(mpmath.mpf(d - 1) / 2))
+    assert angular_constant(d) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+def test_signal_spec_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match=r"x\[1\] = nan"):
+        SignalSpec.from_vector([1.0, math.nan, 2.0], UNIT)
+    with pytest.raises(ValueError, match=r"x\[0\] = inf"):
+        limiting_error([math.inf, 0.0, 0.0], UNIT)
+    with pytest.raises(ValueError, match="overflows"):
+        SignalSpec.from_vector([1e200, 1e200], UNIT)
+
+
+def test_quadrature_rejects_bad_tol_up_front():
+    for tol in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            limiting_error(_x(3, 5.0), UNIT, Method.QUADRATURE, tol=tol)
+
+
 # d -> (n, parity, sine power, Bessel order, scale exponent s)
 PARITY_TABLE = {
     2: (1, "even", 0, 1.0, 1.5),
@@ -252,6 +277,16 @@ def test_series_route_against_breakpoint_sum_oracle():
         res = limiting_error(_x(d, R), UNIT, Method.BESSEL_SERIES)
         oracle = _breakpoint_sum_limit(mpmath, d, R)
         assert abs(res.value - oracle) <= res.error_estimate, (d, R, res, oracle)
+
+
+@pytest.mark.parametrize("d, R", [(3, 13.499999), (3, 1000.4999999), (3, 20.499999999),
+                                  (2, 0.5000000036707667)])
+def test_series_route_near_half_against_breakpoint_sum_oracle(d, R):
+    # eps within 1e-6 of 1/2: the phase sums' z lies within 2e-5 of 1; at
+    # R < 1 the phase must not be rounded on its way to the tails
+    mpmath = pytest.importorskip("mpmath")
+    res = limiting_error(_x(d, R), UNIT, Method.BESSEL_SERIES)
+    assert abs(res.value - _breakpoint_sum_limit(mpmath, d, R)) <= res.error_estimate
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -191,6 +191,19 @@ def test_alternating_sum_tolerance_failure_is_explicit():
         alternating_bessel_sum(1, 1, 5.5, 1e-30)
 
 
+@pytest.mark.parametrize("order, R", [(9.5, 0.5), (12.0, 0.5), (12.0, 1.5)])
+def test_alternating_sum_at_half_against_direct_sum(order, R):
+    # eps = 1/2 exactly: the tails are real zeta tails, weighted by large
+    # Hankel coefficients at small R; past k = 200 the sum is below 1e-21
+    mpmath = pytest.importorskip("mpmath")
+    ev = alternating_bessel_sum(order, order, R, 1e-10)
+    with mpmath.workdps(30):
+        ref = mpmath.fsum((-1) ** k * mpmath.mpf(k) ** -order
+                          * mpmath.besselj(order, 2 * mpmath.pi * k * mpmath.mpf(R))
+                          for k in range(1, 201))
+    assert abs(ev.value - ref) <= ev.abs_error_bound
+
+
 def test_determinism():
     a = alternating_bessel_sum(2.5, 2.5, 12.125, 1e-10)
     b = alternating_bessel_sum(2.5, 2.5, 12.125, 1e-10)
@@ -198,7 +211,7 @@ def test_determinism():
 
 
 # (order, R): integer and half-integer orders, two of them near eps = 1/2
-# where the tail's phase sums share a directly summed head
+# where the tail's phase sums have z close to 1
 _PURITY_CASES = [(1.5, 57.4), (2.0, 20.4995), (6.0, 1000.3), (6.5, 10.5041)]
 
 
@@ -276,3 +289,132 @@ def test_direct_part_matches_per_term_loop(order, R):
     value, bound = _alt_sum_direct(order, order, R, R - math.floor(R), 256)
     assert abs(value - ref) <= 32 * EPS * scale
     assert bound == pytest.approx(ref_bound, rel=1e-14, abs=0.0)
+
+
+def _polylog_tails(mpmath, q, beta, Ks):
+    """{K: mpmath.polylog(q, z) - sum_{k<=K} z^k k^-q} at z = e^{2 pi i beta}.
+
+    q is a multiple of 1/2.  The difference cancels to about K^{1-q}, so it
+    is worked at 30 digits past that, never at fewer than 60; the precision
+    is set locally.
+    """
+    with mpmath.workdps(max(60, 30 + math.ceil((q - 1) * math.log10(max(Ks))))):
+        z = mpmath.expjpi(2 * mpmath.mpf(beta))
+        li = mpmath.polylog(mpmath.mpf(q), z)
+        zk, head, out = mpmath.mpf(1), mpmath.mpc(0), {}
+        for k in range(1, max(Ks) + 1):
+            zk *= z
+            head += zk / (mpmath.mpf(k) ** int(q) * (mpmath.sqrt(k) if q % 1 else 1))
+            if k in Ks:
+                out[k] = complex(li - head)
+        return out
+
+
+# the rows of the polylog check, (i, phases, K) per p with q = p + 1/2 + i:
+# the smallest q (always the expansion) at every phase, one q above it and
+# the largest q <= 30 (the trivial bound) at two; mpmath needs ~0.1 s for
+# each polylog at a half-integer q
+_TAIL_BETAS = (1e-9, 1e-7, 4e-4, 0.01, 0.1, 0.3, 0.49, 0.5)
+
+
+def _tail_rows(p):
+    return [(0, _TAIL_BETAS, (64, 1024)),
+            (1 + int(p) % 3, (4e-4, 0.1), (64, 1024)),
+            (math.floor(29.5 - p), (1e-9, 0.3), (64,))]
+
+
+def test_phase_tails_against_polylog():
+    # the vectorized tails sum_{k>K} z^k k^-q against 60+ digit references,
+    # at p in 1/2 N (half-integer q, and integer q by the harmonic/log form)
+    mpmath = pytest.importorskip("mpmath")
+    from framepcm.special_fn import _phase_tails
+
+    for p in (0.5, 1.0, 1.5, 2.0, 3.5, 4.0, 4.5, 6.0):
+        rows = _tail_rows(p)
+        idx = np.array([i for i, _, _ in rows])
+        for row, (i, betas, Ks) in enumerate(rows):
+            q = p + 0.5 + i
+            for beta in betas:
+                exacts = _polylog_tails(mpmath, q, beta, Ks)
+                for K, exact in exacts.items():
+                    # Li_q(conj z) = conj Li_q(z) gives -beta without a second reference
+                    for sign in (1.0, -1.0) if beta < 1e-6 else (1.0,):
+                        values, bounds = _phase_tails(p, int(idx.max()), idx, sign * beta, K)
+                        ref = exact if sign > 0 else exact.conjugate()
+                        assert abs(values[row] - ref) <= bounds[row], (p, q, sign * beta, K)
+                        if q > 1:
+                            assert bounds[row] <= K ** (1 - q) / (q - 1)
+
+
+# ---------------------------------------------------------------------------
+# single-value Bessel routes against a 50-digit oracle
+# ---------------------------------------------------------------------------
+
+def _besselj_50(mpmath, order, x):
+    with mpmath.workdps(50):
+        return mpmath.besselj(mpmath.mpf(order), mpmath.mpf(x))
+
+
+def _oracle_draws(seed, n, orders, x_of):
+    import random
+
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n):
+        order = rng.choice(orders)
+        draws.append((order, x_of(rng, order)))
+    return draws
+
+
+def test_bessel_series_against_oracle():
+    # the alternating series of DLMF 10.2.2 is bracketed by its first
+    # omitted term once the terms decrease; the bound adds the rounding
+    mpmath = pytest.importorskip("mpmath")
+    orders = [t / 2 for t in range(0, 25)]
+    for order, x in _oracle_draws(701, 60, orders,
+                                  lambda rng, o: rng.uniform(0.0, 1.0) ** 2 * 2 * max(30, o * o)):
+        ev = bessel_series(order, x, math.inf)
+        assert abs(ev.value - _besselj_50(mpmath, order, x)) <= ev.abs_error_bound, (order, x)
+
+
+def test_bessel_half_order_against_oracle():
+    # sin/cos closed forms (DLMF 10.49.3) climbed by the recurrence
+    # DLMF 10.51.1 with the error propagated through every step
+    mpmath = pytest.importorskip("mpmath")
+    for n, x in _oracle_draws(702, 60, list(range(0, 13)),
+                              lambda rng, n: 10 ** rng.uniform(-2.0, 4.0)):
+        ev = bessel_half_order(n, x)
+        assert abs(ev.value - _besselj_50(mpmath, n + 0.5, x)) <= ev.abs_error_bound, (n, x)
+
+
+def test_bessel_large_x_against_oracle():
+    # Hankel's expansion: past the order the remainder of each of P, Q is
+    # bounded by the first omitted term (DLMF 10.17(iii))
+    mpmath = pytest.importorskip("mpmath")
+    orders = [t / 2 for t in range(0, 25)]
+    for order, x in _oracle_draws(703, 60, orders,
+                                  lambda rng, o: 10 ** rng.uniform(-1.0, 6.0)):
+        ev = bessel_large_x(order, x)
+        assert abs(ev.value - _besselj_50(mpmath, order, x)) <= ev.abs_error_bound, (order, x)
+
+
+def test_bessel_integral_int_order_against_oracle():
+    # Bessel's integral J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt
+    # (DLMF 10.9.2) by Gauss-Legendre; the bound is the disagreement of two
+    # successive orders plus the summation rounding
+    mpmath = pytest.importorskip("mpmath")
+    for n, x in _oracle_draws(704, 60, list(range(0, 13)),
+                              lambda rng, n: rng.uniform(0.0, 60.0)):
+        ev = bessel_integral_int_order(n, x)
+        assert abs(ev.value - _besselj_50(mpmath, n, x)) <= ev.abs_error_bound, (n, x)
+
+
+@pytest.mark.parametrize("order", [0, 0.5, 3, 12.5])
+def test_bessel_large_x_at_huge_arguments(order):
+    # the Hankel cut stops where x^j would overflow binary64
+    mpmath = pytest.importorskip("mpmath")
+    for x in (1e11, 1e12, 1e15):
+        ev = bessel_large_x(order, x)
+        assert math.isfinite(ev.value) and math.isfinite(ev.abs_error_bound)
+    ev = bessel_large_x(order, 1e12)
+    assert abs(ev.value - _besselj_50(mpmath, order, 1e12)) <= ev.abs_error_bound

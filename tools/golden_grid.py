@@ -38,7 +38,9 @@ import sys
 import numpy as np
 
 DIMS = range(2, 13)
-RS = (0.3, 3.7, 10.25, 57.4, 100.375, 1000.3, 4321.49, 9999.9)
+# 13.499999 and 1000.4999999 put eps within 1e-6 of 1/2, where the phase
+# sums of the alternating Bessel sum have z close to 1
+RS = (0.3, 3.7, 10.25, 13.499999, 57.4, 100.375, 1000.3, 1000.4999999, 4321.49, 9999.9)
 DELTAS = (1.0, 1.0 / 16.0, 0.37)
 ORDERS = [0.5 * t for t in range(25)]
 XS = (0.7, 3.7, 12.5, 57.4, 100.0, 1000.3, 9999.9)
