@@ -68,7 +68,6 @@ from .bounds import (
     M1_constant,
     M2_constant,
     I_constant,
-    I_constant_sine_product,
     lower_bound,
     sandwich_check,
     scaling_slope_fit,

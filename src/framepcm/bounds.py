@@ -30,8 +30,9 @@ is the trivial 0.  The paper's kernel stays available through
 the printed formula as their default, since they reproduce the paper's
 worst-case values 0.138 and 0.02.
 
-Zeta tails come from the Euler-Maclaurin evaluation in ``special_fn``,
-whose certified error is far below every tolerance used here.
+Zeta tails come from the Euler-Maclaurin routine that ``special_fn``
+uses for its own zeta sums; its certified error (a few ulps) is far below
+every tolerance used here.
 ``scaling_slope_fit`` recovers the exponent (d+1)/2 of the sharp
 decay rate from log-log sweeps at fixed eps.
 """
@@ -47,7 +48,7 @@ import numpy as np
 from .limit_error import (Method, angular_constant, integral_even, integral_odd, limiting_error,
                           parity_split)
 from .quantization import QuantScheme
-from .special_fn import _zeta_tail_real
+from .special_fn import _zeta_em
 
 __all__ = [
     "BoundReport",
@@ -56,7 +57,6 @@ __all__ = [
     "M1_constant",
     "M2_constant",
     "I_constant",
-    "I_constant_sine_product",
     "lower_bound",
     "sandwich_check",
     "scaling_slope_fit",
@@ -85,15 +85,13 @@ def _in_window(eps: float, window) -> bool:
 
 @lru_cache(maxsize=None)
 def zeta_tail(p: float) -> float:
-    """sum_{k>=2} k^{-p}: 1000 terms plus an Euler-Maclaurin remainder.
-
-    The certified bound (~2.3e-13, nearly all rounding allowance) is far
-    below every tolerance used here; for p = 2, 2.5, ..., 13 the value is
-    within an ulp of zeta(p) - 1.
+    """sum_{k>=2} k^{-p} = zeta(p) - 1 by Euler-Maclaurin (15 terms and
+    B_2 .. B_16 corrections), with a certified bound of a few ulps; for
+    p = 1.5, 2, ..., 13 the value is within 2 ulps of zeta(p) - 1.
     """
     if p <= 1:
         raise ValueError("tail diverges for p <= 1")
-    return _zeta_tail_real(p, 2)[0]
+    return float(_zeta_em([p], 2)[0][0])
 
 
 def M1_constant(eps: float, n: int, order_matched_phase: bool = False) -> float:
@@ -121,28 +119,11 @@ def I_constant(d: int) -> float:
     Defined so that C * delta^{(d+1)/2} / r^{(d-1)/2} with
     C = (1-D coefficient) * I is literally a bound on the independently
     computed limiting error: I = d * c_d with c_d the exact surface-measure
-    ratio.  See ``I_constant_sine_product`` for the other reading.
+    ratio.
     """
     if d < 3:
         raise ValueError("need d >= 3")
     return d * angular_constant(d)
-
-
-def I_constant_sine_product(d: int) -> float:
-    """The raw product-of-|sin|^p reading of the angular factor:
-    d * prod_{p=1}^{d-3} int_0^{2pi} |sin|^p.
-
-    Positive like ``I_constant`` but not normalized against the surface
-    measure, so it does not reproduce the computed limit; both readings
-    are reported by the CLI for transparency.
-    """
-    if d < 3:
-        raise ValueError("need d >= 3")
-    out = float(d)
-    for p in range(1, d - 2):
-        # int_0^{2pi} |sin t|^p dt = 2 * Wallis integral over [0, pi]
-        out *= 2.0 * math.sqrt(math.pi) * math.gamma((p + 1) / 2.0) / math.gamma(p / 2.0 + 1.0)
-    return out
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,12 @@ arguments, the functional equation DLMF 25.4.1 for negative ones), so all
 q of a tail are one gather and one row-sum; the omitted terms are bounded
 through DLMF 25.4.2.  Li - head is accurate only in absolute terms, so
 where the trivial bound K^{1-q}/(q-1) is smaller the tail is taken as 0
-with that bound.  At z = 1 the phase sum is an Euler-Maclaurin zeta tail.
-The direct part k <= K is evaluated as arrays over k: one table of Hankel
-terms a_j / x_k^j, built as running ratios so that no power of x can
-overflow, cut per row by the first-omitted-term rule.
+with that bound.  At z = 1 the phase sum is a Hurwitz zeta tail from the
+same Euler-Maclaurin routine that fills the table.  The direct part
+k <= K is evaluated as arrays over k by the Hankel sums that also serve
+``bessel_large_x``: one table of terms a_j / x_k^j, built as running
+ratios so that no power of x can overflow (at huge x they underflow), cut
+per row by the first-omitted-term rule.
 """
 
 from __future__ import annotations
@@ -370,24 +372,21 @@ def _hankel_plan(order: float, x, spare: int):
     return a, terms, best_cut(0, lp_min), best_cut(1, lq_min)
 
 
-def _hankel_pq(order: float, x: float):
-    """Partial Hankel sums P, Q at argument x with certified remainders.
+def _hankel_sums(order: float, x):
+    """Partial Hankel sums P, Q with certified remainders, as arrays over x.
 
-    Returns (P, Q, bound_P, bound_Q), truncated by :func:`_hankel_plan`
-    and, at huge x, where x^j would overflow: there the omitted terms are
-    below a_j / 1.8e308 anyway.  The terms are formed as a_j / x^j, not
-    taken from the plan's running ratios, which round differently.
+    Returns (P, Q, bound_P, bound_Q), each row truncated by
+    :func:`_hankel_plan`; the bound is the first omitted term plus the
+    rounding of the retained ones.
     """
-    a, _, lp, lq = _hankel_plan(order, x, 26)
-    lp, lq = int(lp[0]), int(lq[0])
-    if x > 1.0:
-        jcap = int(709.0 / math.log(x))  # x^jcap < e^709 < 1.8e308
-        lp = max(min(lp, jcap // 2), math.ceil((order - 0.5) / 2.0), 1)
-        lq = max(min(lq, (jcap - 1) // 2), math.ceil((order - 1.5) / 2.0), 1)
-    P = math.fsum((-1.0) ** m * a[2 * m] / x ** (2 * m) for m in range(lp))
-    Q = math.fsum((-1.0) ** m * a[2 * m + 1] / x ** (2 * m + 1) for m in range(lq))
-    bP = abs(a[2 * lp]) / x ** (2 * lp) + 4 * lp * EPS
-    bQ = abs(a[2 * lq + 1]) / x ** (2 * lq + 1) + 4 * lq * EPS
+    _, terms, lp, lq = _hankel_plan(order, x, 26)
+    even, odd = terms[:, 0::2], terms[:, 1::2]
+    m = np.arange(odd.shape[1])
+    sign = np.where(m % 2, -1.0, 1.0)
+    P = np.sum(np.where(m < lp[:, None], sign * even[:, :m.size], 0.0), axis=1)
+    Q = np.sum(np.where(m < lq[:, None], sign * odd, 0.0), axis=1)
+    bP = np.abs(np.take_along_axis(even, lp[:, None], axis=1)[:, 0]) + 4 * lp * EPS
+    bQ = np.abs(np.take_along_axis(odd, lq[:, None], axis=1)[:, 0]) + 4 * lq * EPS
     return P, Q, bP, bQ
 
 
@@ -415,7 +414,7 @@ def bessel_large_x(order: float, x: float) -> BesselEval:
     _require_half_integer(order)
     omega = math.pi * order / 2.0 + math.pi / 4.0
     chi = x - omega
-    P, Q, bP, bQ = _hankel_pq(order, x)
+    P, Q, bP, bQ = (float(v[0]) for v in _hankel_sums(order, x))
     # x - omega carries ~eps*x of rounding
     value, bound = _hankel_combine(math.sqrt(2.0 / (math.pi * x)), math.cos(chi),
                                    math.sin(chi), P, Q, bP, bQ, 2 * EPS * (x + 4.0))
@@ -426,23 +425,12 @@ def bessel_large_x(order: float, x: float) -> BesselEval:
 # phase sums  sum_{k>K} z^k k^{-q}  (|z| = 1)
 # ---------------------------------------------------------------------------
 
-def _zeta_tail_real(q: float, m0: int):
-    """sum_{k>=m0} k^{-q} for q > 1 with an Euler-Maclaurin remainder bound."""
-    mm = m0 + 1000
-    ks = np.arange(m0, mm, dtype=float)
-    head = math.fsum(ks ** -q)
-    em = mm ** (1 - q) / (q - 1) + 0.5 * mm ** -q + q * mm ** (-q - 1) / 12.0
-    # |remainder| <= 2 zeta(4)/(2 pi)^4 * int |f''''| = 0.00139 q(q+1)(q+2) mm^{-q-3}
-    bound = 0.00139 * q * (q + 1) * (q + 2) * mm ** (-q - 3) + (mm - m0 + 8) * EPS * max(head, 1.0)
-    return head + em, bound
-
-
 def _tail_majorant(q, K: int):
     """sum_{k>K} k^{-q} <= K^{1-q} / (q - 1), for q > 1 (floats or arrays)."""
     return K ** (1.0 - q) / (q - 1.0)
 
 
-# Euler-Maclaurin for the zeta table: the terms k < _EM_N are summed and
+# Euler-Maclaurin for zeta sums: the first _EM_N - 1 terms are summed and
 # B_2 .. B_16 corrections taken, each B_2m already divided by (2m)!
 _EM_N = 16
 _EM_B = tuple(b / math.factorial(2 * m) for m, b in enumerate(
@@ -459,19 +447,21 @@ def _cos_half_pi(s: np.ndarray) -> np.ndarray:
     return np.where(r == np.floor(r), exact, np.cos(0.5 * math.pi * r))
 
 
-def _zeta_em(s: np.ndarray):
-    """zeta(s) for real s > 0, s != 1, by Euler-Maclaurin, with absolute bounds.
+def _zeta_em(s, m0: int):
+    """sum_{k>=m0} k^-s, the Hurwitz zeta(s, m0) (continued to 0 < s < 1),
+    for real s > 0, s != 1, by Euler-Maclaurin, with absolute bounds.
 
-    zeta(s) = sum_{k<N} k^-s + N^{1-s}/(s-1) + N^-s/2
-              + sum_{m=1}^{8} B_2m/(2m)! (s)_{2m-1} N^{1-s-2m} + R,
+    With N = m0 + 15,
+    zeta(s, m0) = sum_{m0<=k<N} k^-s + N^{1-s}/(s-1) + N^-s/2
+                  + sum_{m=1}^{8} B_2m/(2m)! (s)_{2m-1} N^{1-s-2m} + R,
     |R| <= 2 zeta(17) (2 pi)^-17 (s)_16 N^{-s-16} (periodic Bernoulli bound
     on the remainder integral).  Each term is a few rounded operations, so
-    36 EPS of the sum of |terms| covers them and their summation.  Not
-    :func:`_zeta_tail_real`: its rounding allowance (>= 2.2e-13) is far
-    above the 1e-15 that Li - head needs from each table entry.
+    36 EPS of the sum of |terms| covers them and their summation.  Returns
+    (values, bounds) as arrays over the sequence ``s``.
     """
-    n = _EM_N
-    k = np.arange(1.0, n)
+    s = np.asarray(s, dtype=float)
+    n = m0 + _EM_N - 1
+    k = np.arange(float(m0), n)
     parts = [k[None, :] ** -s[:, None],
              (n ** (1.0 - s) / (s - 1.0))[:, None], (0.5 * n ** -s)[:, None]]
     rising = s.copy()  # (s)_{2m-1}
@@ -519,12 +509,12 @@ def _phase_table(p: float, top: int) -> _PhaseTable:
     zeta = np.zeros(s.size)
     err = np.zeros(s.size)
     pos = (s > 0) & (s != 1.0)
-    zeta[pos], err[pos] = _zeta_em(s[pos])
+    zeta[pos], err[pos] = _zeta_em(s[pos], 1)
     zeta[s == 0.0] = -0.5
     neg = s < 0
     if neg.any():
         s1 = 1.0 - s[neg]
-        z1, e1 = _zeta_em(s1)
+        z1, e1 = _zeta_em(s1, 1)
         # Gamma within 10 ulps and (2 pi)^-s1 within (s1/2 + 1) EPS; the
         # cosine is exact at integer s1, else within 4 EPS absolute
         mag = 2.0 * (2 * math.pi) ** -s1 * np.array([math.gamma(v) for v in s1]) * z1
@@ -658,9 +648,8 @@ def _alt_sum_direct(order: float, p: float, R: float, eps_frac: float, K: int):
     """sum_{k=1}^{K} (-1)^k k^{-p} J_order(2 pi k R) with certified bound.
 
     Evaluated as arrays over k.  Terms with x = 2 pi k R beyond
-    ``_SERIES_AUTO_X`` come from one table of Hankel terms (see
-    :func:`_hankel_plan`), each row cut by the first-omitted-term rule; the
-    few k below it take the series.
+    ``_SERIES_AUTO_X`` come from :func:`_hankel_sums`, each row cut by the
+    first-omitted-term rule; the few k below it take the series.
     """
     omega = math.pi * order / 2.0 + math.pi / 4.0
     k = np.arange(1, K + 1, dtype=float)
@@ -674,14 +663,7 @@ def _alt_sum_direct(order: float, p: float, R: float, eps_frac: float, K: int):
         # allowance for the argument itself being a rounded product
         v[i], b[i] = ev.value, ev.abs_error_bound + 2 * EPS * x[i]
     h = slice(n_series, K)
-    _, terms, lp, lq = _hankel_plan(order, x[h], 26)
-    even, odd = terms[:, 0::2], terms[:, 1::2]
-    m = np.arange(odd.shape[1])
-    sign = np.where(m % 2, -1.0, 1.0)
-    P = np.sum(np.where(m < lp[:, None], sign * even[:, :m.size], 0.0), axis=1)
-    Q = np.sum(np.where(m < lq[:, None], sign * odd, 0.0), axis=1)
-    bP = np.abs(np.take_along_axis(even, lp[:, None], axis=1)[:, 0]) + 4 * lp * EPS
-    bQ = np.abs(np.take_along_axis(odd, lq[:, None], axis=1)[:, 0]) + 4 * lq * EPS
+    P, Q, bP, bQ = _hankel_sums(order, x[h])
     # reduced phase: 2 pi k R - omega == 2 pi k eps - omega (mod 2 pi)
     chi = 2.0 * math.pi * np.fmod(k[h] * eps_frac, 1.0) - omega
     v[h], b[h] = _hankel_combine(np.sqrt(2.0 / (math.pi * x[h])), np.cos(chi), np.sin(chi),
@@ -704,7 +686,7 @@ def _alt_sum_tail(order: float, p: float, R: float, eps_frac: float, K: int):
     # (Sterbenz) wherever it is small; eps + 1/2 would round near beta = 0
     beta = eps_frac - 0.5
     if beta == 0.0:
-        tp, tb = map(np.array, zip(*(_zeta_tail_real(p + 0.5 + i, K + 1) for i in idx.tolist())))
+        tp, tb = _zeta_em(p + 0.5 + idx, K + 1)
         # as in _phase_tails: the trivial bound where it is the smaller one
         trivial = _tail_majorant(p + 0.5 + idx, K)
         tp, tb = np.where(tb < trivial, tp, 0.0), np.minimum(tb, trivial)

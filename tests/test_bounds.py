@@ -5,7 +5,6 @@ import pytest
 
 from framepcm import (
     I_constant,
-    I_constant_sine_product,
     M1_constant,
     M2_constant,
     QuantScheme,
@@ -24,6 +23,12 @@ def test_zeta_tails_against_known_values():
     assert zeta_tail(3.0) == pytest.approx(1.2020569031595943 - 1, abs=1e-12)
     with pytest.raises(ValueError):
         zeta_tail(1.0)
+    mpmath = pytest.importorskip("mpmath")
+    for t in range(3, 27):
+        with mpmath.workdps(40):
+            exact = mpmath.zeta(t / 2) - 1
+            err = abs(mpmath.mpf(zeta_tail(t / 2)) - exact)
+        assert err <= 2 * math.ulp(float(exact)), (t / 2, float(err))
 
 
 def test_M1_values():
@@ -60,10 +65,8 @@ def test_M_validation():
 def test_I_constant_readings():
     assert I_constant(3) == pytest.approx(1.5)
     assert I_constant(4) == pytest.approx(8.0 / math.pi)
-    assert I_constant_sine_product(3) == pytest.approx(3.0)
-    assert I_constant_sine_product(4) == pytest.approx(16.0)  # one factor int |sin| = 4
     for d in range(3, 9):
-        assert I_constant(d) > 0 and I_constant_sine_product(d) > 0
+        assert I_constant(d) > 0
     with pytest.raises(ValueError):
         I_constant(2)
 

@@ -204,6 +204,33 @@ def test_alternating_sum_at_half_against_direct_sum(order, R):
     assert abs(ev.value - ref) <= ev.abs_error_bound
 
 
+@pytest.mark.parametrize("order, R", [(4, 10.5), (1, 100.5), (6.5, 57.5)])
+def test_alternating_sum_bound_at_half_not_above_its_neighbour(order, R):
+    # eps = 1/2 exactly takes the zeta tails, eps = 1/2 + 1e-7 the phase
+    # sums; both rest on the same Euler-Maclaurin sums, so the exact point
+    # may not carry the looser bound
+    at = alternating_bessel_sum(order, order, R, 1e-10)
+    beside = alternating_bessel_sum(order, order, R + 1e-7, 1e-10)
+    assert at.abs_error_bound <= beside.abs_error_bound
+
+
+def test_zeta_em_against_hurwitz_oracle():
+    # sum_{k>=m0} k^-s = zeta(s, m0) (DLMF 25.11.1, continued to s < 1) by
+    # Euler-Maclaurin (DLMF 2.10.1) with its Bernoulli remainder bound.
+    # mpmath's Hurwitz zeta cancels down from zeta(s) ~ 1 to ~m0^{1-s}, so
+    # it is worked at 40 digits past that cancellation
+    mpmath = pytest.importorskip("mpmath")
+    from framepcm.special_fn import _zeta_em
+
+    s = [0.5, 1.5, 2.5, 4.5, 10.5, 30.0]
+    for m0 in (1, 2, 65, 16385):
+        values, bounds = _zeta_em(s, m0)
+        for si, value, bound in zip(s, values, bounds):
+            with mpmath.workdps(40 + math.ceil(si * math.log10(m0))):
+                err = abs(mpmath.mpf(float(value)) - mpmath.zeta(si, m0))
+            assert err <= bound, (si, m0, float(err), bound)
+
+
 def test_determinism():
     a = alternating_bessel_sum(2.5, 2.5, 12.125, 1e-10)
     b = alternating_bessel_sum(2.5, 2.5, 12.125, 1e-10)
@@ -411,7 +438,8 @@ def test_bessel_integral_int_order_against_oracle():
 
 @pytest.mark.parametrize("order", [0, 0.5, 3, 12.5])
 def test_bessel_large_x_at_huge_arguments(order):
-    # the Hankel cut stops where x^j would overflow binary64
+    # the Hankel terms a_j / x^j are running ratios: where x^j would
+    # overflow binary64 they underflow, and the cut stops there
     mpmath = pytest.importorskip("mpmath")
     for x in (1e11, 1e12, 1e15):
         ev = bessel_large_x(order, x)

@@ -24,7 +24,7 @@ over the key's own certified bound (``abs_error_bound`` or
 (``limit/bessel_series``, ``alternating_bessel_sum``, ...), the number of
 differing keys, their largest relative difference and their largest
 |Δvalue|/bound; it exits 1 if any key differs.
-Takes about 30 s and a few hundred MB (the quadrature at R ~ 1e4).
+Takes about 40 s and a few hundred MB (the quadrature at R ~ 1e4).
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ import numpy as np
 
 DIMS = range(2, 13)
 # 13.499999 and 1000.4999999 put eps within 1e-6 of 1/2, where the phase
-# sums of the alternating Bessel sum have z close to 1
-RS = (0.3, 3.7, 10.25, 13.499999, 57.4, 100.375, 1000.3, 1000.4999999, 4321.49, 9999.9)
+# sums of the alternating Bessel sum have z close to 1; 10.5 and 100.5 put
+# it at 1/2 exactly, where they are zeta tails (z = 1)
+RS = (0.3, 3.7, 10.25, 10.5, 13.499999, 57.4, 100.375, 100.5, 1000.3, 1000.4999999, 4321.49,
+      9999.9)
 DELTAS = (1.0, 1.0 / 16.0, 0.37)
 ORDERS = [0.5 * t for t in range(25)]
 XS = (0.7, 3.7, 12.5, 57.4, 100.0, 1000.3, 9999.9)
