@@ -45,8 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .limit_error import (Method, angular_constant, integral_even, integral_odd, limiting_error,
-                          parity_split)
+from .limit_error import Method, _integral_full, angular_constant, limiting_error, parity_split
 from .quantization import QuantScheme
 from .special_fn import _zeta_em
 
@@ -195,7 +194,8 @@ class SandwichResult:
     """Outcome of the two-sided check on a 1-D integral.
 
     ``status`` is "ok" when the hypotheses held and the check ran;
-    otherwise it explains which hypothesis was unmet and ``holds`` is None.
+    otherwise it explains which hypothesis was unmet, and ``holds`` and
+    ``method`` (the route that computed ``integral_abs``) are None.
     """
 
     lower: float
@@ -203,14 +203,18 @@ class SandwichResult:
     integral_abs: float | None
     holds: bool | None
     status: str
+    method: Method | None = None
 
 
 def sandwich_check(r: float, delta: float, n: int, parity: str,
                    r_min: float = DEFAULT_R_MIN,
                    order_matched_phase: bool = True,
-                   method=Method.QUADRATURE,
+                   method=Method.AUTO,
                    tol: float | None = None) -> SandwichResult:
     """Evaluate lower <= |integral| <= upper for the chosen parity.
+
+    The integral comes from ``method`` (default AUTO, which takes the
+    certified series from R = 100 on); the result names the route that ran.
 
     A negative lower coefficient (the order-matched kernel at eps where the
     leading term is small) degrades the lower bound to 0, which is still
@@ -235,12 +239,13 @@ def sandwich_check(r: float, delta: float, n: int, parity: str,
         return SandwichResult(math.nan, math.nan, None, None,
                               f"hypothesis unmet: R={R:.6g} below threshold {r_min}")
     _, low_c, up_c = _coefs(eps, n, parity, order_matched_phase)
-    scale = parity_split(2 * n if parity == "even" else 2 * n + 1).scale(r, delta)
-    integral = integral_even if parity == "even" else integral_odd
+    split = parity_split(2 * n if parity == "even" else 2 * n + 1)
+    scale = split.scale(r, delta)
     lower = max(low_c, 0.0) * scale
     upper = up_c * scale
-    val = abs(integral(r, delta, n, method=method, tol=tol))
-    return SandwichResult(lower, upper, val, bool(lower <= val <= upper), "ok")
+    integral = _integral_full(r, delta, split, method, tol)
+    val = abs(integral.value)
+    return SandwichResult(lower, upper, val, bool(lower <= val <= upper), "ok", integral.method)
 
 
 def scaling_slope_fit(d: int, r: float, eps_fixed: float, k_range) -> float:
@@ -248,7 +253,10 @@ def scaling_slope_fit(d: int, r: float, eps_fixed: float, k_range) -> float:
 
     The sweep uses delta_k = r / (k + eps_fixed) so the fractional part is
     pinned to eps_fixed at every point; the expected slope is (d+1)/2.
-    Requires eps_fixed inside the parity window and at least 4 points.
+    Each point is ``limiting_error`` by its default AUTO route, so sweeps
+    to large R use the certified series, not the quadrature, whose own
+    estimate exceeds its value there at d >= 8.  Requires eps_fixed inside
+    the parity window and at least 4 points.
     """
     ks = [int(k) for k in k_range]
     if len(ks) < 4:

@@ -180,7 +180,7 @@ def _cmd_limit(args, outdir: Path) -> int:
             res = limiting_error(sig, scheme, method=method, tol=args.tol)
         results[method] = res
         rows.append(result_csv_row(sig, scheme, res))
-        print(f"{method.value:>14}: value={res.value:.12e}  err_est={res.error_estimate:.2e}")
+        print(f"{res.method.value:>14}: value={res.value:.12e}  err_est={res.error_estimate:.2e}")
     _write_csv(outdir / "limit.csv", LIMIT_CSV_FIELDS, rows)
 
     failures = 0
@@ -220,12 +220,13 @@ def _cmd_bounds(args, outdir: Path) -> int:
         sw = sandwich_check(args.r, args.delta, split.n, split.parity,
                             order_matched_phase=not args.paper_phase)
         if sw.integral_abs is not None:
-            # the sandwich ran the default quadrature of the same integral
-            value = I_constant(args.d) * sw.integral_abs
+            # the sandwich ran the default route on the same integral
+            value, route = I_constant(args.d) * sw.integral_abs, sw.method
         else:
-            value = limiting_error(np.concatenate(([args.r], np.zeros(args.d - 1))),
-                                   QuantScheme(args.delta)).value
-        print(f"limiting error (quadrature): {value:.6e}")
+            lim = limiting_error(np.concatenate(([args.r], np.zeros(args.d - 1))),
+                                 QuantScheme(args.delta))
+            value, route = lim.value, lim.method
+        print(f"limiting error ({route.value}): {value:.6e}")
         if report.window_ok:
             ok = report.lower <= value <= report.upper_scaling
             failures += not ok

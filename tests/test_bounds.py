@@ -7,6 +7,7 @@ from framepcm import (
     I_constant,
     M1_constant,
     M2_constant,
+    Method,
     QuantScheme,
     limiting_error,
     lower_bound,
@@ -167,3 +168,11 @@ def test_slope_fit_validation():
 def test_slope_fit_quick():
     slope = scaling_slope_fit(3, 1.0, 0.25, [60, 90, 140, 210, 320])
     assert slope == pytest.approx(2.0, abs=0.05)
+
+
+def test_sandwich_at_large_R_uses_the_series():
+    # the default quadrature's |integral| at d = 12, R = 1000.3 is rounding
+    # noise outside the sandwich; AUTO's certified series lies inside
+    out = sandwich_check(1000.3, 1.0, 6, "even")
+    assert out.holds is True and out.method == Method.BESSEL_SERIES
+    assert sandwich_check(100.1, 1.0, 2, "even").method is None  # hypothesis unmet

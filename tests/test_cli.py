@@ -108,30 +108,55 @@ def test_bounds_defect_cell_passes_by_default(tmp_path):
     assert run(tmp_path, "bounds", "--d", "4", "--r", "100.375", "--delta", "1") == EXIT_OK
 
 
-def test_bounds_report_runs_one_quadrature(tmp_path, monkeypatch, capsys):
-    from framepcm import QuantScheme, limit_error, limiting_error
+def test_bounds_report_runs_one_integral(tmp_path, monkeypatch, capsys):
+    from framepcm import Method, QuantScheme, limit_error, limiting_error
 
-    expected = limiting_error([1000.375, 0.0, 0.0, 0.0], QuantScheme(1.0)).value
+    expected = limiting_error([1000.375, 0.0, 0.0, 0.0], QuantScheme(1.0))
+    assert expected.method == Method.BESSEL_SERIES  # AUTO at R >= 100
     calls = []
-    quad = limit_error._quad_integral
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return quad(*args, **kwargs)
+    def counting(name):
+        route = getattr(limit_error, name)
 
-    monkeypatch.setattr(limit_error, "_quad_integral", counting)
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return route(*args, **kwargs)
+        return wrapped
+
+    for name in ("_quad_integral", "_series_integral"):
+        monkeypatch.setattr(limit_error, name, counting(name))
     capsys.readouterr()
     assert run(tmp_path, "bounds", "--d", "4", "--r", "1000.375") == EXIT_OK
-    assert len(calls) == 1
-    # the limit printed from the sandwich's integral is the limit itself
-    assert f"limiting error (quadrature): {expected:.6e}" in capsys.readouterr().out
+    assert calls == ["_series_integral"]
+    # the limit printed from the sandwich's integral is the limit itself,
+    # labelled with the route that computed it
+    assert f"limiting error (bessel_series): {expected.value:.6e}" in capsys.readouterr().out
 
 
 def test_bounds_report_outside_window_still_prints_limit(tmp_path, capsys):
     # eps = 0.1 is outside the even window: no sandwich, the limit is computed
+    from framepcm import Method, QuantScheme, limiting_error
+
+    lim = limiting_error([100.1, 0.0, 0.0, 0.0], QuantScheme(1.0))
+    assert lim.method == Method.BESSEL_SERIES
     assert run(tmp_path, "bounds", "--d", "4", "--r", "100.1") == EXIT_OK
     out = capsys.readouterr().out
-    assert "limiting error (quadrature): " in out and "hypothesis unmet" in out
+    assert f"limiting error (bessel_series): {lim.value:.6e}" in out and "hypothesis unmet" in out
+
+
+def test_bounds_slope_d8_to_large_R_passes(tmp_path):
+    # each point is the AUTO route's certified series; the quadrature,
+    # whose estimate exceeds its value at these R, fits 2.73
+    code = run(tmp_path, "bounds", "--slope", "--d-list", "8", "--kmin", "1000",
+               "--kmax", "5000")
+    assert code == EXIT_OK
+    assert float(read_csv(tmp_path / "slopes.csv")[0]["slope"]) == pytest.approx(4.5, abs=0.05)
+
+
+def test_limit_accepts_auto_and_names_the_route(tmp_path):
+    assert run(tmp_path, "limit", "--d", "3", "--r", "1000.375", "--delta", "1",
+               "--methods", "auto") == EXIT_OK
+    assert read_csv(tmp_path / "limit.csv")[0]["method"] == "bessel_series"
 
 
 def test_bessel_half_order_envelope_allows_main_term_rounding(tmp_path):

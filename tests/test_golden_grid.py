@@ -38,3 +38,17 @@ def test_compare_reports_per_prefix_and_against_own_bound(tmp_path, capsys):
     assert "prefix limit/bessel_series: 1 keys differ" in out
     assert "largest |dvalue|/bound 0.25" in out  # 1e-12 over 4e-12
     assert "zeta_tail" not in out
+
+
+def test_compare_divides_by_each_files_own_bound(tmp_path, capsys):
+    # a move of 1.9e-12 that B's tighter bound does not cover, although A's does
+    key = "alternating_bessel_sum/order=7.5/R=100.5"
+    a = {f"{key}/value": "1e-3", f"{key}/abs_error_bound": repr(1.9e-12 / 0.63)}
+    b = {f"{key}/value": repr(1e-3 + 1.9e-12), f"{key}/abs_error_bound": "1e-12"}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    assert _golden_grid().compare(str(pa), str(pb)) == 1
+    out = capsys.readouterr().out
+    assert "|dvalue|/bound 0.63 of A, 1.9 of B" in out
+    assert "largest |dvalue|/bound 0.63 of A, 1.9 of B" in out

@@ -304,3 +304,73 @@ def test_series_route_at_huge_hankel_arguments(d, R):
     # the limit scales like R^{-(d-1)/2} at fixed eps; compare with R = 1e4 + eps
     ref = limiting_error(_x(d, 1e4 + 0.375), UNIT, Method.BESSEL_SERIES).value
     assert res.value * R ** 1.5 == pytest.approx(ref * (1e4 + 0.375) ** 1.5, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the AUTO route
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d, R, route", [
+    (3, 10.3, Method.QUADRATURE),       # below the crossover, floor far below target
+    (3, 1000.375, Method.BESSEL_SERIES),  # beyond the crossover R = 100
+    (8, 20.3, Method.BESSEL_SERIES),    # quadrature rounding floor above the target
+    (12, 5.3, Method.QUADRATURE),
+])
+def test_auto_route_table(d, R, route):
+    res = limiting_error(_x(d, R), UNIT, Method.AUTO)
+    assert res.method == route
+    assert limiting_error(_x(d, R), UNIT) == res  # AUTO is the default
+    ran = limiting_error(_x(d, R), UNIT, route)
+    assert (res.value, res.error_estimate) == (ran.value, ran.error_estimate)
+
+
+def test_auto_falls_back_to_quadrature_with_an_honest_estimate():
+    # the order-20 series cancels below binary64 resolution at d = 40
+    mpmath = pytest.importorskip("mpmath")
+    with pytest.raises(PrecisionExhausted):
+        limiting_error(_x(40, 100.375), UNIT, Method.BESSEL_SERIES)
+    res = limiting_error(_x(40, 100.375), UNIT, Method.AUTO)
+    assert res.method == Method.QUADRATURE
+    assert abs(res.value - _breakpoint_sum_limit(mpmath, 40, 100.375)) <= res.error_estimate
+
+
+def test_auto_result_never_names_auto():
+    for d in (2, 3, 8, 12):
+        for R in (0.0, 0.3, 6.5, 99.9, 100.375):
+            assert limiting_error(_x(d, R), UNIT).method in (Method.QUADRATURE,
+                                                             Method.BESSEL_SERIES)
+    assert limiting_error(_x(3, 1000.375), UNIT, "auto").method == Method.BESSEL_SERIES
+    assert integral_odd(1000.375, 1.0, 1) == integral_odd(1000.375, 1.0, 1,
+                                                          method=Method.BESSEL_SERIES)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature's bounded memory
+# ---------------------------------------------------------------------------
+
+def test_quadrature_memory_is_bounded_at_large_R():
+    import tracemalloc
+
+    from framepcm.limit_error import _quad_integral
+
+    tracemalloc.start()
+    try:
+        _quad_integral(1e5 + 0.3, 1.0, 1, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6  # one slice of all pieces x nodes took ~240 MB
+
+
+def test_quadrature_chunks_cover_every_piece(monkeypatch):
+    from framepcm import limit_error
+
+    whole = limit_error._quad_integral(2000.3, 1.0, 4, None)
+    monkeypatch.setattr(limit_error, "_QUAD_CHUNK", 333)  # 4001 pieces, a partial last slice
+    value, estimate, pieces = limit_error._quad_integral(2000.3, 1.0, 4, None)
+    assert pieces == whole[2] == 4001
+    # the pieces may round differently in another slicing (the BLAS kernel
+    # for a row depends on its place), by far less than the rounding floor
+    # the estimate carries; a lost or doubled piece would move it by ~1e-4
+    assert abs(value - whole[0]) <= 1e-6 * whole[1]
+    assert estimate == pytest.approx(whole[1], rel=1e-6)

@@ -9,8 +9,9 @@ another checkout's ``src`` to take that version's golden file) and writes
 one key per value or bound, holding its ``repr``; a call that raises is
 recorded as ``raise <Type>: <message>``.  The grid:
 
-* ``limiting_error`` by quadrature and by the Bessel series, and
-  ``monte_carlo_limit``, at d = 2..12, R = r/delta in RS, delta in DELTAS;
+* ``limiting_error`` by its default route (``limit/default``), by
+  quadrature and by the Bessel series, and ``monte_carlo_limit``, at
+  d = 2..12, R = r/delta in RS, delta in DELTAS;
 * ``lower_bound`` and ``sandwich_check`` with both kernel phases on the
   same points (d >= 3);
 * ``bessel_large_x`` at XS and ``alternating_bessel_sum`` (p = order) at
@@ -20,11 +21,13 @@ recorded as ``raise <Type>: <message>``.  The grid:
 The second form prints every key whose value differs between the two
 files, with its relative difference and, for a ``/value`` key, |Δvalue|
 over the key's own certified bound (``abs_error_bound`` or
-``error_estimate``, the larger of the two files'); then, per key prefix
-(``limit/bessel_series``, ``alternating_bessel_sum``, ...), the number of
-differing keys, their largest relative difference and their largest
-|Δvalue|/bound; it exits 1 if any key differs.
-Takes about 40 s and a few hundred MB (the quadrature at R ~ 1e4).
+``error_estimate``) in each file, "of A" and "of B": when a change
+tightens a bound, a move can lie inside the old bound and outside the new
+one.  Then, per key prefix (``limit/bessel_series``,
+``alternating_bessel_sum``, ...), it prints the number of differing keys,
+their largest relative difference and their largest |Δvalue|/bound of
+each file; it exits 1 if any key differs.
+Takes about 40 s.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ def golden() -> dict:
                 x[0] = r
                 scheme = QuantScheme(delta)
                 at = f"d={d}/R={R!r}/delta={delta!r}"
+                _record(out, f"limit/default/{at}", lambda: limiting_error(x, scheme))
                 for method in (Method.QUADRATURE, Method.BESSEL_SERIES):
                     _record(out, f"limit/{method.value}/{at}",
                             lambda: limiting_error(x, scheme, method))
@@ -135,21 +139,32 @@ def _prefix(key: str) -> str:
     return "/".join(parts[:next((i for i, p in enumerate(parts) if "=" in p), len(parts))])
 
 
-def _bound_ratio(key: str, a: dict, b: dict) -> float | None:
-    """|Δvalue| of a ``/value`` key over its own certified bound, else None."""
+def _bound_ratios(key: str, a: dict, b: dict):
+    """|Δvalue| of a ``/value`` key over its certified bound in file a and in
+    file b (None where that file has no bound), or None for other keys."""
     if not key.endswith("/value"):
         return None
     stem = key[: -len("value")]
     for name in ("abs_error_bound", "error_estimate"):
-        bounds = [float(f[stem + name]) for f in (a, b) if stem + name in f]
-        if bounds:
-            try:
-                delta = abs(float(a[key]) - float(b[key]))
-            except (KeyError, ValueError):
-                return math.inf
-            bound = max(bounds)
-            return delta / bound if bound > 0 else (0.0 if delta == 0 else math.inf)
+        bounds = [float(f[stem + name]) if stem + name in f else None for f in (a, b)]
+        if bounds == [None, None]:
+            continue
+        try:
+            delta = abs(float(a[key]) - float(b[key]))
+        except (KeyError, ValueError):
+            return math.inf, math.inf
+        return tuple(None if bound is None else delta / bound if bound > 0
+                     else 0.0 if delta == 0 else math.inf for bound in bounds)
     return None
+
+
+def _larger(x, y):
+    return y if x is None else x if y is None else max(x, y)
+
+
+def _ratio_note(ratios) -> str:
+    show = ["n/a" if r is None else f"{r:.3g}" for r in ratios]
+    return f"|dvalue|/bound {show[0]} of A, {show[1]} of B"
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -158,7 +173,8 @@ def compare(path_a: str, path_b: str) -> int:
     with open(path_b) as fh:
         b = json.load(fh)
     keys = sorted(set(a) | set(b))
-    per_prefix: dict = {}  # prefix -> [differing keys, largest rel, largest |Δvalue|/bound]
+    # prefix -> [differing keys, largest rel, largest |Δvalue|/bound of A and of B]
+    per_prefix: dict = {}
     worst, worst_key, differing = 0.0, None, 0
     for key in keys:
         va, vb = a.get(key, "<missing>"), b.get(key, "<missing>")
@@ -166,18 +182,18 @@ def compare(path_a: str, path_b: str) -> int:
             continue
         differing += 1
         rel = _rel_diff(va, vb)
-        ratio = _bound_ratio(key, a, b)
-        note = "" if ratio is None else f", |dvalue|/bound {ratio:.3g}"
+        ratios = _bound_ratios(key, a, b)
+        note = "" if ratios is None else ", " + _ratio_note(ratios)
         print(f"{key}: {va} -> {vb} (relative difference {rel:.3g}{note})")
         if worst_key is None or rel > worst:
             worst, worst_key = rel, key
         acc = per_prefix.setdefault(_prefix(key), [0, 0.0, None])
         acc[0] += 1
         acc[1] = max(acc[1], rel)
-        if ratio is not None:
-            acc[2] = ratio if acc[2] is None else max(acc[2], ratio)
-    for prefix, (count, rel, ratio) in sorted(per_prefix.items()):
-        note = "" if ratio is None else f", largest |dvalue|/bound {ratio:.3g}"
+        if ratios is not None:
+            acc[2] = tuple(map(_larger, acc[2] or (None, None), ratios))
+    for prefix, (count, rel, ratios) in sorted(per_prefix.items()):
+        note = "" if ratios is None else ", largest " + _ratio_note(ratios)
         print(f"prefix {prefix}: {count} keys differ, largest relative difference "
               f"{rel:.3g}{note}")
     print(f"{differing} of {len(keys)} keys differ", end="")
