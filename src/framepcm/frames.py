@@ -6,6 +6,12 @@ expectation, O(sqrt(d/N)) defect), and the spherical Fibonacci lattice on
 S^2 (low-discrepancy, defect O(1/N) empirically).  Tightness is measured
 by the Frobenius defect ||(d/N) sum e_j e_j^T - I||_F and equidistribution
 by comparing empirical monomial moments against the exact sphere moments.
+
+Row norms are one fused pass (:func:`row_norms`), shared by the uniform
+sphere sampler, the unit-norm check of :class:`UnitNormFrame` (which also
+rejects non-finite vectors) and the Monte Carlo route of ``limit_error``.
+The moment diagnostic walks the exponent compositions depth-first, one
+vector product per monomial.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -41,15 +46,32 @@ class UnitNormFrame:
     tightness_defect: float  # Frobenius norm of (d/N) sum e e^T - I
 
     def __post_init__(self):
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if np.max(np.abs(norms - 1.0)) > _NORM_TOL:
+        # written so that a NaN norm fails too
+        if not np.max(np.abs(row_norms(self.vectors) - 1.0)) <= _NORM_TOL:
+            finite = np.isfinite(self.vectors).all(axis=1)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ValueError(f"frame vector {i} is not finite: {self.vectors[i]}")
             raise ValueError("frame vectors must be unit norm to 1e-12")
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``v``, in one pass with no N x d temporary."""
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
+def uniform_sphere_points(rng, m: int, d: int) -> np.ndarray:
+    """m i.i.d. uniform points on S^{d-1}: ``rng``'s standard normals, rows normalized."""
+    v = rng.standard_normal((m, d))
+    v /= row_norms(v)[:, None]
+    return v
 
 
 def _build(vectors: np.ndarray) -> UnitNormFrame:
     vectors = np.ascontiguousarray(vectors, dtype=float)
     N, d = vectors.shape
-    gram = (d / N) * vectors.T @ vectors - np.eye(d)
+    with np.errstate(invalid="ignore"):  # a non-finite row is rejected in __post_init__
+        gram = (d / N) * vectors.T @ vectors - np.eye(d)
     return UnitNormFrame(
         dim=d, count=N, vectors=vectors, tightness_defect=float(np.linalg.norm(gram))
     )
@@ -69,10 +91,7 @@ def random_sphere_frame(d: int, N: int, seed: int) -> UnitNormFrame:
         raise ValueError("need d >= 2")
     if N < d:
         raise ValueError("need N >= d")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((N, d))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return _build(v)
+    return _build(uniform_sphere_points(np.random.default_rng(seed), N, d))
 
 
 def fibonacci_sphere_frame(N: int) -> UnitNormFrame:
@@ -94,19 +113,18 @@ def fibonacci_sphere_frame(N: int) -> UnitNormFrame:
 def sphere_moment(d: int, beta) -> float:
     """Exact moment int_{S^{d-1}} prod_i z_i^{beta_i} dnu (normalized measure).
 
-    Zero when any exponent is odd; otherwise the product-of-Gamma closed
-    form Gamma(d/2)/Gamma((d+|beta|)/2) * prod Gamma((b_i+1)/2)/Gamma(1/2).
+    Zero when any exponent is odd; otherwise the double-factorial form
+    prod_i (beta_i - 1)!! / (d (d+2) ... (d + |beta| - 2)), both products
+    exact integers and one correctly rounded division, so it holds at any d
+    (the Gamma-function form overflows from d = 344 on).
     """
     beta = tuple(int(b) for b in beta)
     if len(beta) != d or any(b < 0 for b in beta):
         raise ValueError("beta must be d nonnegative integers")
     if any(b % 2 for b in beta):
         return 0.0
-    total = sum(beta)
-    out = math.gamma(d / 2.0) / math.gamma((d + total) / 2.0)
-    for b in beta:
-        out *= math.gamma((b + 1) / 2.0) / math.gamma(0.5)
-    return out
+    num = math.prod(math.prod(range(b - 1, 0, -2)) for b in beta)
+    return num / math.prod(range(d, d + sum(beta) - 1, 2))
 
 
 def equidistribution_diagnostic(frame: UnitNormFrame, max_degree: int) -> float:
@@ -114,21 +132,36 @@ def equidistribution_diagnostic(frame: UnitNormFrame, max_degree: int) -> float:
 
     Returns max over 1 <= |beta| <= max_degree of
     |(1/N) sum_j e_j^beta - sphere_moment(d, beta)|.
+
+    Walks the exponent vectors beta depth-first, each one once: a child
+    raises one exponent j at or after its parent's last raised one, and its
+    monomial column is the parent's times column j of one transposed copy
+    of the vectors.  That is C(d + max_degree, d) - 1 products of length N
+    and as many ``sphere_moment`` calls; memory is the frame, its transposed
+    copy and max_degree - 1 columns of partial products.
     """
     if max_degree < 1:
         raise ValueError("need max_degree >= 1")
-    d = frame.dim
-    v = frame.vectors
+    cols = np.ascontiguousarray(frame.vectors.T)
+    partial = np.empty((max_degree - 1, frame.count))  # products at depth 1..deg-1
+    return _moment_walk(cols, partial, [0] * frame.dim, None, 0, 0)
+
+
+def _moment_walk(cols, partial, beta, parent, depth, first) -> float:
+    """Worst moment discrepancy over the children of ``beta`` (whose monomial
+    column is ``parent``) and their subtrees.  A module-level function, not a
+    closure: a recursive closure is a reference cycle that would keep
+    ``cols`` and ``partial`` alive until the garbage collector runs."""
+    d = len(beta)
     worst = 0.0
-    for beta in product(range(max_degree + 1), repeat=d):
-        total = sum(beta)
-        if total == 0 or total > max_degree:
-            continue
-        emp = np.ones(frame.count)
-        for i, b in enumerate(beta):
-            if b:
-                emp = emp * v[:, i] ** b
-        worst = max(worst, abs(float(np.mean(emp)) - sphere_moment(d, beta)))
+    for j in range(first, d):
+        beta[j] += 1
+        mono = cols[j] if parent is None else np.multiply(parent, cols[j],
+                                                          out=partial[depth - 1])
+        worst = max(worst, abs(float(np.mean(mono)) - sphere_moment(d, beta)))
+        if depth < len(partial):
+            worst = max(worst, _moment_walk(cols, partial, beta, mono, depth + 1, j))
+        beta[j] -= 1
     return worst
 
 

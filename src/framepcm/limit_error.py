@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .frames import uniform_sphere_points
 from .quantization import QuantScheme, SignalSpec, quant_error
 from .special_fn import EPS, PrecisionExhausted, alternating_bessel_sum_info, gauss_legendre
 
@@ -349,7 +350,10 @@ def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitE
     """Direct Monte Carlo estimate d * ||(1/S) sum Delta(x . z_s) z_s||.
 
     Uniform sphere samples from normalized Gaussians, drawn in batches of
-    2^17; deterministic for a fixed seed.  ``error_estimate`` propagates
+    2^17; deterministic for a fixed seed.  Each batch adds its moment sums
+    as two products, sum_s e_s z_s = e @ z and sum_s e_s^2 z_s^2 =
+    (e*e) @ (z*z) with e_s = Delta(x . z_s), squaring z in place, so a
+    batch holds no m x d array beyond z.  ``error_estimate`` propagates
     the per-component standard errors to the norm as sqrt(sum sigma_i^2):
     |  ||mean_hat|| - ||mean||  | <= ||error vector||, whose rms is exactly
     that, so the estimate stays valid even when the true mean sits below
@@ -365,12 +369,10 @@ def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitE
     done = 0
     while done < samples:
         m = min(_MC_BATCH, samples - done)
-        z = rng.standard_normal((m, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        t = z @ sig.x
-        contrib = quant_error(t, scheme)[:, None] * z
-        total += contrib.sum(axis=0)
-        total_sq += (contrib * contrib).sum(axis=0)
+        z = uniform_sphere_points(rng, m, d)
+        e = quant_error(z @ sig.x, scheme)
+        total += e @ z
+        total_sq += (e * e) @ np.square(z, out=z)
         done += m
     mean = total / samples
     var = np.maximum(total_sq / samples - mean * mean, 0.0) / samples

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -45,6 +46,36 @@ def test_monte_carlo_verdict_is_uninformative_when_3_sigma_spans_the_value(tmp_p
                "--methods", "quadrature,monte_carlo", "--samples", "10000")
     assert code == EXIT_OK
     assert "quadrature vs Monte Carlo agreement: UNINFORMATIVE" in capsys.readouterr().out
+
+
+def test_series_verdict_is_uninformative_when_the_estimates_span_the_value(tmp_path, capsys):
+    # at d = 8, R = 3000.375 the quadrature's estimate (1.1e-11) is ~2600x
+    # the limit, so its 3.7e-15 miss of the series value shows nothing
+    code = run(tmp_path, "limit", "--d", "8", "--r", "3000.375", "--delta", "1",
+               "--methods", "quadrature,bessel_series")
+    assert code == EXIT_OK
+    assert "quadrature vs series agreement: UNINFORMATIVE" in capsys.readouterr().out
+
+
+def test_series_verdict_fails_on_a_miss_beyond_both_estimates(tmp_path, capsys, monkeypatch):
+    from framepcm import cli
+
+    real = cli.limiting_error
+
+    def off_by_1e_3(sig, scheme, method, tol):
+        res = real(sig, scheme, method=method, tol=tol)
+        if res.method.value == "bessel_series":
+            res = dataclasses.replace(res, value=res.value * (1 + 1e-3))
+        return res
+
+    monkeypatch.setattr(cli, "limiting_error", off_by_1e_3)
+    argv = ["limit", "--d", "4", "--r", "100.375", "--delta", "1",
+            "--methods", "quadrature,bessel_series"]
+    assert run(tmp_path, *argv) == EXIT_CHECK_FAILED
+    assert "quadrature vs series agreement: FAIL" in capsys.readouterr().out
+    monkeypatch.undo()
+    assert run(tmp_path, *argv) == EXIT_OK
+    assert "quadrature vs series agreement: PASS" in capsys.readouterr().out
 
 
 def test_limit_rerun_from_config_reproduces(tmp_path):

@@ -1,9 +1,14 @@
+import gc
 import math
+import tracemalloc
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from framepcm import frames
 from framepcm import (
     equidistribution_diagnostic,
     fibonacci_sphere_frame,
@@ -112,3 +117,140 @@ def test_frame_csv_roundtrip(tmp_path):
     g = frame_from_csv(path)
     assert g.dim == f.dim and g.count == f.count
     assert np.array_equal(f.vectors, g.vectors)  # repr round-trip is exact
+
+
+@pytest.mark.parametrize("row", ["nan,nan", "inf,0.0", "0.6,-inf"])
+def test_frame_csv_rejects_non_finite_vectors(tmp_path, row):
+    path = tmp_path / "frame.csv"
+    path.write_text(f"c0,c1\n1.0,0.0\n{row}\n0.0,nan\n")
+    with pytest.raises(ValueError, match="frame vector 1 is not finite"):
+        frame_from_csv(path)
+
+
+def test_frame_rejects_non_unit_vectors_to_1e_12():
+    v = np.array([[1.0, 0.0], [0.0, 1.0 + 2e-12]])
+    with pytest.raises(ValueError, match="unit norm to 1e-12"):
+        frames._build(v)
+    frames._build(np.array([[1.0, 0.0], [0.0, 1.0 + 5e-13]]))
+
+
+def _gamma_form(d, beta):
+    # the closed form sphere_moment used before: ~2 + 2 len(beta) gamma
+    # values and as many products, each rounded
+    if any(b % 2 for b in beta):
+        return 0.0
+    out = math.gamma(d / 2.0) / math.gamma((d + sum(beta)) / 2.0)
+    for b in beta:
+        out *= math.gamma((b + 1) / 2.0) / math.gamma(0.5)
+    return out
+
+
+def _exact_moment(d, beta):
+    # the Gamma form in exact rationals: Gamma(d/2)/Gamma((d+|beta|)/2) is
+    # 1/prod_k (d/2 + k), Gamma((b+1)/2)/Gamma(1/2) is prod_j (j + 1/2)
+    if any(b % 2 for b in beta):
+        return Fraction(0)
+    out = Fraction(1)
+    for k in range(sum(beta) // 2):
+        out /= Fraction(d, 2) + k
+    for b in beta:
+        for j in range(b // 2):
+            out *= Fraction(2 * j + 1, 2)
+    return out
+
+
+def _partitions(n, most):
+    """The partitions of n into parts of at most ``most``, largest first."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, most), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+# the nonzero exponents of every beta with 1 <= |beta| <= 6, up to order
+_EXPONENT_SETS = [p for n in range(1, 7) for p in _partitions(n, n)]
+
+
+def test_sphere_moment_is_the_correctly_rounded_rational():
+    for d in range(2, 41):
+        for exps in _EXPONENT_SETS:
+            if len(exps) > d:
+                continue
+            for beta in (exps + (0,) * (d - len(exps)), (0,) * (d - len(exps)) + exps):
+                m = sphere_moment(d, beta)
+                assert m == float(_exact_moment(d, beta))
+                ref = _gamma_form(d, beta)
+                assert abs(m - ref) <= 16 * math.ulp(ref)  # the Gamma form's own rounding
+
+
+def test_sphere_moment_past_gamma_overflow():
+    assert sphere_moment(400, (2,) + (0,) * 399) == 1 / 400
+    assert sphere_moment(400, (2, 2) + (0,) * 398) == 1 / (400 * 402)
+    assert sphere_moment(2000, (4,) + (0,) * 1999) == 3 / (2000 * 2002)
+
+
+def _tuple_enumeration(frame, max_degree):
+    # the diagnostic as it was: every exponent tuple in [0, max_degree]^d,
+    # filtered by total degree, each monomial rebuilt from strided columns
+    d, v = frame.dim, frame.vectors
+    worst = 0.0
+    for beta in product(range(max_degree + 1), repeat=d):
+        total = sum(beta)
+        if total == 0 or total > max_degree:
+            continue
+        emp = np.ones(frame.count)
+        for i, b in enumerate(beta):
+            if b:
+                emp = emp * v[:, i] ** b
+        worst = max(worst, abs(float(np.mean(emp)) - sphere_moment(d, beta)))
+    return worst
+
+
+_WALK_FRAMES = ([harmonic_frame_2d(N) for N in (5, 12, 301)]
+                + [fibonacci_sphere_frame(N) for N in (50, 1001)]
+                + [random_sphere_frame(d, 600, seed=d) for d in range(2, 7)])
+
+
+@pytest.mark.parametrize("degree", range(1, 6))
+@pytest.mark.parametrize("frame", _WALK_FRAMES, ids=lambda f: f"d{f.dim}-N{f.count}")
+def test_moment_walk_equals_tuple_enumeration(frame, degree):
+    assert abs(equidistribution_diagnostic(frame, degree)
+               - _tuple_enumeration(frame, degree)) <= 1e-15
+
+
+@pytest.mark.parametrize("d, degree", [(2, 1), (2, 5), (3, 4), (5, 3), (6, 5), (8, 4)])
+def test_moment_walk_visits_each_composition_once(monkeypatch, d, degree):
+    seen = []
+
+    def recording_moment(dim, beta):
+        seen.append(tuple(beta))
+        return 0.0
+
+    monkeypatch.setattr(frames, "sphere_moment", recording_moment)
+    equidistribution_diagnostic(random_sphere_frame(d, 2 * d, seed=0), degree)
+    assert len(seen) == math.comb(d + degree, d) - 1
+    assert len(set(seen)) == len(seen)
+    assert all(len(b) == d and 1 <= sum(b) <= degree for b in seen)
+
+
+def test_moment_walk_memory_and_release():
+    # the frame's transposed copy and degree - 1 partial products at most,
+    # all freed on return without the cycle collector
+    frame = random_sphere_frame(6, 20000, seed=1)
+    column = frame.count * 8
+    gc.disable()
+    tracemalloc.start()
+    try:
+        equidistribution_diagnostic(frame, 4)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak <= (frame.dim + 3) * column + 65536
+    assert current < column
+
+
+def test_moment_walk_rejects_degree_zero():
+    with pytest.raises(ValueError):
+        equidistribution_diagnostic(harmonic_frame_2d(5), 0)

@@ -195,6 +195,41 @@ def test_monte_carlo_determinism_and_validation():
         monte_carlo_limit(_x(3, 1.3), UNIT, samples=10, seed=1)
 
 
+def _per_sample_monte_carlo(x, scheme, samples, seed):
+    # the estimator as it was: per-sample contributions Delta(x . z) z as an
+    # m x d array per batch, summed by column; returns (value, estimate)
+    d = len(x)
+    rng = np.random.default_rng(seed)
+    total, total_sq, done = np.zeros(d), np.zeros(d), 0
+    while done < samples:
+        m = min(1 << 17, samples - done)
+        z = rng.standard_normal((m, d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        t = z @ x
+        contrib = (t - scheme.delta * np.floor(t / scheme.delta + 0.5))[:, None] * z
+        total += contrib.sum(axis=0)
+        total_sq += (contrib * contrib).sum(axis=0)
+        done += m
+    mean = total / samples
+    var = np.maximum(total_sq / samples - mean * mean, 0.0) / samples
+    return d * float(np.linalg.norm(mean)), d * math.sqrt(float(var.sum()))
+
+
+@pytest.mark.parametrize("d, R, delta", [(2, 3.7, 0.1), (3, 0.3, 1.0), (5, 10.25, 0.37),
+                                         (8, 2.3, 1.0)])
+def test_monte_carlo_matches_per_sample_contributions(d, R, delta):
+    # same samples (300000: two full batches and a partial one); only the
+    # row norms and the order of the batch sums differ
+    x = np.arange(1.0, d + 1.0)
+    x *= R * delta / np.linalg.norm(x)
+    scheme = QuantScheme(delta)
+    res = monte_carlo_limit(x, scheme, samples=300_000, seed=d)
+    value, estimate = _per_sample_monte_carlo(x, scheme, 300_000, d)
+    assert res.sample_count == 300_000
+    assert abs(res.value - value) <= 1e-12 * value
+    assert abs(res.error_estimate - estimate) <= 1e-12 * estimate
+
+
 def test_rotation_invariance_2d_quarter_turn():
     a = limiting_error(_x(2, 6.25), UNIT)
     b = limiting_error(np.array([0.0, 6.25]), UNIT)

@@ -16,7 +16,11 @@ recorded as ``raise <Type>: <message>``.  The grid:
   same points (d >= 3);
 * ``bessel_large_x`` at XS and ``alternating_bessel_sum`` (p = order) at
   RS, for the orders 0, 1/2, ..., 12;
-* ``zeta_tail``, ``M1_constant`` and ``M2_constant``.
+* ``zeta_tail``, ``M1_constant`` and ``M2_constant``;
+* for the frames in FRAMES (harmonic, Fibonacci and random, N <= 2e4),
+  ``tightness_defect``, ``equidistribution_diagnostic`` at degree 4 and
+  the ``quantize_and_reconstruct`` error of a fixed signal per delta in
+  DELTAS (``frames/<kind>/...``).
 
 The second form prints every key whose value differs between the two
 files, with its relative difference and, for a ``/value`` key, |Δvalue|
@@ -51,6 +55,11 @@ ORDERS = [0.5 * t for t in range(25)]
 XS = (0.7, 3.7, 12.5, 57.4, 100.0, 1000.3, 9999.9)
 EPSS = (1.0 / 6.0, 0.2, 0.25, 0.3, 1.0 / 3.0, 0.375, 0.45, 0.5)
 MC_SAMPLES = 200_000  # more than one Monte Carlo batch
+# (kind, d, N); random frames take seed 0
+FRAMES = (("harmonic", 2, 7), ("harmonic", 2, 20_000), ("fibonacci", 3, 500),
+          ("fibonacci", 3, 20_000), ("random", 2, 2_000), ("random", 4, 20_000),
+          ("random", 8, 20_000))
+EQUIDIST_DEGREE = 4
 ALT_SUM_TOL = 1e-10
 
 
@@ -73,7 +82,9 @@ def _record(out: dict, key: str, call) -> None:
 
 def golden() -> dict:
     from framepcm import (QuantScheme, M1_constant, M2_constant, Method, bessel_large_x,
-                          limiting_error, lower_bound, monte_carlo_limit, sandwich_check,
+                          equidistribution_diagnostic, fibonacci_sphere_frame,
+                          harmonic_frame_2d, limiting_error, lower_bound, monte_carlo_limit,
+                          quantize_and_reconstruct, random_sphere_frame, sandwich_check,
                           zeta_tail)
     from framepcm.special_fn import alternating_bessel_sum_info
 
@@ -118,6 +129,20 @@ def golden() -> dict:
                             lambda: M1_constant(eps, n, matched))
                 _record(out, f"M2/n={n}/eps={eps!r}/matched={matched}",
                         lambda: M2_constant(eps, n, matched))
+    build = {"harmonic": lambda d, N: harmonic_frame_2d(N),
+             "fibonacci": lambda d, N: fibonacci_sphere_frame(N),
+             "random": lambda d, N: random_sphere_frame(d, N, seed=0)}
+    for kind, d, N in FRAMES:
+        frame = build[kind](d, N)
+        at = f"frames/{kind}/d={d}/N={N}"
+        out[f"{at}/tightness_defect"] = repr(frame.tightness_defect)
+        _record(out, f"{at}/equidistribution_diagnostic/degree={EQUIDIST_DEGREE}",
+                lambda: equidistribution_diagnostic(frame, EQUIDIST_DEGREE))
+        direction = np.arange(1.0, d + 1.0) / math.sqrt(d * (d + 1) * (2 * d + 1) / 6)
+        for delta in DELTAS:
+            _record(out, f"{at}/quantize_error/delta={delta!r}",
+                    lambda: quantize_and_reconstruct(3.7 * delta * direction, frame,
+                                                     QuantScheme(delta))[1])
     return out
 
 
