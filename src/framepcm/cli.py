@@ -93,6 +93,8 @@ def _write_csv(path: Path, fields, rows) -> None:
 
 def _cmd_verify(args, outdir: Path) -> int:
     mx = args.max
+    if mx < 1:
+        raise ValueError(f"--max must be >= 1, got {mx}")  # else every suite is empty
     suites = [
         ("weighted-binomial closed form", lambda: all(
             comb.check_identity_A(n, h) for n in range(1, mx + 1) for h in range(0, mx + 1))),
@@ -124,9 +126,7 @@ def _cmd_verify(args, outdir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def _certified_eval(order: float, x: float) -> sf.BesselEval:
-    if x == 0.0:
-        return sf.BesselEval(order, x, 1.0 if order == 0 else 0.0, 0.0)
-    if round(2 * order) % 2 == 0:
+    if order % 1 == 0:
         return sf.bessel_integral_int_order(int(order), x)
     return sf.bessel_half_order(int(order - 0.5), x)
 
@@ -134,6 +134,14 @@ def _certified_eval(order: float, x: float) -> sf.BesselEval:
 def _cmd_bessel(args, outdir: Path) -> int:
     orders = args.orders or [0.5 * t for t in range(1, 13)]
     xs = args.xs or [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
+    # the certified routes take integer and half-integer orders only, and the
+    # envelope divides by x; nan fails every comparison, so it is rejected too
+    for order in orders:
+        if not (order >= 0 and 2 * order % 1 == 0):
+            raise ValueError(f"order {order!r} is not one of 0, 1/2, 1, 3/2, ...")
+    for x in xs:
+        if not 0 < x < math.inf:
+            raise ValueError(f"x {x!r} is not finite and positive")
     rows = []
     violations = 0
     for order in orders:

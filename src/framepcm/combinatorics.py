@@ -1,13 +1,17 @@
 """Exact verification of the discrete identities behind the error formulas.
 
-Everything here runs in arbitrary-precision integers/rationals: a check
-returns True only when the two sides agree exactly.  Half-integer
-factorials are expanded as rational multiples of sqrt(pi) via
+A check returns True only when the two sides agree exactly, and compares
+integers: each rational identity is first multiplied through by its
+denominators (h - l for the telescoping certificate, 2 for Gould's
+convolution, (2h+1)! and one common denominator per row of L_m or D_m for
+the coefficient identities), so that no sum pays a Fraction normalization,
+a gcd, per term.  The sqrt(pi) of the half-integer factorials
+Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!) cancels wherever a closed form
+is asserted to be rational.
 
-    Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!),
-
-which keeps every quantity in Q (the sqrt(pi) factors cancel wherever a
-closed form is asserted to be rational).
+Only closed-form tables are cached: L_closed and D_closed per (n, m), and
+per n a row of their cleared numerators, grown in blocks of _ROW_BLOCK up
+to the largest h requested.  No sum and no check result is cached.
 """
 
 from __future__ import annotations
@@ -68,10 +72,8 @@ def binom(n: int, k: int) -> int:
 
 def weighted_sum_A(n: int, h: int) -> int:
     """sum_{m=0}^{h} (-1)^m (2m+1) C(n+h, h-m) C(n+h, h+m+1), exactly."""
-    return sum(
-        (-1) ** m * (2 * m + 1) * binom(n + h, h - m) * binom(n + h, h + m + 1)
-        for m in range(h + 1)
-    )
+    return sum((-1 if m & 1 else 1) * (2 * m + 1) * math.comb(n + h, h - m)
+               * math.comb(n + h, h + m + 1) for m in range(h + 1))
 
 
 def check_identity_A(n: int, h: int) -> bool:
@@ -82,7 +84,8 @@ def check_identity_A(n: int, h: int) -> bool:
 
 
 def _summand_B(h: int, l: int, m: int) -> int:
-    return (-1) ** m * (2 * m + 1) * binom(2 * h + 1, h - m) * binom(m + l, 2 * l)
+    return ((-1 if m & 1 else 1) * (2 * m + 1) * math.comb(2 * h + 1, h - m)
+            * math.comb(m + l, 2 * l))
 
 
 def check_identity_B(h: int, l: int) -> bool:
@@ -90,6 +93,12 @@ def check_identity_B(h: int, l: int) -> bool:
     if h < 1 or not (0 <= l <= h - 1):
         raise ValueError("need h >= 1 and 0 <= l <= h-1")
     return sum(_summand_B(h, l, m) for m in range(l, h + 1)) == 0
+
+
+def _gosper_numerator(h: int, l: int, m: int) -> int:
+    """(h - l) g_m: the integer numerator of gosper_g."""
+    return ((1 if m & 1 else -1) * (h + m + 1) * (m - l) * binom(2 * h + 1, h - m)
+            * binom(m + l, 2 * l))
 
 
 def gosper_g(h: int, l: int, m: int) -> Fraction:
@@ -100,17 +109,16 @@ def gosper_g(h: int, l: int, m: int) -> Fraction:
     """
     if h == l:
         raise ValueError("h = l divides by zero")
-    return Fraction(
-        (-1) ** (m + 1) * (h + m + 1) * (m - l) * binom(2 * h + 1, h - m) * binom(m + l, 2 * l),
-        h - l,
-    )
+    return Fraction(_gosper_numerator(h, l, m), h - l)
 
 
 def gosper_certificate(h: int, l: int, m: int) -> bool:
-    """Exact check that g_{m+1} - g_m equals the summand of check_identity_B at m."""
+    """Exact check that g_{m+1} - g_m equals the summand of check_identity_B at m,
+    compared after multiplying both sides by h - l."""
     if not (0 <= l < h) or not (l <= m <= h):
         raise ValueError("need 0 <= l < h and l <= m <= h")
-    return gosper_g(h, l, m + 1) - gosper_g(h, l, m) == _summand_B(h, l, m)
+    return (_gosper_numerator(h, l, m + 1) - _gosper_numerator(h, l, m)
+            == (h - l) * _summand_B(h, l, m))
 
 
 def check_gould(n: int, h: int) -> bool:
@@ -118,15 +126,14 @@ def check_gould(n: int, h: int) -> bool:
 
     sum_{m=0}^{h} (-1)^m C(n+h, h-m) C(n+h, h+m) = C(n+h, h)/2 + C(n+h, h)^2/2,
 
-    with the m = 0 term counted once.
+    with the m = 0 term counted once, compared after doubling both sides.
     """
     if n < 0 or h < 0:
         raise ValueError("need n, h >= 0")
-    lhs = Fraction(
-        sum((-1) ** m * binom(n + h, h - m) * binom(n + h, h + m) for m in range(h + 1))
-    )
+    lhs = sum((-1 if m & 1 else 1) * math.comb(n + h, h - m) * math.comb(n + h, h + m)
+              for m in range(h + 1))
     c = binom(n + h, h)
-    return lhs == Fraction(c, 2) + Fraction(c * c, 2)
+    return 2 * lhs == c + c * c
 
 
 @lru_cache(maxsize=None)
@@ -149,23 +156,38 @@ def L_closed(n: int, m: int) -> ScaledConstant:
 def D_closed(n: int, m: int) -> Fraction:
     """Closed form of int_0^{pi} cos((2m+1)t) cos(t) sin^{2n-1}(t) dt.
 
-    The sqrt(pi) carried by the half-integer factorial in the raw formula
-    cancels exactly; the value is rational.
+    Equals (-1)^n 2 (2n-1)! (2m+1) / prod_{j=m-n}^{m+n} (2j+1).  The
+    integrand is the half sum of cos(2kt) sin^{2n-1}(t) over k = m, m+1, and
+    by Gradshteyn-Ryzhik 3.631 and the reflection formula
+    int_0^pi cos(2kt) sin^{2n-1}(t) dt
+        = pi (-1)^k (2n)! / (2^{2n} n Gamma(n+k+1/2) Gamma(n-k+1/2))
+        = (-1)^n 2 (2n-1)! / prod_{j=k-n}^{k+n-1} (2j+1):
+    the sqrt(pi) of the half-integer factorials cancels, the value is rational.
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    total = Fraction(0)
-    for k in range(m + 1):
-        hp = m + n - k + 1  # Gamma(hp + 1/2) expanded below
-        total += Fraction(
-            (-1) ** k
-            * binom(2 * m + 1 - k, k)
-            * math.factorial(2 * m + 2 - 2 * k)
-            * 4 ** hp
-            * math.factorial(hp),
-            4 * (2 * m + 1 - k) * math.factorial(m + 1 - k) * math.factorial(2 * hp),
-        )
-    return math.factorial(n - 1) * (2 * m + 1) * total
+    return Fraction((-1) ** n * 2 * math.factorial(2 * n - 1) * (2 * m + 1),
+                    math.prod(range(2 * m - 2 * n + 1, 2 * m + 2 * n + 2, 2)))
+
+
+_ROW_BLOCK = 32  # a row grows by this many m at a time and serves every h below
+
+
+@lru_cache(maxsize=None)
+def _cleared_row(odd: bool, n: int, size: int) -> tuple[int, tuple[int, ...]]:
+    """(den, a) with a[m] / den == D_closed(n, m) (odd) or L_closed(n, m)/pi
+    (even) for m < size: one row of a closed-form table over one denominator."""
+    vals = [D_closed(n, m) if odd else L_closed(n, m).rational for m in range(size)]
+    den = math.lcm(*(v.denominator for v in vals))
+    return den, tuple(v.numerator * (den // v.denominator) for v in vals)
+
+
+def _coeff_lhs(odd: bool, n: int, h: int) -> tuple[int, tuple[int, ...], int]:
+    """(den, a, s) with the row (den, a) of _cleared_row and
+    s / den == (2h+1)! sum_{m=0}^{h} X_m / ((h-m)! (h+m+1)!), that is
+    s = sum_m a_m C(2h+1, h-m)."""
+    den, row = _cleared_row(odd, n, (h // _ROW_BLOCK + 1) * _ROW_BLOCK)
+    return den, row, sum(row[m] * math.comb(2 * h + 1, h - m) for m in range(h + 1))
 
 
 def check_coeff_identity_even(n: int, h: int) -> bool:
@@ -173,18 +195,14 @@ def check_coeff_identity_even(n: int, h: int) -> bool:
 
     sum_{m=0}^{h} L_m / ((h-m)! (h+m+1)!) == L_0 * n! / (h! (h+n)!)
 
-    checked exactly in rationals after dividing out pi.
+    checked exactly after dividing out pi, multiplying by (2h+1)! and
+    clearing the denominators: in integers.
     """
     if n < 1 or h < 0:
         raise ValueError("need n >= 1 and h >= 0")
-    lhs = sum(
-        L_closed(n, m).rational / (math.factorial(h - m) * math.factorial(h + m + 1))
-        for m in range(h + 1)
-    )
-    rhs = L_closed(n, 0).rational * Fraction(
-        math.factorial(n), math.factorial(h) * math.factorial(h + n)
-    )
-    return lhs == rhs
+    _, row, lhs = _coeff_lhs(False, n, h)  # the den of both sides cancels
+    return (lhs * math.factorial(h) * math.factorial(h + n)
+            == row[0] * math.factorial(n) * math.factorial(2 * h + 1))
 
 
 def check_coeff_identity_odd(n: int, h: int) -> bool:
@@ -193,17 +211,12 @@ def check_coeff_identity_odd(n: int, h: int) -> bool:
     sum_{m=0}^{h} D_m / ((h-m)! (h+m+1)!)
         == (n-1)!/4 * 2^{2h+2n+3} (h+n+1)! / (h! (2h+2n+2)!)
 
-    exactly in rationals (both sides are rational once the half-integer
-    factorial on the right is expanded).
+    exactly (both sides are rational once the half-integer factorial on the
+    right is expanded), multiplied by (2h+1)! and compared in integers.
     """
     if n < 1 or h < 0:
         raise ValueError("need n >= 1 and h >= 0")
-    lhs = sum(
-        D_closed(n, m) / (math.factorial(h - m) * math.factorial(h + m + 1))
-        for m in range(h + 1)
-    )
-    rhs = Fraction(
-        math.factorial(n - 1) * 2 ** (2 * h + 2 * n + 3) * math.factorial(h + n + 1),
-        4 * math.factorial(h) * math.factorial(2 * h + 2 * n + 2),
-    )
-    return lhs == rhs
+    den, _, lhs = _coeff_lhs(True, n, h)
+    return (lhs * math.factorial(h) * math.factorial(2 * h + 2 * n + 2)
+            == den * (math.factorial(n - 1) << (2 * h + 2 * n + 1))
+            * math.factorial(h + n + 1) * math.factorial(2 * h + 1))

@@ -118,13 +118,17 @@ def sphere_moment(d: int, beta) -> float:
     exact integers and one correctly rounded division, so it holds at any d
     (the Gamma-function form overflows from d = 344 on).
     """
-    beta = tuple(int(b) for b in beta)
-    if len(beta) != d or any(b < 0 for b in beta):
+    # equidistribution_diagnostic calls this once per monomial, whose nonzero
+    # exponents are at most its degree: only scans that run in C touch all d
+    beta = tuple(beta)
+    nonzero = tuple(map(int, filter(None, beta)))
+    if (len(beta) != d or len(nonzero) + beta.count(0) != d
+            or min(nonzero, default=0) < 0):
         raise ValueError("beta must be d nonnegative integers")
-    if any(b % 2 for b in beta):
+    if any(b % 2 for b in nonzero):
         return 0.0
-    num = math.prod(math.prod(range(b - 1, 0, -2)) for b in beta)
-    return num / math.prod(range(d, d + sum(beta) - 1, 2))
+    num = math.prod(math.prod(range(b - 1, 0, -2)) for b in nonzero)
+    return num / math.prod(range(d, d + sum(nonzero) - 1, 2))
 
 
 def equidistribution_diagnostic(frame: UnitNormFrame, max_degree: int) -> float:

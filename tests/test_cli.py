@@ -30,6 +30,25 @@ def test_bessel_grid(tmp_path):
     assert all(r["envelope_ok"] == "True" for r in rows)
 
 
+@pytest.mark.parametrize("argv", [("verify", "--max", "0"), ("verify", "--max", "-3"),
+                                  ("bessel", "--orders", "2.7", "--xs", "2"),
+                                  ("bessel", "--orders", "0.3", "--xs", "2"),
+                                  ("bessel", "--orders", "-1", "--xs", "2"),
+                                  ("bessel", "--orders", "inf", "--xs", "2"),
+                                  ("bessel", "--orders", "1", "--xs", "nan"),
+                                  ("bessel", "--orders", "1", "--xs", "inf"),
+                                  ("bessel", "--orders", "1", "--xs", "-1")])
+def test_inputs_that_would_check_nothing_or_something_else_are_config_errors(
+        tmp_path, capsys, argv):
+    # verify over empty ranges passed vacuously; a non-half-integer order was
+    # rounded to the nearest half-integer one under its own label; x = nan
+    # ran the quadrature out of budget and x = inf for minutes
+    assert run(tmp_path, *argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "config" and "Traceback" not in err
+    assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+
 def test_limit_all_methods(tmp_path):
     code = run(tmp_path, "limit", "--d", "3", "--r", "10.25", "--delta", "1",
                "--methods", "all", "--samples", "50000", "--seed", "1")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from framepcm import (
     gosper_certificate,
     gosper_g,
 )
+from framepcm import combinatorics as comb_module
 from framepcm.combinatorics import weighted_sum_A
 
 
@@ -153,3 +155,166 @@ def test_D_closed_against_quadrature(n):
 def test_coefficient_identities_moderate():
     assert all(check_coeff_identity_even(n, h) for n in range(1, 11) for h in range(11))
     assert all(check_coeff_identity_odd(n, h) for n in range(1, 7) for h in range(9))
+
+
+# ---------------------------------------------------------------------------
+# the checks compare integers; these Fraction forms of the same identities,
+# term by term as the paper states them, are the references
+# ---------------------------------------------------------------------------
+
+def ref_identity_A(n, h):
+    lhs = sum((-1) ** m * (2 * m + 1) * binom(n + h, h - m) * binom(n + h, h + m + 1)
+              for m in range(h + 1))
+    return lhs == n * binom(n + h, n)
+
+
+def ref_summand_B(h, l, m):
+    return (-1) ** m * (2 * m + 1) * binom(2 * h + 1, h - m) * binom(m + l, 2 * l)
+
+
+def ref_identity_B(h, l):
+    return sum(ref_summand_B(h, l, m) for m in range(l, h + 1)) == 0
+
+
+def ref_gosper_g(h, l, m):
+    return Fraction(
+        (-1) ** (m + 1) * (h + m + 1) * (m - l) * binom(2 * h + 1, h - m) * binom(m + l, 2 * l),
+        h - l,
+    )
+
+
+def ref_gosper_certificate(h, l, m):
+    return ref_gosper_g(h, l, m + 1) - ref_gosper_g(h, l, m) == ref_summand_B(h, l, m)
+
+
+def ref_gould(n, h):
+    lhs = Fraction(
+        sum((-1) ** m * binom(n + h, h - m) * binom(n + h, h + m) for m in range(h + 1))
+    )
+    c = binom(n + h, h)
+    return lhs == Fraction(c, 2) + Fraction(c * c, 2)
+
+
+def ref_coeff_identity_even(n, h):
+    lhs = sum(
+        L_closed(n, m).rational / (math.factorial(h - m) * math.factorial(h + m + 1))
+        for m in range(h + 1)
+    )
+    rhs = L_closed(n, 0).rational * Fraction(
+        math.factorial(n), math.factorial(h) * math.factorial(h + n)
+    )
+    return lhs == rhs
+
+
+def ref_coeff_identity_odd(n, h):
+    lhs = sum(
+        D_closed(n, m) / (math.factorial(h - m) * math.factorial(h + m + 1))
+        for m in range(h + 1)
+    )
+    rhs = Fraction(
+        math.factorial(n - 1) * 2 ** (2 * h + 2 * n + 3) * math.factorial(h + n + 1),
+        4 * math.factorial(h) * math.factorial(2 * h + 2 * n + 2),
+    )
+    return lhs == rhs
+
+
+def ref_D_closed(n, m):
+    # the expansion of the integral through half-integer factorials,
+    # Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!), summed over k
+    total = Fraction(0)
+    for k in range(m + 1):
+        hp = m + n - k + 1
+        total += Fraction(
+            (-1) ** k * binom(2 * m + 1 - k, k) * math.factorial(2 * m + 2 - 2 * k)
+            * 4 ** hp * math.factorial(hp),
+            4 * (2 * m + 1 - k) * math.factorial(m + 1 - k) * math.factorial(2 * hp),
+        )
+    return math.factorial(n - 1) * (2 * m + 1) * total
+
+
+def _index_tuples(mx):
+    """(check, reference, index tuples) of the six suites of verify --max mx."""
+    return [
+        (check_identity_A, ref_identity_A,
+         [(n, h) for n in range(1, mx + 1) for h in range(mx + 1)]),
+        (check_identity_B, ref_identity_B, [(h, l) for h in range(1, mx + 1) for l in range(h)]),
+        (gosper_certificate, ref_gosper_certificate,
+         [(h, l, m) for h in range(1, mx + 1) for l in range(h) for m in range(l, h + 1)]),
+        (check_gould, ref_gould, [(n, h) for n in range(mx + 1) for h in range(mx + 1)]),
+        (check_coeff_identity_even, ref_coeff_identity_even,
+         [(n, h) for n in range(1, mx + 1) for h in range(mx + 1)]),
+        (check_coeff_identity_odd, ref_coeff_identity_odd,
+         [(n, h) for n in range(1, mx + 1) for h in range(mx + 1)]),
+    ]
+
+
+@pytest.fixture
+def fresh_rows():
+    # the coefficient checks keep per-n rows of the closed-form tables; a row
+    # built from a perturbed table must not outlive the test
+    comb_module._cleared_row.cache_clear()
+    yield
+    comb_module._cleared_row.cache_clear()
+
+
+def test_integer_checks_equal_the_fraction_references():
+    for check, ref, tuples in _index_tuples(16):
+        for args in tuples:
+            assert check(*args) is ref(*args), (check.__name__, args)
+
+
+def test_gosper_g_equals_the_fraction_reference():
+    for h in range(1, 17):
+        for l in range(h):
+            for m in range(l, h + 2):
+                assert gosper_g(h, l, m) == ref_gosper_g(h, l, m)
+
+
+def test_D_closed_equals_the_half_integer_factorial_sum():
+    assert all(D_closed(n, m) == ref_D_closed(n, m) for n in range(1, 31) for m in range(31))
+
+
+def test_all_suites_at_the_benchmark_top():
+    for check, _, tuples in _index_tuples(24):
+        assert all(check(*args) for args in tuples), check.__name__
+
+
+@pytest.mark.parametrize("odd, n, m", [(False, 3, 1), (False, 3, 2), (False, 2, 5),
+                                       (False, 1, 33), (True, 2, 1), (True, 4, 3),
+                                       (True, 1, 33)])
+def test_coefficient_checks_see_one_perturbed_table_entry(monkeypatch, fresh_rows, odd, n, m):
+    # every h >= m uses X_m with the weight C(2h+1, h-m) on the left and not
+    # on the right (m >= 1): a perturbed entry must fail each of them; the
+    # zero entries L_m, m >= n, and entries past the first row block count too
+    name, check = (("D_closed", check_coeff_identity_odd) if odd else
+                   ("L_closed", check_coeff_identity_even))
+    exact = getattr(comb_module, name)
+    bump = Fraction(1, 10 ** 40)
+
+    def perturbed(nn, mm):
+        value = exact(nn, mm)
+        if (nn, mm) != (n, m):
+            return value
+        return value + bump if odd else dataclasses.replace(value, rational=value.rational + bump)
+
+    monkeypatch.setattr(comb_module, name, perturbed)
+    for h in range(m + 3):
+        assert check(n, h) is (h < m), h
+        assert check(n + 1, h)  # other rows are untouched
+
+
+def test_identity_checks_fail_on_an_off_by_one_side(monkeypatch):
+    # A and Gould: the closed form on the right, C(n+h, .) + 1
+    monkeypatch.setattr(comb_module, "binom", lambda n, k: math.comb(n, k) + 1)
+    assert not any(check_identity_A(n, h) for n in range(1, 9) for h in range(9))
+    assert not any(check_gould(n, h) for n in range(9) for h in range(9))
+    monkeypatch.undo()
+    # B and the certificate: one summand of B off by one, at m = 3
+    exact = comb_module._summand_B
+    monkeypatch.setattr(comb_module, "_summand_B",
+                        lambda h, l, m: exact(h, l, m) + (m == 3))
+    for h in range(1, 9):
+        for l in range(h):
+            assert check_identity_B(h, l) is not (l <= 3 <= h), (h, l)
+            for m in range(l, h + 1):
+                assert gosper_certificate(h, l, m) is (m != 3), (h, l, m)

@@ -20,7 +20,11 @@ recorded as ``raise <Type>: <message>``.  The grid:
 * for the frames in FRAMES (harmonic, Fibonacci and random, N <= 2e4),
   ``tightness_defect``, ``equidistribution_diagnostic`` at degree 4 and
   the ``quantize_and_reconstruct`` error of a fixed signal per delta in
-  DELTAS (``frames/<kind>/...``).
+  DELTAS (``frames/<kind>/...``);
+* the exact layer (``combinatorics/...``) at indices up to COMB_MAX:
+  ``L_closed``, ``D_closed``, ``weighted_sum_A`` and ``gosper_g`` as exact
+  ``Fraction`` and integer reprs, and the result of each of the six identity
+  checks at every index tuple of ``framepcm verify --max COMB_MAX``.
 
 The second form prints every key whose value differs between the two
 files, with its relative difference and, for a ``/value`` key, |Δvalue|
@@ -61,6 +65,7 @@ FRAMES = (("harmonic", 2, 7), ("harmonic", 2, 20_000), ("fibonacci", 3, 500),
           ("random", 8, 20_000))
 EQUIDIST_DEGREE = 4
 ALT_SUM_TOL = 1e-10
+COMB_MAX = 24  # the top of the benchmark's verify --max range
 
 
 def _record(out: dict, key: str, call) -> None:
@@ -143,7 +148,39 @@ def golden() -> dict:
             _record(out, f"{at}/quantize_error/delta={delta!r}",
                     lambda: quantize_and_reconstruct(3.7 * delta * direction, frame,
                                                      QuantScheme(delta))[1])
+    _exact_layer(out)
     return out
+
+
+def _exact_layer(out: dict) -> None:
+    from framepcm import combinatorics as comb
+
+    top = range(COMB_MAX + 1)
+    for n in top[1:]:
+        for m in top:
+            _record(out, f"combinatorics/L_closed/n={n}/m={m}", lambda: comb.L_closed(n, m))
+            _record(out, f"combinatorics/D_closed/n={n}/m={m}", lambda: comb.D_closed(n, m))
+            _record(out, f"combinatorics/weighted_sum_A/n={n}/h={m}",
+                    lambda: comb.weighted_sum_A(n, m))
+    for h in top[1:]:
+        for l in range(h):
+            for m in range(l, h + 2):
+                _record(out, f"combinatorics/gosper_g/h={h}/l={l}/m={m}",
+                        lambda: comb.gosper_g(h, l, m))
+    # (check, its index names, the index tuples of its verify suite)
+    suites = [
+        (comb.check_identity_A, "nh", [(n, h) for n in top[1:] for h in top]),
+        (comb.check_identity_B, "hl", [(h, l) for h in top[1:] for l in range(h)]),
+        (comb.gosper_certificate, "hlm",
+         [(h, l, m) for h in top[1:] for l in range(h) for m in range(l, h + 1)]),
+        (comb.check_gould, "nh", [(n, h) for n in top for h in top]),
+        (comb.check_coeff_identity_even, "nh", [(n, h) for n in top[1:] for h in top]),
+        (comb.check_coeff_identity_odd, "nh", [(n, h) for n in top[1:] for h in top]),
+    ]
+    for check, names, tuples in suites:
+        for args in tuples:
+            at = "/".join(f"{k}={v}" for k, v in zip(names, args))
+            _record(out, f"combinatorics/{check.__name__}/{at}", lambda: check(*args))
 
 
 def _rel_diff(a: str, b: str) -> float:
