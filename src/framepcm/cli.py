@@ -18,7 +18,9 @@ Exit codes: 0 all requested checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -70,7 +72,9 @@ class RunConfig:
     @classmethod
     def load(cls, path: Path) -> "RunConfig":
         raw = json.loads(Path(path).read_text())
-        return cls(subcommand=raw["subcommand"], parameters=dict(raw["parameters"]))
+        if not (isinstance(raw, dict) and isinstance(raw.get("parameters"), dict)):
+            raise ValueError(f"{path} holds no RunConfig object")
+        return cls(subcommand=raw.get("subcommand"), parameters=dict(raw["parameters"]))
 
 
 def _outdir(args) -> Path:
@@ -394,32 +398,67 @@ def _args_to_config(args) -> RunConfig:
     return RunConfig(subcommand=args.subcommand, parameters=params)
 
 
+def _config_flags(cfg: RunConfig, child) -> list:
+    """The flags of ``cfg``'s command line: one per parameter, so that the
+    subcommand's own parser converts and checks every value.
+
+    A store-true flag appears when its value is true, a list parameter
+    takes its items as separate arguments, and a null parameter is left
+    to its default, which must be null too.
+    """
+    actions = {a.dest: a for a in child._actions if a.option_strings}
+    unknown = sorted(set(cfg.parameters) - set(actions))
+    if unknown:
+        # e.g. a config from an older release whose flag has since been
+        # renamed: rerunning without it would silently change the result
+        raise ValueError(f"unknown {cfg.subcommand} parameters {unknown}")
+    argv = []
+    for key, value in cfg.parameters.items():
+        action = actions[key]
+        flag = action.option_strings[-1]
+        if value is None:
+            if action.default is not None:
+                raise ValueError(f"{cfg.subcommand} parameter {key!r} may not be null")
+        elif isinstance(action, argparse._StoreTrueAction):
+            if not isinstance(value, bool):
+                raise ValueError(f"{cfg.subcommand} parameter {key!r} must be true or false")
+            argv += [flag] if value else []
+        elif action.nargs == "*" and isinstance(value, list):
+            argv += [flag] + [str(v) for v in value]
+        else:
+            # "--flag=value" keeps a value such as "-1e-9" from reading as a flag
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def _parse_config(path: Path, children) -> argparse.Namespace:
+    """The arguments of the run serialized at ``path``, parsed as on the
+    command line; ``ValueError`` for a config that would not parse there."""
+    cfg = RunConfig.load(path)
+    child = children.get(cfg.subcommand)
+    if child is None:
+        raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
+    message = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(message):
+            args = child.parse_args(_config_flags(cfg, child))
+    except SystemExit:
+        # argparse printed its usage and error; keep the error line
+        raise ValueError(message.getvalue().strip().splitlines()[-1]) from None
+    args.subcommand = cfg.subcommand
+    return args
+
+
 def main(argv=None) -> int:
     parser, children = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        cfg = RunConfig.load(Path(args.config))
-        child = children.get(cfg.subcommand)
-        if child is None:
-            print(json.dumps({"error": "config",
-                              "detail": f"unknown subcommand {cfg.subcommand!r}"}),
-                  file=sys.stderr)
+        try:
+            rebuilt = _parse_config(Path(args.config), children)
+        except (ValueError, OSError) as exc:
+            print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
             return EXIT_CONFIG
-        dests = [a.dest for a in child._actions if a.dest != "help"]
-        unknown = sorted(set(cfg.parameters) - set(dests))
-        if unknown:
-            # e.g. a config from an older release whose flag has since been
-            # renamed: rerunning without it would silently change the result
-            print(json.dumps({"error": "config",
-                              "detail": f"unknown {cfg.subcommand} parameters {unknown}"}),
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        rebuilt = argparse.Namespace(subcommand=cfg.subcommand, outdir=args.outdir,
-                                     config=None)
-        for dest in dests:
-            setattr(rebuilt, dest, child.get_default(dest))
-        for key, value in cfg.parameters.items():
-            setattr(rebuilt, key, value)
+        rebuilt.outdir, rebuilt.config = args.outdir, None
         args = rebuilt
     if args.subcommand is None:
         parser.print_help()

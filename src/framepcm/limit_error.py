@@ -19,7 +19,13 @@ to exactly r, which pins it down).
 The 1-D integral is computed two ways that check each other:
 
 * QUADRATURE -- Gauss-Legendre on each smooth piece, the pieces cut at
-  every jump cos t = delta(k+1/2)/r of the sawtooth;
+  every jump cos t = delta(k+1/2)/r of the sawtooth.  On a piece the
+  integrand is a trigonometric polynomial of degree d, so the classical
+  Gauss-Legendre remainder (DLMF 3.5.19) with Bernstein's inequality
+  bounds the error of an order before anything is evaluated: one call
+  evaluates every piece once, at the lowest order whose bound meets the
+  rounding floor, and its estimate is that certified bound plus a model
+  of the rounding;
 * BESSEL_SERIES -- the closed form through the alternating Bessel sums
   (the Fourier expansion of the sawtooth composed with the finite
   cosine-projection identities), delegated to
@@ -39,6 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -69,9 +77,16 @@ _MC_BATCH = 1 << 17
 # quadrature pieces evaluated per numpy slice: bounds the quadrature's
 # memory at any R (4096 was the fastest of the sizes measured)
 _QUAD_CHUNK = 4096
-# AUTO takes the quadrature only below this R = r/delta: measured per call
-# at d = 2..12, the quadrature costs 0.27-0.46 ms against the series'
-# 0.36-0.61 ms at R = 80.3, and 0.48-0.88 ms against 0.35-0.60 ms at R = 160.3
+# the Gauss-Legendre orders the quadrature chooses from, lowest first
+_QUAD_ORDERS = (4, 8, 16, 32, 64, 128, 256, 512)
+# a rational upper bound on pi (math.pi lies below it)
+_PI_UP = Fraction(math.nextafter(math.pi, 4.0))
+# AUTO takes the quadrature only below this R = r/delta.  Measured per call
+# at d = 2..12 with one BLAS thread, the quadrature costs 0.12-0.14 ms
+# against the series' 0.48-0.57 ms at R = 80.3, and 0.17-0.20 ms against
+# 0.47-0.54 ms at R = 160.3: since the quadrature evaluates one order, it
+# is the cheaper route up to R ~ 500, but moving the crossover would move
+# default values
 _AUTO_QUAD_MAX_R = 100.0
 
 
@@ -147,24 +162,84 @@ def angular_constant(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _breakpoints(r: float, delta: float) -> np.ndarray:
-    """Jump locations of t |-> Delta(r cos t) in (0, pi), sorted ascending."""
+    """Jump locations of t |-> Delta(r cos t) in (0, pi), sorted ascending.
+
+    The cosines c come out ascending and arccos is decreasing, so reversing
+    the angles sorts them.
+    """
     k_lo = math.floor(-r / delta - 0.5)
     k_hi = math.ceil(r / delta + 0.5)
     k = np.arange(k_lo, k_hi + 1, dtype=float)
     c = delta * (k + 0.5) / r
     c = c[(c > -1.0) & (c < 1.0)]
-    return np.sort(np.arccos(c))
+    return np.arccos(c)[::-1]
+
+
+@lru_cache(maxsize=None)
+def _gl_remainder_constant(n: int) -> Fraction:
+    """An upper bound on C_n = (n!)^4 / ((2n+1) ((2n)!)^3), a 64-bit dyadic.
+
+    The n-point Gauss-Legendre rule on an interval of width h errs by
+    C_n h^{2n+1} f^{(2n)}(xi) for some xi in it (DLMF 3.5.19 mapped from
+    [-1, 1]).  C_n is computed exactly in integers and rounded up to a
+    64-bit mantissa; binary64 would underflow from n = 128 on.
+    """
+    num = math.factorial(n) ** 4
+    den = (2 * n + 1) * math.factorial(2 * n) ** 3
+    shift = den.bit_length() - num.bit_length() + 64
+    return Fraction(-(-(num << shift) // den), 1 << shift)
+
+
+def _ceil_float(num: int, den: int) -> float:
+    """The least binary64 value >= num/den (num, den > 0, below overflow)."""
+    f = num / den  # correctly rounded
+    f_num, f_den = f.as_integer_ratio()
+    return f if f_num * den >= num * f_den else math.nextafter(f, math.inf)
+
+
+def _quad_order(max_width: float, degree: int, sup: Fraction, threshold: float):
+    """The smallest order n in _QUAD_ORDERS whose summed remainder bound
+    C_n (max_width degree)^{2n} sup pi is at most ``threshold``, and that
+    bound rounded up; (None, None) when no order reaches it.
+
+    On a piece the integrand is a trigonometric polynomial of ``degree``
+    and sup-norm at most ``sup``, so Bernstein's inequality bounds its
+    2n-th derivative by degree^{2n} sup; the piece widths sum to pi.  The
+    comparison is exact, in integers.
+    """
+    h_num, h_den = max_width.as_integer_ratio()
+    h_num *= degree
+    scale = sup * _PI_UP
+    t_num, t_den = threshold.as_integer_ratio()
+    for n in _QUAD_ORDERS:
+        c = _gl_remainder_constant(n)
+        num = c.numerator * h_num ** (2 * n) * scale.numerator
+        den = c.denominator * h_den ** (2 * n) * scale.denominator
+        if num * t_den <= t_num * den:
+            return n, _ceil_float(num, den)
+    return None, None
 
 
 def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
     """Breakpoint-aware Gauss-Legendre for int_0^pi Delta(r cos t) cos t sin^p t dt.
 
-    Doubles the per-piece rule until the summed inter-order disagreement
-    meets the tolerance (``tol``; default DEFAULT_PIECE_TOL per piece).
-    Each order is evaluated over slices of _QUAD_CHUNK pieces, so beyond
-    the O(R) piece arrays the memory stays bounded at any R (at d = 3,
-    R = 1e5 it allocates about 17 MB at its peak, one slice of all pieces
-    about 240 MB); returns (value, estimate, piece count).
+    On the piece between two jumps the integrand is (r cos t - delta m)
+    cos t sin^p t: a trigonometric polynomial of degree p + 2 with sup-norm
+    at most 2r + delta, whose Gauss-Legendre error ``_quad_order`` bounds
+    a priori.  The call takes the lowest order whose summed bound meets
+    the rounding floor npieces EPS delta (and leaves the target room for
+    that floor), then evaluates every piece once at that order, over
+    slices of _QUAD_CHUNK pieces: beyond the O(R) piece arrays its memory
+    is bounded at any R (about 15 MB at its peak at d = 3, R = 1e5, where
+    the order is 4).
+
+    The estimate is the certified truncation bound plus a rounding model:
+    the floor, one rounding of about EPS delta per piece, and the relative
+    rounding of the products and the dot product.
+    ``tol`` is the target (default DEFAULT_PIECE_TOL per piece);
+    ``PrecisionExhausted`` when the estimate would exceed it or no order
+    of _QUAD_ORDERS is fine enough.  Returns (value, estimate, piece
+    count).
     """
     if tol is not None and not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -175,27 +250,30 @@ def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
     half = 0.5 * widths[keep]
     npieces = lo.size
     target = tol if tol is not None else DEFAULT_PIECE_TOL * npieces
+    floor = npieces * EPS * delta
+    order, bound = _quad_order(2.0 * float(half.max()), sin_pow + 2,
+                               2 * Fraction(r) + Fraction(delta), min(floor, target - floor))
+    if order is not None:
+        # the products and the order-term dot product round a piece by at
+        # most (order + p + 6) EPS/2 of its integral of |f| (the gamma_n
+        # bound), and |f| <= min(r, delta/2) |cos t| sin^p t integrates to
+        # at most 2 min(r, delta/2) / (p + 1)
+        relative = (order + sin_pow + 6) * EPS * min(r, 0.5 * delta) / (sin_pow + 1)
+        estimate = bound + floor + relative
+    if order is None or estimate > target:
+        raise PrecisionExhausted(
+            f"piecewise quadrature did not reach {target:.3e} (r={r}, delta={delta})"
+        )
     scheme = QuantScheme(delta)
     pieces = np.empty(npieces)
-
-    prev = None
-    for order in (16, 32, 64, 128, 256, 512):
-        nodes, weights = gauss_legendre(order)
-        for start in range(0, npieces, _QUAD_CHUNK):
-            part = slice(start, start + _QUAD_CHUNK)
-            theta = lo[part, None] + half[part, None] * (nodes[None, :] + 1.0)
-            cos = np.cos(theta)
-            f = quant_error(r * cos, scheme) * cos * np.sin(theta) ** sin_pow
-            pieces[part] = half[part] * (f @ weights)
-        val = math.fsum(pieces.tolist())
-        if prev is not None:
-            diff = abs(val - prev) + npieces * EPS * delta
-            if diff <= target:
-                return val, diff, npieces
-        prev = val
-    raise PrecisionExhausted(
-        f"piecewise quadrature did not reach {target:.3e} (r={r}, delta={delta})"
-    )
+    nodes, weights = gauss_legendre(order)
+    for start in range(0, npieces, _QUAD_CHUNK):
+        part = slice(start, start + _QUAD_CHUNK)
+        theta = lo[part, None] + half[part, None] * (nodes[None, :] + 1.0)
+        cos = np.cos(theta)
+        f = quant_error(r * cos, scheme) * cos * np.sin(theta) ** sin_pow
+        pieces[part] = half[part] * (f @ weights)
+    return math.fsum(pieces.tolist()), estimate, npieces
 
 
 # ---------------------------------------------------------------------------

@@ -252,3 +252,53 @@ def test_non_finite_inputs_and_zero_tol_are_config_errors(tmp_path, capsys, extr
 
 def test_no_subcommand_is_config_error(tmp_path):
     assert run(tmp_path) == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# --config reruns through the subcommand's own parser
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--max", "4"),
+    ("bessel", "--orders", "1", "2.5", "--xs", "1", "10"),   # nargs lists
+    ("limit", "--d", "3", "--r", "10.25", "--delta", "0.37",
+     "--methods", "quadrature,bessel_series"),              # --tol stays None
+    ("bounds", "--d", "5", "--r", "100.25", "--slope", "--d-list", "3",
+     "--eps", "0.25", "--kmin", "60", "--kmax", "300", "--points", "5"),  # store-true
+    ("simulate", "--d", "2", "--N", "2000", "--delta", "0.5", "--r", "3.26"),  # --frame None
+])
+def test_every_subcommand_reruns_from_its_config(tmp_path, argv):
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["--outdir", str(first), *argv]) == EXIT_OK
+    cfg = first / f"run_config_{argv[0]}.json"
+    assert main(["--outdir", str(second), "--config", str(cfg)]) == EXIT_OK
+    outputs = sorted(p.name for p in first.iterdir())
+    assert outputs == sorted(p.name for p in second.iterdir())
+    for name in outputs:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_config_values_are_converted_like_flags(tmp_path):
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"subcommand": "verify", "parameters": {"max": "5"}}))
+    assert main(["--outdir", str(tmp_path / "a"), "--config", str(cfg)]) == EXIT_OK
+    assert main(["--outdir", str(tmp_path / "b"), "verify", "--max", "5"]) == EXIT_OK
+    for name in ("verify.csv", "run_config_verify.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("subcommand, parameters", [
+    ("verify", {"max": "x"}),
+    ("verify", {"max": [3, 4]}),
+    ("bounds", {"slope": "yes"}),
+    ("bounds", {"d": None}),            # the default is 4, not null
+    ("limit", {"r": 5.0, "delta": 1.0}),  # --d is required
+    ("nosuch", {}),
+])
+def test_config_values_that_would_not_parse_are_config_errors(tmp_path, capsys,
+                                                             subcommand, parameters):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"subcommand": subcommand, "parameters": parameters}))
+    assert main(["--outdir", str(tmp_path), "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "config" and "Traceback" not in err

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -263,24 +264,25 @@ def test_csv_row_schema():
 # the Bessel-series route against an independent breakpoint-sum oracle
 # ---------------------------------------------------------------------------
 
-def _breakpoint_sum_limit(mpmath, d, R):
-    """d c_d |I| at delta = 1, r = R, in mpmath, with I the 1-D integral
+def _breakpoint_sum_limit(mpmath, d, R, delta=1.0):
+    """d c_d |I| at r = R delta, in mpmath, with I the 1-D integral at step 1
 
-        I = r G(3/2) G(s+1)/G(s+5/2) - 1/(s+1) sum_{u_k<1} (1-u_k^2)^{s+1},
+        I = R G(3/2) G(s+1)/G(s+5/2) - 1/(s+1) sum_{u_k<1} (1-u_k^2)^{s+1},
 
-    u_k = (k+1/2)/r and s = (d-3)/2: the linear part of the sawtooth minus
-    one closed-form step per jump of the quantizer.
+    u_k = (k+1/2)/R and s = (d-3)/2: the linear part of the sawtooth minus
+    one closed-form step per jump of the quantizer.  The limit scales with
+    delta at fixed R; R is taken as the exact quotient of R delta by delta.
     """
     with mpmath.workdps(int(30 + (d + 1) / 2 * math.log10(max(R, 10.0)))):
-        r = mpmath.mpf(R)
+        r = mpmath.mpf(R * delta) / mpmath.mpf(delta)
         s = mpmath.mpf(d - 3) / 2
         main = r * mpmath.gamma(1.5) * mpmath.gamma(s + 1) / mpmath.gamma(s + 2.5)
         jumps = mpmath.fsum((1 - (mpmath.mpf(2 * k + 1) / (2 * r)) ** 2) ** (s + 1)
-                            for k in range(math.floor(R - 0.5) + 1))
+                            for k in range(int(mpmath.floor(r - 0.5)) + 1))
         integral = main - jumps / (s + 1)
         cd = mpmath.gamma(mpmath.mpf(d) / 2) / (mpmath.sqrt(mpmath.pi)
                                                 * mpmath.gamma(mpmath.mpf(d - 1) / 2))
-        return float(d * cd * abs(integral))
+        return float(delta * d * cd * abs(integral))
 
 
 def _oracle_points():
@@ -339,6 +341,117 @@ def test_series_route_at_huge_hankel_arguments(d, R):
     # the limit scales like R^{-(d-1)/2} at fixed eps; compare with R = 1e4 + eps
     ref = limiting_error(_x(d, 1e4 + 0.375), UNIT, Method.BESSEL_SERIES).value
     assert res.value * R ** 1.5 == pytest.approx(ref * (1e4 + 0.375) ** 1.5, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature route: its a-priori order and its estimate
+# ---------------------------------------------------------------------------
+
+def test_gauss_legendre_remainder_constant_is_rounded_up():
+    from framepcm.limit_error import _QUAD_ORDERS, _gl_remainder_constant
+
+    for n in _QUAD_ORDERS:
+        exact = Fraction(math.factorial(n) ** 4,
+                         (2 * n + 1) * math.factorial(2 * n) ** 3)
+        assert exact <= _gl_remainder_constant(n) <= exact * (1 + Fraction(1, 2 ** 62)), n
+
+
+# pi < 3.14159265358979324
+_PI_ABOVE = Fraction(314159265358979324, 10 ** 17)
+
+
+@pytest.mark.parametrize("d, R, delta", [
+    (2, 0.3, 1.0), (3, 10.3, 1.0), (12, 5.3, 0.37), (40, 100.375, 1.0),
+    (3, 1e5 + 0.3, 1.0), (8, 2000.3, 1.0 / 16.0), (2, 10.5 + 1e-7, 1.0), (7, 0.8, 3.0),
+])
+def test_quadrature_takes_the_lowest_order_its_bound_certifies(monkeypatch, d, R, delta):
+    from framepcm import limit_error
+    from framepcm.special_fn import EPS
+
+    orders = []
+    real = limit_error.gauss_legendre
+    monkeypatch.setattr(limit_error, "gauss_legendre", lambda n: orders.append(n) or real(n))
+    r = R * delta
+    value, estimate, npieces = limit_error._quad_integral(r, delta, d - 2, None)
+    [n] = orders  # every piece at one order, in one pass
+    pts = np.concatenate(([0.0], limit_error._breakpoints(r, delta), [math.pi]))
+    widths = np.diff(pts)
+    widths = widths[widths > 1e-15]
+    assert widths.size == npieces
+    floor = npieces * EPS * delta
+    # C_n (h_max d)^{2n} (2r + delta) pi: the summed Gauss-Legendre remainder
+    # on trigonometric polynomials of degree d, sup-norm <= 2r + delta
+    spread = (Fraction(float(widths.max())) * d, (2 * Fraction(r) + Fraction(delta)) * _PI_ABOVE)
+
+    def bound(m, c_m):
+        return c_m * spread[0] ** (2 * m) * spread[1]
+
+    def exact_c(m):
+        return Fraction(math.factorial(m) ** 4, (2 * m + 1) * math.factorial(2 * m) ** 3)
+
+    assert bound(n, limit_error._gl_remainder_constant(n)) <= floor
+    assert estimate >= bound(n, exact_c(n)) + floor
+    if n > limit_error._QUAD_ORDERS[0]:
+        assert bound(n // 2, exact_c(n // 2)) > floor  # the order below fails
+
+
+def test_quadrature_raises_for_a_target_below_its_rounding_floor():
+    with pytest.raises(PrecisionExhausted):
+        integral_even(10.25, 1.0, 2, method=Method.QUADRATURE, tol=1e-16)
+
+
+def test_breakpoints_come_out_sorted():
+    from framepcm.limit_error import _breakpoints
+
+    for r, delta in ((0.7, 1.0), (10.5 + 1e-9, 1.0), (2000.3, 1.0 / 16.0), (1e5 + 0.3, 0.37)):
+        t = _breakpoints(r, delta)
+        assert np.array_equal(t, np.sort(t))
+
+
+def _quadrature_oracle_points():
+    """Seeded (d, R, delta) for the quadrature route: d = 2..12 twice each at
+    R in [0.6, 3000]; R < 1/2 (one piece of width pi); d = 2 and even d with
+    R within 1e-3 of K + 1/2 (a jump next to u = +-1); d = 40 at R = 100.375.
+    delta is log-uniform in [1e-3, 1e2], so r/delta rounds."""
+    import random
+
+    rng = random.Random(20142)
+
+    def delta():
+        return 10 ** rng.uniform(-3.0, 2.0)
+
+    points = [(d, 10 ** rng.uniform(math.log10(0.6), math.log10(3000.0)), delta())
+              for d in range(2, 13) for _ in range(2)]
+    points += [(d, 10 ** rng.uniform(-2.0, math.log10(0.49)), delta()) for d in (2, 3, 6, 12)]
+    points += [(d, rng.randint(3, 300) + 0.5 + rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-9, -3),
+                delta()) for d in (2, 2, 4, 8)]
+    points.append((40, 100.375, 1.0))
+    return points
+
+
+def test_quadrature_route_against_breakpoint_sum_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    points = _quadrature_oracle_points()
+    assert {d for d, _, _ in points} >= set(range(2, 13)) | {40}
+    assert sum(R < 0.5 for _, R, _ in points) >= 4
+    assert sum(abs(R % 1.0 - 0.5) <= 1e-3 for _, R, _ in points) >= 4
+    for d, R, delta in points:
+        res = limiting_error(_x(d, R * delta), QuantScheme(delta), Method.QUADRATURE)
+        oracle = _breakpoint_sum_limit(mpmath, d, R, delta)
+        assert abs(res.value - oracle) <= res.error_estimate, (d, R, delta, res, oracle)
+
+
+def test_quadrature_route_at_large_R_against_the_d3_closed_form():
+    # x.z is uniform on [-R, R] for z on S^2: lim = 3 |int_0^R Delta(s) s ds| / R^2,
+    # K (v^2/2 - 1/24) + v^3/3 for K = floor(R + 1/2), v = R - K (delta = 1)
+    mpmath = pytest.importorskip("mpmath")
+    R = 1e5 + 0.3
+    res = limiting_error(_x(3, R), UNIT, Method.QUADRATURE)
+    with mpmath.workdps(40):
+        v = mpmath.mpf(R) - math.floor(R + 0.5)
+        exact = float(3 * abs(math.floor(R + 0.5) * (v * v / 2 - mpmath.mpf(1) / 24)
+                              + v ** 3 / 3) / mpmath.mpf(R) ** 2)
+    assert abs(res.value - exact) <= res.error_estimate
 
 
 # ---------------------------------------------------------------------------
