@@ -131,7 +131,22 @@ class ParitySplit(NamedTuple):
     s: float
 
     def scale(self, r: float, delta: float) -> float:
-        return delta ** self.s / r ** (self.s - 1.0)
+        """delta^s / r^{s-1}; ``PrecisionExhausted`` where it leaves
+        binary64 (e.g. d = 500, r/delta = 20.3, where r^{s-1} overflows)."""
+        return _binary64(lambda: delta ** self.s / r ** (self.s - 1.0),
+                         f"scale delta^{self.s} / r^{self.s - 1.0}", r, delta)
+
+
+def _binary64(compute, what: str, r: float, delta: float) -> float:
+    """compute(), or ``PrecisionExhausted`` where its value overflows or
+    underflows to zero, which no route's target or prefactor survives."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not 0.0 < abs(value) < math.inf:
+        raise PrecisionExhausted(f"{what} leaves binary64 (r={r}, delta={delta})")
+    return value
 
 
 def parity_split(d: int) -> ParitySplit:
@@ -301,7 +316,8 @@ def _series_target(r: float, delta: float, split: ParitySplit, tol: float | None
 
 def _series_integral(r: float, delta: float, split: ParitySplit, tol: float | None):
     prefactor = _even_prefactor if split.parity == "even" else _odd_prefactor
-    prefac = prefactor(r, delta, split.n)
+    prefac = _binary64(lambda: prefactor(r, delta, split.n),
+                       f"the order-{split.order:g} series prefactor", r, delta)
     ev, trunc_k = alternating_bessel_sum_info(split.order, split.order, r / delta,
                                               _series_target(r, delta, split, tol) / abs(prefac))
     return prefac * ev.value, abs(prefac) * ev.abs_error_bound, trunc_k
@@ -335,18 +351,21 @@ def _integral_full(r, delta, split: ParitySplit, method, tol) -> _Integral:
 
     AUTO falls back to the quadrature when the series raises
     ``PrecisionExhausted`` (e.g. d = 40, R = 100.375, where the order-20
-    sum cancels below binary64 resolution).
+    sum cancels below binary64 resolution, or d = 500, R = 20.3, where the
+    scale and the prefactor leave binary64).
     """
     if not (r > 0 and delta > 0):
         raise ValueError("need r > 0 and delta > 0")
     method = _as_method(method)
     if method == Method.AUTO:
-        method = _auto_route(r, delta, split, tol)
-        if method == Method.BESSEL_SERIES:
-            try:
+        try:
+            # the series' default target is relative to the scale, which
+            # can leave binary64 at large d
+            method = _auto_route(r, delta, split, tol)
+            if method == Method.BESSEL_SERIES:
                 return _integral_full(r, delta, split, method, tol)
-            except PrecisionExhausted:
-                method = Method.QUADRATURE
+        except PrecisionExhausted:
+            method = Method.QUADRATURE
     if method == Method.QUADRATURE:
         val, err, npieces = _quad_integral(r, delta, split.sin_pow, tol)
         return _Integral(val, err, npieces, None, method)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -258,7 +259,8 @@ def test_no_subcommand_is_config_error(tmp_path):
 # --config reruns through the subcommand's own parser
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("argv", [
+# one passing run of each subcommand
+ONE_RUN_EACH = [
     ("verify", "--max", "4"),
     ("bessel", "--orders", "1", "2.5", "--xs", "1", "10"),   # nargs lists
     ("limit", "--d", "3", "--r", "10.25", "--delta", "0.37",
@@ -266,7 +268,10 @@ def test_no_subcommand_is_config_error(tmp_path):
     ("bounds", "--d", "5", "--r", "100.25", "--slope", "--d-list", "3",
      "--eps", "0.25", "--kmin", "60", "--kmax", "300", "--points", "5"),  # store-true
     ("simulate", "--d", "2", "--N", "2000", "--delta", "0.5", "--r", "3.26"),  # --frame None
-])
+]
+
+
+@pytest.mark.parametrize("argv", ONE_RUN_EACH)
 def test_every_subcommand_reruns_from_its_config(tmp_path, argv):
     first, second = tmp_path / "a", tmp_path / "b"
     assert main(["--outdir", str(first), *argv]) == EXIT_OK
@@ -302,3 +307,91 @@ def test_config_values_that_would_not_parse_are_config_errors(tmp_path, capsys,
     assert main(["--outdir", str(tmp_path), "--config", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "config" and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the write path: every output a new file, never the old one rewritten
+# ---------------------------------------------------------------------------
+
+def _files(outdir):
+    return {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+
+@pytest.mark.parametrize("argv", ONE_RUN_EACH)
+def test_rerun_into_the_same_outdir_writes_new_files(tmp_path, argv):
+    same, fresh, kept = tmp_path / "same", tmp_path / "fresh", tmp_path / "kept"
+    assert main(["--outdir", str(same), *argv]) == EXIT_OK
+    first = _files(same)
+    # hard links keep the first run's inodes alive, so a new file cannot
+    # reuse one, and show that the first run's contents were left alone
+    kept.mkdir()
+    for name in first:
+        os.link(same / name, kept / name)
+    assert main(["--outdir", str(same), *argv]) == EXIT_OK
+    assert main(["--outdir", str(fresh), *argv]) == EXIT_OK
+    assert _files(same) == _files(fresh) == _files(kept) == first
+    for name in first:
+        assert (same / name).stat().st_ino != (kept / name).stat().st_ino, name
+
+
+def test_config_rerun_may_rewrite_its_own_source(tmp_path):
+    argv = ["limit", "--d", "3", "--r", "10.25", "--delta", "1", "--methods", "quadrature"]
+    assert run(tmp_path, *argv) == EXIT_OK
+    before = _files(tmp_path)
+    cfg = tmp_path / "run_config_limit.json"
+    assert run(tmp_path, "--config", str(cfg)) == EXIT_OK
+    assert _files(tmp_path) == before
+
+
+def test_read_only_output_and_symlinked_output_are_replaced(tmp_path):
+    argv = ["limit", "--d", "3", "--r", "10.25", "--delta", "1", "--methods", "quadrature"]
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert main(["--outdir", str(fresh), *argv]) == EXIT_OK
+    out.mkdir()
+    (out / "limit.csv").write_text("stale\n")
+    (out / "limit.csv").chmod(0o444)
+    target = tmp_path / "elsewhere.json"
+    target.write_text("not an output\n")
+    (out / "run_config_limit.json").symlink_to(target)
+    assert main(["--outdir", str(out), *argv]) == EXIT_OK
+    for name in ("limit.csv", "run_config_limit.json"):
+        path = out / name
+        assert not path.is_symlink() and path.is_file(), name
+        assert path.read_bytes() == (fresh / name).read_bytes(), name
+    assert target.read_text() == "not an output\n"
+
+
+def test_an_outdir_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    # a file where the outdir should be, and a directory where an output
+    # should be; both raised a traceback from outside main's handlers
+    (tmp_path / "file").write_text("")
+    assert main(["--outdir", str(tmp_path / "file"), "verify", "--max", "2"]) == EXIT_CONFIG
+    (tmp_path / "out" / "run_config_verify.json").mkdir(parents=True)
+    assert main(["--outdir", str(tmp_path / "out"), "verify", "--max", "2"]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line)["error"] for line in lines] == ["config", "config"]
+
+
+def test_limit_flags_an_estimate_that_exceeds_its_value(tmp_path, capsys):
+    # d = 8, R = 3000.375: the quadrature's estimate is ~2600x the limit,
+    # the series' far below it
+    assert run(tmp_path, "limit", "--d", "8", "--r", "3000.375", "--delta", "1",
+               "--methods", "quadrature,bessel_series") == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    marker = "(estimate >= |value|: unresolved)"
+    assert lines[0].lstrip().startswith("quadrature:") and lines[0].endswith(marker)
+    assert lines[1].lstrip().startswith("bessel_series:") and marker not in lines[1]
+    csv_text = (tmp_path / "limit.csv").read_text()
+    assert "unresolved" not in csv_text and len(read_csv(tmp_path / "limit.csv")) == 2
+    # d = 40, R = 100.375: AUTO falls back to a quadrature that cannot resolve it
+    assert run(tmp_path, "limit", "--d", "40", "--r", "100.375", "--delta", "1",
+               "--methods", "auto") == EXIT_OK
+    line, = capsys.readouterr().out.splitlines()
+    assert line.lstrip().startswith("quadrature:") and line.endswith(marker)
+
+
+def test_limit_at_d_500_exits_with_precision_exhausted(tmp_path, capsys):
+    # the order-250 series prefactor leaves binary64; this was an OverflowError
+    assert run(tmp_path, "limit", "--d", "500", "--r", "20.3", "--delta", "1") == EXIT_PRECISION
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "precision-exhausted" and "Traceback" not in err

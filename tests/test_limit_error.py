@@ -482,6 +482,33 @@ def test_auto_falls_back_to_quadrature_with_an_honest_estimate():
     assert abs(res.value - _breakpoint_sum_limit(mpmath, 40, 100.375)) <= res.error_estimate
 
 
+@pytest.mark.parametrize("d", [500, 501])
+@pytest.mark.parametrize("R", [0.3, 2.3, 20.3])
+def test_series_route_at_d_500_raises_precision_exhausted(d, R):
+    # the order-250 prefactor leaves binary64 (factorial(249) is no float);
+    # this was a raw OverflowError
+    with pytest.raises(PrecisionExhausted, match="prefactor leaves binary64"):
+        limiting_error(_x(d, R), UNIT, Method.BESSEL_SERIES)
+
+
+def test_scale_that_leaves_binary64_raises_precision_exhausted():
+    split = parity_split(500)
+    with pytest.raises(PrecisionExhausted, match="scale"):
+        split.scale(20.3, 1.0)  # 20.3^249.5 overflows
+    with pytest.raises(PrecisionExhausted, match="scale"):
+        split.scale(1.0, 1e-3)  # 1e-3^250.5 underflows to zero
+    assert split.scale(2.3, 1.0) == 1.0 / 2.3 ** 249.5
+
+
+def test_auto_at_d_500_falls_back_to_quadrature():
+    # the scale, and with it the series' default target, leaves binary64;
+    # this was a raw OverflowError in ParitySplit.scale
+    res = limiting_error(_x(500, 20.3), UNIT)
+    assert res.method == Method.QUADRATURE
+    assert res == limiting_error(_x(500, 20.3), UNIT, Method.QUADRATURE)
+    assert 0 < res.error_estimate < 1e-4 * res.value
+
+
 def test_auto_result_never_names_auto():
     for d in (2, 3, 8, 12):
         for R in (0.0, 0.3, 6.5, 99.9, 100.375):
