@@ -335,14 +335,6 @@ def _hankel_coeffs(order: float, jmax: int) -> tuple[float, ...]:
     return tuple(a)
 
 
-def _hankel_sizes(order: float, spare: int):
-    """(lp_min, lq_min, jmax): the fewest P and Q terms the first-omitted-
-    term bound allows, and the last coefficient a cut may look at."""
-    lp_min = max(1, math.ceil((order - 0.5) / 2.0))
-    lq_min = max(1, math.ceil((order - 1.5) / 2.0))
-    return lp_min, lq_min, 2 * max(lp_min, lq_min) + spare
-
-
 def _hankel_plan(order: float, x, spare: int):
     """Coefficients, terms and truncation points of the Hankel sums P, Q.
 
@@ -357,7 +349,9 @@ def _hankel_plan(order: float, x, spare: int):
     pushed, by at most ``spare`` coefficients, while the omitted term keeps
     shrinking.
     """
-    lp_min, lq_min, jmax = _hankel_sizes(order, spare)
+    lp_min = max(1, math.ceil((order - 0.5) / 2.0))
+    lq_min = max(1, math.ceil((order - 1.5) / 2.0))
+    jmax = 2 * max(lp_min, lq_min) + spare
     a = _hankel_coeffs(order, jmax)
     x = np.atleast_1d(x)
     j = np.arange(1, jmax + 1)
@@ -376,28 +370,6 @@ def _hankel_plan(order: float, x, spare: int):
         return minimum + np.argmax(stop, axis=1)
 
     return a, terms, best_cut(0, lp_min), best_cut(1, lq_min)
-
-
-def _hankel_cuts(order: float, x: float, spare: int):
-    """(a, lp, lq) of :func:`_hankel_plan` for one argument ``x``.
-
-    The same running ratios in the same order give the same cuts, without
-    building the table (a third of the cost of a one-row plan).
-    """
-    lp_min, lq_min, jmax = _hankel_sizes(order, spare)
-    mag = [1.0]
-    term = 1.0
-    for j in range(1, jmax + 1):
-        term *= (4.0 * order * order - (2 * j - 1) ** 2) / (8.0 * j) / x
-        mag.append(abs(term))
-
-    def best_cut(cand: list, m: int) -> int:
-        # as in _hankel_plan; a NaN comparison does not stop the search
-        while m + 1 < len(cand) and not cand[m + 1] >= cand[m]:
-            m += 1
-        return m
-
-    return _hankel_coeffs(order, jmax), best_cut(mag[0::2], lp_min), best_cut(mag[1::2], lq_min)
 
 
 def _hankel_sums(order: float, x):
@@ -705,7 +677,8 @@ def _alt_sum_tail(order: float, p: float, R: float, eps_frac: float, K: int):
     omega = math.pi * order / 2.0 + math.pi / 4.0
     twopiR = 2.0 * math.pi * R
     # truncated where the first tail term k = K+1 needs it
-    a, MP, MQ = _hankel_cuts(order, twopiR * (K + 1), 18)
+    a, _, MP, MQ = _hankel_plan(order, twopiR * (K + 1), 18)
+    MP, MQ = int(MP[0]), int(MQ[0])
     # phase sums at q = p + 1/2 + i: i = 2m for the P terms, 2m + 1 for the Q terms
     idx = np.concatenate((np.arange(0, 2 * MP, 2), np.arange(1, 2 * MQ, 2)))
     coef = np.array([(-1.0) ** (i // 2) * a[i] * twopiR ** -i for i in idx.tolist()])

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import json
@@ -318,20 +319,23 @@ def _files(outdir):
 
 
 @pytest.mark.parametrize("argv", ONE_RUN_EACH)
-def test_rerun_into_the_same_outdir_writes_new_files(tmp_path, argv):
-    same, fresh, kept = tmp_path / "same", tmp_path / "fresh", tmp_path / "kept"
+def test_rerun_into_the_same_outdir_writes_new_files(tmp_path, capsys, argv):
+    same, fresh = tmp_path / "same", tmp_path / "fresh"
     assert main(["--outdir", str(same), *argv]) == EXIT_OK
     first = _files(same)
-    # hard links keep the first run's inodes alive, so a new file cannot
+    # open handles keep the first run's inodes alive, so a new file cannot
     # reuse one, and show that the first run's contents were left alone
-    kept.mkdir()
-    for name in first:
-        os.link(same / name, kept / name)
-    assert main(["--outdir", str(same), *argv]) == EXIT_OK
-    assert main(["--outdir", str(fresh), *argv]) == EXIT_OK
-    assert _files(same) == _files(fresh) == _files(kept) == first
-    for name in first:
-        assert (same / name).stat().st_ino != (kept / name).stat().st_ino, name
+    with contextlib.ExitStack() as stack:
+        kept = {name: stack.enter_context(open(same / name, "rb")) for name in first}
+        capsys.readouterr()
+        assert main(["--outdir", str(same), *argv]) == EXIT_OK
+        assert capsys.readouterr().err == ""  # plain outputs are replaced silently
+        assert main(["--outdir", str(fresh), *argv]) == EXIT_OK
+        assert _files(same) == _files(fresh) == first
+        for name, fh in kept.items():
+            assert fh.read() == first[name], name
+            assert (same / name).stat().st_ino != os.fstat(fh.fileno()).st_ino, name
+    assert sorted(p.name for p in same.iterdir()) == sorted(first)
 
 
 def test_config_rerun_may_rewrite_its_own_source(tmp_path):
@@ -343,7 +347,7 @@ def test_config_rerun_may_rewrite_its_own_source(tmp_path):
     assert _files(tmp_path) == before
 
 
-def test_read_only_output_and_symlinked_output_are_replaced(tmp_path):
+def test_read_only_linked_and_symlinked_outputs_are_replaced_with_a_note(tmp_path, capsys):
     argv = ["limit", "--d", "3", "--r", "10.25", "--delta", "1", "--methods", "quadrature"]
     fresh, out = tmp_path / "fresh", tmp_path / "out"
     assert main(["--outdir", str(fresh), *argv]) == EXIT_OK
@@ -353,12 +357,25 @@ def test_read_only_output_and_symlinked_output_are_replaced(tmp_path):
     target = tmp_path / "elsewhere.json"
     target.write_text("not an output\n")
     (out / "run_config_limit.json").symlink_to(target)
+    capsys.readouterr()
     assert main(["--outdir", str(out), *argv]) == EXIT_OK
     for name in ("limit.csv", "run_config_limit.json"):
         path = out / name
         assert not path.is_symlink() and path.is_file(), name
         assert path.read_bytes() == (fresh / name).read_bytes(), name
     assert target.read_text() == "not an output\n"
+    assert capsys.readouterr().err.splitlines() == [
+        f"framepcm: replacing symlink {out / 'run_config_limit.json'} with a new file",
+        f"framepcm: replacing read-only file {out / 'limit.csv'} with a new file",
+    ]
+    # a hard link elsewhere keeps the old contents; the output is cut off from it
+    os.link(out / "limit.csv", tmp_path / "kept.csv")
+    assert main(["--outdir", str(out), *argv]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        f"framepcm: replacing hard-linked file {out / 'limit.csv'} with a new file",
+    ]
+    assert (tmp_path / "kept.csv").read_bytes() == (fresh / "limit.csv").read_bytes()
+    assert (out / "limit.csv").stat().st_nlink == 1
 
 
 def test_an_outdir_that_cannot_be_written_is_a_config_error(tmp_path, capsys):

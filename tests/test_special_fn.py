@@ -436,22 +436,6 @@ def test_bessel_integral_int_order_against_oracle():
         assert abs(ev.value - _besselj_50(mpmath, n, x)) <= ev.abs_error_bound, (n, x)
 
 
-def test_scalar_hankel_cuts_match_the_plan():
-    # _hankel_cuts picks the tail's cuts for one argument without the
-    # table; it must cut exactly where _hankel_plan does, also where the
-    # terms underflow (x ~ 1e150 and beyond) and where they are NaN
-    from framepcm.special_fn import _hankel_cuts, _hankel_plan
-
-    rng = np.random.default_rng(1206)
-    xs = np.concatenate((np.exp(rng.uniform(math.log(0.5), math.log(1e9), 400)),
-                         10.0 ** rng.uniform(150, 308, 40), [math.nan]))
-    for order in np.arange(0, 15, 0.5).tolist():
-        for spare in (18, 26):
-            a, _, lp, lq = _hankel_plan(order, xs, spare)
-            for i, x in enumerate(xs.tolist()):
-                assert _hankel_cuts(order, x, spare) == (a, lp[i], lq[i]), (order, x, spare)
-
-
 @pytest.mark.parametrize("order", [0, 0.5, 3, 12.5])
 def test_bessel_large_x_at_huge_arguments(order):
     # the Hankel terms a_j / x^j are running ratios: where x^j would
