@@ -58,6 +58,7 @@ from .limit_error import (
     integral_even,
     integral_odd,
     limiting_error,
+    limiting_error_grid,
     monte_carlo_limit,
     rotation_invariance_check,
 )

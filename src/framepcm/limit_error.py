@@ -35,6 +35,8 @@ AUTO, the default, picks one of the two per call (``_auto_route``): the
 quadrature below R = r/delta = 100 when its rounding floor meets the
 target, the series otherwise, and the quadrature again if the series
 raises ``PrecisionExhausted``.  The result names the route that ran.
+``limiting_error_grid`` applies the same rule at many delta for one (d, r),
+with the series points in one batched alternating sum.
 
 MONTE_CARLO integrates the sphere integral directly and is the coarse
 referee for both.
@@ -53,7 +55,8 @@ import numpy as np
 
 from .frames import uniform_sphere_points
 from .quantization import QuantScheme, SignalSpec, quant_error
-from .special_fn import EPS, PrecisionExhausted, alternating_bessel_sum_info, gauss_legendre
+from .special_fn import (EPS, PrecisionExhausted, alternating_bessel_sum_info,
+                         alternating_bessel_sums, gauss_legendre)
 
 __all__ = [
     "Method",
@@ -64,6 +67,7 @@ __all__ = [
     "integral_even",
     "integral_odd",
     "limiting_error",
+    "limiting_error_grid",
     "monte_carlo_limit",
     "rotation_invariance_check",
     "LIMIT_CSV_FIELDS",
@@ -314,17 +318,21 @@ def _series_target(r: float, delta: float, split: ParitySplit, tol: float | None
     return tol if tol is not None else 1e-10 * split.scale(r, delta)
 
 
-def _series_integral(r: float, delta: float, split: ParitySplit, tol: float | None):
+def _series_prefactor(r: float, delta: float, split: ParitySplit) -> float:
     prefactor = _even_prefactor if split.parity == "even" else _odd_prefactor
-    prefac = _binary64(lambda: prefactor(r, delta, split.n),
-                       f"the order-{split.order:g} series prefactor", r, delta)
+    return _binary64(lambda: prefactor(r, delta, split.n),
+                     f"the order-{split.order:g} series prefactor", r, delta)
+
+
+def _series_integral(r: float, delta: float, split: ParitySplit, tol: float | None):
+    prefac = _series_prefactor(r, delta, split)
     ev, trunc_k = alternating_bessel_sum_info(split.order, split.order, r / delta,
                                               _series_target(r, delta, split, tol) / abs(prefac))
     return prefac * ev.value, abs(prefac) * ev.abs_error_bound, trunc_k
 
 
-def _auto_route(r: float, delta: float, split: ParitySplit, tol: float | None) -> Method:
-    """The route AUTO tries first.
+def _auto_route(r: float, delta: float, target: float) -> Method:
+    """The route AUTO tries first, given the series' ``_series_target``.
 
     The quadrature below R = _AUTO_QUAD_MAX_R, where it is the cheaper one,
     provided its rounding floor (2R + 2) EPS delta (one rounding of about
@@ -333,7 +341,7 @@ def _auto_route(r: float, delta: float, split: ParitySplit, tol: float | None) -
     quadrature out at d = 8, R = 20.3 and at d = 12 beyond R ~ 6.6.
     """
     R = r / delta
-    if R < _AUTO_QUAD_MAX_R and (2 * R + 2) * EPS * delta <= _series_target(r, delta, split, tol):
+    if R < _AUTO_QUAD_MAX_R and (2 * R + 2) * EPS * delta <= target:
         return Method.QUADRATURE
     return Method.BESSEL_SERIES
 
@@ -361,7 +369,7 @@ def _integral_full(r, delta, split: ParitySplit, method, tol) -> _Integral:
         try:
             # the series' default target is relative to the scale, which
             # can leave binary64 at large d
-            method = _auto_route(r, delta, split, tol)
+            method = _auto_route(r, delta, _series_target(r, delta, split, tol))
             if method == Method.BESSEL_SERIES:
                 return _integral_full(r, delta, split, method, tol)
         except PrecisionExhausted:
@@ -433,14 +441,62 @@ def limiting_error(x, scheme: QuantScheme, method=Method.AUTO,
     if sig.r == 0.0:
         return LimitErrorResult(0.0, Method.QUADRATURE if method == Method.AUTO else method, 0.0)
     res = _integral_full(sig.r, scheme.delta, parity_split(d), method, tol)
-    cd = angular_constant(d)
+    return _lifted(d * angular_constant(d), res)
+
+
+def _lifted(dcd: float, res: _Integral) -> LimitErrorResult:
+    """The limiting error d c_d |integral| of a 1-D integral; dcd = d c_d."""
     return LimitErrorResult(
-        value=d * cd * abs(res.value),
+        value=dcd * abs(res.value),
         method=res.method,
-        error_estimate=d * cd * res.error_estimate,
+        error_estimate=dcd * res.error_estimate,
         breakpoint_count=res.breakpoint_count,
         truncation_K=res.truncation_K,
     )
+
+
+def limiting_error_grid(d: int, r: float, deltas, tol: float | None = None) -> list:
+    """:func:`limiting_error` by AUTO at ||x|| = r and every delta of ``deltas``.
+
+    Returns one :class:`LimitErrorResult` per delta.  Each point takes the
+    route ``_auto_route`` gives it.  The quadrature points run one at a
+    time; the series points share one :func:`alternating_bessel_sums`
+    call, so the series' fixed cost is paid once per grid, not per point.
+    A series point that raises ``PrecisionExhausted`` falls back to the
+    quadrature on its own, as AUTO does.  A point's route, K, value and
+    estimate do not depend on the other deltas: each equals
+    ``limiting_error(x, QuantScheme(delta))`` for any x with ||x|| = r.
+    """
+    if d < 2:
+        raise ValueError("need dimension >= 2")
+    deltas = [float(delta) for delta in deltas]
+    if not (r > 0 and all(delta > 0 for delta in deltas)):
+        raise ValueError("need r > 0 and delta > 0")
+    split = parity_split(d)
+    integrals: list = [None] * len(deltas)
+    series = []  # (point, prefactor, target of the alternating sum)
+    for i, delta in enumerate(deltas):
+        try:
+            target = _series_target(r, delta, split, tol)
+            if _auto_route(r, delta, target) == Method.BESSEL_SERIES:
+                prefac = _series_prefactor(r, delta, split)
+                series.append((i, prefac, target / abs(prefac)))
+                continue
+        except PrecisionExhausted:
+            pass
+        integrals[i] = _integral_full(r, delta, split, Method.QUADRATURE, tol)
+    sums = alternating_bessel_sums(split.order, split.order,
+                                   [r / deltas[i] for i, _, _ in series],
+                                   [target for _, _, target in series])
+    for (i, prefac, _), res in zip(series, sums):
+        if isinstance(res, PrecisionExhausted):
+            integrals[i] = _integral_full(r, deltas[i], split, Method.QUADRATURE, tol)
+        else:
+            ev, trunc_k = res
+            integrals[i] = _Integral(prefac * ev.value, abs(prefac) * ev.abs_error_bound, None,
+                                     trunc_k, Method.BESSEL_SERIES)
+    dcd = d * angular_constant(d)
+    return [_lifted(dcd, res) for res in integrals]
 
 
 def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitErrorResult:

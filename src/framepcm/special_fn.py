@@ -24,7 +24,10 @@ On top of these, ``alternating_bessel_sum`` evaluates
 
     S = sum_{k>=1} (-1)^k k^{-p} J_alpha(2 pi k R)
 
-with a certified bound.  Direct summation is hopeless for small p (the
+with a certified bound, and ``alternating_bessel_sums`` evaluates it at many
+R for one (alpha, p) at once: the rows share the tables and the K ladder,
+each row's sums run over widths of its own, so its result does not depend
+on the other rows, and ``alternating_bessel_sum_info`` is its one-row case.  Direct summation is hopeless for small p (the
 certified tail decays like K^{-p+1/2}), so the tail is *computed*: the
 Hankel expansion turns it into a handful of phase sums
 sum_{k>K} z^k k^{-q} with |z| = 1, all at q = p + 1/2 + integer.  For
@@ -65,6 +68,7 @@ __all__ = [
     "asymptotic_estimate",
     "alternating_bessel_sum",
     "alternating_bessel_sum_info",
+    "alternating_bessel_sums",
     "gauss_legendre",
 ]
 
@@ -327,12 +331,23 @@ def asymptotic_estimate(order: float, x: float) -> AsymptoticEnvelope:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def _hankel_coeffs(order: float, jmax: int) -> tuple[float, ...]:
+def _hankel_coeffs(order: float, jmax: int) -> np.ndarray:
     """a_0..a_jmax with a_j = prod_{i<=j} (4 order^2 - (2i-1)^2) / (8^j j!)."""
     a = [1.0]
     for j in range(1, jmax + 1):
         a.append(a[-1] * (4.0 * order * order - (2 * j - 1) ** 2) / (8.0 * j))
-    return tuple(a)
+    a = np.array(a)
+    a.setflags(write=False)  # shared by every caller through the cache
+    return a
+
+
+@lru_cache(maxsize=128)
+def _hankel_ratios(order: float, jmax: int) -> np.ndarray:
+    """a_j / a_{j-1} = (4 order^2 - (2j-1)^2) / (8j) for j = 1..jmax."""
+    j = np.arange(1, jmax + 1)
+    ratios = (4.0 * order * order - (2 * j - 1) ** 2) / (8.0 * j)
+    ratios.setflags(write=False)  # shared by every caller through the cache
+    return ratios
 
 
 def _hankel_plan(order: float, x, spare: int):
@@ -352,24 +367,20 @@ def _hankel_plan(order: float, x, spare: int):
     lp_min = max(1, math.ceil((order - 0.5) / 2.0))
     lq_min = max(1, math.ceil((order - 1.5) / 2.0))
     jmax = 2 * max(lp_min, lq_min) + spare
-    a = _hankel_coeffs(order, jmax)
     x = np.atleast_1d(x)
-    j = np.arange(1, jmax + 1)
     terms = np.empty((x.size, jmax + 1))
     terms[:, 0] = 1.0
-    terms[:, 1:] = ((4.0 * order * order - (2 * j - 1) ** 2) / (8.0 * j)) / x[:, None]
+    np.divide(_hankel_ratios(order, jmax), x[:, None], out=terms[:, 1:])
     np.cumprod(terms, axis=1, out=terms)
     mag = np.abs(terms)
-
-    def best_cut(first: int, minimum: int):
-        # columns first, first+2, ... are the candidate omitted terms; stop
-        # at the first whose successor does not shrink, or at the last one
-        cand = mag[:, first::2]
-        stop = np.ones((x.size, cand.shape[1] - minimum), dtype=bool)
-        np.greater_equal(cand[:, minimum + 1:], cand[:, minimum:-1], out=stop[:, :-1])
-        return minimum + np.argmax(stop, axis=1)
-
-    return a, terms, best_cut(0, lp_min), best_cut(1, lq_min)
+    # the candidate omitted terms of P are the columns 0, 2, ..., of Q the
+    # columns 1, 3, ...; a cut stops at the first candidate whose successor
+    # (two columns on) does not shrink, or at the last one, which has none
+    stop = np.ones(terms.shape, dtype=bool)
+    np.greater_equal(mag[:, 2:], mag[:, :-2], out=stop[:, :-2])
+    lp = lp_min + np.argmax(stop[:, 2 * lp_min::2], axis=1)
+    lq = lq_min + np.argmax(stop[:, 2 * lq_min + 1::2], axis=1)
+    return _hankel_coeffs(order, jmax), terms, lp, lq
 
 
 def _hankel_sums(order: float, x):
@@ -383,10 +394,11 @@ def _hankel_sums(order: float, x):
     even, odd = terms[:, 0::2], terms[:, 1::2]
     m = np.arange(odd.shape[1])
     sign = np.where(m % 2, -1.0, 1.0)
-    P = np.sum(np.where(m < lp[:, None], sign * even[:, :m.size], 0.0), axis=1)
-    Q = np.sum(np.where(m < lq[:, None], sign * odd, 0.0), axis=1)
-    bP = np.abs(np.take_along_axis(even, lp[:, None], axis=1)[:, 0]) + 4 * lp * EPS
-    bQ = np.abs(np.take_along_axis(odd, lq[:, None], axis=1)[:, 0]) + 4 * lq * EPS
+    P = np.where(m < lp[:, None], sign * even[:, :m.size], 0.0).sum(axis=1)
+    Q = np.where(m < lq[:, None], sign * odd, 0.0).sum(axis=1)
+    rows = np.arange(terms.shape[0])
+    bP = np.abs(even[rows, lp]) + 4 * lp * EPS
+    bQ = np.abs(odd[rows, lq]) + 4 * lq * EPS
     return P, Q, bP, bQ
 
 
@@ -438,6 +450,9 @@ _EM_B = tuple(b / math.factorial(2 * m) for m, b in enumerate(
 # deepest j of the polylogarithm series; keeps Gamma(1 - s) of the table finite
 _J_CAP = 160
 _I_POW = np.array([1.0, 1j, -1.0, -1j])  # i^j by j mod 4
+# the constant parts of the remainder bound of the polylogarithm series
+_LOG_PI2_3 = math.log(math.pi ** 2 / 3.0)
+_LOG_2PI = math.log(2 * math.pi)
 
 
 def _cos_half_pi(s: np.ndarray) -> np.ndarray:
@@ -479,19 +494,23 @@ def _zeta_em(s, m0: int):
 class _PhaseTable:
     """The part of the phase tails at q = p + 1/2 + i, i = 0..top, that does
     not depend on the phase.  ``zeta[depth + t]`` is zeta(p + 1/2 + t) for
-    t = -depth..top, ``zeta_err`` its absolute bound; per i: q, whether q is
-    a positive integer, Gamma(1-q) (other q), H_{q-1} (integer q), and
-    cos, sin of pi (q-1)/2."""
+    t = -depth..top, ``zeta_err`` its absolute bound; per i: q, zeta(q) plus
+    its bound, whether q is a positive integer, Gamma(1-q) (other q),
+    H_{q-1} (integer q), and cos, sin of pi (q-1)/2; per (i, J), J <= depth,
+    the parts of :func:`_j_remainder` that do not depend on the phase."""
 
     depth: int
     zeta: np.ndarray
     zeta_err: np.ndarray
     q: np.ndarray
+    zeta_q_up: np.ndarray
     integer: np.ndarray
     gamma: np.ndarray
     harmonic: np.ndarray
     cos_q: np.ndarray
     sin_q: np.ndarray
+    rem_log: np.ndarray
+    rem_rho: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -526,34 +545,68 @@ def _phase_table(p: float, top: int) -> _PhaseTable:
     gamma = np.array([0.0 if i else math.gamma(1.0 - v) for v, i in zip(q, integer)])
     harmonic = np.array([math.fsum(1.0 / np.arange(1.0, v)) if i else 0.0
                          for v, i in zip(q, integer)])
-    arrays = (zeta, err, q, integer, gamma, harmonic, _cos_half_pi(q - 1.0), _cos_half_pi(q - 2.0))
+    # the remainder of the series cut at J: log(pi^2/3) + (q-1) log(2 pi)
+    # + lgamma(J+2-q) - lgamma(J+2), infinite where J < q, and the factor
+    # max(1, (J+2-q)/(J+2)) of its ratio (see _j_remainder); J + 2 - q is
+    # (J - i) + 3/2 - p, so its lgamma takes one value per J - i
+    J = np.arange(depth + 1)
+    shift = np.arange(-top, depth + 1) + 1.5 - p
+    lgamma_shift = np.array([math.lgamma(v) if v > 0 else math.inf for v in shift.tolist()])
+    lgamma_top = lgamma_shift[J - np.arange(top + 1)[:, None] + top]
+    rem_log = (np.where(J >= q[:, None], lgamma_top, math.inf)
+               + (_LOG_PI2_3 + (q - 1.0) * _LOG_2PI)[:, None]
+               - np.array([math.lgamma(v) for v in (J + 2.0).tolist()]))
+    arrays = (zeta, err, q, zeta[depth:] + err[depth:], integer, gamma, harmonic,
+              _cos_half_pi(q - 1.0), _cos_half_pi(q - 2.0), rem_log,
+              np.maximum(1.0, (J + 2.0 - q[:, None]) / (J + 2.0)))
     for arr in arrays:  # shared by every caller through the cache
         arr.setflags(write=False)
     return _PhaseTable(depth, *arrays)
 
 
-def _j_remainder(q: float, J: int, b: float) -> float:
-    """Bound on sum_{j>J} |zeta(q-j)| (2 pi b)^j / j! for J >= q, b = |beta|.
+# per column j of the polylogarithm series: j, i^j and 2j + 1
+_J = np.arange(_J_CAP + 1)
+_J_I_POW = _I_POW[_J % 4]
+_J_ROUNDINGS = 2 * _J + 1
+
+
+def _j_remainder(tab: _PhaseTable, idx: np.ndarray, J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bound on sum_{j>J} |zeta(q-j)| (2 pi b)^j / j! for J >= q, b = |beta|,
+    at q = p + 1/2 + idx of ``tab``, as arrays over (idx, J, b) entries.
 
     By |zeta(1-s)| <= 2 (2 pi)^-s Gamma(s) zeta(s) (DLMF 25.4.2), with
     zeta(s) <= zeta(2), term j is at most 2 zeta(2) (2 pi)^{q-1} b^j
     Gamma(j-q+1)/Gamma(j+1): a majorant whose ratio rho is b for q >= 0.
     Infinite where J < q (the table's depth ran out) or rho >= 1.
     """
-    rho = b * max(1.0, (J + 2.0 - q) / (J + 2.0))
-    if J < q or rho >= 1.0:
-        return math.inf
-    return math.exp(math.log(math.pi ** 2 / 3.0) + (q - 1.0) * math.log(2 * math.pi)
-                    + (J + 1) * math.log(b) + math.lgamma(J + 2.0 - q)
-                    - math.lgamma(J + 2.0)) / (1.0 - rho)
+    rho = b * tab.rem_rho[idx, J]
+    rem = np.exp(tab.rem_log[idx, J] + (J + 1) * np.log(b)) / (1.0 - rho)
+    return np.where(rho < 1.0, rem, math.inf)
 
 
-def _phase_tails(p: float, top: int, idx: np.ndarray, beta: float, K: int):
+@lru_cache(maxsize=64)
+def _trivial_tails(p: float, top: int, K: int):
+    """The trivial bounds on the tails of :func:`_phase_tails`, per q of
+    ``_phase_table(p, top)``: K^{1-q}/(q-1), and the numerator of Abel's
+    inequality |tail| <= (1 + 8 EPS) (K+1)^-q / sin(pi |beta|), which
+    follows from |sum_{K<k<=n} z^k| <= 2/|1-z| = 1/sin(pi |beta|); both
+    infinite where q <= 1."""
+    q = _phase_table(p, top).q
+    over = q > 1.0
+    arrays = (np.where(over, _tail_majorant(np.where(over, q, 2.0), K), math.inf),
+              np.where(over, (1.0 + 8 * EPS) * (K + 1.0) ** -q, math.inf))
+    for arr in arrays:  # shared by every caller through the cache
+        arr.setflags(write=False)
+    return arrays
+
+
+def _phase_tails(p: float, top: int, idx: np.ndarray, beta, K: int):
     """sum_{k>K} e^{2 pi i beta k} k^{-q} at every q = p + 1/2 + idx, with
-    certified absolute bounds; ``beta`` is not an integer, ``idx`` lies in
-    0..top.  Returns (values, bounds) as arrays over idx.
+    certified absolute bounds; ``beta`` is one phase or one per entry of
+    ``idx`` (a (row, q) pair each), in [-1/2, 1/2] but not 0; ``idx`` lies
+    in 0..top.  Returns (values, bounds) as arrays over idx.
 
-    With beta reduced to (-1/2, 1/2] and w = 2 pi i beta, |w| <= pi < 2 pi,
+    With w = 2 pi i beta, |w| <= pi < 2 pi,
     so the polylogarithm expansion (DLMF 25.12.12)
 
         Li_q(e^w) = Gamma(1-q) (-w)^{q-1} + sum_{j>=0} zeta(q-j) w^j / j!
@@ -574,67 +627,87 @@ def _phase_tails(p: float, top: int, idx: np.ndarray, beta: float, K: int):
     trivial |tail| <= min(K^{1-q}/(q-1), (K+1)^-q / sin(pi |beta|)) (the
     integral test; Abel's inequality) is returned, with value 0, wherever
     it is the smaller bound; the head of such a row is not computed.
+
+    The series is summed left to right and the head over its K columns, so
+    an entry's value and bound do not depend on the other entries.
     """
     tab = _phase_table(p, top)
-    beta = beta - 1.0 if beta > 0.5 else beta
-    b, sign = abs(beta), math.copysign(1.0, beta)
+    beta = beta + np.zeros(idx.size)
+    b = np.abs(beta)
     q = tab.q[idx]
     over = q > 1.0
     values = np.zeros(q.size, dtype=complex)
-    # the trivial bounds: K^{1-q}/(q-1), and Abel's inequality with
-    # |sum_{K<k<=n} z^k| <= 2/|1-z| = 1/sin(pi b): (K+1)^-q / sin(pi b)
-    abel = (1.0 + 8 * EPS) * (K + 1.0) ** -q / math.sin(math.pi * b)
-    bounds = np.where(over, np.minimum(_tail_majorant(np.where(over, q, 2.0), K), abel), math.inf)
+    majorant, abel = _trivial_tails(p, top, K)
+    bounds = np.minimum(majorant[idx], abel[idx] / np.sin(math.pi * b))
     # rounding of the head per unit weight: ~18 EPS per term (the phase, its
     # cos/sin, the power, the product) and (9 + log2(K)/2) EPS of numpy's
     # pairwise summation.  For q > 1 the weights sum to less than zeta(q),
     # so on rows not live this alone would exceed the trivial bound.
     head_scale = (K.bit_length() + 24) * EPS
-    zq = tab.zeta[tab.depth + idx] + tab.zeta_err[tab.depth + idx]
+    zq = tab.zeta_q_up[idx]
     live = np.flatnonzero(~over | (head_scale * 2.0 * zq <= bounds))
     if live.size == 0:
         return values, bounds
-    idx, q, zq, over = idx[live], q[live], zq[live], over[live]
-    integer = tab.integer[idx]
+    idx, q, zq, over, beta, b = idx[live], q[live], zq[live], over[live], beta[live], b[live]
 
     # the series, each row cut at J_q (the columns past it hold exact zeros)
-    jq = np.minimum(np.floor(q).astype(int) + 1 + math.ceil(52 * math.log(2) / -math.log(b)),
+    # and summed left to right, so that its sum does not depend on the
+    # other rows' J
+    jq = np.minimum((np.floor(q) + 1 + np.ceil(52 * math.log(2) / -np.log(b))).astype(int),
                     tab.depth)
-    j = np.arange(int(jq.max()) + 1)
-    keep = j[None, :] <= jq[:, None]
-    at = tab.depth + idx[:, None] - j[None, :]
-    zg = np.where(keep, tab.zeta[at], 0.0)
-    azg = np.abs(zg)
+    width = int(jq.max()) + 1
+    keep = _J[:width] <= jq[:, None]
+    at = tab.depth + idx[:, None] - _J[:width]
+    zg = tab.zeta[at] * keep
     x = 2.0 * math.pi * beta
-    c = np.cumprod(np.concatenate(([1.0], x / j[1:])))  # x^j / j!, within 2j EPS
-    ac = np.abs(c)
-    series = zg @ (c * _I_POW[j % 4])
+    c = np.ones((x.size, width))  # x^j / j!, within 2j EPS
+    np.divide(x[:, None], _J[1:width], out=c[:, 1:])
+    np.cumprod(c, axis=1, out=c)
+    zc = zg * c
+    series = np.cumsum(zc * _J_I_POW[:width], axis=1)[:, -1]
     # per term (2j + 1) EPS, and J_q/2 EPS of the row sum for its summation
-    series_err = (np.where(keep, tab.zeta_err[at], 0.0) @ ac
-                  + EPS * (azg @ (ac * (2 * j + 1)) + 0.5 * jq * (azg @ ac)))
+    series_err = np.cumsum(tab.zeta_err[at] * keep * np.abs(c) + EPS * np.abs(zc) * (
+        _J_ROUNDINGS[:width] + 0.5 * jq[:, None]), axis=1)[:, -1]
 
     # the singular term: the harmonic/log form for integer q, else
-    # Gamma(1-q) (-w)^{q-1} = Gamma(1-q) (2 pi b)^{q-1} e^{-i pi sign (q-1)/2}
-    n = np.where(integer, q, 1.0).astype(int) - 1
-    lw = math.log(2.0 * math.pi * b)
-    bracket = tab.harmonic[idx] - lw + 0.5j * math.pi * sign
-    power_term = tab.gamma[idx] * (2.0 * math.pi * b) ** (q - 1.0) * (
-        tab.cos_q[idx] - 1j * sign * tab.sin_q[idx])
-    sing = np.where(integer, c[n] * _I_POW[n % 4] * bracket, power_term)
-    sing_err = EPS * np.where(
-        integer, np.abs(c[n]) * ((2 * n + 2) * np.abs(bracket) + tab.harmonic[idx] + abs(lw) + 2),
-        np.abs(power_term) * (np.abs(q - 1.0) + 24))
+    # Gamma(1-q) (-w)^{q-1} = Gamma(1-q) (2 pi b)^{q-1} e^{-i pi sign (q-1)/2};
+    # each form is evaluated only when some q takes it
+    integer = tab.integer[idx]
+    sign = np.copysign(1.0, beta)
+    sing = sing_err = None
+    if integer.any():
+        n = np.where(integer, q, 1.0).astype(int) - 1
+        cn = c[np.arange(n.size), n]
+        lw = np.log(2.0 * math.pi * b)
+        bracket = tab.harmonic[idx] - lw + 0.5j * math.pi * sign
+        sing = cn * _I_POW[n % 4] * bracket
+        sing_err = EPS * np.abs(cn) * ((2 * n + 2) * np.abs(bracket) + tab.harmonic[idx]
+                                       + np.abs(lw) + 2)
+    if not integer.all():
+        power = tab.gamma[idx] * (2.0 * math.pi * b) ** (q - 1.0) * (
+            tab.cos_q[idx] - 1j * sign * tab.sin_q[idx])
+        power_err = EPS * np.abs(power) * (np.abs(q - 1.0) + 24)
+        sing = power if sing is None else np.where(integer, sing, power)
+        sing_err = power_err if sing_err is None else np.where(integer, sing_err, power_err)
 
-    rem = np.array([_j_remainder(u, v, b) for u, v in zip(q.tolist(), jq.tolist())])
-    fixed = series_err + sing_err + rem + 2 * EPS * (np.abs(series) + np.abs(sing))
+    fixed = (series_err + sing_err + _j_remainder(tab, idx, jq, b)
+             + 2 * EPS * (np.abs(series) + np.abs(sing)))
     use = ~over | (fixed + head_scale * 2.0 * zq <= bounds[live])
     if use.any():
         rows = live[use]
-        k = np.arange(1.0, K + 1.0)
-        beta_hi = round(beta * (1 << 26)) / (1 << 26)  # k * beta_hi is exact below 2^26
-        theta = (2.0 * math.pi) * (np.mod(k * beta_hi, 1.0) + k * (beta - beta_hi))
-        weights = k[None, :] ** -q[use, None]
-        head = (weights * np.cos(theta)).sum(axis=1) + 1j * (weights * np.sin(theta)).sum(axis=1)
+        k = _direct_weights(p, K)[0]
+        # one row of phases per run of equal beta (the entries of one row)
+        beta = beta[use]
+        first = np.empty(beta.size, dtype=bool)
+        first[0] = True
+        np.not_equal(beta[1:], beta[:-1], out=first[1:])
+        phases = beta[first]
+        beta_hi = np.round(phases * (1 << 26))[:, None] / (1 << 26)  # k * beta_hi is exact below 2^26
+        theta = (2.0 * math.pi) * (np.mod(k * beta_hi, 1.0) + k * (phases[:, None] - beta_hi))
+        which = np.cumsum(first) - 1
+        weights = k ** -q[use, None]
+        head = ((weights * np.cos(theta)[which]).sum(axis=1)
+                + 1j * (weights * np.sin(theta)[which]).sum(axis=1))
         values[rows] = series[use] + sing[use] - head
         bounds[rows] = fixed[use] + head_scale * weights.sum(axis=1) + 2 * EPS * np.abs(head)
     return values, bounds
@@ -644,93 +717,186 @@ def _phase_tails(p: float, top: int, idx: np.ndarray, beta: float, K: int):
 # the alternating Bessel sum
 # ---------------------------------------------------------------------------
 
-def _alt_sum_direct(order: float, p: float, R: float, eps_frac: float, K: int):
-    """sum_{k=1}^{K} (-1)^k k^{-p} J_order(2 pi k R) with certified bound.
+# the direct-part sizes K the alternating sum tries, smallest first
+_K_LADDER = (64, 256, 1024, 4096, 16384)
 
-    Evaluated as arrays over k.  Terms with x = 2 pi k R beyond
-    ``_SERIES_AUTO_X`` come from :func:`_hankel_sums`, each row cut by the
-    first-omitted-term rule; the few k below it take the series.
+
+@lru_cache(maxsize=64)
+def _direct_weights(p: float, K: int):
+    """k = 1..K, k^-p, (-1)^k k^-p and 4 EPS k^-p, the weights of the
+    direct part."""
+    k = np.arange(1, K + 1, dtype=float)
+    w = k ** (-p)
+    arrays = (k, w, np.where(k % 2, -w, w), 4 * EPS * w)
+    for arr in arrays:  # shared by every caller through the cache
+        arr.setflags(write=False)
+    return arrays
+
+
+def _alt_sum_direct(order: float, p: float, R, eps_frac, K: int):
+    """sum_{k=1}^{K} (-1)^k k^{-p} J_order(2 pi k R) with certified bounds.
+
+    ``R`` and ``eps_frac`` (its fractional part) are floats or 1-D arrays,
+    one row each; returns (values, bounds) as arrays over the rows.
+    Evaluated as (rows x K) arrays over k.  Terms with x = 2 pi k R beyond
+    ``_SERIES_AUTO_X`` come from :func:`_hankel_sums`, each cut by the
+    first-omitted-term rule; the few k below it take the series.  Each
+    row's sums run over its own K terms, so a row does not depend on the
+    other rows.
     """
     omega = math.pi * order / 2.0 + math.pi / 4.0
-    k = np.arange(1, K + 1, dtype=float)
-    x = (2.0 * math.pi * R) * k
-    w = k ** (-p)
-    v = np.empty(K)
-    b = np.empty(K)
-    n_series = int(np.count_nonzero(x <= _SERIES_AUTO_X))  # x grows with k
-    for i in range(n_series):
-        ev = _series_eval(order, float(x[i]))
-        # allowance for the argument itself being a rounded product
-        v[i], b[i] = ev.value, ev.abs_error_bound + 2 * EPS * x[i]
-    h = slice(n_series, K)
-    P, Q, bP, bQ = _hankel_sums(order, x[h])
+    R, eps_frac = np.atleast_1d(R), np.atleast_1d(eps_frac)
+    k, w, signed_w, rounding_w = _direct_weights(p, K)
+    x = (2.0 * math.pi * R)[:, None] * k
+    # the Hankel terms, at x = 12 in place of the arguments of series terms
+    P, Q, bP, bQ = (s.reshape(x.shape)
+                    for s in _hankel_sums(order, np.maximum(x, _SERIES_AUTO_X).ravel()))
     # reduced phase: 2 pi k R - omega == 2 pi k eps - omega (mod 2 pi)
-    chi = 2.0 * math.pi * np.fmod(k[h] * eps_frac, 1.0) - omega
-    v[h], b[h] = _hankel_combine(np.sqrt(2.0 / (math.pi * x[h])), np.cos(chi), np.sin(chi),
-                                 P, Q, bP, bQ, 2 * math.pi * EPS * (k[h] + 4))
-    terms = np.where(k % 2, -w, w) * v
-    return math.fsum(terms.tolist()), float(np.sum(w * b + 4 * EPS * w * np.abs(v)))
+    chi = 2.0 * math.pi * np.fmod(k * eps_frac[:, None], 1.0) - omega
+    v, b = _hankel_combine(np.sqrt(2.0 / (math.pi * x)), np.cos(chi), np.sin(chi),
+                           P, Q, bP, bQ, 2 * math.pi * EPS * (k + 4))
+    if x[:, 0].min() <= _SERIES_AUTO_X:  # a leading run of some rows: x grows with k
+        for row, i in zip(*np.nonzero(x <= _SERIES_AUTO_X)):
+            ev = _series_eval(order, float(x[row, i]))
+            # allowance for the argument itself being a rounded product
+            v[row, i], b[row, i] = ev.value, ev.abs_error_bound + 2 * EPS * x[row, i]
+    values = np.array([math.fsum(row) for row in (signed_w * v).tolist()])
+    return values, (w * b + rounding_w * np.abs(v)).sum(axis=1)
 
 
-def _alt_sum_tail(order: float, p: float, R: float, eps_frac: float, K: int):
-    """Analytic continuation of the sum past k = K via Hankel + phase sums."""
+def _alt_sum_tail(order: float, p: float, R, eps_frac, K: int):
+    """Analytic continuation of the sums past k = K via Hankel + phase sums.
+
+    ``R`` and ``eps_frac`` are floats or 1-D arrays, one row each; returns
+    (values, bounds) as arrays over the rows.  The phase sums of all rows
+    are one call; each row's coefficients and sums are its own.
+    """
     omega = math.pi * order / 2.0 + math.pi / 4.0
-    twopiR = 2.0 * math.pi * R
-    # truncated where the first tail term k = K+1 needs it
-    a, _, MP, MQ = _hankel_plan(order, twopiR * (K + 1), 18)
-    MP, MQ = int(MP[0]), int(MQ[0])
-    # phase sums at q = p + 1/2 + i: i = 2m for the P terms, 2m + 1 for the Q terms
-    idx = np.concatenate((np.arange(0, 2 * MP, 2), np.arange(1, 2 * MQ, 2)))
-    coef = np.array([(-1.0) ** (i // 2) * a[i] * twopiR ** -i for i in idx.tolist()])
-    # (-1)^k e^{2 pi i k eps} = e^{2 pi i beta k}: beta = eps - 1/2, exact
-    # (Sterbenz) wherever it is small; eps + 1/2 would round near beta = 0
-    beta = eps_frac - 0.5
-    if beta == 0.0:
-        tp, tb = _zeta_em(p + 0.5 + idx, K + 1)
-        # as in _phase_tails: the trivial bound where it is the smaller one
-        trivial = _tail_majorant(p + 0.5 + idx, K)
-        tp, tb = np.where(tb < trivial, tp, 0.0), np.minimum(tb, trivial)
-    else:
+    R, eps_frac = np.atleast_1d(R), np.atleast_1d(eps_frac)
+    # each row truncated where its first tail term k = K+1 needs it
+    a, _, MP, MQ = _hankel_plan(order, (2.0 * math.pi * R) * (K + 1), 18)
+    a = a.tolist()
+    rows, idx, coef, beta = [], [], [], []
+    for r, eps, mp, mq in zip(R.tolist(), eps_frac.tolist(), MP.tolist(), MQ.tolist()):
+        twopiR = 2.0 * math.pi * r
+        rows.append((r, twopiR, mp, mq, len(idx)))
+        # phase sums at q = p + 1/2 + i: i = 2m for the P terms, which take
+        # the real part of their rotated sum, 2m + 1 for the Q terms, which
+        # take minus its imaginary part, Re(1j z) = -Im(z)
+        row_idx = [*range(0, 2 * mp, 2), *range(1, 2 * mq, 2)]
+        idx += row_idx
+        coef += [(-1.0) ** (i // 2) * a[i] * twopiR ** -i * (1j if i % 2 else 1.0)
+                 for i in row_idx]
+        # (-1)^k e^{2 pi i k eps} = e^{2 pi i beta k}: beta = eps - 1/2, exact
+        # (Sterbenz) wherever it is small; eps + 1/2 would round near beta = 0
+        beta += [eps - 0.5] * len(row_idx)
+    # at eps = 1/2 exactly (beta = 0) the phase sums are zeta tails
+    some_at_half = 0.0 in beta
+    idx, coef, beta = np.array(idx), np.array(coef), np.array(beta)
+    if not some_at_half:
         tp, tb = _phase_tails(p, len(a) - 1, idx, beta, K)
-    rot = cmath.exp(-1j * omega) * tp
-    tail = math.fsum((coef[:MP] * rot.real[:MP]).tolist() + (-coef[MP:] * rot.imag[MP:]).tolist())
-    bound = float(np.abs(coef) @ tb)
-    # Hankel remainder summed over the tail (integral-test zeta bounds)
-    bound += abs(a[2 * MP]) * twopiR ** (-2 * MP) * _tail_majorant(p + 0.5 + 2 * MP, K)
-    bound += abs(a[2 * MQ + 1]) * twopiR ** (-2 * MQ - 1) * _tail_majorant(p + 1.5 + 2 * MQ, K)
-    scale = 1.0 / (math.pi * math.sqrt(R))
-    return scale * tail, scale * bound
+    else:
+        zeta = beta == 0.0
+        tp = np.zeros(idx.size, dtype=complex)
+        tb = np.zeros(idx.size)
+        s = p + 0.5 + idx[zeta]
+        values, bounds = _zeta_em(s, K + 1)
+        # as in _phase_tails: the trivial bound where it is the smaller one
+        trivial = _tail_majorant(s, K)
+        tp[zeta], tb[zeta] = np.where(bounds < trivial, values, 0.0), np.minimum(bounds, trivial)
+        if not zeta.all():
+            tp[~zeta], tb[~zeta] = _phase_tails(p, len(a) - 1, idx[~zeta], beta[~zeta], K)
+    terms = (coef * (cmath.exp(-1j * omega) * tp)).real.tolist()
+    bounds = np.add.reduceat(np.abs(coef) * tb, [row[-1] for row in rows]).tolist()
+    tails, errs = [], []
+    for (r, twopiR, mp, mq, lo), bound in zip(rows, bounds):
+        # Hankel remainder summed over the tail (integral-test zeta bounds)
+        bound += abs(a[2 * mp]) * twopiR ** (-2 * mp) * _tail_majorant(p + 0.5 + 2 * mp, K)
+        bound += abs(a[2 * mq + 1]) * twopiR ** (-2 * mq - 1) * _tail_majorant(p + 1.5 + 2 * mq, K)
+        scale = 1.0 / (math.pi * math.sqrt(r))
+        tails.append(scale * math.fsum(terms[lo:lo + mp + mq]))
+        errs.append(scale * bound)
+    return np.array(tails), np.array(errs)
+
+
+def alternating_bessel_sums(order: float, p: float, R, tol) -> list:
+    """:func:`alternating_bessel_sum_info` at every R of an array, for one
+    (order, p).
+
+    ``R`` is a sequence and ``tol`` one per R, or one float for all.
+    Returns one entry per R: ``(BesselEval, K)``, or the
+    ``PrecisionExhausted`` that the point raised (returned, not raised).
+    The rows share the Hankel tables, the phase-sum table and the K
+    ladder.  Each row leaves the ladder at the first rung where its own
+    bound meets its own tol, or where its direct part's bound alone
+    already exceeds it: that bound, sum_{k<=K} (w b + 4 EPS w |v|), only
+    grows with K, so no larger K could meet tol.  A row's K, value and
+    bound do not depend on the other rows.
+    """
+    _require_half_integer(order)
+    Rs = [float(r) for r in R]
+    tols = [float(t) for t in tol] if np.ndim(tol) else [float(tol)] * len(Rs)
+    if not all(r > 0 for r in Rs):
+        raise ValueError("need R > 0")
+    if len(tols) != len(Rs) or any(t <= 0 for t in tols):
+        raise ValueError("tol must be positive, one per R or one for all")
+    eps_frac = [r - math.floor(r) for r in Rs]
+    out: list = [None] * len(Rs)
+    for row, eps in enumerate(eps_frac):
+        if order == 0.5 and eps == 0.0:
+            # every term is sqrt(2/(pi x)) sin(2 pi k R) = 0 exactly
+            out[row] = BesselEval(order, 2.0 * math.pi * Rs[row], 0.0, 0.0), 0
+        elif p <= 0.5 and eps == 0.5:
+            out[row] = PrecisionExhausted(
+                f"sum with p={p} at eps=1/2 reduces to a divergent zeta series")
+    best = [math.inf] * len(Rs)
+    active = [row for row, res in enumerate(out) if res is None]
+    for K in _K_LADDER:
+        if not active:
+            break
+        direct, db = _alt_sum_direct(order, p, np.array([Rs[row] for row in active]),
+                                     np.array([eps_frac[row] for row in active]), K)
+        going = []
+        for row, value, bound in zip(active, direct.tolist(), db.tolist()):
+            # the margin covers the pairwise summation's rounding (~30 EPS
+            # relative at K = 16384), which a larger K could round the other way
+            if bound * (1.0 - 1e-12) > tols[row]:
+                out[row] = PrecisionExhausted(
+                    f"alternating Bessel sum (order={order}, p={p}, R={Rs[row]}): the direct "
+                    f"part's bound {bound:.3e} at K={K} alone exceeds tol {tols[row]:.3e}",
+                    achieved=best[row] if best[row] < math.inf else None)
+            else:
+                going.append((row, value, bound))
+        active = [row for row, _, _ in going]
+        if not active:
+            break
+        tail, tb = _alt_sum_tail(order, p, np.array([Rs[row] for row in active]),
+                                 np.array([eps_frac[row] for row in active]), K)
+        active = []
+        for (row, value, bound), t, tbound in zip(going, tail.tolist(), tb.tolist()):
+            bound += tbound
+            best[row] = min(best[row], bound)
+            if bound <= tols[row]:
+                out[row] = BesselEval(order, 2.0 * math.pi * Rs[row], value + t, bound), K
+            else:
+                active.append(row)
+    for row in active:
+        out[row] = PrecisionExhausted(
+            f"alternating Bessel sum (order={order}, p={p}, R={Rs[row]}) reached bound "
+            f"{best[row]:.3e} > tol {tols[row]:.3e}",
+            achieved=best[row],
+        )
+    return out
 
 
 def alternating_bessel_sum_info(order: float, p: float, R: float, tol: float):
     """Like :func:`alternating_bessel_sum` but also reports the direct-part
-    truncation index K as ``(BesselEval, K)``."""
-    _require_half_integer(order)
-    if not R > 0:
-        raise ValueError("need R > 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    eps_frac = R - math.floor(R)
-    if order == 0.5 and eps_frac == 0.0:
-        # every term is sqrt(2/(pi x)) sin(2 pi k R) = 0 exactly
-        return BesselEval(order, 2.0 * math.pi * R, 0.0, 0.0), 0
-    if p <= 0.5 and eps_frac == 0.5:
-        raise PrecisionExhausted(
-            f"sum with p={p} at eps=1/2 reduces to a divergent zeta series"
-        )
-    best_bound = math.inf
-    for K in (64, 256, 1024, 4096, 16384):
-        direct, db = _alt_sum_direct(order, p, R, eps_frac, K)
-        tail, tb = _alt_sum_tail(order, p, R, eps_frac, K)
-        bound = db + tb
-        best_bound = min(best_bound, bound)
-        if bound <= tol:
-            return BesselEval(order, 2.0 * math.pi * R, direct + tail, bound), K
-    raise PrecisionExhausted(
-        f"alternating Bessel sum (order={order}, p={p}, R={R}) reached bound "
-        f"{best_bound:.3e} > tol {tol:.3e}",
-        achieved=best_bound,
-    )
+    truncation index K as ``(BesselEval, K)``; the one-row case of
+    :func:`alternating_bessel_sums`."""
+    (res,) = alternating_bessel_sums(order, p, [R], [tol])
+    if isinstance(res, PrecisionExhausted):
+        raise res
+    return res
 
 
 def alternating_bessel_sum(order: float, p: float, R: float, tol: float) -> BesselEval:

@@ -176,3 +176,42 @@ def test_sandwich_at_large_R_uses_the_series():
     out = sandwich_check(1000.3, 1.0, 6, "even")
     assert out.holds is True and out.method == Method.BESSEL_SERIES
     assert sandwich_check(100.1, 1.0, 2, "even").method is None  # hypothesis unmet
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_base_coefficient_within_2_ulp_of_the_exact_ratio(parity):
+    # (n-1)! C(2n-2, n-1) / (4^{n-1} pi^n) or (n-1)! / pi^{n+1}, pi = math.pi,
+    # as exact fractions; n = 171..200 put the integer ratio past binary64
+    from fractions import Fraction
+
+    from framepcm.bounds import _base_coef
+
+    pi = Fraction(math.pi)
+    for n in [*range(2, 61), 171, 185, 200]:
+        if parity == "even":
+            exact = Fraction(math.factorial(n - 1) * math.comb(2 * n - 2, n - 1),
+                             4 ** (n - 1)) / pi ** n
+        else:
+            exact = Fraction(math.factorial(n - 1)) / pi ** (n + 1)
+        got = _base_coef(n, parity)
+        assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(float(exact))), n
+
+
+def test_base_coefficient_past_binary64_raises_precision_exhausted():
+    from framepcm import PrecisionExhausted
+    from framepcm.bounds import _base_coef
+
+    with pytest.raises(PrecisionExhausted, match="n=250"):
+        _base_coef(250, "even")  # d = 500; this was a raw OverflowError
+    with pytest.raises(PrecisionExhausted):
+        _base_coef(700, "odd")  # pi^701 itself overflows
+
+
+def test_slope_fit_refuses_an_unresolved_point():
+    # d = 40: every point falls back to a quadrature whose estimate exceeds
+    # its value; the fit used to return 0.48 from that noise
+    from framepcm import PrecisionExhausted
+
+    with pytest.raises(PrecisionExhausted, match=r"k=100 \(d=40, eps=0.375\) is unresolved: "
+                                                  r"the quadrature value"):
+        scaling_slope_fit(40, 1.0, 0.375, [100, 200, 400, 800])

@@ -412,3 +412,27 @@ def test_limit_at_d_500_exits_with_precision_exhausted(tmp_path, capsys):
     assert run(tmp_path, "limit", "--d", "500", "--r", "20.3", "--delta", "1") == EXIT_PRECISION
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "precision-exhausted" and "Traceback" not in err
+
+
+def _last_json_line(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_bounds_slope_with_unresolved_points_exits_precision_exhausted(tmp_path, capsys):
+    # d = 40 from k = 100: each point is a quadrature fall-back whose estimate
+    # exceeds its value; this printed "[FAIL] d=40: slope=0.4828"
+    code = run(tmp_path, "bounds", "--slope", "--d-list", "40", "--kmin", "100",
+               "--kmax", "2000")
+    assert code == EXIT_PRECISION
+    err = _last_json_line(capsys)
+    assert err["error"] == "precision-exhausted" and "k=100" in err["detail"]
+
+
+def test_bounds_report_at_d_500_exits_without_a_traceback(tmp_path, capsys):
+    # the order-250 bound coefficient leaves binary64; this was a raw
+    # OverflowError from int-to-float conversion
+    code = run(tmp_path, "bounds", "--d", "500", "--r", "20.3")
+    assert code == EXIT_PRECISION
+    err = _last_json_line(capsys)
+    assert err == {"error": "precision-exhausted",
+                   "detail": "the even bound coefficient at n=250 leaves binary64"}

@@ -549,3 +549,96 @@ def test_quadrature_chunks_cover_every_piece(monkeypatch):
     # the estimate carries; a lost or doubled piece would move it by ~1e-4
     assert abs(value - whole[0]) <= 1e-6 * whole[1]
     assert estimate == pytest.approx(whole[1], rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# limiting_error_grid
+# ---------------------------------------------------------------------------
+
+def _grid_equals_points(d, r, deltas, tol=None):
+    """limiting_error_grid at (d, r, deltas), after checking that each row
+    equals limiting_error at its point alone: route, K, value, estimate."""
+    from framepcm import limiting_error_grid
+
+    grid = limiting_error_grid(d, r, deltas, tol)
+    assert len(grid) == len(deltas)
+    for delta, res in zip(deltas, grid):
+        assert res == limiting_error(_x(d, r), QuantScheme(delta), tol=tol)
+    return grid
+
+
+@pytest.mark.parametrize("d, eps", [(3, 0.25), (4, 0.375), (5, 0.3), (8, 0.3), (12, 0.45)])
+def test_grid_rows_equal_limiting_error_at_each_point(d, eps):
+    # seeded ks beside the quadrature points k = 60, 90 (R < 100) and a
+    # point at eps = 1/2 exactly, where the tail is a zeta tail
+    rng = np.random.default_rng(d)
+    ks = [60, 90] + sorted(int(k) for k in rng.integers(100, 5000, 6))
+    deltas = [1.0 / (k + eps) for k in ks] + [1.0 / 100.5]
+    assert 1.0 / deltas[-1] == 100.5
+    grid = _grid_equals_points(d, 1.0, deltas)
+    routes = [res.method for res in grid]
+    # the quadrature's rounding floor rules it out at k = 60 from d = 8 on
+    assert routes[0] == (Method.QUADRATURE if d < 8 else Method.BESSEL_SERIES)
+    assert routes[2:] == [Method.BESSEL_SERIES] * (len(deltas) - 2)
+
+
+def test_grid_falls_back_to_quadrature_row_by_row(monkeypatch):
+    # at d = 40 the series cancels below binary64 at every R; at R = 50.3
+    # too, the quadrature's rounding floor misses the target, so all three
+    # rows leave the one batched ladder at its first rung and take the
+    # quadrature, as AUTO does at each point
+    from framepcm import special_fn
+
+    rungs = []
+    direct = special_fn._alt_sum_direct
+    monkeypatch.setattr(special_fn, "_alt_sum_direct",
+                        lambda *args: rungs.append((len(args[2]), args[4])) or direct(*args))
+    grid = _grid_equals_points(40, 1.0, [1.0 / 100.375, 1.0 / 50.3, 1.0 / 1000.375])
+    assert [res.method for res in grid] == [Method.QUADRATURE] * 3
+    assert rungs[0] == (3, 64)  # the grid's one call, then one per single point
+
+
+def test_grid_row_climbing_past_64_beside_rows_that_stop_there():
+    # at d = 10 and tol 1e-26 the first two points need K = 1024
+    Rs = [100.49991, 100.375, 130.3, 150.50003, 210.45, 333.25]
+    grid = _grid_equals_points(10, 1.0, [1.0 / R for R in Rs], tol=1e-26)
+    Ks = [res.truncation_K for res in grid]
+    assert Ks[0] > 64 and Ks[2:] == [64] * 4  # Rs[3] is within 1e-4 of eps = 1/2 too
+
+
+def test_grid_of_nine_equals_its_nine_single_point_grids():
+    from framepcm import limiting_error_grid
+
+    deltas = [1.0 / (k + 0.3) for k in (60, 90, 100, 180, 316, 562, 1000, 1778, 3162)]
+    grid = limiting_error_grid(5, 1.0, deltas)
+    assert grid == [limiting_error_grid(5, 1.0, [delta])[0] for delta in deltas]
+
+
+def test_grid_validation():
+    from framepcm import limiting_error_grid
+
+    with pytest.raises(ValueError):
+        limiting_error_grid(1, 1.0, [0.1])
+    with pytest.raises(ValueError):
+        limiting_error_grid(3, 0.0, [0.1])
+    with pytest.raises(ValueError):
+        limiting_error_grid(3, 1.0, [0.1, -0.2])
+    assert limiting_error_grid(3, 1.0, []) == []
+
+
+def test_auto_fall_back_stops_the_series_at_its_first_rung(monkeypatch):
+    # d = 40, R = 100.375: the series' direct part alone exceeds the target
+    # at K = 64, so AUTO falls back after one rung instead of climbing the
+    # whole ladder; the route, value and estimate are the quadrature's
+    from framepcm import special_fn
+
+    rungs = []
+    direct = special_fn._alt_sum_direct
+    monkeypatch.setattr(special_fn, "_alt_sum_direct",
+                        lambda *args: rungs.append(args[4]) or direct(*args))
+    res = limiting_error(_x(40, 100.375), UNIT)
+    assert rungs == [64]
+    quad = limiting_error(_x(40, 100.375), UNIT, Method.QUADRATURE)
+    assert (res.method, res.value, res.error_estimate) == (Method.QUADRATURE, quad.value,
+                                                            quad.error_estimate)
+    assert res == quad

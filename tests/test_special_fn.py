@@ -446,3 +446,63 @@ def test_bessel_large_x_at_huge_arguments(order):
         assert math.isfinite(ev.value) and math.isfinite(ev.abs_error_bound)
     ev = bessel_large_x(order, 1e12)
     assert abs(ev.value - _besselj_50(mpmath, order, 1e12)) <= ev.abs_error_bound
+
+
+# ---------------------------------------------------------------------------
+# the array form of the alternating sum
+# ---------------------------------------------------------------------------
+
+def _one_row(order, R, tol):
+    try:
+        return alternating_bessel_sum_info(order, order, R, tol)
+    except PrecisionExhausted as exc:
+        return exc
+
+
+@pytest.mark.parametrize("order", [0.0, 0.5, 1.5, 2.0, 4.0, 6.5])
+def test_alternating_sums_rows_equal_their_one_row_calls(order):
+    # seeded R over 1e-1.5..1e4, eps = 1/2 exactly (the zeta path), eps
+    # within 1e-4 of 1/2, integer R (order 1/2 at eps = 0 is exactly 0),
+    # R near 1/2 that climbs past K = 64 at order 4, and tolerances from
+    # easy to unreachable, so that rows leave the ladder at different rungs
+    from framepcm.special_fn import alternating_bessel_sums
+
+    rng = np.random.default_rng(int(2 * order) + 7)
+    Rs = ([float(R) for R in 10 ** rng.uniform(-1.5, 4, 8)]
+          + [10.5, 100.5, 1000.49993, 20.50004, 0.49997, 0.50002, 3.0, 57.0])
+    tols = [float(t) for t in 10 ** rng.uniform(-14, -8, len(Rs))]
+    tols[-4:-2] = [1e-13, 1e-13]
+    rows = alternating_bessel_sums(order, order, Rs, tols)
+    for R, tol, row in zip(Rs, tols, rows):
+        one = _one_row(order, R, tol)
+        assert type(row) is type(one) and repr(row) == repr(one) and str(row) == str(one)
+    if order == 4.0:
+        Ks = {row[1] for row in rows if not isinstance(row, PrecisionExhausted)}
+        assert 64 in Ks and max(Ks) > 64
+    if order == 0.5:
+        assert rows[-2] == (framepcm.BesselEval(0.5, 2 * math.pi * 3.0, 0.0, 0.0), 0)
+
+
+def test_alternating_sums_row_does_not_depend_on_its_neighbours():
+    # the same R in batches of different sizes and company
+    from framepcm.special_fn import alternating_bessel_sums
+
+    R = 300.4999
+    alone = alternating_bessel_sums(2.5, 2.5, [R], 1e-10)[0]
+    for company in ([1.3], [0.07, 5000.25, 12.5], list(np.linspace(100.1, 900.9, 19))):
+        rows = alternating_bessel_sums(2.5, 2.5, company + [R], 1e-10)
+        assert rows[-1] == alone
+
+
+def test_hopeless_ladder_raises_at_the_first_rung(monkeypatch):
+    # the direct part's bound alone exceeds tol at K = 64, and it only
+    # grows with K: the ladder stops there instead of climbing to 16384
+    from framepcm import special_fn
+
+    rungs = []
+    direct = special_fn._alt_sum_direct
+    monkeypatch.setattr(special_fn, "_alt_sum_direct",
+                        lambda *args: rungs.append(args[4]) or direct(*args))
+    with pytest.raises(PrecisionExhausted, match="direct part's bound .* at K=64"):
+        alternating_bessel_sum_info(1, 1, 5.5, 1e-30)
+    assert rungs == [64]

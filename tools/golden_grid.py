@@ -17,6 +17,9 @@ recorded as ``raise <Type>: <message>``.  The grid:
 * ``bessel_large_x`` at XS and ``alternating_bessel_sum`` (p = order) at
   RS, for the orders 0, 1/2, ..., 12;
 * ``zeta_tail``, ``M1_constant`` and ``M2_constant``;
+* ``scaling_slope_fit`` at d = 3..12 over the default sweep of
+  ``framepcm bounds --slope`` (SLOPE_KS, eps 3/8 for even d and 1/4 for
+  odd d), one key per d (``slope/d=<d>/eps=<eps>``);
 * for the frames in FRAMES (harmonic, Fibonacci and random, N <= 2e4),
   ``tightness_defect``, ``equidistribution_diagnostic`` at degree 4 and
   the ``quantize_and_reconstruct`` error of a fixed signal per delta in
@@ -66,6 +69,8 @@ FRAMES = (("harmonic", 2, 7), ("harmonic", 2, 20_000), ("fibonacci", 3, 500),
 EQUIDIST_DEGREE = 4
 ALT_SUM_TOL = 1e-10
 COMB_MAX = 24  # the top of the benchmark's verify --max range
+# the k of framepcm bounds --slope at its defaults --kmin 100 --kmax 1000 --points 9
+SLOPE_KS = np.unique(np.round(np.logspace(2, 3, 9)).astype(int))
 
 
 def _record(out: dict, key: str, call) -> None:
@@ -90,7 +95,7 @@ def golden() -> dict:
                           equidistribution_diagnostic, fibonacci_sphere_frame,
                           harmonic_frame_2d, limiting_error, lower_bound, monte_carlo_limit,
                           quantize_and_reconstruct, random_sphere_frame, sandwich_check,
-                          zeta_tail)
+                          scaling_slope_fit, zeta_tail)
     from framepcm.special_fn import alternating_bessel_sum_info
 
     out: dict = {}
@@ -126,6 +131,9 @@ def golden() -> dict:
                     lambda: alternating_bessel_sum_info(order, order, R, ALT_SUM_TOL))
     for t in range(3, 27):
         _record(out, f"zeta_tail/p={t / 2!r}", lambda: zeta_tail(t / 2))
+    for d in range(3, 13):
+        eps = 0.375 if d % 2 == 0 else 0.25
+        _record(out, f"slope/d={d}/eps={eps!r}", lambda: scaling_slope_fit(d, 1.0, eps, SLOPE_KS))
     for eps in EPSS:
         for matched in (True, False):
             for n in range(1, 7):
