@@ -29,7 +29,7 @@ The 1-D integral is computed two ways that check each other:
 * BESSEL_SERIES -- the closed form through the alternating Bessel sums
   (the Fourier expansion of the sawtooth composed with the finite
   cosine-projection identities), delegated to
-  ``special_fn.alternating_bessel_sum``.
+  ``special_fn.alternating_bessel_sums``.
 
 AUTO, the default, picks one of the two per call (``_auto_route``): the
 quadrature below R = r/delta = 100 when its rounding floor meets the
@@ -55,7 +55,9 @@ import numpy as np
 
 from .frames import uniform_sphere_points
 from .quantization import QuantScheme, SignalSpec, quant_error
-from .special_fn import (EPS, PrecisionExhausted, alternating_bessel_sum_info,
+# alternating_bessel_sum_info is not called here but stays importable from
+# this module: perfbench/tracing.py wraps framepcm.limit_error's copy
+from .special_fn import (EPS, PrecisionExhausted, alternating_bessel_sum_info,  # noqa: F401
                          alternating_bessel_sums, gauss_legendre)
 
 __all__ = [
@@ -324,13 +326,6 @@ def _series_prefactor(r: float, delta: float, split: ParitySplit) -> float:
                      f"the order-{split.order:g} series prefactor", r, delta)
 
 
-def _series_integral(r: float, delta: float, split: ParitySplit, tol: float | None):
-    prefac = _series_prefactor(r, delta, split)
-    ev, trunc_k = alternating_bessel_sum_info(split.order, split.order, r / delta,
-                                              _series_target(r, delta, split, tol) / abs(prefac))
-    return prefac * ev.value, abs(prefac) * ev.abs_error_bound, trunc_k
-
-
 def _auto_route(r: float, delta: float, target: float) -> Method:
     """The route AUTO tries first, given the series' ``_series_target``.
 
@@ -354,32 +349,81 @@ class _Integral(NamedTuple):
     method: Method  # the route that ran, never AUTO
 
 
-def _integral_full(r, delta, split: ParitySplit, method, tol) -> _Integral:
-    """The 1-D integral by ``method``; AUTO resolves to the route that runs.
+def _quad_full(r: float, delta: float, split: ParitySplit, tol: float | None) -> _Integral:
+    val, err, npieces = _quad_integral(r, delta, split.sin_pow, tol)
+    return _Integral(val, err, npieces, None, Method.QUADRATURE)
 
-    AUTO falls back to the quadrature when the series raises
-    ``PrecisionExhausted`` (e.g. d = 40, R = 100.375, where the order-20
-    sum cancels below binary64 resolution, or d = 500, R = 20.3, where the
-    scale and the prefactor leave binary64).
+
+def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | None) -> list:
+    """The series route at every delta of ``deltas``, in one
+    :func:`alternating_bessel_sums` call.
+
+    Returns per delta an ``_Integral``, or the ``PrecisionExhausted`` that
+    delta raised (returned, not raised).
     """
+    out: list = [None] * len(deltas)
+    rows = []  # (point, prefactor, R, target of the alternating sum)
+    for i, delta in enumerate(deltas):
+        try:
+            prefac = _series_prefactor(r, delta, split)
+            rows.append((i, prefac, r / delta,
+                         _series_target(r, delta, split, tol) / abs(prefac)))
+        except PrecisionExhausted as exc:
+            out[i] = exc
+    sums = alternating_bessel_sums(split.order, split.order, [row[2] for row in rows],
+                                   [row[3] for row in rows])
+    for (i, prefac, _, _), res in zip(rows, sums):
+        if isinstance(res, PrecisionExhausted):
+            out[i] = res
+        else:
+            ev, trunc_k = res
+            out[i] = _Integral(prefac * ev.value, abs(prefac) * ev.abs_error_bound, None,
+                               trunc_k, Method.BESSEL_SERIES)
+    return out
+
+
+def _auto_integrals(r: float, deltas: list, split: ParitySplit, tol: float | None) -> list:
+    """The 1-D integral by AUTO at every delta of ``deltas``.
+
+    Each delta takes the route ``_auto_route`` gives it, and the
+    quadrature where the series raises ``PrecisionExhausted`` (e.g. d = 40,
+    R = 100.375, where the order-20 sum cancels below binary64 resolution,
+    or d = 500, R = 20.3, where the scale and the prefactor leave binary64).
+    The series deltas share one :func:`_series_integrals` call; a delta's
+    route, K, value and estimate do not depend on the other deltas.
+    """
+    series_at = []
+    for i, delta in enumerate(deltas):
+        try:
+            # the series' default target is relative to the scale, which
+            # can leave binary64 at large d
+            if _auto_route(r, delta, _series_target(r, delta, split, tol)) == Method.BESSEL_SERIES:
+                series_at.append(i)
+        except PrecisionExhausted:
+            pass
+    series = dict(zip(series_at, _series_integrals(r, [deltas[i] for i in series_at], split, tol)))
+    out = []
+    for i, delta in enumerate(deltas):
+        res = series.get(i)
+        out.append(res if isinstance(res, _Integral) else _quad_full(r, delta, split, tol))
+    return out
+
+
+def _integral_full(r, delta, split: ParitySplit, method, tol) -> _Integral:
+    """The 1-D integral by ``method``; AUTO resolves to the route that runs
+    (see :func:`_auto_integrals`)."""
     if not (r > 0 and delta > 0):
         raise ValueError("need r > 0 and delta > 0")
     method = _as_method(method)
     if method == Method.AUTO:
-        try:
-            # the series' default target is relative to the scale, which
-            # can leave binary64 at large d
-            method = _auto_route(r, delta, _series_target(r, delta, split, tol))
-            if method == Method.BESSEL_SERIES:
-                return _integral_full(r, delta, split, method, tol)
-        except PrecisionExhausted:
-            method = Method.QUADRATURE
+        return _auto_integrals(r, [delta], split, tol)[0]
     if method == Method.QUADRATURE:
-        val, err, npieces = _quad_integral(r, delta, split.sin_pow, tol)
-        return _Integral(val, err, npieces, None, method)
+        return _quad_full(r, delta, split, tol)
     if method == Method.BESSEL_SERIES:
-        val, err, trunc_k = _series_integral(r, delta, split, tol)
-        return _Integral(val, err, None, trunc_k, method)
+        (res,) = _series_integrals(r, [delta], split, tol)
+        if isinstance(res, PrecisionExhausted):
+            raise res
+        return res
     raise ValueError(f"method {method} not available for the 1-D integrals")
 
 
@@ -472,31 +516,8 @@ def limiting_error_grid(d: int, r: float, deltas, tol: float | None = None) -> l
     deltas = [float(delta) for delta in deltas]
     if not (r > 0 and all(delta > 0 for delta in deltas)):
         raise ValueError("need r > 0 and delta > 0")
-    split = parity_split(d)
-    integrals: list = [None] * len(deltas)
-    series = []  # (point, prefactor, target of the alternating sum)
-    for i, delta in enumerate(deltas):
-        try:
-            target = _series_target(r, delta, split, tol)
-            if _auto_route(r, delta, target) == Method.BESSEL_SERIES:
-                prefac = _series_prefactor(r, delta, split)
-                series.append((i, prefac, target / abs(prefac)))
-                continue
-        except PrecisionExhausted:
-            pass
-        integrals[i] = _integral_full(r, delta, split, Method.QUADRATURE, tol)
-    sums = alternating_bessel_sums(split.order, split.order,
-                                   [r / deltas[i] for i, _, _ in series],
-                                   [target for _, _, target in series])
-    for (i, prefac, _), res in zip(series, sums):
-        if isinstance(res, PrecisionExhausted):
-            integrals[i] = _integral_full(r, deltas[i], split, Method.QUADRATURE, tol)
-        else:
-            ev, trunc_k = res
-            integrals[i] = _Integral(prefac * ev.value, abs(prefac) * ev.abs_error_bound, None,
-                                     trunc_k, Method.BESSEL_SERIES)
     dcd = d * angular_constant(d)
-    return [_lifted(dcd, res) for res in integrals]
+    return [_lifted(dcd, res) for res in _auto_integrals(r, deltas, parity_split(d), tol)]
 
 
 def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitErrorResult:

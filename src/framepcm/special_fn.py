@@ -331,14 +331,12 @@ def asymptotic_estimate(order: float, x: float) -> AsymptoticEnvelope:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def _hankel_coeffs(order: float, jmax: int) -> np.ndarray:
+def _hankel_coeffs(order: float, jmax: int) -> tuple[float, ...]:
     """a_0..a_jmax with a_j = prod_{i<=j} (4 order^2 - (2i-1)^2) / (8^j j!)."""
     a = [1.0]
     for j in range(1, jmax + 1):
         a.append(a[-1] * (4.0 * order * order - (2 * j - 1) ** 2) / (8.0 * j))
-    a = np.array(a)
-    a.setflags(write=False)  # shared by every caller through the cache
-    return a
+    return tuple(a)
 
 
 @lru_cache(maxsize=128)
@@ -775,7 +773,6 @@ def _alt_sum_tail(order: float, p: float, R, eps_frac, K: int):
     R, eps_frac = np.atleast_1d(R), np.atleast_1d(eps_frac)
     # each row truncated where its first tail term k = K+1 needs it
     a, _, MP, MQ = _hankel_plan(order, (2.0 * math.pi * R) * (K + 1), 18)
-    a = a.tolist()
     rows, idx, coef, beta = [], [], [], []
     for r, eps, mp, mq in zip(R.tolist(), eps_frac.tolist(), MP.tolist(), MQ.tolist()):
         twopiR = 2.0 * math.pi * r
@@ -823,7 +820,7 @@ def alternating_bessel_sums(order: float, p: float, R, tol) -> list:
     """:func:`alternating_bessel_sum_info` at every R of an array, for one
     (order, p).
 
-    ``R`` is a sequence and ``tol`` one per R, or one float for all.
+    ``R`` and ``tol`` are sequences, one tol per R.
     Returns one entry per R: ``(BesselEval, K)``, or the
     ``PrecisionExhausted`` that the point raised (returned, not raised).
     The rows share the Hankel tables, the phase-sum table and the K
@@ -835,11 +832,11 @@ def alternating_bessel_sums(order: float, p: float, R, tol) -> list:
     """
     _require_half_integer(order)
     Rs = [float(r) for r in R]
-    tols = [float(t) for t in tol] if np.ndim(tol) else [float(tol)] * len(Rs)
+    tols = [float(t) for t in tol]
     if not all(r > 0 for r in Rs):
         raise ValueError("need R > 0")
     if len(tols) != len(Rs) or any(t <= 0 for t in tols):
-        raise ValueError("tol must be positive, one per R or one for all")
+        raise ValueError("tol must be positive, one per R")
     eps_frac = [r - math.floor(r) for r in Rs]
     out: list = [None] * len(Rs)
     for row, eps in enumerate(eps_frac):

@@ -175,11 +175,11 @@ def test_bounds_report_runs_one_integral(tmp_path, monkeypatch, capsys):
             return route(*args, **kwargs)
         return wrapped
 
-    for name in ("_quad_integral", "_series_integral"):
+    for name in ("_quad_integral", "_series_integrals"):
         monkeypatch.setattr(limit_error, name, counting(name))
     capsys.readouterr()
     assert run(tmp_path, "bounds", "--d", "4", "--r", "1000.375") == EXIT_OK
-    assert calls == ["_series_integral"]
+    assert calls == ["_series_integrals"]
     # the limit printed from the sandwich's integral is the limit itself,
     # labelled with the route that computed it
     assert f"limiting error (bessel_series): {expected.value:.6e}" in capsys.readouterr().out
@@ -426,6 +426,22 @@ def test_bounds_slope_with_unresolved_points_exits_precision_exhausted(tmp_path,
     assert code == EXIT_PRECISION
     err = _last_json_line(capsys)
     assert err["error"] == "precision-exhausted" and "k=100" in err["detail"]
+
+
+def test_bounds_slope_keeps_the_resolved_d_of_a_mixed_list(tmp_path, capsys):
+    # d = 40 is unresolved over this sweep, d = 3 and 5 are not: their fits
+    # are printed and written, d = 40's is not, and the run exits 3
+    code = run(tmp_path, "bounds", "--slope", "--d-list", "3", "40", "5", "--kmin", "100",
+               "--kmax", "2000")
+    assert code == EXIT_PRECISION
+    captured = capsys.readouterr()
+    assert "[PASS] d=3:" in captured.out and "[PASS] d=5:" in captured.out
+    assert "[UNRESOLVED] d=40: slope point k=100" in captured.out
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["error"] == "precision-exhausted" and "d=40" in err["detail"]
+    rows = read_csv(tmp_path / "slopes.csv")
+    assert [row["d"] for row in rows] == ["3", "5"]
+    assert all(row["ok"] == "True" for row in rows)
 
 
 def test_bounds_report_at_d_500_exits_without_a_traceback(tmp_path, capsys):

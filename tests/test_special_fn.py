@@ -488,9 +488,9 @@ def test_alternating_sums_row_does_not_depend_on_its_neighbours():
     from framepcm.special_fn import alternating_bessel_sums
 
     R = 300.4999
-    alone = alternating_bessel_sums(2.5, 2.5, [R], 1e-10)[0]
+    alone = alternating_bessel_sums(2.5, 2.5, [R], [1e-10])[0]
     for company in ([1.3], [0.07, 5000.25, 12.5], list(np.linspace(100.1, 900.9, 19))):
-        rows = alternating_bessel_sums(2.5, 2.5, company + [R], 1e-10)
+        rows = alternating_bessel_sums(2.5, 2.5, company + [R], [1e-10] * (len(company) + 1))
         assert rows[-1] == alone
 
 
