@@ -50,6 +50,7 @@ from .combinatorics import (
     D_closed,
     check_coeff_identity_even,
     check_coeff_identity_odd,
+    identity_suites,
 )
 from .limit_error import (
     Method,

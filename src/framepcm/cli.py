@@ -131,25 +131,9 @@ def _cmd_verify(args, outdir: Path) -> int:
     mx = args.max
     if mx < 1:
         raise ValueError(f"--max must be >= 1, got {mx}")  # else every suite is empty
-    suites = [
-        ("weighted-binomial closed form", lambda: all(
-            comb.check_identity_A(n, h) for n in range(1, mx + 1) for h in range(0, mx + 1))),
-        ("vanishing telescoped sum", lambda: all(
-            comb.check_identity_B(h, l) for h in range(1, mx + 1) for l in range(0, h))),
-        ("telescoping certificate", lambda: all(
-            comb.gosper_certificate(h, l, m)
-            for h in range(1, mx + 1) for l in range(0, h) for m in range(l, h + 1))),
-        ("Gould convolution", lambda: all(
-            comb.check_gould(n, h) for n in range(0, mx + 1) for h in range(0, mx + 1))),
-        ("even coefficient identity", lambda: all(
-            comb.check_coeff_identity_even(n, h) for n in range(1, mx + 1) for h in range(0, mx + 1))),
-        ("odd coefficient identity", lambda: all(
-            comb.check_coeff_identity_odd(n, h) for n in range(1, mx + 1) for h in range(0, mx + 1))),
-    ]
     rows = []
     failures = 0
-    for name, run in suites:
-        ok = run()
+    for name, ok in comb.identity_suites(mx):
         failures += not ok
         rows.append({"suite": name, "max_index": mx, "ok": ok})
         print(f"[{'PASS' if ok else 'FAIL'}] {name} (indices <= {mx})")

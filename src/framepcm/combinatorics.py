@@ -9,6 +9,14 @@ a gcd, per term.  The sqrt(pi) of the half-integer factorials
 Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!) cancels wherever a closed form
 is asserted to be rational.
 
+Each identity's integer expression is written once, in a private helper
+that reads its binomials and factorials from rows it is given.
+``identity_suites(mx)``, the six suites of ``framepcm verify --max mx``,
+builds Pascal's triangle up to row 2mx+1 by additions, the factorials up
+to (4mx+2)! and the sign weights once, shares them across every check of
+the run and drops them when it returns.  A public one-point check builds
+the rows its point reads and calls the same helper.
+
 Only closed-form tables are cached: L_closed and D_closed per (n, m), and
 per n a row of their cleared numerators, grown in blocks of _ROW_BLOCK up
 to the largest h requested.  No sum and no check result is cached.
@@ -21,6 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, mul
 
 __all__ = [
     "ExactRational",
@@ -36,6 +46,7 @@ __all__ = [
     "D_closed",
     "check_coeff_identity_even",
     "check_coeff_identity_odd",
+    "identity_suites",
     "weighted_sum_A",
 ]
 
@@ -70,46 +81,147 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+# ---------------------------------------------------------------------------
+# rows: Pascal's triangle, factorials and sign weights
+# ---------------------------------------------------------------------------
+
+def _pascal_row(n: int) -> list[int]:
+    """C(n, k) for k = 0..n: the row of one point."""
+    return [math.comb(n, k) for k in range(n + 1)]
+
+
+def _pascal_rows(top: int) -> list[list[int]]:
+    """Rows 0..top of Pascal's triangle, each from the one above by additions."""
+    rows = [[1]]
+    for _ in range(top):
+        prev = rows[-1]
+        rows.append([1, *map(add, prev, prev[1:]), 1])
+    return rows
+
+
+def _factorials(top: int) -> list[int]:
+    """k! for k = 0..top."""
+    return list(accumulate(range(1, top + 1), mul, initial=1))
+
+
+def _sign_weights(count: int) -> tuple[list[int], list[int]]:
+    """(-1)^m and (-1)^m (2m+1) for m < count."""
+    signs = [-1 if m & 1 else 1 for m in range(count)]
+    return signs, [s * (2 * m + 1) for m, s in enumerate(signs)]
+
+
+# ---------------------------------------------------------------------------
+# the identities, each over the rows it reads
+#
+# A row of Pascal's triangle holds C(n, k) for 0 <= k <= n only: a slice
+# that would run past its end is cut short, which drops exactly the terms
+# whose binomial is 0, and a binomial at k < 0 is written as an explicit 0
+# (a negative index would wrap round to the row's end).
+# ---------------------------------------------------------------------------
+
+def _weighted_sum_A(row, h, weights) -> int:
+    """sum_{m=0}^{h} (-1)^m (2m+1) C(n+h, h-m) C(n+h, h+m+1), row = C(n+h, .)."""
+    return sum(map(mul, weights, map(mul, row[h::-1], row[h + 1:2 * h + 2])))
+
+
+def _identity_A(row, n, h, weights) -> bool:
+    return _weighted_sum_A(row, h, weights) == n * row[n]
+
+
+def _summands_B(row, col, weights, h, l) -> list[int]:
+    """(-1)^m (2m+1) C(2h+1, h-m) C(m+l, 2l) for m = l..h, over row = C(2h+1, .)
+    and col[j] = C(2l+j, 2l)."""
+    return list(map(mul, map(mul, weights[l:h + 1], row[h - l::-1]), col))
+
+
+def _identity_B(row, col, weights, h, l) -> bool:
+    return sum(_summands_B(row, col, weights, h, l)) == 0
+
+
+def _gosper_numerators(row, col, h, l) -> list[int]:
+    """(h - l) g_m for m = l..h+1; g_{h+1} = 0 through C(2h+1, -1) = 0."""
+    nums = [(1 if m & 1 else -1) * (h + m + 1) * (m - l) * c * b
+            for m, c, b in zip(range(l, h + 1), row[h - l::-1], col)]
+    nums.append(0)
+    return nums
+
+
+def _certificate(row, col, weights, h, l):
+    """For m = l..h in turn, whether (h-l) g_{m+1} - (h-l) g_m equals (h-l)
+    times the summand of B at m: each numerator is computed once."""
+    nums = _gosper_numerators(row, col, h, l)
+    return (b - a == (h - l) * s
+            for a, b, s in zip(nums, nums[1:], _summands_B(row, col, weights, h, l)))
+
+
+def _gould_sum(row, h, signs) -> int:
+    """sum_{m=0}^{h} (-1)^m C(n+h, h-m) C(n+h, h+m) over row = C(n+h, .)."""
+    return sum(map(mul, signs, map(mul, row[h::-1], row[h:2 * h + 1])))
+
+
+def _gould(row, h, signs) -> bool:
+    c = row[h]  # C(n+h, h)
+    return 2 * _gould_sum(row, h, signs) == c + c * c
+
+
+def _coeff_lhs(cleared, row, h) -> int:
+    """sum_{m=0}^{h} a_m C(2h+1, h-m) over a cleared row a and row = C(2h+1, .)."""
+    return sum(map(mul, cleared, row[h::-1]))
+
+
+def _coeff_even(cleared, row, fact, n, h) -> bool:
+    # the den of the cleared row cancels between the two sides
+    return (_coeff_lhs(cleared, row, h) * fact[h] * fact[h + n]
+            == cleared[0] * fact[n] * fact[2 * h + 1])
+
+
+def _coeff_odd(den, cleared, row, fact, n, h) -> bool:
+    return (_coeff_lhs(cleared, row, h) * fact[h] * fact[2 * h + 2 * n + 2]
+            == den * (fact[n - 1] << (2 * h + 2 * n + 1)) * fact[h + n + 1] * fact[2 * h + 1])
+
+
+# ---------------------------------------------------------------------------
+# the public checks, one point each
+# ---------------------------------------------------------------------------
+
 def weighted_sum_A(n: int, h: int) -> int:
     """sum_{m=0}^{h} (-1)^m (2m+1) C(n+h, h-m) C(n+h, h+m+1), exactly."""
-    return sum((-1 if m & 1 else 1) * (2 * m + 1) * math.comb(n + h, h - m)
-               * math.comb(n + h, h + m + 1) for m in range(h + 1))
+    if n < 0 or h < 0:
+        raise ValueError("need n >= 0 and h >= 0")
+    return _weighted_sum_A(_pascal_row(n + h), h, _sign_weights(h + 1)[1])
 
 
 def check_identity_A(n: int, h: int) -> bool:
     """Exact check of the closed form weighted_sum_A(n, h) == n * C(n+h, n)."""
     if n < 1 or h < 0:
         raise ValueError("need n >= 1 and h >= 0")
-    return weighted_sum_A(n, h) == n * binom(n + h, n)
+    return _identity_A(_pascal_row(n + h), n, h, _sign_weights(h + 1)[1])
 
 
-def _summand_B(h: int, l: int, m: int) -> int:
-    return ((-1 if m & 1 else 1) * (2 * m + 1) * math.comb(2 * h + 1, h - m)
-            * math.comb(m + l, 2 * l))
+def _point_rows_B(h: int, l: int):
+    """(row, col, weights) that identity B and its certificate read at (h, l),
+    col[j] = C(2l+j, 2l) being the C(m+l, 2l) at m = l + j."""
+    col = [math.comb(2 * l + j, 2 * l) for j in range(h - l + 1)]
+    return _pascal_row(2 * h + 1), col, _sign_weights(h + 1)[1]
 
 
 def check_identity_B(h: int, l: int) -> bool:
     """Exact check that sum_{m=l}^{h} (-1)^m (2m+1) C(2h+1, h-m) C(m+l, 2l) = 0."""
     if h < 1 or not (0 <= l <= h - 1):
         raise ValueError("need h >= 1 and 0 <= l <= h-1")
-    return sum(_summand_B(h, l, m) for m in range(l, h + 1)) == 0
-
-
-def _gosper_numerator(h: int, l: int, m: int) -> int:
-    """(h - l) g_m: the integer numerator of gosper_g."""
-    return ((1 if m & 1 else -1) * (h + m + 1) * (m - l) * binom(2 * h + 1, h - m)
-            * binom(m + l, 2 * l))
+    return _identity_B(*_point_rows_B(h, l), h, l)
 
 
 def gosper_g(h: int, l: int, m: int) -> Fraction:
-    """Telescoping antidifference for check_identity_B.
+    """Telescoping antidifference for check_identity_B, for l <= m <= h+1.
 
     g_m = (-1)^{m+1} (h+m+1)(m-l) C(2h+1, h-m) C(m+l, 2l) / (h-l).
     The factor (m-l) forces g_l = 0.
     """
-    if h == l:
-        raise ValueError("h = l divides by zero")
-    return Fraction(_gosper_numerator(h, l, m), h - l)
+    if not (0 <= l < h) or not (l <= m <= h + 1):
+        raise ValueError("need 0 <= l < h and l <= m <= h+1")
+    row, col, _ = _point_rows_B(h, l)
+    return Fraction(_gosper_numerators(row, col, h, l)[m - l], h - l)
 
 
 def gosper_certificate(h: int, l: int, m: int) -> bool:
@@ -117,8 +229,7 @@ def gosper_certificate(h: int, l: int, m: int) -> bool:
     compared after multiplying both sides by h - l."""
     if not (0 <= l < h) or not (l <= m <= h):
         raise ValueError("need 0 <= l < h and l <= m <= h")
-    return (_gosper_numerator(h, l, m + 1) - _gosper_numerator(h, l, m)
-            == (h - l) * _summand_B(h, l, m))
+    return list(_certificate(*_point_rows_B(h, l), h, l))[m - l]
 
 
 def check_gould(n: int, h: int) -> bool:
@@ -130,10 +241,7 @@ def check_gould(n: int, h: int) -> bool:
     """
     if n < 0 or h < 0:
         raise ValueError("need n, h >= 0")
-    lhs = sum((-1 if m & 1 else 1) * math.comb(n + h, h - m) * math.comb(n + h, h + m)
-              for m in range(h + 1))
-    c = binom(n + h, h)
-    return 2 * lhs == c + c * c
+    return _gould(_pascal_row(n + h), h, _sign_weights(h + 1)[0])
 
 
 @lru_cache(maxsize=None)
@@ -182,12 +290,9 @@ def _cleared_row(odd: bool, n: int, size: int) -> tuple[int, tuple[int, ...]]:
     return den, tuple(v.numerator * (den // v.denominator) for v in vals)
 
 
-def _coeff_lhs(odd: bool, n: int, h: int) -> tuple[int, tuple[int, ...], int]:
-    """(den, a, s) with the row (den, a) of _cleared_row and
-    s / den == (2h+1)! sum_{m=0}^{h} X_m / ((h-m)! (h+m+1)!), that is
-    s = sum_m a_m C(2h+1, h-m)."""
-    den, row = _cleared_row(odd, n, (h // _ROW_BLOCK + 1) * _ROW_BLOCK)
-    return den, row, sum(row[m] * math.comb(2 * h + 1, h - m) for m in range(h + 1))
+def _cleared(odd: bool, n: int, h: int) -> tuple[int, tuple[int, ...]]:
+    """The cleared row of n that covers every m <= h."""
+    return _cleared_row(odd, n, (h // _ROW_BLOCK + 1) * _ROW_BLOCK)
 
 
 def check_coeff_identity_even(n: int, h: int) -> bool:
@@ -200,9 +305,8 @@ def check_coeff_identity_even(n: int, h: int) -> bool:
     """
     if n < 1 or h < 0:
         raise ValueError("need n >= 1 and h >= 0")
-    _, row, lhs = _coeff_lhs(False, n, h)  # the den of both sides cancels
-    return (lhs * math.factorial(h) * math.factorial(h + n)
-            == row[0] * math.factorial(n) * math.factorial(2 * h + 1))
+    _, cleared = _cleared(False, n, h)
+    return _coeff_even(cleared, _pascal_row(2 * h + 1), _factorials(2 * h + n + 1), n, h)
 
 
 def check_coeff_identity_odd(n: int, h: int) -> bool:
@@ -216,7 +320,45 @@ def check_coeff_identity_odd(n: int, h: int) -> bool:
     """
     if n < 1 or h < 0:
         raise ValueError("need n >= 1 and h >= 0")
-    den, _, lhs = _coeff_lhs(True, n, h)
-    return (lhs * math.factorial(h) * math.factorial(2 * h + 2 * n + 2)
-            == den * (math.factorial(n - 1) << (2 * h + 2 * n + 1))
-            * math.factorial(h + n + 1) * math.factorial(2 * h + 1))
+    return _coeff_odd(*_cleared(True, n, h), _pascal_row(2 * h + 1),
+                      _factorials(2 * h + 2 * n + 2), n, h)
+
+
+# ---------------------------------------------------------------------------
+# the suites of framepcm verify
+# ---------------------------------------------------------------------------
+
+def identity_suites(mx: int) -> list[tuple[str, bool]]:
+    """The six identity suites of ``framepcm verify --max mx``, in order, as
+    (name, ok): ok when every check at indices up to mx holds.
+
+    A suite walks the index tuples of its public check in the same order
+    (n or h outermost) and stops at its first failed check.  Every check
+    reads one Pascal triangle, one factorial table and one set of sign
+    weights, built here for the whole run.
+    """
+    if mx < 1:
+        raise ValueError(f"need mx >= 1, got {mx}")
+    rows = _pascal_rows(2 * mx + 1)
+    fact = _factorials(4 * mx + 2)
+    signs, weights = _sign_weights(mx + 1)
+    cols = [[rows[2 * l + j][2 * l] for j in range(mx - l + 1)] for l in range(mx)]
+    top = range(mx + 1)
+    return [
+        ("weighted-binomial closed form", all(
+            _identity_A(rows[n + h], n, h, weights) for n in top[1:] for h in top)),
+        ("vanishing telescoped sum", all(
+            _identity_B(rows[2 * h + 1], cols[l], weights, h, l)
+            for h in top[1:] for l in range(h))),
+        ("telescoping certificate", all(
+            ok for h in top[1:] for l in range(h)
+            for ok in _certificate(rows[2 * h + 1], cols[l], weights, h, l))),
+        ("Gould convolution", all(
+            _gould(rows[n + h], h, signs) for n in top for h in top)),
+        ("even coefficient identity", all(
+            _coeff_even(_cleared(False, n, mx)[1], rows[2 * h + 1], fact, n, h)
+            for n in top[1:] for h in top)),
+        ("odd coefficient identity", all(
+            _coeff_odd(*_cleared(True, n, mx), rows[2 * h + 1], fact, n, h)
+            for n in top[1:] for h in top)),
+    ]

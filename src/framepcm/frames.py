@@ -71,7 +71,7 @@ def _build(vectors: np.ndarray) -> UnitNormFrame:
     vectors = np.ascontiguousarray(vectors, dtype=float)
     N, d = vectors.shape
     with np.errstate(invalid="ignore"):  # a non-finite row is rejected in __post_init__
-        gram = (d / N) * vectors.T @ vectors - np.eye(d)
+        gram = (vectors.T @ vectors) * (d / N) - np.eye(d)  # no scaled N x d copy
     return UnitNormFrame(
         dim=d, count=N, vectors=vectors, tightness_defect=float(np.linalg.norm(gram))
     )

@@ -25,6 +25,34 @@ def test_verify(tmp_path):
     assert len(rows) == 6 and all(r["ok"] == "True" for r in rows)
 
 
+VERIFY_SUITES = ("weighted-binomial closed form", "vanishing telescoped sum",
+                 "telescoping certificate", "Gould convolution", "even coefficient identity",
+                 "odd coefficient identity")
+
+
+@pytest.mark.parametrize("mx", [*range(1, 9), 24, 30])
+def test_verify_writes_the_same_bytes(tmp_path, capsys, mx):
+    # the table and the lines that verify printed when it ran each suite as
+    # one call of its public check per index tuple
+    assert run(tmp_path, "verify", "--max", str(mx)) == EXIT_OK
+    assert capsys.readouterr().out == "".join(
+        f"[PASS] {name} (indices <= {mx})\n" for name in VERIFY_SUITES)
+    assert (tmp_path / "verify.csv").read_bytes() == ("suite,max_index,ok\r\n" + "".join(
+        f"{name},{mx},True\r\n" for name in VERIFY_SUITES)).encode()
+
+
+def test_verify_calls_no_public_check(tmp_path, monkeypatch):
+    from framepcm import combinatorics as comb
+
+    calls = []
+    for name in ("weighted_sum_A", "check_identity_A", "check_identity_B", "gosper_g",
+                 "gosper_certificate", "check_gould", "check_coeff_identity_even",
+                 "check_coeff_identity_odd"):
+        monkeypatch.setattr(comb, name, lambda *a, name=name: calls.append(name))
+    assert run(tmp_path, "verify", "--max", "5") == EXIT_OK
+    assert calls == []
+
+
 def test_bessel_grid(tmp_path):
     assert run(tmp_path, "bessel", "--orders", "1", "2.5", "--xs", "1", "10", "30") == EXIT_OK
     rows = read_csv(tmp_path / "bessel.csv")

@@ -18,6 +18,7 @@ from framepcm import (
     check_identity_B,
     gosper_certificate,
     gosper_g,
+    identity_suites,
 )
 from framepcm import combinatorics as comb_module
 from framepcm.combinatorics import weighted_sum_A
@@ -304,17 +305,101 @@ def test_coefficient_checks_see_one_perturbed_table_entry(monkeypatch, fresh_row
 
 
 def test_identity_checks_fail_on_an_off_by_one_side(monkeypatch):
-    # A and Gould: the closed form on the right, C(n+h, .) + 1
-    monkeypatch.setattr(comb_module, "binom", lambda n, k: math.comb(n, k) + 1)
+    # A and Gould: the sum on the left off by one (its closed form on the
+    # right reads the same Pascal row)
+    for name in ("_weighted_sum_A", "_gould_sum"):
+        monkeypatch.setattr(comb_module, name,
+                            lambda *a, exact=getattr(comb_module, name): exact(*a) + 1)
     assert not any(check_identity_A(n, h) for n in range(1, 9) for h in range(9))
     assert not any(check_gould(n, h) for n in range(9) for h in range(9))
     monkeypatch.undo()
     # B and the certificate: one summand of B off by one, at m = 3
-    exact = comb_module._summand_B
-    monkeypatch.setattr(comb_module, "_summand_B",
-                        lambda h, l, m: exact(h, l, m) + (m == 3))
+    exact = comb_module._summands_B
+
+    def bumped(row, col, weights, h, l):
+        summands = exact(row, col, weights, h, l)  # m = l..h
+        if l <= 3 <= h:
+            summands[3 - l] += 1
+        return summands
+
+    monkeypatch.setattr(comb_module, "_summands_B", bumped)
     for h in range(1, 9):
         for l in range(h):
             assert check_identity_B(h, l) is not (l <= 3 <= h), (h, l)
             for m in range(l, h + 1):
                 assert gosper_certificate(h, l, m) is (m != 3), (h, l, m)
+
+
+# ---------------------------------------------------------------------------
+# the suites of verify: one Pascal triangle, one factorial table and one set
+# of sign weights shared by every check of a run
+# ---------------------------------------------------------------------------
+
+SUITES = ["weighted-binomial closed form", "vanishing telescoped sum", "telescoping certificate",
+          "Gould convolution", "even coefficient identity", "odd coefficient identity"]
+
+
+@pytest.mark.parametrize("mx", [*range(1, 25), 30, 33])  # 33: past the first row block
+def test_identity_suites_equal_the_public_checks(mx):
+    expected = [all(check(*args) for args in tuples) for check, _, tuples in _index_tuples(mx)]
+    assert identity_suites(mx) == list(zip(SUITES, expected))
+
+
+def test_identity_suites_reject_an_empty_range():
+    with pytest.raises(ValueError):
+        identity_suites(0)
+
+
+def test_one_point_functions_reject_indices_outside_their_sums():
+    # a row read at a negative index would wrap round to its end
+    with pytest.raises(ValueError):
+        weighted_sum_A(3, -1)
+    for m in (-1, 1, 5):
+        with pytest.raises(ValueError):
+            gosper_g(3, 2, m)
+
+
+def _perturbed(table, entry):
+    """A builder of table with one entry raised by 1 (the others exact)."""
+    if table == "_cleared_row":
+        exact = comb_module._cleared_row
+        odd, n, m = entry
+
+        def cleared(o, nn, size):
+            den, row = exact(o, nn, size)
+            if (o, nn) == (odd, n):
+                row = row[:m] + (row[m] + 1,) + row[m + 1:]
+            return den, row
+        return cleared
+    exact = getattr(comb_module, table)
+
+    def built(top):
+        values = exact(top)
+        if table == "_pascal_rows":
+            values[entry[0]][entry[1]] += 1
+        else:
+            values[entry] += 1
+        return values
+    return built
+
+
+MX = 6
+
+
+@pytest.mark.parametrize("table, entry, failing", [
+    # row 2mx is C(n+h, .) of A and Gould at n = h = mx, and no odd row
+    # 2h+1 or column C(m+l, 2l) of B reads it
+    ("_pascal_rows", (2 * MX, 1), {"weighted-binomial closed form", "Gould convolution"}),
+    # row 2mx+1 is C(2h+1, .) at h = mx: B, its certificate and the
+    # coefficient identities read it, A and Gould stop at row 2mx
+    ("_pascal_rows", (2 * MX + 1, MX), set(SUITES[1:3] + SUITES[4:])),
+    # h! and (2h+1)! sit in both coefficient identities, (2h+2n+2)! in the odd one only
+    ("_factorials", MX, set(SUITES[4:])),
+    ("_factorials", 4 * MX + 2, {"odd coefficient identity"}),
+    ("_cleared_row", (False, 3, 1), {"even coefficient identity"}),
+    ("_cleared_row", (True, 2, 1), {"odd coefficient identity"}),
+])
+def test_suites_see_one_perturbed_shared_entry(monkeypatch, table, entry, failing):
+    assert all(ok for _, ok in identity_suites(MX))
+    monkeypatch.setattr(comb_module, table, _perturbed(table, entry))
+    assert {name for name, ok in identity_suites(MX) if not ok} == failing

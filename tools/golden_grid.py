@@ -27,7 +27,10 @@ recorded as ``raise <Type>: <message>``.  The grid:
 * the exact layer (``combinatorics/...``) at indices up to COMB_MAX:
   ``L_closed``, ``D_closed``, ``weighted_sum_A`` and ``gosper_g`` as exact
   ``Fraction`` and integer reprs, and the result of each of the six identity
-  checks at every index tuple of ``framepcm verify --max COMB_MAX``.
+  checks at every index tuple of ``framepcm verify --max COMB_MAX``;
+* the suite path: the ``ok`` of each suite in the ``verify.csv`` that
+  ``framepcm verify --max M`` writes through ``cli.main``, for M = 1..COMB_MAX
+  (``verify/max=<M>/<suite>``).
 
 The second form prints every key whose value differs between the two
 files, with its relative difference and, for a ``/value`` key, |Δvalue|
@@ -44,10 +47,15 @@ Takes about 40 s.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -157,6 +165,7 @@ def golden() -> dict:
                     lambda: quantize_and_reconstruct(3.7 * delta * direction, frame,
                                                      QuantScheme(delta))[1])
     _exact_layer(out)
+    _verify_suites(out)
     return out
 
 
@@ -189,6 +198,18 @@ def _exact_layer(out: dict) -> None:
         for args in tuples:
             at = "/".join(f"{k}={v}" for k, v in zip(names, args))
             _record(out, f"combinatorics/{check.__name__}/{at}", lambda: check(*args))
+
+
+def _verify_suites(out: dict) -> None:
+    from framepcm.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for mx in range(1, COMB_MAX + 1):
+            outdir = Path(tmp) / f"max={mx}"
+            main(["--outdir", str(outdir), "verify", "--max", str(mx)])
+            with open(outdir / "verify.csv", newline="") as fh:
+                for row in csv.DictReader(fh):
+                    out[f"verify/max={mx}/{row['suite']}"] = row["ok"]
 
 
 def _rel_diff(a: str, b: str) -> float:
