@@ -61,7 +61,6 @@ from .limit_error import (
     limiting_error,
     limiting_error_grid,
     monte_carlo_limit,
-    rotation_invariance_check,
 )
 from .bounds import (
     BoundReport,

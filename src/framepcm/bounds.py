@@ -84,6 +84,15 @@ def _in_window(eps: float, window) -> bool:
     return window[0] - _WINDOW_SLACK <= eps <= window[1] + _WINDOW_SLACK
 
 
+def _checked_ratio(r: float, delta: float) -> float:
+    """R = r/delta; ``ValueError`` unless r, delta and R are positive and
+    finite (floor(R) overflows at R = inf)."""
+    if not (0 < r < math.inf and 0 < delta < math.inf and r / delta < math.inf):
+        raise ValueError(f"need finite r, delta > 0 with a finite r/delta, "
+                         f"got r={r}, delta={delta}")
+    return r / delta
+
+
 @lru_cache(maxsize=None)
 def zeta_tail(p: float) -> float:
     """sum_{k>=2} k^{-p} = zeta(p) - 1 by Euler-Maclaurin (15 terms and
@@ -192,9 +201,7 @@ def lower_bound(d: int, r: float, delta: float,
     """
     if d < 3:
         raise ValueError("need d >= 3")
-    if not (r > 0 and delta > 0):
-        raise ValueError("need r, delta > 0")
-    R = r / delta
+    R = _checked_ratio(r, delta)
     eps = R - math.floor(R)
     split = parity_split(d)
     M, low_c, up_c = _coefs(eps, split.n, split.parity, order_matched_phase)
@@ -231,14 +238,12 @@ class SandwichResult:
 
 
 def sandwich_check(r: float, delta: float, n: int, parity: str,
-                   r_min: float = DEFAULT_R_MIN,
-                   order_matched_phase: bool = True,
-                   method=Method.AUTO,
-                   tol: float | None = None) -> SandwichResult:
+                   order_matched_phase: bool = True) -> SandwichResult:
     """Evaluate lower <= |integral| <= upper for the chosen parity.
 
-    The integral comes from ``method`` (default AUTO, which takes the
-    certified series from R = 100 on); the result names the route that ran.
+    The integral comes from AUTO (the certified series from R = 100 on);
+    the result names the route that ran.  The check needs R = r/delta at
+    least DEFAULT_R_MIN; r, delta and R must be positive and finite.
 
     A negative lower coefficient (the order-matched kernel at eps where the
     leading term is small) degrades the lower bound to 0, which is still
@@ -249,7 +254,7 @@ def sandwich_check(r: float, delta: float, n: int, parity: str,
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    R = r / delta
+    R = _checked_ratio(r, delta)
     eps = R - math.floor(R)
     window = _WINDOWS[parity]
     if parity == "even" and n < 2:
@@ -259,15 +264,15 @@ def sandwich_check(r: float, delta: float, n: int, parity: str,
     if not _in_window(eps, window):
         return SandwichResult(math.nan, math.nan, None, None,
                               f"hypothesis unmet: eps={eps:.6g} outside window {window}")
-    if R < r_min:
+    if R < DEFAULT_R_MIN:
         return SandwichResult(math.nan, math.nan, None, None,
-                              f"hypothesis unmet: R={R:.6g} below threshold {r_min}")
+                              f"hypothesis unmet: R={R:.6g} below threshold {DEFAULT_R_MIN}")
     _, low_c, up_c = _coefs(eps, n, parity, order_matched_phase)
     split = parity_split(2 * n if parity == "even" else 2 * n + 1)
     scale = split.scale(r, delta)
     lower = max(low_c, 0.0) * scale
     upper = up_c * scale
-    integral = _integral_full(r, delta, split, method, tol)
+    integral = _integral_full(r, delta, split, Method.AUTO, None)
     val = abs(integral.value)
     return SandwichResult(lower, upper, val, bool(lower <= val <= upper), "ok", integral.method)
 

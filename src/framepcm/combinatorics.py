@@ -33,7 +33,6 @@ from itertools import accumulate
 from operator import add, mul
 
 __all__ = [
-    "ExactRational",
     "Scale",
     "ScaledConstant",
     "binom",
@@ -49,9 +48,6 @@ __all__ = [
     "identity_suites",
     "weighted_sum_A",
 ]
-
-# Exact rationals are plain fractions.Fraction (always in lowest terms).
-ExactRational = Fraction
 
 
 class Scale(Enum):

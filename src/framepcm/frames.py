@@ -182,7 +182,7 @@ def frame_to_csv(frame: UnitNormFrame, path) -> None:
 def frame_from_csv(path) -> UnitNormFrame:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file reads as malformed below
         rows = [[float(x) for x in row] for row in reader]
     vectors = np.asarray(rows, dtype=float)
     if vectors.ndim != 2 or vectors.shape[1] != len(header):

@@ -38,8 +38,8 @@ raises ``PrecisionExhausted``.  The result names the route that ran.
 ``limiting_error_grid`` applies the same rule at many delta for one (d, r),
 with the series points in one batched alternating sum.
 
-MONTE_CARLO integrates the sphere integral directly and is the coarse
-referee for both.
+``monte_carlo_limit`` integrates the sphere integral directly and is the
+coarse referee for both, and the only route that reads x beyond ||x||.
 """
 
 from __future__ import annotations
@@ -71,14 +71,12 @@ __all__ = [
     "limiting_error",
     "limiting_error_grid",
     "monte_carlo_limit",
-    "rotation_invariance_check",
     "LIMIT_CSV_FIELDS",
 ]
 
-# default per-piece quadrature target, Monte Carlo sample count and the
-# samples drawn per Monte Carlo batch
+# default per-piece quadrature target and the samples drawn per Monte
+# Carlo batch
 DEFAULT_PIECE_TOL = 1e-10
-DEFAULT_MC_SAMPLES = 10 ** 6
 _MC_BATCH = 1 << 17
 # quadrature pieces evaluated per numpy slice: bounds the quadrature's
 # memory at any R (4096 was the fastest of the sizes measured)
@@ -473,7 +471,8 @@ def limiting_error(x, scheme: QuantScheme, method=Method.AUTO,
     otherwise, falling back to the quadrature if the series raises
     ``PrecisionExhausted``.  The result's ``method`` is the route that ran,
     never AUTO (QUADRATURE for x = 0, where nothing is integrated).
-    MONTE_CARLO delegates to :func:`monte_carlo_limit` with defaults.
+    MONTE_CARLO raises ``ValueError``: its estimate needs a sample count
+    and a seed, which :func:`monte_carlo_limit` takes.
     """
     sig = _as_signal(x, scheme)
     d = sig.dim
@@ -481,7 +480,8 @@ def limiting_error(x, scheme: QuantScheme, method=Method.AUTO,
         raise ValueError("need dimension >= 2")
     method = _as_method(method)
     if method == Method.MONTE_CARLO:
-        return monte_carlo_limit(sig, scheme, samples=DEFAULT_MC_SAMPLES, seed=0)
+        raise ValueError("limiting_error has no Monte Carlo route: call "
+                         "monte_carlo_limit(x, scheme, samples, seed)")
     if sig.r == 0.0:
         return LimitErrorResult(0.0, Method.QUADRATURE if method == Method.AUTO else method, 0.0)
     res = _integral_full(sig.r, scheme.delta, parity_split(d), method, tol)
@@ -558,32 +558,6 @@ def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitE
         error_estimate=d * sigma,
         sample_count=samples,
     )
-
-
-def _random_rotation(d: int, rng) -> np.ndarray:
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    return q * np.sign(np.diag(r))
-
-
-def rotation_invariance_check(x, scheme: QuantScheme, rotations: int, seed: int,
-                              method=Method.QUADRATURE, tol: float | None = None) -> float:
-    """Max pairwise relative spread of limiting_error over random rotations of x.
-
-    The limit depends on x only through its norm, so the spread must sit at
-    the level of the integration tolerance.
-    """
-    if rotations < 2:
-        raise ValueError("need at least 2 rotations")
-    sig = _as_signal(x, scheme)
-    rng = np.random.default_rng(seed)
-    values = [limiting_error(sig, scheme, method, tol).value]
-    for _ in range(rotations):
-        qx = _random_rotation(sig.dim, rng) @ sig.x
-        values.append(limiting_error(qx, scheme, method, tol).value)
-    vmax, vmin = max(values), min(values)
-    scale = max(abs(vmax), abs(vmin), 1e-300)
-    return (vmax - vmin) / scale
 
 
 def result_csv_row(sig: SignalSpec, scheme: QuantScheme, res: LimitErrorResult) -> dict:

@@ -77,6 +77,8 @@ EPS = float(np.finfo(float).eps)
 # Largest per-term argument that ``_alt_sum_direct`` evaluates by the
 # series; beyond it the Hankel expansion is both cheaper and tighter.
 _SERIES_AUTO_X = 12.0
+# ``bessel_integral_int_order`` stops where two successive rules agree to this
+_INT_ORDER_AGREE = 1e-13
 
 
 def _series_domain_max(order: float) -> float:
@@ -219,20 +221,18 @@ def bessel_series(order: float, x: float, tol: float) -> BesselEval:
 # integral route (integer order)
 # ---------------------------------------------------------------------------
 
-def bessel_integral_int_order(n: int, x: float, quad_tol: float = 1e-13) -> BesselEval:
+def bessel_integral_int_order(n: int, x: float) -> BesselEval:
     """J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt by Gauss-Legendre.
 
     The integrand is entire, so fixed-order rules converge spectrally; the
-    order is doubled until two successive rules agree to ``quad_tol``, and
-    the disagreement (plus a summation rounding allowance) is reported as
-    the bound.  Serves as an independent oracle for the series route.
+    order is doubled until two successive rules agree to _INT_ORDER_AGREE,
+    and the disagreement (plus a summation rounding allowance) is reported
+    as the bound.  Serves as an independent oracle for the series route.
     """
     if n != int(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     if x < 0:
         raise ValueError("argument must be nonnegative")
-    if quad_tol <= 0:
-        raise ValueError("quad_tol must be positive")
     n = int(n)
     prev = None
     m = 32
@@ -241,12 +241,12 @@ def bessel_integral_int_order(n: int, x: float, quad_tol: float = 1e-13) -> Bess
         t = 0.5 * math.pi * (nodes + 1.0)
         f = np.cos(n * t - x * np.sin(t)) / math.pi
         val = 0.5 * math.pi * float(np.dot(weights, f))
-        if prev is not None and abs(val - prev) <= quad_tol:
+        if prev is not None and abs(val - prev) <= _INT_ORDER_AGREE:
             return BesselEval(n, x, val, abs(val - prev) + 4 * m * EPS)
         prev = val
         m *= 2
     raise PrecisionExhausted(
-        f"quadrature for J_{n}({x}) did not converge to {quad_tol} within budget"
+        f"quadrature for J_{n}({x}) did not converge to {_INT_ORDER_AGREE} within budget"
     )
 
 

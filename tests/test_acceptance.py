@@ -50,8 +50,8 @@ from framepcm import (
     integral_even,
     integral_odd,
     limiting_error,
+    monte_carlo_limit,
     quantize_and_reconstruct,
-    rotation_invariance_check,
     sandwich_check,
     scaling_slope_fit,
     wnh_mse,
@@ -230,13 +230,22 @@ def test_criterion_7_frame_limit_convergence_and_wnh_gap():
 
 
 def test_criterion_8_rotation_invariance():
-    devs = {}
+    # limiting_error reads x only through ||x||; Monte Carlo, the one route
+    # that reads its direction, must agree with it at rotated copies of x
     ok = True
+    worst_dev = worst_rel = 0.0
     for d in (3, 4, 5):
         x = np.zeros(d)
-        x[0] = 37.25
-        dev = rotation_invariance_check(x, UNIT, rotations=5, seed=d)
-        devs[d] = dev
-        ok &= dev <= 1e-6
-    assert _report(8, ok, f"max relative spread over 5 rotations: "
-                          f"{({d: f'{v:.2e}' for d, v in devs.items()})}")
+        x[0] = 1.3
+        lim = limiting_error(x, UNIT).value
+        rng = np.random.default_rng(d)
+        for i in range(5):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            mc = monte_carlo_limit(q @ x, UNIT, samples=10 ** 6, seed=10 * d + i)
+            dev = abs(mc.value - lim) / mc.error_estimate
+            rel = mc.error_estimate / lim
+            ok &= dev <= 3.0 and rel <= 0.05
+            worst_dev, worst_rel = max(worst_dev, dev), max(worst_rel, rel)
+    assert _report(8, ok, f"Monte Carlo at 5 random rotations of x, ||x|| = 1.3, d = 3, 4, 5: "
+                          f"worst |MC - lim|/sigma {worst_dev:.2f} (<= 3), "
+                          f"worst sigma/lim {worst_rel:.1%} (<= 5%)")

@@ -116,6 +116,20 @@ def test_sandwich_hypothesis_unmet_states():
         sandwich_check(100.25, 1.0, 1, "sideways")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: lower_bound(3, math.inf, 1.0),
+    lambda: lower_bound(3, 1e300, 1e-10),  # r/delta overflows
+    lambda: lower_bound(3, math.nan, 1.0),
+    lambda: sandwich_check(math.inf, 1.0, 2, "even"),
+    lambda: sandwich_check(1e300, 1e-10, 1, "odd"),
+    lambda: sandwich_check(100.25, 0.0, 2, "even"),
+])
+def test_non_finite_r_delta_or_ratio_raise_value_error(call):
+    # these reached math.floor(inf), a raw OverflowError
+    with pytest.raises(ValueError, match="finite r/delta"):
+        call()
+
+
 def test_sandwich_fixed_phase_defect_is_reported_not_patched():
     # the paper's fixed-phase lower bound over-claims for n = 2 at eps = 3/8:
     # the leading Bessel term's true phase is (2n+1)pi/4, which kills the

@@ -280,6 +280,14 @@ def test_non_finite_inputs_and_zero_tol_are_config_errors(tmp_path, capsys, extr
     assert json.loads(err)["error"] == "config" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra", [("--r", "inf"), ("--r", "1e300", "--delta", "1e-10")])
+def test_bounds_with_non_finite_r_over_delta_is_a_config_error(tmp_path, capsys, extra):
+    # both were a raw OverflowError from math.floor(inf)
+    assert run(tmp_path, "bounds", "--d", "3", *extra) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "config" and "Traceback" not in err
+
+
 def test_no_subcommand_is_config_error(tmp_path):
     assert run(tmp_path) == EXIT_CONFIG
 

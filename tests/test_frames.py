@@ -127,6 +127,13 @@ def test_frame_csv_rejects_non_finite_vectors(tmp_path, row):
         frame_from_csv(path)
 
 
+def test_frame_csv_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "frame.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="malformed frame CSV"):
+        frame_from_csv(path)
+
+
 def test_frame_rejects_non_unit_vectors_to_1e_12():
     v = np.array([[1.0, 0.0], [0.0, 1.0 + 2e-12]])
     with pytest.raises(ValueError, match="unit norm to 1e-12"):
