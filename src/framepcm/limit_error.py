@@ -19,13 +19,19 @@ to exactly r, which pins it down).
 The 1-D integral is computed two ways that check each other:
 
 * QUADRATURE -- Gauss-Legendre on each smooth piece, the pieces cut at
-  every jump cos t = delta(k+1/2)/r of the sawtooth.  On a piece the
-  integrand is a trigonometric polynomial of degree d, so the classical
-  Gauss-Legendre remainder (DLMF 3.5.19) with Bernstein's inequality
-  bounds the error of an order before anything is evaluated: one call
-  evaluates every piece once, at the lowest order whose bound meets the
-  rounding floor, and its estimate is that certified bound plus a model
-  of the rounding;
+  every jump u = cos t = delta(k+1/2)/r of the sawtooth.  Delta is odd,
+  so the integrand is symmetric about t = pi/2 and only u in [0, 1] is
+  integrated, then doubled.  For odd d the call works in u, where a
+  piece's integrand is the polynomial (r u - delta k) u (1 - u^2)^m of
+  degree d - 1, m = (d - 3)/2, and the (d + 1)/2-point rule is exact.
+  For even d it works in t, where a piece's integrand is a trigonometric
+  polynomial of degree d, so the classical Gauss-Legendre remainder (DLMF
+  3.5.19) with Bernstein's inequality bounds the error of an order before
+  anything is evaluated, and the call takes the lowest order whose bound
+  meets the rounding floor.  Either way every piece is evaluated once,
+  slice by slice in O(1) memory, the estimate is that bound (0 for odd d)
+  plus a model of the rounding, and past a fixed number of nodes the call
+  raises ``PrecisionExhausted`` instead;
 * BESSEL_SERIES -- the closed form through the alternating Bessel sums
   (the Fourier expansion of the sawtooth composed with the finite
   cosine-projection identities), delegated to
@@ -49,6 +55,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -81,15 +88,20 @@ _MC_BATCH = 1 << 17
 # quadrature pieces evaluated per numpy slice: bounds the quadrature's
 # memory at any R (4096 was the fastest of the sizes measured)
 _QUAD_CHUNK = 4096
-# the Gauss-Legendre orders the quadrature chooses from, lowest first
+# the most Gauss-Legendre nodes, (pieces of [0, 1]) x order, one quadrature
+# call evaluates.  A call at the cap took 0.64 s at d = 3 (R = 8.4e6), 0.74-
+# 0.84 s at d = 2, 4 and 12 (R = 4.2e6) and 0.29 s at d = 41 (R = 8e5), each
+# under 35 MB peak RSS, on a 2-vCPU VM with one BLAS thread
+_QUAD_MAX_NODES = 1 << 24
+# the Gauss-Legendre orders the even-d quadrature chooses from, lowest first
 _QUAD_ORDERS = (4, 8, 16, 32, 64, 128, 256, 512)
 # a rational upper bound on pi (math.pi lies below it)
 _PI_UP = Fraction(math.nextafter(math.pi, 4.0))
 # AUTO takes the quadrature only below this R = r/delta.  Measured per call
-# at d = 2..12 with one BLAS thread, the quadrature costs 0.12-0.14 ms
-# against the series' 0.48-0.57 ms at R = 80.3, and 0.17-0.20 ms against
-# 0.47-0.54 ms at R = 160.3: since the quadrature evaluates one order, it
-# is the cheaper route up to R ~ 500, but moving the crossover would move
+# at d = 2..12 with one BLAS thread, the quadrature costs 0.05-0.11 ms
+# against the series' 0.34-0.53 ms at R = 80.3, and 0.04-0.14 ms against
+# 0.34-0.54 ms at R = 160.3: it is the cheaper route up to R ~ 1000 for
+# even d and R ~ 2000-4000 for odd d, but moving the crossover would move
 # default values
 _AUTO_QUAD_MAX_R = 100.0
 
@@ -180,20 +192,6 @@ def angular_constant(d: int) -> float:
 # piecewise quadrature route
 # ---------------------------------------------------------------------------
 
-def _breakpoints(r: float, delta: float) -> np.ndarray:
-    """Jump locations of t |-> Delta(r cos t) in (0, pi), sorted ascending.
-
-    The cosines c come out ascending and arccos is decreasing, so reversing
-    the angles sorts them.
-    """
-    k_lo = math.floor(-r / delta - 0.5)
-    k_hi = math.ceil(r / delta + 0.5)
-    k = np.arange(k_lo, k_hi + 1, dtype=float)
-    c = delta * (k + 0.5) / r
-    c = c[(c > -1.0) & (c < 1.0)]
-    return np.arccos(c)[::-1]
-
-
 @lru_cache(maxsize=None)
 def _gl_remainder_constant(n: int) -> Fraction:
     """An upper bound on C_n = (n!)^4 / ((2n+1) ((2n)!)^3), a 64-bit dyadic.
@@ -223,8 +221,9 @@ def _quad_order(max_width: float, degree: int, sup: Fraction, threshold: float):
 
     On a piece the integrand is a trigonometric polynomial of ``degree``
     and sup-norm at most ``sup``, so Bernstein's inequality bounds its
-    2n-th derivative by degree^{2n} sup; the piece widths sum to pi.  The
-    comparison is exact, in integers.
+    2n-th derivative by degree^{2n} sup; the piece widths sum to pi/2,
+    and the folded sum counts each piece twice.  The comparison is exact,
+    in integers.
     """
     h_num, h_den = max_width.as_integer_ratio()
     h_num *= degree
@@ -239,60 +238,131 @@ def _quad_order(max_width: float, degree: int, sup: Fraction, threshold: float):
     return None, None
 
 
+def _jump_count(r: float, delta: float) -> int:
+    """K, the number of jumps u_k = delta (k + 1/2) / r of u |-> Delta(r u)
+    in (0, 1), as computed in binary64 (valid for r/delta below 2^50)."""
+    K = max(math.ceil(r / delta - 0.5), 0)
+    while K > 0 and delta * (K - 0.5) / r >= 1.0:
+        K -= 1
+    while delta * (K + 0.5) / r < 1.0:
+        K += 1
+    return K
+
+
+def _edges(r: float, delta: float, K: int, start: int, stop: int) -> np.ndarray:
+    """u_{start-1}, ..., u_{stop-1}: the ends of pieces start..stop-1 of
+    [0, 1], piece j running from the jump u_{j-1} to u_j, with u_{-1} = 0
+    and u_K = 1 standing for the ends.  On piece j, Delta(r u) = r u - delta j."""
+    u = delta * (np.arange(start, stop + 1) - 0.5) / r
+    if start == 0:
+        u[0] = 0.0
+    if stop == K + 1:
+        u[-1] = 1.0
+    return u
+
+
+def _widest_t_piece(r: float, delta: float, K: int) -> float:
+    """The largest t-width arccos u_{j-1} - arccos u_j of the pieces of
+    [0, 1] (see ``_edges``).  The widths grow with u, as arccos is concave
+    there, except for the half piece at u = 0: the widest is that one or
+    one of the two next to u = 1."""
+    def t(k):
+        return math.pi / 2 if k < 0 else 0.0 if k == K else math.acos(delta * (k + 0.5) / r)
+    return max(t(j - 1) - t(j) for j in {0, K - 1, K} if j >= 0)
+
+
 def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
     """Breakpoint-aware Gauss-Legendre for int_0^pi Delta(r cos t) cos t sin^p t dt.
 
-    On the piece between two jumps the integrand is (r cos t - delta m)
-    cos t sin^p t: a trigonometric polynomial of degree p + 2 with sup-norm
-    at most 2r + delta, whose Gauss-Legendre error ``_quad_order`` bounds
-    a priori.  The call takes the lowest order whose summed bound meets
-    the rounding floor npieces EPS delta (and leaves the target room for
-    that floor), then evaluates every piece once at that order, over
-    slices of _QUAD_CHUNK pieces: beyond the O(R) piece arrays its memory
-    is bounded at any R (about 15 MB at its peak at d = 3, R = 1e5, where
-    the order is 4).
+    Delta is odd, so the integrand is symmetric about t = pi/2: the call
+    integrates over u = cos t in [0, 1], cut at the K jumps u_k, and
+    doubles the sum (2K + 1 pieces over [0, pi]).
 
-    The estimate is the certified truncation bound plus a rounding model:
-    the floor, one rounding of about EPS delta per piece, and the relative
-    rounding of the products and the dot product.
-    ``tol`` is the target (default DEFAULT_PIECE_TOL per piece);
+    * Odd d (p odd): in u the integral is int_0^1 Delta(r u) u (1 - u^2)^m
+      du with m = (p - 1)/2, and on a piece the integrand is a polynomial
+      of degree p + 1, which the (m + 2)-point rule integrates exactly.
+    * Even d: in t on [0, pi/2], the integrand on a piece is a
+      trigonometric polynomial of degree p + 2 with sup-norm at most
+      2r + delta, whose Gauss-Legendre error ``_quad_order`` bounds a
+      priori from the widest piece, taken in closed form.  The call takes
+      the lowest order whose summed bound meets the rounding floor (and
+      leaves the target room for that floor).
+
+    Every piece is evaluated once, at that order, over slices of
+    _QUAD_CHUNK pieces generated on the fly and summed by one
+    ``math.fsum``: the memory is O(_QUAD_CHUNK) at any R (under 1 MB at
+    d = 3).  Above _QUAD_MAX_NODES nodes the call raises
+    ``PrecisionExhausted`` before evaluating anything.
+
+    The estimate is the truncation bound (0 for odd d) plus a rounding
+    model: the floor npieces EPS delta, one rounding of about EPS delta
+    per piece, and the relative rounding of the products and the dot
+    product.  ``tol`` is the target (default DEFAULT_PIECE_TOL per piece);
     ``PrecisionExhausted`` when the estimate would exceed it or no order
-    of _QUAD_ORDERS is fine enough.  Returns (value, estimate, piece
-    count).
+    of _QUAD_ORDERS is fine enough.  Returns (value, estimate, piece count
+    over [0, pi]).
     """
     if tol is not None and not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    pts = np.concatenate(([0.0], _breakpoints(r, delta), [math.pi]))
-    widths = np.diff(pts)
-    keep = widths > 1e-15
-    lo = pts[:-1][keep]
-    half = 0.5 * widths[keep]
-    npieces = lo.size
+    # at least 2 nodes on each of the K + 1 >= R + 1/2 pieces of [0, 1]
+    if 2.0 * r / delta + 1.0 > _QUAD_MAX_NODES:
+        raise PrecisionExhausted(f"piecewise quadrature needs more than {_QUAD_MAX_NODES} "
+                                 f"nodes (r={r}, delta={delta})")
+    K = _jump_count(r, delta)
+    npieces = 2 * K + 1
     target = tol if tol is not None else DEFAULT_PIECE_TOL * npieces
     floor = npieces * EPS * delta
-    order, bound = _quad_order(2.0 * float(half.max()), sin_pow + 2,
-                               2 * Fraction(r) + Fraction(delta), min(floor, target - floor))
-    if order is not None:
-        # the products and the order-term dot product round a piece by at
-        # most (order + p + 6) EPS/2 of its integral of |f| (the gamma_n
-        # bound), and |f| <= min(r, delta/2) |cos t| sin^p t integrates to
-        # at most 2 min(r, delta/2) / (p + 1)
-        relative = (order + sin_pow + 6) * EPS * min(r, 0.5 * delta) / (sin_pow + 1)
-        estimate = bound + floor + relative
-    if order is None or estimate > target:
+    odd = sin_pow % 2 == 1
+    if odd:
+        m = (sin_pow - 1) // 2
+        # (1 - u)(1 + u) rounds w = 1 - u^2 by 3 EPS/2 at most, w^m by 3m
+        # of them plus 4 ulp of pow; the piece's products, its dot product
+        # and its scaling by the half-width add order + 6
+        order, bound = m + 2, 0.0
+        ops = order + 3 * m + 14
+    else:
+        order, bound = _quad_order(_widest_t_piece(r, delta, K), sin_pow + 2,
+                                   2 * Fraction(r) + Fraction(delta),
+                                   min(floor, target - floor))
+        if order is None:
+            raise PrecisionExhausted(f"piecewise quadrature did not reach {target:.3e}: no order "
+                                     f"up to {_QUAD_ORDERS[-1]} is fine enough (r={r}, delta={delta})")
+        ops = order + sin_pow + 6
+    # the products and the order-term dot product round a piece by at most
+    # ops EPS/2 of its integral of |f| (the gamma_n bound), and |f| <=
+    # min(r, delta/2) |cos t| sin^p t integrates to at most 2 min(r, delta/2) / (p + 1)
+    estimate = bound + floor + ops * EPS * min(r, 0.5 * delta) / (sin_pow + 1)
+    if estimate > target:
         raise PrecisionExhausted(
             f"piecewise quadrature did not reach {target:.3e} (r={r}, delta={delta})"
         )
-    scheme = QuantScheme(delta)
-    pieces = np.empty(npieces)
+    if (K + 1) * order > _QUAD_MAX_NODES:
+        raise PrecisionExhausted(f"piecewise quadrature needs {(K + 1) * order} nodes, more "
+                                 f"than {_QUAD_MAX_NODES} (r={r}, delta={delta})")
     nodes, weights = gauss_legendre(order)
-    for start in range(0, npieces, _QUAD_CHUNK):
-        part = slice(start, start + _QUAD_CHUNK)
-        theta = lo[part, None] + half[part, None] * (nodes[None, :] + 1.0)
-        cos = np.cos(theta)
-        f = quant_error(r * cos, scheme) * cos * np.sin(theta) ** sin_pow
-        pieces[part] = half[part] * (f @ weights)
-    return math.fsum(pieces.tolist()), estimate, npieces
+    shifted = nodes + 1.0
+
+    def slices():
+        for start in range(0, K + 1, _QUAD_CHUNK):
+            stop = min(start + _QUAD_CHUNK, K + 1)
+            u = _edges(r, delta, K, start, stop)
+            step = delta * np.arange(start, stop)[:, None]
+            if odd:
+                half = 0.5 * (u[1:] - u[:-1])
+                x = u[:-1, None] + half[:, None] * shifted
+                f = (r * x - step) * x
+                if m:
+                    f *= ((1.0 - x) * (1.0 + x)) ** m
+            else:
+                t = np.arccos(u)
+                half = 0.5 * (t[:-1] - t[1:])
+                theta = t[1:, None] + half[:, None] * shifted
+                cos = np.cos(theta)
+                f = (r * cos - step) * cos * np.sin(theta) ** sin_pow
+            # fsum reads and drops one float at a time: no list of a slice's floats
+            yield memoryview(half * (f @ weights))
+
+    return 2.0 * math.fsum(chain.from_iterable(slices())), estimate, npieces
 
 
 # ---------------------------------------------------------------------------

@@ -488,3 +488,31 @@ def test_bounds_report_at_d_500_exits_without_a_traceback(tmp_path, capsys):
     err = _last_json_line(capsys)
     assert err == {"error": "precision-exhausted",
                    "detail": "the even bound coefficient at n=250 leaves binary64"}
+
+
+@pytest.mark.parametrize("argv, codes", [
+    (("limit", "--methods", "quadrature", "--d", "3", "--r", "1e9", "--delta", "1"),
+     (EXIT_PRECISION,)),
+    (("limit", "--d", "41", "--r", "1000000000.3", "--delta", "1"), (EXIT_OK, EXIT_PRECISION)),
+    (("bounds", "--d", "41", "--r", "1000000000.3", "--delta", "1"), (EXIT_OK, EXIT_PRECISION)),
+])
+def test_quadrature_at_r_1e9_exits_without_a_traceback(tmp_path, capsys, argv, codes):
+    # the quadrature refuses past its node cap before it evaluates a piece;
+    # at d = 41 these printed a numpy MemoryError traceback (14.9 GiB of
+    # breakpoints)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in codes and peak <= 100e6
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == EXIT_PRECISION:
+        assert json.loads(err.strip().splitlines()[-1]) == {
+            "error": "precision-exhausted",
+            "detail": "piecewise quadrature needs more than 16777216 nodes "
+                      f"(r={float(argv[argv.index('--r') + 1])}, delta=1.0)"}

@@ -360,6 +360,15 @@ def test_gauss_legendre_remainder_constant_is_rounded_up():
 _PI_ABOVE = Fraction(314159265358979324, 10 ** 17)
 
 
+def _half_range_widths(r, delta):
+    """The t-widths of the quadrature's pieces of [0, pi/2], cut at
+    t = arccos(delta (k + 1/2) / r), apart from the code under test."""
+    k = np.arange(math.ceil(r / delta + 0.5) + 1, dtype=float)
+    c = delta * (k + 0.5) / r
+    pts = np.concatenate(([0.0], np.arccos(c[c < 1.0])[::-1], [math.pi / 2]))
+    return np.diff(pts)
+
+
 @pytest.mark.parametrize("d, R, delta", [
     (2, 0.3, 1.0), (3, 10.3, 1.0), (12, 5.3, 0.37), (40, 100.375, 1.0),
     (3, 1e5 + 0.3, 1.0), (8, 2000.3, 1.0 / 16.0), (2, 10.5 + 1e-7, 1.0), (7, 0.8, 3.0),
@@ -374,11 +383,17 @@ def test_quadrature_takes_the_lowest_order_its_bound_certifies(monkeypatch, d, R
     r = R * delta
     value, estimate, npieces = limit_error._quad_integral(r, delta, d - 2, None)
     [n] = orders  # every piece at one order, in one pass
-    pts = np.concatenate(([0.0], limit_error._breakpoints(r, delta), [math.pi]))
-    widths = np.diff(pts)
-    widths = widths[widths > 1e-15]
-    assert widths.size == npieces
+    widths = _half_range_widths(r, delta)
+    assert 2 * widths.size - 1 == npieces  # pieces over [0, pi]: the middle one folds in two
     floor = npieces * EPS * delta
+    if d % 2:
+        # in u = cos t a piece's integrand is a polynomial of degree d - 1, which the
+        # (d + 1)/2-point rule integrates exactly: the estimate is the rounding model
+        # alone, (order + 3m + 14) EPS/2 of the integral of |f| <= 2 min(r, delta/2)/(d - 1)
+        m = (d - 3) // 2
+        assert n == (d + 1) // 2
+        assert estimate == floor + (n + 3 * m + 14) * EPS * min(r, 0.5 * delta) / (d - 1)
+        return
     # C_n (h_max d)^{2n} (2r + delta) pi: the summed Gauss-Legendre remainder
     # on trigonometric polynomials of degree d, sup-norm <= 2r + delta
     spread = (Fraction(float(widths.max())) * d, (2 * Fraction(r) + Fraction(delta)) * _PI_ABOVE)
@@ -401,11 +416,38 @@ def test_quadrature_raises_for_a_target_below_its_rounding_floor():
 
 
 def test_breakpoints_come_out_sorted():
-    from framepcm.limit_error import _breakpoints
+    # the pieces of [0, 1] run between the K jumps delta (k + 1/2)/r in (0, 1);
+    # generated slice by slice, their ends ascend from 0 to 1 and the slices meet
+    from framepcm.limit_error import _edges, _jump_count
 
-    for r, delta in ((0.7, 1.0), (10.5 + 1e-9, 1.0), (2000.3, 1.0 / 16.0), (1e5 + 0.3, 0.37)):
-        t = _breakpoints(r, delta)
-        assert np.array_equal(t, np.sort(t))
+    for r, delta in ((0.3, 1.0), (0.7, 1.0), (10.5 + 1e-9, 1.0), (2000.3, 1.0 / 16.0),
+                     (1e5 + 0.3, 0.37)):
+        K = _jump_count(r, delta)
+        k = np.arange(math.ceil(r / delta + 0.5) + 1, dtype=float)
+        c = delta * (k + 0.5) / r
+        assert np.count_nonzero(c < 1.0) == K
+        whole = _edges(r, delta, K, 0, K + 1)
+        assert whole[0] == 0.0 and whole[-1] == 1.0 and np.all(np.diff(whole) > 0)
+        assert np.array_equal(whole[1:-1], c[:K])
+        parts = [_edges(r, delta, K, start, min(start + 333, K + 1))
+                 for start in range(0, K + 1, 333)]
+        assert np.array_equal(np.concatenate([parts[0]] + [p[1:] for p in parts[1:]]), whole)
+
+
+@pytest.mark.parametrize("d", [3, 5, 11])
+def test_odd_d_quadrature_is_exact_below_the_first_jump(d):
+    # at R < 1/2 Delta(r u) = r u, and the integral is r int_{-1}^{1} u^2 (1 - u^2)^m du
+    # = r m! 2^{m+1} / (3 5 ... (2m + 3)), m = (d - 3)/2: exact for the (m + 2)-point rule
+    from framepcm.limit_error import _quad_integral
+
+    m = (d - 3) // 2
+    rational = Fraction(math.factorial(m) * 2 ** (m + 1), math.prod(range(3, 2 * m + 4, 2)))
+    for r, delta in ((0.3, 1.0), (0.049, 0.1), (1e-3, 7.0)):
+        value, estimate, npieces = _quad_integral(r, delta, d - 2, None)
+        exact = Fraction(r) * rational
+        assert npieces == 1
+        assert abs(Fraction(value) - exact) <= estimate
+        assert abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
 
 def _quadrature_oracle_points():
@@ -443,15 +485,17 @@ def test_quadrature_route_against_breakpoint_sum_oracle():
 
 def test_quadrature_route_at_large_R_against_the_d3_closed_form():
     # x.z is uniform on [-R, R] for z on S^2: lim = 3 |int_0^R Delta(s) s ds| / R^2,
-    # K (v^2/2 - 1/24) + v^3/3 for K = floor(R + 1/2), v = R - K (delta = 1)
+    # K (v^2/2 - 1/24) + v^3/3 for K = floor(R + 1/2), v = R - K (delta = 1);
+    # at R = 4e6, 2 nodes on each of 4e6 pieces of [0, 1] take about 0.3 s
     mpmath = pytest.importorskip("mpmath")
-    R = 1e5 + 0.3
-    res = limiting_error(_x(3, R), UNIT, Method.QUADRATURE)
-    with mpmath.workdps(40):
-        v = mpmath.mpf(R) - math.floor(R + 0.5)
-        exact = float(3 * abs(math.floor(R + 0.5) * (v * v / 2 - mpmath.mpf(1) / 24)
-                              + v ** 3 / 3) / mpmath.mpf(R) ** 2)
-    assert abs(res.value - exact) <= res.error_estimate
+    for R in (1e5 + 0.3, 1e6 + 0.3, 4e6 + 0.7):
+        res = limiting_error(_x(3, R), UNIT, Method.QUADRATURE)
+        assert res.breakpoint_count == 2 * math.floor(R + 0.5) + 1
+        with mpmath.workdps(40):
+            v = mpmath.mpf(R) - math.floor(R + 0.5)
+            exact = float(3 * abs(math.floor(R + 0.5) * (v * v / 2 - mpmath.mpf(1) / 24)
+                                  + v ** 3 / 3) / mpmath.mpf(R) ** 2)
+        assert abs(res.value - exact) <= res.error_estimate, R
 
 
 # ---------------------------------------------------------------------------
@@ -528,20 +572,36 @@ def test_quadrature_memory_is_bounded_at_large_R():
 
     from framepcm.limit_error import _quad_integral
 
-    tracemalloc.start()
-    try:
-        _quad_integral(1e5 + 0.3, 1.0, 1, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32e6  # one slice of all pieces x nodes took ~240 MB
+    for R in (1e5 + 0.3, 4e6 + 0.3):
+        tracemalloc.start()
+        try:
+            _quad_integral(R, 1.0, 1, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the pieces are generated slice by slice, so the peak does not grow with R
+        assert peak <= 2e6, R
+
+
+def test_quadrature_refuses_beyond_its_node_cap(monkeypatch):
+    # both checks come before any piece is evaluated (the rule is never fetched)
+    from framepcm import limit_error
+
+    monkeypatch.setattr(limit_error, "gauss_legendre", None)
+    for r, sin_pow in ((1e9, 1), (1e9 + 0.3, 39), (1e9 + 0.3, 62)):
+        with pytest.raises(PrecisionExhausted, match="nodes"):
+            limit_error._quad_integral(r, 1.0, sin_pow, None)
+    # d = 41: 21 nodes on each of 500,001 pieces of [0, 1]
+    monkeypatch.setattr(limit_error, "_QUAD_MAX_NODES", 21 * 500_001 - 1)
+    with pytest.raises(PrecisionExhausted, match="10500021 nodes"):
+        limit_error._quad_integral(5e5 + 0.3, 1.0, 39, None)
 
 
 def test_quadrature_chunks_cover_every_piece(monkeypatch):
     from framepcm import limit_error
 
     whole = limit_error._quad_integral(2000.3, 1.0, 4, None)
-    monkeypatch.setattr(limit_error, "_QUAD_CHUNK", 333)  # 4001 pieces, a partial last slice
+    monkeypatch.setattr(limit_error, "_QUAD_CHUNK", 333)  # 2001 pieces of [0, 1], a partial last slice
     value, estimate, pieces = limit_error._quad_integral(2000.3, 1.0, 4, None)
     assert pieces == whole[2] == 4001
     # the pieces may round differently in another slicing (the BLAS kernel
