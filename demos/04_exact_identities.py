@@ -44,7 +44,7 @@ for m in range(1, 6):
 
 print("\nclosed forms of the projection integrals (exact rationals):")
 for n in (1, 2, 3):
-    row = [L_closed(n, m).rational for m in range(n)]
+    row = [L_closed(n, m) for m in range(n)]
     print(f"  even, n={n}: {row} (times pi)")
 for n in (1, 2):
     row = [D_closed(n, m) for m in range(4)]

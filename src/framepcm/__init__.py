@@ -35,11 +35,10 @@ from .special_fn import (
     bessel_half_order,
     bessel_large_x,
     asymptotic_estimate,
-    alternating_bessel_sum,
+    alternating_bessel_sum_info,
+    alternating_bessel_sums,
 )
 from .combinatorics import (
-    ScaledConstant,
-    Scale,
     binom,
     check_identity_A,
     check_identity_B,

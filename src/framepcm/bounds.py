@@ -47,8 +47,8 @@ import numpy as np
 
 # limiting_error is not called here but stays importable from this module:
 # perfbench/tracing.py wraps framepcm.bounds.limiting_error
-from .limit_error import (Method, _integral_full, angular_constant, limiting_error,  # noqa: F401
-                          limiting_error_grid, parity_split)
+from .limit_error import (Method, _base_coef, _checked_ratio, _integral_full,  # noqa: F401
+                          angular_constant, limiting_error, limiting_error_grid, parity_split)
 from .special_fn import PrecisionExhausted, _zeta_em
 
 __all__ = [
@@ -82,15 +82,6 @@ _WINDOW_SLACK = 1e-9
 
 def _in_window(eps: float, window) -> bool:
     return window[0] - _WINDOW_SLACK <= eps <= window[1] + _WINDOW_SLACK
-
-
-def _checked_ratio(r: float, delta: float) -> float:
-    """R = r/delta; ``ValueError`` unless r, delta and R are positive and
-    finite (floor(R) overflows at R = inf)."""
-    if not (0 < r < math.inf and 0 < delta < math.inf and r / delta < math.inf):
-        raise ValueError(f"need finite r, delta > 0 with a finite r/delta, "
-                         f"got r={r}, delta={delta}")
-    return r / delta
 
 
 @lru_cache(maxsize=None)
@@ -155,29 +146,6 @@ class BoundReport:
 
 BOUND_CSV_FIELDS = ["d", "r", "delta", "eps", "lower", "upper_scaling", "M",
                     "I_const", "C_const", "window_ok"]
-
-
-def _base_coef(n: int, parity: str) -> float:
-    """(n-1)! C(2n-2, n-1) / (2^{2n-2} pi^n) (even) or (n-1)! / pi^{n+1}
-    (odd), pi being math.pi, within 2 ulps; ``PrecisionExhausted`` where it
-    leaves binary64 (from n = 221 even, n = 220 odd: d >= 441).
-
-    The integer ratio is divided first, as Python's int / int is correctly
-    rounded; a power of two taken out of it beforehand, and put back
-    after the division by pi^n, keeps it below overflow.
-    """
-    if parity == "even":
-        num, den, power = math.factorial(n - 1) * math.comb(2 * n - 2, n - 1), 4 ** (n - 1), n
-    else:
-        num, den, power = math.factorial(n - 1), 1, n + 1
-    shift = max(0, num.bit_length() - den.bit_length() - 1000)
-    try:
-        value = math.ldexp(num / (den << shift) / math.pi ** power, shift)
-    except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise PrecisionExhausted(f"the {parity} bound coefficient at n={n} leaves binary64")
-    return value
 
 
 def _coefs(eps: float, n: int, parity: str, order_matched_phase: bool):

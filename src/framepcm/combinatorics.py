@@ -25,16 +25,12 @@ to the largest h requested.  No sum and no check result is cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul
 
 __all__ = [
-    "Scale",
-    "ScaledConstant",
     "binom",
     "check_identity_A",
     "check_identity_B",
@@ -48,24 +44,6 @@ __all__ = [
     "identity_suites",
     "weighted_sum_A",
 ]
-
-
-class Scale(Enum):
-    ONE = 1
-    PI = 2
-    SQRT_PI = 3
-
-
-@dataclass(frozen=True)
-class ScaledConstant:
-    """An exact rational times 1, pi, or sqrt(pi)."""
-
-    rational: Fraction
-    scale: Scale
-
-    def __float__(self) -> float:
-        factor = {Scale.ONE: 1.0, Scale.PI: math.pi, Scale.SQRT_PI: math.sqrt(math.pi)}
-        return float(self.rational) * factor[self.scale]
 
 
 def binom(n: int, k: int) -> int:
@@ -241,19 +219,17 @@ def check_gould(n: int, h: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def L_closed(n: int, m: int) -> ScaledConstant:
-    """Closed form of int_{-pi}^{pi} cos((2m+1)t) cos(t) sin^{2n-2}(t) dt.
+def L_closed(n: int, m: int) -> Fraction:
+    """The rational L/pi, L = int_{-pi}^{pi} cos((2m+1)t) cos(t) sin^{2n-2}(t) dt.
 
-    Equals (-1)^m * pi/2^{2n-2} * C(2n-2, n+m-1) * (2m+1)/(n+m); the binomial
-    convention makes it exactly zero for m >= n.
+    L = (-1)^m * pi/2^{2n-2} * C(2n-2, n+m-1) * (2m+1)/(n+m), so the
+    returned Fraction is (-1)^m C(2n-2, n+m-1) (2m+1) / (2^{2n-2} (n+m));
+    the binomial convention makes it exactly zero for m >= n.
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    rat = Fraction(
-        (-1) ** m * binom(2 * n - 2, n + m - 1) * (2 * m + 1),
-        2 ** (2 * n - 2) * (n + m),
-    )
-    return ScaledConstant(rational=rat, scale=Scale.PI)
+    return Fraction((-1) ** m * binom(2 * n - 2, n + m - 1) * (2 * m + 1),
+                    2 ** (2 * n - 2) * (n + m))
 
 
 @lru_cache(maxsize=None)
@@ -279,9 +255,9 @@ _ROW_BLOCK = 32  # a row grows by this many m at a time and serves every h below
 
 @lru_cache(maxsize=None)
 def _cleared_row(odd: bool, n: int, size: int) -> tuple[int, tuple[int, ...]]:
-    """(den, a) with a[m] / den == D_closed(n, m) (odd) or L_closed(n, m)/pi
+    """(den, a) with a[m] / den == D_closed(n, m) (odd) or L_closed(n, m)
     (even) for m < size: one row of a closed-form table over one denominator."""
-    vals = [D_closed(n, m) if odd else L_closed(n, m).rational for m in range(size)]
+    vals = [(D_closed if odd else L_closed)(n, m) for m in range(size)]
     den = math.lcm(*(v.denominator for v in vals))
     return den, tuple(v.numerator * (den // v.denominator) for v in vals)
 

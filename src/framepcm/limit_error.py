@@ -51,6 +51,7 @@ coarse referee for both, and the only route that reads x beyond ||x||.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -154,15 +155,26 @@ class ParitySplit(NamedTuple):
 
 
 def _binary64(compute, what: str, r: float, delta: float) -> float:
-    """compute(), or ``PrecisionExhausted`` where its value overflows or
-    underflows to zero, which no route's target or prefactor survives."""
+    """compute(), or ``PrecisionExhausted`` named after ``what`` where it, or
+    a factor of it, overflows or underflows below the normal range (a
+    subnormal has lost relative precision), which no route's target or
+    prefactor survives."""
     try:
         value = compute()
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, PrecisionExhausted):
         value = math.nan
-    if not 0.0 < abs(value) < math.inf:
+    if not sys.float_info.min <= abs(value) < math.inf:
         raise PrecisionExhausted(f"{what} leaves binary64 (r={r}, delta={delta})")
     return value
+
+
+def _checked_ratio(r: float, delta: float) -> float:
+    """R = r/delta; ``ValueError`` unless r, delta and R are positive and
+    finite (floor(R) overflows at R = inf)."""
+    if not (0 < r < math.inf and 0 < delta < math.inf and r / delta < math.inf):
+        raise ValueError(f"need finite r, delta > 0 with a finite r/delta, "
+                         f"got r={r}, delta={delta}")
+    return r / delta
 
 
 def parity_split(d: int) -> ParitySplit:
@@ -369,18 +381,28 @@ def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
 # Bessel-series route
 # ---------------------------------------------------------------------------
 
-def _even_prefactor(r: float, delta: float, n: int) -> float:
-    return (
-        -(1.0 / math.pi ** n)
-        * (delta ** n / r ** (n - 1))
-        * (math.pi / 2 ** (2 * n - 2))
-        * math.comb(2 * n - 2, n - 1)
-        * math.factorial(n - 1)
-    )
+def _base_coef(n: int, parity: str) -> float:
+    """(n-1)! C(2n-2, n-1) / (2^{2n-2} pi^n) (even) or (n-1)! / pi^{n+1}
+    (odd), pi being math.pi, within 2 ulps: the leading coefficient of the
+    series prefactor and of the bounds.  ``PrecisionExhausted`` where it
+    leaves binary64 (from n = 221 even, n = 220 odd: d >= 441).
 
-
-def _odd_prefactor(r: float, delta: float, n: int) -> float:
-    return -(math.factorial(n - 1) / math.pi ** n) * (delta ** (n + 0.5) / r ** (n - 0.5))
+    The integer ratio is divided first, as Python's int / int is correctly
+    rounded; a power of two taken out of it beforehand, and put back
+    after the division by pi^n, keeps it below overflow.
+    """
+    if parity == "even":
+        num, den, power = math.factorial(n - 1) * math.comb(2 * n - 2, n - 1), 4 ** (n - 1), n
+    else:
+        num, den, power = math.factorial(n - 1), 1, n + 1
+    shift = max(0, num.bit_length() - den.bit_length() - 1000)
+    try:
+        value = math.ldexp(num / (den << shift) / math.pi ** power, shift)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise PrecisionExhausted(f"the {parity} bound coefficient at n={n} leaves binary64")
+    return value
 
 
 def _series_target(r: float, delta: float, split: ParitySplit, tol: float | None) -> float:
@@ -389,8 +411,11 @@ def _series_target(r: float, delta: float, split: ParitySplit, tol: float | None
 
 
 def _series_prefactor(r: float, delta: float, split: ParitySplit) -> float:
-    prefactor = _even_prefactor if split.parity == "even" else _odd_prefactor
-    return _binary64(lambda: prefactor(r, delta, split.n),
+    """-pi * _base_coef * scale * sqrt(r/delta), the factor that turns the
+    alternating sum into the 1-D integral; ``PrecisionExhausted`` where it,
+    the coefficient (d >= 441) or the scale leaves binary64."""
+    return _binary64(lambda: -_base_coef(split.n, split.parity) * split.scale(r, delta)
+                     * math.pi * math.sqrt(r / delta),
                      f"the order-{split.order:g} series prefactor", r, delta)
 
 
@@ -480,8 +505,7 @@ def _auto_integrals(r: float, deltas: list, split: ParitySplit, tol: float | Non
 def _integral_full(r, delta, split: ParitySplit, method, tol) -> _Integral:
     """The 1-D integral by ``method``; AUTO resolves to the route that runs
     (see :func:`_auto_integrals`)."""
-    if not (r > 0 and delta > 0):
-        raise ValueError("need r > 0 and delta > 0")
+    _checked_ratio(r, delta)
     method = _as_method(method)
     if method == Method.AUTO:
         return _auto_integrals(r, [delta], split, tol)[0]
@@ -584,8 +608,8 @@ def limiting_error_grid(d: int, r: float, deltas, tol: float | None = None) -> l
     if d < 2:
         raise ValueError("need dimension >= 2")
     deltas = [float(delta) for delta in deltas]
-    if not (r > 0 and all(delta > 0 for delta in deltas)):
-        raise ValueError("need r > 0 and delta > 0")
+    for delta in deltas:
+        _checked_ratio(r, delta)
     dcd = d * angular_constant(d)
     return [_lifted(dcd, res) for res in _auto_integrals(r, deltas, parity_split(d), tol)]
 

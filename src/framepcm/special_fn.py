@@ -20,15 +20,17 @@ against each other:
   makes the expansion a certified method (and an exact one for
   half-integer orders, where it terminates).
 
-On top of these, ``alternating_bessel_sum`` evaluates
+On top of these, ``alternating_bessel_sums`` evaluates
 
     S = sum_{k>=1} (-1)^k k^{-p} J_alpha(2 pi k R)
 
-with a certified bound, and ``alternating_bessel_sums`` evaluates it at many
-R for one (alpha, p) at once: the rows share the tables and the K ladder,
-each row's sums run over widths of its own, so its result does not depend
-on the other rows, and ``alternating_bessel_sum_info`` is its one-row case.  Direct summation is hopeless for small p (the
-certified tail decays like K^{-p+1/2}), so the tail is *computed*: the
+with a certified bound at many R for one (alpha, p) at once: the rows
+share the tables and the K ladder, and each row's sums run over widths of
+its own, so its result does not depend on the other rows.
+``alternating_bessel_sum_info`` is its one-row case, and returns the
+truncation index K beside the value.  Direct summation is hopeless for
+small p (the certified tail decays like K^{-p+1/2}), so the tail is
+*computed*: the
 Hankel expansion turns it into a handful of phase sums
 sum_{k>K} z^k k^{-q} with |z| = 1, all at q = p + 1/2 + integer.  For
 z = e^{2 pi i beta} != 1 each is Li_q(z) minus the head sum_{k<=K}, with
@@ -66,7 +68,6 @@ __all__ = [
     "bessel_half_order",
     "bessel_large_x",
     "asymptotic_estimate",
-    "alternating_bessel_sum",
     "alternating_bessel_sum_info",
     "alternating_bessel_sums",
     "gauss_legendre",
@@ -887,23 +888,12 @@ def alternating_bessel_sums(order: float, p: float, R, tol) -> list:
 
 
 def alternating_bessel_sum_info(order: float, p: float, R: float, tol: float):
-    """Like :func:`alternating_bessel_sum` but also reports the direct-part
-    truncation index K as ``(BesselEval, K)``; the one-row case of
-    :func:`alternating_bessel_sums`."""
+    """Certified sum_{k>=1} (-1)^k k^{-p} J_order(2 pi k R) as ``(BesselEval,
+    K)``, the BesselEval at argument 2 pi R: the first K terms directly, the
+    rest analytically from the Hankel expansion as unit-modulus phase sums,
+    K growing until the bound fits ``tol`` (else ``PrecisionExhausted``
+    with the best bound reached).  One row of :func:`alternating_bessel_sums`."""
     (res,) = alternating_bessel_sums(order, p, [R], [tol])
     if isinstance(res, PrecisionExhausted):
         raise res
     return res
-
-
-def alternating_bessel_sum(order: float, p: float, R: float, tol: float) -> BesselEval:
-    """Certified evaluation of sum_{k>=1} (-1)^k k^{-p} J_order(2 pi k R).
-
-    The first K terms are evaluated directly (series or Hankel per term);
-    the rest of the sum is computed analytically from the Hankel expansion
-    as a combination of unit-modulus phase sums.  K grows until the total
-    certified bound fits ``tol``; if it never does, PrecisionExhausted
-    reports the best achieved bound.  The returned BesselEval carries the
-    base argument 2*pi*R.
-    """
-    return alternating_bessel_sum_info(order, p, R, tol)[0]

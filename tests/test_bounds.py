@@ -9,7 +9,10 @@ from framepcm import (
     M2_constant,
     Method,
     QuantScheme,
+    integral_even,
+    integral_odd,
     limiting_error,
+    limiting_error_grid,
     lower_bound,
     sandwich_check,
     scaling_slope_fit,
@@ -123,9 +126,19 @@ def test_sandwich_hypothesis_unmet_states():
     lambda: sandwich_check(math.inf, 1.0, 2, "even"),
     lambda: sandwich_check(1e300, 1e-10, 1, "odd"),
     lambda: sandwich_check(100.25, 0.0, 2, "even"),
+    lambda: integral_even(math.inf, 1.0, 2),
+    lambda: limiting_error_grid(3, math.inf, [1.0]),
+    lambda: integral_odd(2.0, math.inf, 1),
+    lambda: integral_even(1e308, 1e-308, 2),  # r/delta overflows
+    lambda: scaling_slope_fit(3, math.inf, 0.25, range(100, 110)),
+    lambda: integral_even(1.0, math.inf, 2),
+    lambda: limiting_error_grid(3, 1.0, [math.inf]),
 ])
 def test_non_finite_r_delta_or_ratio_raise_value_error(call):
-    # these reached math.floor(inf), a raw OverflowError
+    # the bounds reached math.floor(inf), a raw OverflowError; the 1-D
+    # integrals and the grid raised PrecisionExhausted from the quadrature
+    # or a raw OverflowError, and the slope fit a float-to-int conversion
+    # error
     with pytest.raises(ValueError, match="finite r/delta"):
         call()
 

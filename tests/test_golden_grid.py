@@ -52,3 +52,22 @@ def test_compare_divides_by_each_files_own_bound(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "|dvalue|/bound 0.63 of A, 1.9 of B" in out
     assert "largest |dvalue|/bound 0.63 of A, 1.9 of B" in out
+
+
+def test_compare_tells_removed_and_added_keys_from_moved_ones(tmp_path, capsys):
+    # a closed form that returned a (rational, scale) pair and now returns
+    # the rational alone: two keys only in A, one only in B, none moved
+    at = "combinatorics/L_closed/n=2/m=0"
+    a = {f"{at}/rational": "Fraction(1, 4)", f"{at}/scale": "2", "zeta_tail/p=2.0": "0.6"}
+    b = {at: "Fraction(1, 4)", "zeta_tail/p=2.0": repr(0.6 + 1e-16)}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    assert _golden_grid().compare(str(pa), str(pb)) == 1
+    out = capsys.readouterr().out
+    assert f"{at}/rational: only in A (Fraction(1, 4))" in out
+    assert f"{at}: only in B (Fraction(1, 4))" in out
+    assert "<missing>" not in out and "inf" not in out
+    assert "prefix combinatorics/L_closed: 3 keys differ: 2 only in A, 1 only in B, 0 moved\n" in out
+    assert "prefix zeta_tail: 1 keys differ: 0 only in A, 0 only in B, 1 moved" in out
+    assert "4 of 4 keys differ; largest relative difference of a moved key 1.85e-16" in out

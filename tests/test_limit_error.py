@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -533,6 +534,40 @@ def test_series_route_at_d_500_raises_precision_exhausted(d, R):
     # this was a raw OverflowError
     with pytest.raises(PrecisionExhausted, match="prefactor leaves binary64"):
         limiting_error(_x(d, R), UNIT, Method.BESSEL_SERIES)
+
+
+@pytest.mark.parametrize("r, delta", [(370.111, 0.37), (20.3, 1.0), (3.7, 0.0625),
+                                      (100.375, 1.0)])
+def test_series_prefactor_against_mpmath(r, delta):
+    # the prefactor is -pi * (bound coefficient) * scale * sqrt(r/delta);
+    # the reference is the closed form at 40 digits and the true pi.  A
+    # float formula of its own was off by 1.8e-4 at d = 158, r = 370.111
+    # (a subnormal intermediate) and raised from d = 160 on there.  Where
+    # the scale leaves the normal range, so does the series' default
+    # target, and the prefactor raises too
+    mpmath = pytest.importorskip("mpmath")
+    from framepcm.limit_error import _series_prefactor
+
+    def normal(v):
+        return sys.float_info.min <= abs(v) <= sys.float_info.max
+
+    with mpmath.workdps(40):
+        rm, dm = mpmath.mpf(r), mpmath.mpf(delta)
+        for d in range(2, 441):
+            split = parity_split(d)
+            n = split.n
+            if split.parity == "even":
+                ref = -(mpmath.factorial(n - 1) * mpmath.binomial(2 * n - 2, n - 1)
+                        / (4 ** (n - 1) * mpmath.pi ** (n - 1)) * dm ** n / rm ** (n - 1))
+            else:
+                ref = -mpmath.factorial(n - 1) / mpmath.pi ** n * dm ** (n + 0.5) / rm ** (n - 0.5)
+            scale = dm ** split.s / rm ** (split.s - 1)
+            if normal(ref) and normal(scale):
+                got = _series_prefactor(r, delta, split)
+                assert abs(got / ref - 1) <= 1e-14, d
+            else:
+                with pytest.raises(PrecisionExhausted, match="prefactor leaves binary64"):
+                    _series_prefactor(r, delta, split)
 
 
 def test_scale_that_leaves_binary64_raises_precision_exhausted():

@@ -14,7 +14,7 @@ recorded as ``raise <Type>: <message>``.  The grid:
   d = 2..12, R = r/delta in RS, delta in DELTAS;
 * ``lower_bound`` and ``sandwich_check`` with both kernel phases on the
   same points (d >= 3);
-* ``bessel_large_x`` at XS and ``alternating_bessel_sum`` (p = order) at
+* ``bessel_large_x`` at XS and ``alternating_bessel_sum_info`` (p = order) at
   RS, for the orders 0, 1/2, ..., 12;
 * ``zeta_tail``, ``M1_constant`` and ``M2_constant``;
 * ``scaling_slope_fit`` at d = 3..12 over the default sweep of
@@ -32,15 +32,16 @@ recorded as ``raise <Type>: <message>``.  The grid:
   ``framepcm verify --max M`` writes through ``cli.main``, for M = 1..COMB_MAX
   (``verify/max=<M>/<suite>``).
 
-The second form prints every key whose value differs between the two
-files, with its relative difference and, for a ``/value`` key, |Δvalue|
-over the key's own certified bound (``abs_error_bound`` or
-``error_estimate``) in each file, "of A" and "of B": when a change
-tightens a bound, a move can lie inside the old bound and outside the new
-one.  Then, per key prefix (``limit/bessel_series``,
-``alternating_bessel_sum``, ...), it prints the number of differing keys,
-their largest relative difference and their largest |Δvalue|/bound of
-each file; it exits 1 if any key differs.
+The second form goes through the key prefixes (``limit/bessel_series``,
+``alternating_bessel_sum``, ...) and prints for each the keys only in A,
+the keys only in B, and the keys whose value moved.  A moved key comes
+with its relative difference and, for a ``/value`` key, |Δvalue| over the
+key's own certified bound (``abs_error_bound`` or ``error_estimate``) in
+each file, "of A" and "of B": when a change tightens a bound, a move can
+lie inside the old bound and outside the new one.  A line per prefix then
+counts the three kinds and gives the largest relative difference and
+|Δvalue|/bound of each file over its moved keys; it exits 1 if any key
+differs.
 Takes about 40 s.
 """
 
@@ -263,32 +264,37 @@ def compare(path_a: str, path_b: str) -> int:
         a = json.load(fh)
     with open(path_b) as fh:
         b = json.load(fh)
-    keys = sorted(set(a) | set(b))
-    # prefix -> [differing keys, largest rel, largest |Δvalue|/bound of A and of B]
+    # prefix -> [keys only in A, keys only in B, moved keys]
     per_prefix: dict = {}
-    worst, worst_key, differing = 0.0, None, 0
-    for key in keys:
-        va, vb = a.get(key, "<missing>"), b.get(key, "<missing>")
-        if va == vb:
-            continue
-        differing += 1
-        rel = _rel_diff(va, vb)
-        ratios = _bound_ratios(key, a, b)
-        note = "" if ratios is None else ", " + _ratio_note(ratios)
-        print(f"{key}: {va} -> {vb} (relative difference {rel:.3g}{note})")
-        if worst_key is None or rel > worst:
-            worst, worst_key = rel, key
-        acc = per_prefix.setdefault(_prefix(key), [0, 0.0, None])
-        acc[0] += 1
-        acc[1] = max(acc[1], rel)
-        if ratios is not None:
-            acc[2] = tuple(map(_larger, acc[2] or (None, None), ratios))
-    for prefix, (count, rel, ratios) in sorted(per_prefix.items()):
-        note = "" if ratios is None else ", largest " + _ratio_note(ratios)
-        print(f"prefix {prefix}: {count} keys differ, largest relative difference "
-              f"{rel:.3g}{note}")
-    print(f"{differing} of {len(keys)} keys differ", end="")
-    print(f"; largest relative difference {worst:.3g} at {worst_key}" if differing else "")
+    for key in sorted(set(a) | set(b)):
+        if a.get(key) != b.get(key):
+            side = 0 if key not in b else 1 if key not in a else 2
+            per_prefix.setdefault(_prefix(key), ([], [], []))[side].append(key)
+    worst, worst_key = 0.0, None
+    for prefix, (only_a, only_b, moved) in sorted(per_prefix.items()):
+        for key in only_a:
+            print(f"{key}: only in A ({a[key]})")
+        for key in only_b:
+            print(f"{key}: only in B ({b[key]})")
+        rel, ratios = 0.0, None
+        for key in moved:
+            key_rel = _rel_diff(a[key], b[key])
+            key_ratios = _bound_ratios(key, a, b)
+            note = "" if key_ratios is None else ", " + _ratio_note(key_ratios)
+            print(f"{key}: {a[key]} -> {b[key]} (relative difference {key_rel:.3g}{note})")
+            if worst_key is None or key_rel > worst:
+                worst, worst_key = key_rel, key
+            rel = max(rel, key_rel)
+            if key_ratios is not None:
+                ratios = tuple(map(_larger, ratios or (None, None), key_ratios))
+        note = "" if not moved else f", largest relative difference {rel:.3g}"
+        note += "" if ratios is None else ", largest " + _ratio_note(ratios)
+        print(f"prefix {prefix}: {len(only_a) + len(only_b) + len(moved)} keys differ: "
+              f"{len(only_a)} only in A, {len(only_b)} only in B, {len(moved)} moved{note}")
+    differing = sum(len(keys) for groups in per_prefix.values() for keys in groups)
+    print(f"{differing} of {len(set(a) | set(b))} keys differ", end="")
+    print(f"; largest relative difference of a moved key {worst:.3g} at {worst_key}"
+          if worst_key else "")
     return 1 if differing else 0
 
 
