@@ -28,7 +28,7 @@ for d, eps in ((3, 0.25), (4, 0.375), (5, 0.25)):
 
 print("\ntwo-sided sandwich for the 1-D integrals, R = 100 + eps:")
 for n, parity, eps in ((2, "even", 0.25), (3, "even", 0.5), (1, "odd", 0.25)):
-    out = sandwich_check(100 + eps, 1.0, n, parity)
+    out = sandwich_check(2 * n if parity == "even" else 2 * n + 1, 100 + eps, 1.0)
     print(f"  {parity} n={n} eps={eps}: {out.lower:.3e} <= {out.integral_abs:.3e} "
           f"<= {out.upper:.3e}  holds={out.holds}")
 
@@ -41,8 +41,8 @@ print(f"  fixed-phase M1(3/8, 2)      = {M1_constant(0.375, 2):+.4f} (claims a b
 print(f"  order-matched M1(3/8, 2)    = {M1_constant(0.375, 2, order_matched_phase=True):+.4f} "
       "(no positive bound available)")
 for r in (100.375, 1000.375):
-    a = sandwich_check(r, 1.0, 2, "even", order_matched_phase=False)
-    b = sandwich_check(r, 1.0, 2, "even")
+    a = sandwich_check(4, r, 1.0, order_matched_phase=False)
+    b = sandwich_check(4, r, 1.0)
     print(f"  R={r}: fixed-phase holds={a.holds} "
           f"(lower {a.lower:.2e} vs |I| {a.integral_abs:.2e}); "
           f"order-matched holds={b.holds}")

@@ -14,18 +14,19 @@ an empirical threshold.  The classical fixed-phase coefficient kernels are
 The cosine phase of the leading Bessel term depends on the order: the
 Hankel asymptotics J_nu(x) ~ sqrt(2/(pi x)) cos(x - nu pi/2 - pi/4)
 (DLMF 10.17.3) give (2n+1) pi/4 in the even case and (n+1) pi/2 in the
-odd case.  The printed phases match only half of the orders: they are
-wrong for even n in the even case and for odd n in the odd case, i.e. for
-every d = 0 or 3 (mod 4).  There the paper's kernel over-claims on whole
+odd case, s pi/2 in both.  The printed phases match only half of the
+orders: they are wrong for even n in the even case and for odd n in the
+odd case, i.e. for every d = 0 or 3 (mod 4).  There the paper's kernel over-claims on whole
 eps-families (even n=2 for eps ~ 0.35-0.44, even n=4 for eps ~ 0.29-0.46,
 odd n=1 for eps ~ 0.27-0.31, odd n=3 on the whole window); the d=3 call
 ``lower_bound(3, 100.2887, 1.0, order_matched_phase=False)`` claims
 1.70e-4 against a true limit of 2.61e-6.
 
-``lower_bound`` and ``sandwich_check`` therefore default to the
-order-matched phase, which never over-claims on a dense eps sweep for
-n <= 4 in either parity; where its kernel goes negative the lower bound
-is the trivial 0.  The paper's kernel stays available through
+``lower_bound`` (the d-dimensional report) and ``sandwich_check`` (the
+check on the 1-D integral) are two views of one bound with one set of
+hypotheses.  They default to the order-matched phase, which never
+over-claims on a dense eps sweep for n <= 4 in either parity; where its
+kernel goes negative the lower bound is the trivial 0.  The paper's kernel stays available through
 ``order_matched_phase=False``.  ``M1_constant`` and ``M2_constant`` keep
 the printed formula as their default, since they reproduce the paper's
 worst-case values 0.138 and 0.02.
@@ -47,8 +48,9 @@ import numpy as np
 
 # limiting_error is not called here but stays importable from this module:
 # perfbench/tracing.py wraps framepcm.bounds.limiting_error
-from .limit_error import (Method, _base_coef, _checked_ratio, _integral_full,  # noqa: F401
-                          angular_constant, limiting_error, limiting_error_grid, parity_split)
+from .limit_error import (Method, ParitySplit, _base_coef, _checked_ratio,  # noqa: F401
+                          _integral_full, angular_constant, limiting_error,
+                          limiting_error_grid, parity_split)
 from .special_fn import PrecisionExhausted, _zeta_em
 
 __all__ = [
@@ -95,14 +97,25 @@ def zeta_tail(p: float) -> float:
     return float(_zeta_em([p], 2)[0][0])
 
 
+# per parity (a, b, the paper's fixed phase) of the kernel
+# a |cos(2 pi eps - phase)| - b zeta_tail(s), and b (1 + zeta_tail(s)) of
+# the upper coefficient; the order-matched phase is s pi/2
+_KERNELS = {"even": (0.8, 1.25, 3.0 * math.pi / 4.0), "odd": (0.875, 8.0 / 7.0, math.pi / 2.0)}
+
+
+def _kernel(eps: float, split: ParitySplit, order_matched_phase: bool) -> float:
+    a, b, paper_phase = _KERNELS[split.parity]
+    phase = split.s * math.pi / 2.0 if order_matched_phase else paper_phase
+    return a * abs(math.cos(2 * math.pi * eps - phase)) - b * zeta_tail(split.s)
+
+
 def M1_constant(eps: float, n: int, order_matched_phase: bool = False) -> float:
     """Even-case lower-bound kernel; may legitimately be negative outside
     the window [1/4, 1/2].  ``order_matched_phase`` replaces the fixed
     3 pi/4 phase by the order's own asymptotic phase (2n+1) pi/4."""
     if n < 2:
         raise ValueError("even-case kernel needs n >= 2")
-    phase = (2 * n + 1) * math.pi / 4.0 if order_matched_phase else 3.0 * math.pi / 4.0
-    return 0.8 * abs(math.cos(2 * math.pi * eps - phase)) - 1.25 * zeta_tail((2 * n + 1) / 2.0)
+    return _kernel(eps, parity_split(2 * n), order_matched_phase)
 
 
 def M2_constant(eps: float, n: int, order_matched_phase: bool = False) -> float:
@@ -110,8 +123,7 @@ def M2_constant(eps: float, n: int, order_matched_phase: bool = False) -> float:
     (n+1) pi/2 in place of the fixed pi/2."""
     if n < 1:
         raise ValueError("odd-case kernel needs n >= 1")
-    phase = (n + 1) * math.pi / 2.0 if order_matched_phase else math.pi / 2.0
-    return 0.875 * abs(math.cos(2 * math.pi * eps - phase)) - (8.0 / 7.0) * zeta_tail(n + 1.0)
+    return _kernel(eps, parity_split(2 * n + 1), order_matched_phase)
 
 
 def I_constant(d: int) -> float:
@@ -148,44 +160,47 @@ BOUND_CSV_FIELDS = ["d", "r", "delta", "eps", "lower", "upper_scaling", "M",
                     "I_const", "C_const", "window_ok"]
 
 
-def _coefs(eps: float, n: int, parity: str, order_matched_phase: bool):
-    """(kernel M, lower coefficient, upper coefficient) of the 1-D bounds."""
-    base = _base_coef(n, parity)
-    if parity == "even":
-        M = M1_constant(eps, n, order_matched_phase)
-        return M, base * M, 1.25 * base * (1.0 + zeta_tail((2 * n + 1) / 2.0))
-    M = M2_constant(eps, n, order_matched_phase)
-    return M, base * M, (8.0 / 7.0) * base * (1.0 + zeta_tail(n + 1.0))
+def _bound(d: int, r: float, delta: float, order_matched_phase: bool):
+    """The 1-D two-sided bound at (d, r, delta) as (split, eps, kernel M,
+    lower and upper coefficients, scale, window_ok, unmet), unmet naming
+    the first unmet hypothesis (eps outside the parity window, then
+    R = r/delta below DEFAULT_R_MIN) or None when both hold."""
+    if d < 3:
+        raise ValueError("need d >= 3")
+    R = _checked_ratio(r, delta)
+    eps = R - math.floor(R)
+    split = parity_split(d)
+    M = _kernel(eps, split, order_matched_phase)
+    base = _base_coef(split.n, split.parity)
+    window = _WINDOWS[split.parity]
+    window_ok = _in_window(eps, window)
+    if not window_ok:
+        unmet = f"hypothesis unmet: eps={eps:.6g} outside window {window}"
+    elif R < DEFAULT_R_MIN:
+        unmet = f"hypothesis unmet: R={R:.6g} below threshold {DEFAULT_R_MIN}"
+    else:
+        unmet = None
+    upper_coef = _KERNELS[split.parity][1] * base * (1.0 + zeta_tail(split.s))
+    return split, eps, M, base * M, upper_coef, split.scale(r, delta), window_ok, unmet
 
 
 def lower_bound(d: int, r: float, delta: float,
                 order_matched_phase: bool = True) -> BoundReport:
     """Full report for the limiting-error lower bound at (d, r, delta).
 
-    Outside the parity window the bound is not claimed: lower = 0 and
-    window_ok = False (report, never extrapolate).  The kernel uses the
-    order-matched phase unless ``order_matched_phase=False`` asks for the
-    paper's fixed phase, which can over-claim (see the module docstring).
+    The bound is claimed only under the hypotheses of
+    :func:`sandwich_check` (eps in the parity window, R >= DEFAULT_R_MIN);
+    elsewhere lower = 0 (report, never extrapolate), and window_ok tells
+    whether eps lies in the window.  The kernel uses the order-matched
+    phase unless ``order_matched_phase=False`` asks for the paper's fixed
+    phase, which can over-claim (see the module docstring).
     """
-    if d < 3:
-        raise ValueError("need d >= 3")
-    R = _checked_ratio(r, delta)
-    eps = R - math.floor(R)
-    split = parity_split(d)
-    M, low_c, up_c = _coefs(eps, split.n, split.parity, order_matched_phase)
+    _, eps, M, low_c, up_c, scale, window_ok, unmet = _bound(d, r, delta, order_matched_phase)
     I = I_constant(d)
-    scale = split.scale(r, delta)
-    window_ok = _in_window(eps, _WINDOWS[split.parity])
-    lower = I * low_c * scale if window_ok and low_c > 0 else 0.0
-    return BoundReport(
-        d=d, r=r, delta=delta, eps=eps,
-        lower=lower,
-        upper_scaling=I * up_c * scale,
-        M=M,
-        I_const=I,
-        C_const=I * low_c,
-        window_ok=window_ok,
-    )
+    lower = I * low_c * scale if unmet is None and low_c > 0 else 0.0
+    return BoundReport(d=d, r=r, delta=delta, eps=eps, lower=lower,
+                       upper_scaling=I * up_c * scale, M=M, I_const=I, C_const=I * low_c,
+                       window_ok=window_ok)
 
 
 @dataclass(frozen=True)
@@ -205,13 +220,14 @@ class SandwichResult:
     method: Method | None = None
 
 
-def sandwich_check(r: float, delta: float, n: int, parity: str,
+def sandwich_check(d: int, r: float, delta: float,
                    order_matched_phase: bool = True) -> SandwichResult:
-    """Evaluate lower <= |integral| <= upper for the chosen parity.
+    """Evaluate lower <= |integral| <= upper for the 1-D integral of dimension d.
 
     The integral comes from AUTO (the certified series from R = 100 on);
-    the result names the route that ran.  The check needs R = r/delta at
-    least DEFAULT_R_MIN; r, delta and R must be positive and finite.
+    the result names the route that ran.  The check needs eps = frac(r/delta)
+    in the parity window and R = r/delta >= DEFAULT_R_MIN; d must be at
+    least 3, and r, delta and R positive and finite.
 
     A negative lower coefficient (the order-matched kernel at eps where the
     leading term is small) degrades the lower bound to 0, which is still
@@ -220,24 +236,9 @@ def sandwich_check(r: float, delta: float, n: int, parity: str,
     threshold violations return a hypothesis-unmet status instead of a
     boolean.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    R = _checked_ratio(r, delta)
-    eps = R - math.floor(R)
-    window = _WINDOWS[parity]
-    if parity == "even" and n < 2:
-        raise ValueError("even-case sandwich needs n >= 2")
-    if parity == "odd" and n < 1:
-        raise ValueError("odd-case sandwich needs n >= 1")
-    if not _in_window(eps, window):
-        return SandwichResult(math.nan, math.nan, None, None,
-                              f"hypothesis unmet: eps={eps:.6g} outside window {window}")
-    if R < DEFAULT_R_MIN:
-        return SandwichResult(math.nan, math.nan, None, None,
-                              f"hypothesis unmet: R={R:.6g} below threshold {DEFAULT_R_MIN}")
-    _, low_c, up_c = _coefs(eps, n, parity, order_matched_phase)
-    split = parity_split(2 * n if parity == "even" else 2 * n + 1)
-    scale = split.scale(r, delta)
+    split, _, _, low_c, up_c, scale, _, unmet = _bound(d, r, delta, order_matched_phase)
+    if unmet is not None:
+        return SandwichResult(math.nan, math.nan, None, None, unmet)
     lower = max(low_c, 0.0) * scale
     upper = up_c * scale
     integral = _integral_full(r, delta, split, Method.AUTO, None)

@@ -39,7 +39,6 @@ from . import combinatorics as comb
 from . import special_fn as sf
 from .bounds import (
     BOUND_CSV_FIELDS,
-    I_constant,
     lower_bound,
     sandwich_check,
     scaling_slope_fit,
@@ -250,27 +249,22 @@ def _cmd_bounds(args, outdir: Path) -> int:
     if args.r is not None:
         report = lower_bound(args.d, args.r, args.delta,
                              order_matched_phase=not args.paper_phase)
-        print(f"I constant: {I_constant(args.d):.6f}")
+        print(f"I constant: {report.I_const:.6f}")
         print(f"lower bound report: {report.to_dict()}")
         _write_csv(outdir / "bound_report.csv", BOUND_CSV_FIELDS, [report.to_dict()])
-        split = parity_split(args.d)
-        sw = sandwich_check(args.r, args.delta, split.n, split.parity,
+        # the one verdict, the sandwich's: an unmet hypothesis counts nothing
+        sw = sandwich_check(args.d, args.r, args.delta,
                             order_matched_phase=not args.paper_phase)
         if sw.integral_abs is not None:
             # the sandwich ran the default route on the same integral
-            value, route = I_constant(args.d) * sw.integral_abs, sw.method
+            value, route = report.I_const * sw.integral_abs, sw.method
         else:
             lim = limiting_error(np.concatenate(([args.r], np.zeros(args.d - 1))),
                                  QuantScheme(args.delta))
             value, route = lim.value, lim.method
         print(f"limiting error ({route.value}): {value:.6e}")
-        if report.window_ok:
-            ok = report.lower <= value <= report.upper_scaling
-            failures += not ok
-            print(f"lower <= value <= upper: {'PASS' if ok else 'FAIL'}")
         print(f"1-D sandwich: {sw}")
-        if sw.holds is False:
-            failures += 1
+        failures += sw.holds is False
     if args.slope:
         ks = np.unique(np.round(np.logspace(math.log10(args.kmin), math.log10(args.kmax),
                                             args.points)).astype(int))

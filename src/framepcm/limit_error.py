@@ -463,7 +463,7 @@ def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | N
                          _series_target(r, delta, split, tol) / abs(prefac)))
         except PrecisionExhausted as exc:
             out[i] = exc
-    sums = alternating_bessel_sums(split.order, split.order, [row[2] for row in rows],
+    sums = alternating_bessel_sums(split.order, [row[2] for row in rows],
                                    [row[3] for row in rows])
     for (i, prefac, _, _), res in zip(rows, sums):
         if isinstance(res, PrecisionExhausted):

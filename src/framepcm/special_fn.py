@@ -22,22 +22,22 @@ against each other:
 
 On top of these, ``alternating_bessel_sums`` evaluates
 
-    S = sum_{k>=1} (-1)^k k^{-p} J_alpha(2 pi k R)
+    S = sum_{k>=1} (-1)^k k^{-alpha} J_alpha(2 pi k R)
 
-with a certified bound at many R for one (alpha, p) at once: the rows
+with a certified bound at many R for one alpha at once: the rows
 share the tables and the K ladder, and each row's sums run over widths of
 its own, so its result does not depend on the other rows.
 ``alternating_bessel_sum_info`` is its one-row case, and returns the
 truncation index K beside the value.  Direct summation is hopeless for
-small p (the certified tail decays like K^{-p+1/2}), so the tail is
+small alpha (the certified tail decays like K^{-alpha+1/2}), so the tail is
 *computed*: the
 Hankel expansion turns it into a handful of phase sums
-sum_{k>K} z^k k^{-q} with |z| = 1, all at q = p + 1/2 + integer.  For
+sum_{k>K} z^k k^{-q} with |z| = 1, all at q = alpha + 1/2 + integer.  For
 z = e^{2 pi i beta} != 1 each is Li_q(z) minus the head sum_{k<=K}, with
 the polylogarithm from its expansion in w = 2 pi i beta (DLMF 25.12.12;
 the harmonic/log form at integer q), which converges for every phase once
 beta is reduced to (-1/2, 1/2].  The expansion's zeta(q - j) come from
-one table of zeta(p + 1/2 + t) per tail (Euler-Maclaurin for positive
+one table of zeta(alpha + 1/2 + t) per tail (Euler-Maclaurin for positive
 arguments, the functional equation DLMF 25.4.1 for negative ones), so all
 q of a tail are one gather and one row-sum; the omitted terms are bounded
 through DLMF 25.4.2.  Li - head is accurate only in absolute terms, so
@@ -386,18 +386,21 @@ def _hankel_sums(order: float, x):
     """Partial Hankel sums P, Q with certified remainders, as arrays over x.
 
     Returns (P, Q, bound_P, bound_Q), each row truncated by
-    :func:`_hankel_plan`; the bound is the first omitted term plus the
-    rounding of the retained ones.
+    :func:`_hankel_plan`; the bound is the first omitted term plus 4 EPS
+    per retained term of the retained |terms| of P and Q summed, at least
+    a_0 = 1 (near x = 12 the terms of order 30 reach 1e10).
     """
     _, terms, lp, lq = _hankel_plan(order, x, 26)
     even, odd = terms[:, 0::2], terms[:, 1::2]
     m = np.arange(odd.shape[1])
     sign = np.where(m % 2, -1.0, 1.0)
-    P = np.where(m < lp[:, None], sign * even[:, :m.size], 0.0).sum(axis=1)
-    Q = np.where(m < lq[:, None], sign * odd, 0.0).sum(axis=1)
+    kept_p = np.where(m < lp[:, None], even[:, :m.size], 0.0)
+    kept_q = np.where(m < lq[:, None], odd, 0.0)
+    P, Q = (sign * kept_p).sum(axis=1), (sign * kept_q).sum(axis=1)
+    size = np.abs(kept_p).sum(axis=1) + np.abs(kept_q).sum(axis=1)
     rows = np.arange(terms.shape[0])
-    bP = np.abs(even[rows, lp]) + 4 * lp * EPS
-    bQ = np.abs(odd[rows, lq]) + 4 * lq * EPS
+    bP = np.abs(even[rows, lp]) + 4 * lp * EPS * size
+    bQ = np.abs(odd[rows, lq]) + 4 * lq * EPS * size
     return P, Q, bP, bQ
 
 
@@ -491,8 +494,8 @@ def _zeta_em(s, m0: int):
 
 @dataclass(frozen=True)
 class _PhaseTable:
-    """The part of the phase tails at q = p + 1/2 + i, i = 0..top, that does
-    not depend on the phase.  ``zeta[depth + t]`` is zeta(p + 1/2 + t) for
+    """The part of the phase tails at q = order + 1/2 + i, i = 0..top, that does
+    not depend on the phase.  ``zeta[depth + t]`` is zeta(order + 1/2 + t) for
     t = -depth..top, ``zeta_err`` its absolute bound; per i: q, zeta(q) plus
     its bound, whether q is a positive integer, Gamma(1-q) (other q),
     H_{q-1} (integer q), and cos, sin of pi (q-1)/2; per (i, J), J <= depth,
@@ -513,17 +516,17 @@ class _PhaseTable:
 
 
 @lru_cache(maxsize=32)
-def _phase_table(p: float, top: int) -> _PhaseTable:
-    """The phase-independent part of :func:`_phase_tails`, cached per (p, top).
+def _phase_table(order: float, top: int) -> _PhaseTable:
+    """The phase-independent part of :func:`_phase_tails`, cached per (order, top).
 
     zeta(s) comes from :func:`_zeta_em` for s > 0, from the functional
     equation zeta(s) = 2 (2 pi)^{s-1} cos(pi (1-s)/2) Gamma(1-s) zeta(1-s)
     (DLMF 25.4.1) for s < 0, and zeta(0) = -1/2; the pole s = 1 holds 0
     (integer q take that term from the harmonic/log form).
     """
-    q = p + 0.5 + np.arange(top + 1, dtype=float)
+    q = order + 0.5 + np.arange(top + 1, dtype=float)
     depth = min(math.floor(q[-1]) + 1 + 60, _J_CAP)
-    s = p + 0.5 + np.arange(-depth, top + 1, dtype=float)
+    s = order + 0.5 + np.arange(-depth, top + 1, dtype=float)
     zeta = np.zeros(s.size)
     err = np.zeros(s.size)
     pos = (s > 0) & (s != 1.0)
@@ -547,9 +550,9 @@ def _phase_table(p: float, top: int) -> _PhaseTable:
     # the remainder of the series cut at J: log(pi^2/3) + (q-1) log(2 pi)
     # + lgamma(J+2-q) - lgamma(J+2), infinite where J < q, and the factor
     # max(1, (J+2-q)/(J+2)) of its ratio (see _j_remainder); J + 2 - q is
-    # (J - i) + 3/2 - p, so its lgamma takes one value per J - i
+    # (J - i) + 3/2 - order, so its lgamma takes one value per J - i
     J = np.arange(depth + 1)
-    shift = np.arange(-top, depth + 1) + 1.5 - p
+    shift = np.arange(-top, depth + 1) + 1.5 - order
     lgamma_shift = np.array([math.lgamma(v) if v > 0 else math.inf for v in shift.tolist()])
     lgamma_top = lgamma_shift[J - np.arange(top + 1)[:, None] + top]
     rem_log = (np.where(J >= q[:, None], lgamma_top, math.inf)
@@ -571,7 +574,7 @@ _J_ROUNDINGS = 2 * _J + 1
 
 def _j_remainder(tab: _PhaseTable, idx: np.ndarray, J: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bound on sum_{j>J} |zeta(q-j)| (2 pi b)^j / j! for J >= q, b = |beta|,
-    at q = p + 1/2 + idx of ``tab``, as arrays over (idx, J, b) entries.
+    at q = order + 1/2 + idx of ``tab``, as arrays over (idx, J, b) entries.
 
     By |zeta(1-s)| <= 2 (2 pi)^-s Gamma(s) zeta(s) (DLMF 25.4.2), with
     zeta(s) <= zeta(2), term j is at most 2 zeta(2) (2 pi)^{q-1} b^j
@@ -584,13 +587,13 @@ def _j_remainder(tab: _PhaseTable, idx: np.ndarray, J: np.ndarray, b: np.ndarray
 
 
 @lru_cache(maxsize=64)
-def _trivial_tails(p: float, top: int, K: int):
+def _trivial_tails(order: float, top: int, K: int):
     """The trivial bounds on the tails of :func:`_phase_tails`, per q of
-    ``_phase_table(p, top)``: K^{1-q}/(q-1), and the numerator of Abel's
+    ``_phase_table(order, top)``: K^{1-q}/(q-1), and the numerator of Abel's
     inequality |tail| <= (1 + 8 EPS) (K+1)^-q / sin(pi |beta|), which
     follows from |sum_{K<k<=n} z^k| <= 2/|1-z| = 1/sin(pi |beta|); both
     infinite where q <= 1."""
-    q = _phase_table(p, top).q
+    q = _phase_table(order, top).q
     over = q > 1.0
     arrays = (np.where(over, _tail_majorant(np.where(over, q, 2.0), K), math.inf),
               np.where(over, (1.0 + 8 * EPS) * (K + 1.0) ** -q, math.inf))
@@ -599,8 +602,8 @@ def _trivial_tails(p: float, top: int, K: int):
     return arrays
 
 
-def _phase_tails(p: float, top: int, idx: np.ndarray, beta, K: int):
-    """sum_{k>K} e^{2 pi i beta k} k^{-q} at every q = p + 1/2 + idx, with
+def _phase_tails(order: float, top: int, idx: np.ndarray, beta, K: int):
+    """sum_{k>K} e^{2 pi i beta k} k^{-q} at every q = order + 1/2 + idx, with
     certified absolute bounds; ``beta`` is one phase or one per entry of
     ``idx`` (a (row, q) pair each), in [-1/2, 1/2] but not 0; ``idx`` lies
     in 0..top.  Returns (values, bounds) as arrays over idx.
@@ -612,7 +615,7 @@ def _phase_tails(p: float, top: int, idx: np.ndarray, beta, K: int):
 
     converges for every phase; for a positive integer q the Gamma term and
     the j = q-1 term become w^{q-1}/(q-1)! [H_{q-1} - ln(-w)].  Every q of a
-    tail is p + 1/2 + integer, so one table of zeta(p + 1/2 + t)
+    tail is order + 1/2 + integer, so one table of zeta(order + 1/2 + t)
     (:func:`_phase_table`) serves them all and the series is one gather and
     one row-sum.  Row q stops at J_q >= q, where |beta|^j has fallen by
     2^-52; the omitted terms are bounded through |zeta(1-s)| <=
@@ -630,13 +633,13 @@ def _phase_tails(p: float, top: int, idx: np.ndarray, beta, K: int):
     The series is summed left to right and the head over its K columns, so
     an entry's value and bound do not depend on the other entries.
     """
-    tab = _phase_table(p, top)
+    tab = _phase_table(order, top)
     beta = beta + np.zeros(idx.size)
     b = np.abs(beta)
     q = tab.q[idx]
     over = q > 1.0
     values = np.zeros(q.size, dtype=complex)
-    majorant, abel = _trivial_tails(p, top, K)
+    majorant, abel = _trivial_tails(order, top, K)
     bounds = np.minimum(majorant[idx], abel[idx] / np.sin(math.pi * b))
     # rounding of the head per unit weight: ~18 EPS per term (the phase, its
     # cos/sin, the power, the product) and (9 + log2(K)/2) EPS of numpy's
@@ -694,7 +697,7 @@ def _phase_tails(p: float, top: int, idx: np.ndarray, beta, K: int):
     use = ~over | (fixed + head_scale * 2.0 * zq <= bounds[live])
     if use.any():
         rows = live[use]
-        k = _direct_weights(p, K)[0]
+        k = _direct_weights(order, K)[0]
         # one row of phases per run of equal beta (the entries of one row)
         beta = beta[use]
         first = np.empty(beta.size, dtype=bool)
@@ -721,19 +724,19 @@ _K_LADDER = (64, 256, 1024, 4096, 16384)
 
 
 @lru_cache(maxsize=64)
-def _direct_weights(p: float, K: int):
-    """k = 1..K, k^-p, (-1)^k k^-p and 4 EPS k^-p, the weights of the
+def _direct_weights(order: float, K: int):
+    """k = 1..K, k^-order, (-1)^k k^-order and 4 EPS k^-order, the weights of the
     direct part."""
     k = np.arange(1, K + 1, dtype=float)
-    w = k ** (-p)
+    w = k ** (-order)
     arrays = (k, w, np.where(k % 2, -w, w), 4 * EPS * w)
     for arr in arrays:  # shared by every caller through the cache
         arr.setflags(write=False)
     return arrays
 
 
-def _alt_sum_direct(order: float, p: float, R, eps_frac, K: int):
-    """sum_{k=1}^{K} (-1)^k k^{-p} J_order(2 pi k R) with certified bounds.
+def _alt_sum_direct(order: float, R, eps_frac, K: int):
+    """sum_{k=1}^{K} (-1)^k k^{-order} J_order(2 pi k R) with certified bounds.
 
     ``R`` and ``eps_frac`` (its fractional part) are floats or 1-D arrays,
     one row each; returns (values, bounds) as arrays over the rows.
@@ -745,7 +748,7 @@ def _alt_sum_direct(order: float, p: float, R, eps_frac, K: int):
     """
     omega = math.pi * order / 2.0 + math.pi / 4.0
     R, eps_frac = np.atleast_1d(R), np.atleast_1d(eps_frac)
-    k, w, signed_w, rounding_w = _direct_weights(p, K)
+    k, w, signed_w, rounding_w = _direct_weights(order, K)
     x = (2.0 * math.pi * R)[:, None] * k
     # the Hankel terms, at x = 12 in place of the arguments of series terms
     P, Q, bP, bQ = (s.reshape(x.shape)
@@ -763,7 +766,7 @@ def _alt_sum_direct(order: float, p: float, R, eps_frac, K: int):
     return values, (w * b + rounding_w * np.abs(v)).sum(axis=1)
 
 
-def _alt_sum_tail(order: float, p: float, R, eps_frac, K: int):
+def _alt_sum_tail(order: float, R, eps_frac, K: int):
     """Analytic continuation of the sums past k = K via Hankel + phase sums.
 
     ``R`` and ``eps_frac`` are floats or 1-D arrays, one row each; returns
@@ -778,7 +781,7 @@ def _alt_sum_tail(order: float, p: float, R, eps_frac, K: int):
     for r, eps, mp, mq in zip(R.tolist(), eps_frac.tolist(), MP.tolist(), MQ.tolist()):
         twopiR = 2.0 * math.pi * r
         rows.append((r, twopiR, mp, mq, len(idx)))
-        # phase sums at q = p + 1/2 + i: i = 2m for the P terms, which take
+        # phase sums at q = order + 1/2 + i: i = 2m for the P terms, which take
         # the real part of their rotated sum, 2m + 1 for the Q terms, which
         # take minus its imaginary part, Re(1j z) = -Im(z)
         row_idx = [*range(0, 2 * mp, 2), *range(1, 2 * mq, 2)]
@@ -792,34 +795,35 @@ def _alt_sum_tail(order: float, p: float, R, eps_frac, K: int):
     some_at_half = 0.0 in beta
     idx, coef, beta = np.array(idx), np.array(coef), np.array(beta)
     if not some_at_half:
-        tp, tb = _phase_tails(p, len(a) - 1, idx, beta, K)
+        tp, tb = _phase_tails(order, len(a) - 1, idx, beta, K)
     else:
         zeta = beta == 0.0
         tp = np.zeros(idx.size, dtype=complex)
         tb = np.zeros(idx.size)
-        s = p + 0.5 + idx[zeta]
+        s = order + 0.5 + idx[zeta]
         values, bounds = _zeta_em(s, K + 1)
         # as in _phase_tails: the trivial bound where it is the smaller one
         trivial = _tail_majorant(s, K)
         tp[zeta], tb[zeta] = np.where(bounds < trivial, values, 0.0), np.minimum(bounds, trivial)
         if not zeta.all():
-            tp[~zeta], tb[~zeta] = _phase_tails(p, len(a) - 1, idx[~zeta], beta[~zeta], K)
+            tp[~zeta], tb[~zeta] = _phase_tails(order, len(a) - 1, idx[~zeta], beta[~zeta], K)
     terms = (coef * (cmath.exp(-1j * omega) * tp)).real.tolist()
     bounds = np.add.reduceat(np.abs(coef) * tb, [row[-1] for row in rows]).tolist()
     tails, errs = [], []
     for (r, twopiR, mp, mq, lo), bound in zip(rows, bounds):
         # Hankel remainder summed over the tail (integral-test zeta bounds)
-        bound += abs(a[2 * mp]) * twopiR ** (-2 * mp) * _tail_majorant(p + 0.5 + 2 * mp, K)
-        bound += abs(a[2 * mq + 1]) * twopiR ** (-2 * mq - 1) * _tail_majorant(p + 1.5 + 2 * mq, K)
+        bound += abs(a[2 * mp]) * twopiR ** (-2 * mp) * _tail_majorant(order + 0.5 + 2 * mp, K)
+        bound += (abs(a[2 * mq + 1]) * twopiR ** (-2 * mq - 1)
+                  * _tail_majorant(order + 1.5 + 2 * mq, K))
         scale = 1.0 / (math.pi * math.sqrt(r))
         tails.append(scale * math.fsum(terms[lo:lo + mp + mq]))
         errs.append(scale * bound)
     return np.array(tails), np.array(errs)
 
 
-def alternating_bessel_sums(order: float, p: float, R, tol) -> list:
+def alternating_bessel_sums(order: float, R, tol) -> list:
     """:func:`alternating_bessel_sum_info` at every R of an array, for one
-    (order, p).
+    order.
 
     ``R`` and ``tol`` are sequences, one tol per R.
     Returns one entry per R: ``(BesselEval, K)``, or the
@@ -836,7 +840,7 @@ def alternating_bessel_sums(order: float, p: float, R, tol) -> list:
     tols = [float(t) for t in tol]
     if not all(r > 0 for r in Rs):
         raise ValueError("need R > 0")
-    if len(tols) != len(Rs) or any(t <= 0 for t in tols):
+    if len(tols) != len(Rs) or any(not t > 0 for t in tols):
         raise ValueError("tol must be positive, one per R")
     eps_frac = [r - math.floor(r) for r in Rs]
     out: list = [None] * len(Rs)
@@ -844,15 +848,15 @@ def alternating_bessel_sums(order: float, p: float, R, tol) -> list:
         if order == 0.5 and eps == 0.0:
             # every term is sqrt(2/(pi x)) sin(2 pi k R) = 0 exactly
             out[row] = BesselEval(order, 2.0 * math.pi * Rs[row], 0.0, 0.0), 0
-        elif p <= 0.5 and eps == 0.5:
+        elif order <= 0.5 and eps == 0.5:
             out[row] = PrecisionExhausted(
-                f"sum with p={p} at eps=1/2 reduces to a divergent zeta series")
+                f"sum with p={order} at eps=1/2 reduces to a divergent zeta series")
     best = [math.inf] * len(Rs)
     active = [row for row, res in enumerate(out) if res is None]
     for K in _K_LADDER:
         if not active:
             break
-        direct, db = _alt_sum_direct(order, p, np.array([Rs[row] for row in active]),
+        direct, db = _alt_sum_direct(order, np.array([Rs[row] for row in active]),
                                      np.array([eps_frac[row] for row in active]), K)
         going = []
         for row, value, bound in zip(active, direct.tolist(), db.tolist()):
@@ -860,7 +864,7 @@ def alternating_bessel_sums(order: float, p: float, R, tol) -> list:
             # relative at K = 16384), which a larger K could round the other way
             if bound * (1.0 - 1e-12) > tols[row]:
                 out[row] = PrecisionExhausted(
-                    f"alternating Bessel sum (order={order}, p={p}, R={Rs[row]}): the direct "
+                    f"alternating Bessel sum (order={order}, p={order}, R={Rs[row]}): the direct "
                     f"part's bound {bound:.3e} at K={K} alone exceeds tol {tols[row]:.3e}",
                     achieved=best[row] if best[row] < math.inf else None)
             else:
@@ -868,7 +872,7 @@ def alternating_bessel_sums(order: float, p: float, R, tol) -> list:
         active = [row for row, _, _ in going]
         if not active:
             break
-        tail, tb = _alt_sum_tail(order, p, np.array([Rs[row] for row in active]),
+        tail, tb = _alt_sum_tail(order, np.array([Rs[row] for row in active]),
                                  np.array([eps_frac[row] for row in active]), K)
         active = []
         for (row, value, bound), t, tbound in zip(going, tail.tolist(), tb.tolist()):
@@ -880,20 +884,20 @@ def alternating_bessel_sums(order: float, p: float, R, tol) -> list:
                 active.append(row)
     for row in active:
         out[row] = PrecisionExhausted(
-            f"alternating Bessel sum (order={order}, p={p}, R={Rs[row]}) reached bound "
+            f"alternating Bessel sum (order={order}, p={order}, R={Rs[row]}) reached bound "
             f"{best[row]:.3e} > tol {tols[row]:.3e}",
             achieved=best[row],
         )
     return out
 
 
-def alternating_bessel_sum_info(order: float, p: float, R: float, tol: float):
-    """Certified sum_{k>=1} (-1)^k k^{-p} J_order(2 pi k R) as ``(BesselEval,
+def alternating_bessel_sum_info(order: float, R: float, tol: float):
+    """Certified sum_{k>=1} (-1)^k k^{-order} J_order(2 pi k R) as ``(BesselEval,
     K)``, the BesselEval at argument 2 pi R: the first K terms directly, the
     rest analytically from the Hankel expansion as unit-modulus phase sums,
     K growing until the bound fits ``tol`` (else ``PrecisionExhausted``
     with the best bound reached).  One row of :func:`alternating_bessel_sums`."""
-    (res,) = alternating_bessel_sums(order, p, [R], [tol])
+    (res,) = alternating_bessel_sums(order, [R], [tol])
     if isinstance(res, PrecisionExhausted):
         raise res
     return res

@@ -140,7 +140,7 @@ def test_criterion_5_sandwich_grid():
                 cells.append((base + eps, n, "odd", eps))
     violations = []
     for r, n, parity, eps in cells:
-        out = sandwich_check(r, 1.0, n, parity)
+        out = sandwich_check(2 * n if parity == "even" else 2 * n + 1, r, 1.0)
         assert out.status == "ok"
         if not out.holds:
             violations.append((parity, n, round(eps, 4), r))
@@ -163,7 +163,8 @@ def test_criterion_5_supplement_order_matched_phase_never_overclaims():
             for base in (100, 1000):
                 cells.append((base + eps, n, "odd"))
     bad = [c for c in cells
-           if not sandwich_check(c[0], 1.0, c[1], c[2], order_matched_phase=True).holds]
+           if not sandwich_check(2 * c[1] if c[2] == "even" else 2 * c[1] + 1, c[0], 1.0,
+                                 order_matched_phase=True).holds]
     print(f"criterion 5 supplement: order-matched phase violations: {bad or 'none'}")
     assert not bad
 

@@ -102,30 +102,28 @@ def test_bound_report_serialization():
 
 
 def test_sandwich_good_cells():
-    assert sandwich_check(100.25, 1.0, 2, "even").holds
-    assert sandwich_check(1000.25, 1.0, 3, "even").holds
-    assert sandwich_check(50.25, 1.0, 1, "odd").holds
+    assert sandwich_check(4, 100.25, 1.0).holds
+    assert sandwich_check(6, 1000.25, 1.0).holds
+    assert sandwich_check(3, 50.25, 1.0).holds
 
 
 def test_sandwich_hypothesis_unmet_states():
-    out = sandwich_check(100.1, 1.0, 2, "even")  # eps outside window
+    out = sandwich_check(4, 100.1, 1.0)  # eps outside window
     assert out.holds is None and "window" in out.status
-    out = sandwich_check(10.25, 1.0, 2, "even")  # R below threshold
+    out = sandwich_check(4, 10.25, 1.0)  # R below threshold
     assert out.holds is None and "threshold" in out.status
     assert DEFAULT_R_MIN == 50.0
     with pytest.raises(ValueError):
-        sandwich_check(100.25, 1.0, 1, "even")
-    with pytest.raises(ValueError):
-        sandwich_check(100.25, 1.0, 1, "sideways")
+        sandwich_check(2, 100.25, 1.0)
 
 
 @pytest.mark.parametrize("call", [
     lambda: lower_bound(3, math.inf, 1.0),
     lambda: lower_bound(3, 1e300, 1e-10),  # r/delta overflows
     lambda: lower_bound(3, math.nan, 1.0),
-    lambda: sandwich_check(math.inf, 1.0, 2, "even"),
-    lambda: sandwich_check(1e300, 1e-10, 1, "odd"),
-    lambda: sandwich_check(100.25, 0.0, 2, "even"),
+    lambda: sandwich_check(4, math.inf, 1.0),
+    lambda: sandwich_check(3, 1e300, 1e-10),
+    lambda: sandwich_check(4, 100.25, 0.0),
     lambda: integral_even(math.inf, 1.0, 2),
     lambda: limiting_error_grid(3, math.inf, [1.0]),
     lambda: integral_odd(2.0, math.inf, 1),
@@ -149,13 +147,13 @@ def test_sandwich_fixed_phase_defect_is_reported_not_patched():
     # k=1 contribution there.  Requested explicitly, the check must fail
     # honestly...
     for r in (100.375, 1000.375):
-        out = sandwich_check(r, 1.0, 2, "even", order_matched_phase=False)
+        out = sandwich_check(4, r, 1.0, order_matched_phase=False)
         assert out.status == "ok" and out.holds is False
         assert out.lower > out.integral_abs
     # ...while the order-matched variant never over-claims (the kernel goes
     # negative there, so the lower bound degrades to the trivial 0)
     for r in (100.375, 1000.375):
-        out = sandwich_check(r, 1.0, 2, "even", order_matched_phase=True)
+        out = sandwich_check(4, r, 1.0, order_matched_phase=True)
         assert out.status == "ok" and out.holds is True
 
 
@@ -164,12 +162,12 @@ def test_fixed_phase_defect_reaches_d3():
     # printed pi/2 by a quarter turn, so the paper's kernel over-claims near
     # eps = 0.2887, a cell the acceptance grid does not visit
     r = 100.2887
-    out = sandwich_check(r, 1.0, 1, "odd", order_matched_phase=False)
+    out = sandwich_check(3, r, 1.0, order_matched_phase=False)
     assert out.status == "ok" and out.holds is False
     lim = limiting_error(np.array([r, 0.0, 0.0]), QuantScheme(1.0)).value
     assert lower_bound(3, r, 1.0, order_matched_phase=False).lower > lim
     # the default (order-matched) bound is true there
-    assert sandwich_check(r, 1.0, 1, "odd").holds is True
+    assert sandwich_check(3, r, 1.0).holds is True
     assert lower_bound(3, r, 1.0).lower <= lim
 
 
@@ -181,8 +179,27 @@ def test_default_sandwich_never_overclaims_dense_eps():
         for n in orders:
             for eps in np.linspace(window[0], window[1], 21):
                 for base in (100, 1000):
-                    out = sandwich_check(base + eps, 1.0, n, parity)
+                    out = sandwich_check(2 * n if parity == "even" else 2 * n + 1,
+                                         base + eps, 1.0)
                     assert out.status == "ok" and out.holds, (parity, n, eps, base)
+
+
+def test_lower_bound_is_claimed_only_where_the_sandwich_checks_it():
+    # one bound, one set of hypotheses: below R = DEFAULT_R_MIN the report
+    # claimed a lower bound the sandwich did not check; at and above it
+    # the two verdicts agree
+    for d in range(3, 13):
+        window = EVEN_WINDOW if d % 2 == 0 else ODD_WINDOW
+        for K in range(60):
+            for eps in np.linspace(window[0], window[1], 7):
+                r = K + eps
+                out = sandwich_check(d, r, 1.0)
+                rep = lower_bound(d, r, 1.0)
+                if out.status != "ok":
+                    assert rep.lower == 0.0, (d, r)
+                    continue
+                value = limiting_error(np.array([r] + [0.0] * (d - 1)), QuantScheme(1.0)).value
+                assert out.holds == (rep.lower <= value <= rep.upper_scaling), (d, r)
 
 
 def test_slope_fit_validation():
@@ -200,9 +217,9 @@ def test_slope_fit_quick():
 def test_sandwich_at_large_R_uses_the_series():
     # the default quadrature's |integral| at d = 12, R = 1000.3 is rounding
     # noise outside the sandwich; AUTO's certified series lies inside
-    out = sandwich_check(1000.3, 1.0, 6, "even")
+    out = sandwich_check(12, 1000.3, 1.0)
     assert out.holds is True and out.method == Method.BESSEL_SERIES
-    assert sandwich_check(100.1, 1.0, 2, "even").method is None  # hypothesis unmet
+    assert sandwich_check(4, 100.1, 1.0).method is None  # hypothesis unmet
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

@@ -188,6 +188,16 @@ def test_bounds_defect_cell_passes_by_default(tmp_path):
     assert run(tmp_path, "bounds", "--d", "4", "--r", "100.375", "--delta", "1") == EXIT_OK
 
 
+@pytest.mark.parametrize("d, r", [("7", "2.2"), ("12", "49.35")])
+def test_bounds_report_below_the_threshold_claims_no_lower_bound(tmp_path, capsys, d, r):
+    # eps is in the window but R < 50: the sandwich's hypothesis is unmet,
+    # so the report claims nothing and nothing is checked
+    assert run(tmp_path, "bounds", "--d", d, "--r", r, "--delta", "1") == EXIT_OK
+    assert "below threshold" in capsys.readouterr().out
+    (row,) = read_csv(tmp_path / "bound_report.csv")
+    assert float(row["lower"]) == 0.0 and row["window_ok"] == "True"
+
+
 def test_bounds_report_runs_one_integral(tmp_path, monkeypatch, capsys):
     from framepcm import Method, QuantScheme, limit_error, limiting_error
 
@@ -272,7 +282,8 @@ def test_exit_codes(tmp_path):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("extra", [("--r", "inf"), ("--r", "nan"), ("--r", "5", "--tol", "0")])
+@pytest.mark.parametrize("extra", [("--r", "inf"), ("--r", "nan"), ("--r", "5", "--tol", "0"),
+                                   ("--r", "10.3", "--methods", "bessel_series", "--tol", "nan")])
 def test_non_finite_inputs_and_zero_tol_are_config_errors(tmp_path, capsys, extra):
     # rejected at the input, before any quadrature runs
     assert run(tmp_path, "limit", "--d", "3", "--delta", "1", *extra) == EXIT_CONFIG

@@ -687,7 +687,7 @@ def test_grid_falls_back_to_quadrature_row_by_row(monkeypatch):
     rungs = []
     direct = special_fn._alt_sum_direct
     monkeypatch.setattr(special_fn, "_alt_sum_direct",
-                        lambda *args: rungs.append((len(args[2]), args[4])) or direct(*args))
+                        lambda *args: rungs.append((len(args[1]), args[3])) or direct(*args))
     grid = _grid_equals_points(40, 1.0, [1.0 / 100.375, 1.0 / 50.3, 1.0 / 1000.375])
     assert [res.method for res in grid] == [Method.QUADRATURE] * 3
     assert rungs[0] == (3, 64)  # the grid's one call, then one per single point
@@ -730,7 +730,7 @@ def test_auto_fall_back_stops_the_series_at_its_first_rung(monkeypatch):
     rungs = []
     direct = special_fn._alt_sum_direct
     monkeypatch.setattr(special_fn, "_alt_sum_direct",
-                        lambda *args: rungs.append(args[4]) or direct(*args))
+                        lambda *args: rungs.append(args[3]) or direct(*args))
     res = limiting_error(_x(40, 100.375), UNIT)
     assert rungs == [64]
     quad = limiting_error(_x(40, 100.375), UNIT, Method.QUADRATURE)

@@ -145,7 +145,7 @@ def test_envelope_grid_no_violations():
 
 
 def test_alternating_sum_half_order_integer_R_is_zero():
-    ev = alternating_bessel_sum_info(0.5, 0.5, 1.0, 1e-12)[0]
+    ev = alternating_bessel_sum_info(0.5, 1.0, 1e-12)[0]
     assert ev.value == 0.0 and ev.abs_error_bound == 0.0
 
 
@@ -155,39 +155,39 @@ def test_alternating_sum_matches_quadrature_backsolve():
     quad_val = integral_even(r, delta, n, method="quadrature", tol=1e-12)
     prefac = -(1 / math.pi ** n) * (delta ** n / r ** (n - 1)) \
         * (math.pi / 2 ** (2 * n - 2)) * math.comb(2 * n - 2, n - 1) * math.factorial(n - 1)
-    ev = alternating_bessel_sum_info(2, 2, r / delta, 1e-11)[0]
+    ev = alternating_bessel_sum_info(2, r / delta, 1e-11)[0]
     assert ev.value == pytest.approx(quad_val / prefac, abs=2e-10)
 
 
 @pytest.mark.parametrize("R", [300.25, 500.375])
 def test_alternating_sum_large_R_upper_estimate(R):
     # |sum| <= (5/4) (1/pi) sqrt(1/R) * zeta(3/2)-style full sum, order 1
-    ev = alternating_bessel_sum_info(1, 1, R, 1e-10)[0]
+    ev = alternating_bessel_sum_info(1, R, 1e-10)[0]
     full = 2.7 / 1.0  # sum_{k>=1} k^{-3/2} ~ 2.612; 2.7 is a safe cover
     assert abs(ev.value) <= 1.25 / math.pi * math.sqrt(1.0 / R) * full
 
 
 def test_alternating_sum_bracket_consistency():
     # loosening the tolerance may not move the value outside the loose bracket
-    tight = alternating_bessel_sum_info(1.5, 1.5, 37.25, 1e-12)[0]
-    loose = alternating_bessel_sum_info(1.5, 1.5, 37.25, 1e-6)[0]
+    tight = alternating_bessel_sum_info(1.5, 37.25, 1e-12)[0]
+    loose = alternating_bessel_sum_info(1.5, 37.25, 1e-6)[0]
     assert abs(tight.value - loose.value) <= loose.abs_error_bound + tight.abs_error_bound
 
 
 def test_alternating_sum_against_brute_force():
-    # brute-force scipy partial sum with k^{-(p+1/2)} tail allowance
-    order, p, R = 2, 2, 25.375
+    # brute-force scipy partial sum with k^{-(order+1/2)} tail allowance
+    order, R = 2, 25.375
     K = 200000
     k = np.arange(1, K + 1, dtype=float)
-    brute = math.fsum(((-1.0) ** k) * k ** -p * jv(order, 2 * math.pi * k * R))
-    tail_allow = (1 / (math.pi * math.sqrt(R))) * (2.0 / math.sqrt(K)) * K ** -p * K
-    ev = alternating_bessel_sum_info(order, p, R, 1e-11)[0]
+    brute = math.fsum(((-1.0) ** k) * k ** -order * jv(order, 2 * math.pi * k * R))
+    tail_allow = (1 / (math.pi * math.sqrt(R))) * (2.0 / math.sqrt(K)) * K ** -order * K
+    ev = alternating_bessel_sum_info(order, R, 1e-11)[0]
     assert abs(ev.value - brute) <= 1e-9 + tail_allow
 
 
 def test_alternating_sum_tolerance_failure_is_explicit():
     with pytest.raises(PrecisionExhausted):
-        alternating_bessel_sum_info(1, 1, 5.5, 1e-30)[0]
+        alternating_bessel_sum_info(1, 5.5, 1e-30)[0]
 
 
 @pytest.mark.parametrize("order, R", [(9.5, 0.5), (12.0, 0.5), (12.0, 1.5)])
@@ -195,7 +195,7 @@ def test_alternating_sum_at_half_against_direct_sum(order, R):
     # eps = 1/2 exactly: the tails are real zeta tails, weighted by large
     # Hankel coefficients at small R; past k = 200 the sum is below 1e-21
     mpmath = pytest.importorskip("mpmath")
-    ev = alternating_bessel_sum_info(order, order, R, 1e-10)[0]
+    ev = alternating_bessel_sum_info(order, R, 1e-10)[0]
     with mpmath.workdps(30):
         ref = mpmath.fsum((-1) ** k * mpmath.mpf(k) ** -order
                           * mpmath.besselj(order, 2 * mpmath.pi * k * mpmath.mpf(R))
@@ -208,8 +208,8 @@ def test_alternating_sum_bound_at_half_not_above_its_neighbour(order, R):
     # eps = 1/2 exactly takes the zeta tails, eps = 1/2 + 1e-7 the phase
     # sums; both rest on the same Euler-Maclaurin sums, so the exact point
     # may not carry the looser bound
-    at = alternating_bessel_sum_info(order, order, R, 1e-10)[0]
-    beside = alternating_bessel_sum_info(order, order, R + 1e-7, 1e-10)[0]
+    at = alternating_bessel_sum_info(order, R, 1e-10)[0]
+    beside = alternating_bessel_sum_info(order, R + 1e-7, 1e-10)[0]
     assert at.abs_error_bound <= beside.abs_error_bound
 
 
@@ -231,8 +231,8 @@ def test_zeta_em_against_hurwitz_oracle():
 
 
 def test_determinism():
-    a = alternating_bessel_sum_info(2.5, 2.5, 12.125, 1e-10)[0]
-    b = alternating_bessel_sum_info(2.5, 2.5, 12.125, 1e-10)[0]
+    a = alternating_bessel_sum_info(2.5, 12.125, 1e-10)[0]
+    b = alternating_bessel_sum_info(2.5, 12.125, 1e-10)[0]
     assert a.value == b.value and a.abs_error_bound == b.abs_error_bound
 
 
@@ -245,7 +245,7 @@ def test_alternating_sum_caches_are_pure():
     # each case first in a fresh process, then here after calls at other
     # orders, other R and eps ~ 1/2: the (BesselEval, K) must not change
     script = ("import sys; from framepcm.special_fn import alternating_bessel_sum_info as f; "
-              "print(repr(f(float(sys.argv[1]), float(sys.argv[1]), float(sys.argv[2]), 1e-10)))")
+              "print(repr(f(float(sys.argv[1]), float(sys.argv[2]), 1e-10)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(framepcm.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     fresh = [subprocess.run([sys.executable, "-c", script, repr(order), repr(R)], env=env,
@@ -253,16 +253,17 @@ def test_alternating_sum_caches_are_pure():
              for order, R in _PURITY_CASES]
     for order in (0.5, 3.0, 6.0, 9.5):
         for R in (1.3, 100.375, 3000.4993):
-            alternating_bessel_sum_info(order, order, R, 1e-10)
+            alternating_bessel_sum_info(order, R, 1e-10)
     for (order, R), first in zip(_PURITY_CASES, fresh):
-        assert repr(alternating_bessel_sum_info(order, order, R, 1e-10)) == first
+        assert repr(alternating_bessel_sum_info(order, R, 1e-10)) == first
 
 
 def _direct_part_loop(order, R, K):
     """The per-term loop that the array evaluation of the direct part
     replaced: scalar Hankel sums a_j / x^j at the reduced phase, each cut
-    by walking the first-omitted-term rule (spare 26), or the series for
-    x <= 12.  Returns (sum, bound, rounding scale sum_k w amp (|P|+|Q|))."""
+    by walking the first-omitted-term rule (spare 26), with 4 EPS per
+    retained term of the retained terms' size, or the series for x <= 12.
+    Returns (sum, bound, rounding scale sum_k w amp (|P|+|Q|))."""
     from framepcm.special_fn import EPS, _hankel_coeffs, _series_eval
 
     eps_frac = R - math.floor(R)
@@ -291,8 +292,10 @@ def _direct_part_loop(order, R, K):
             lp, lq = cut(x, 0, lp_min), cut(x, 1, lq_min)
             P = math.fsum((-1.0) ** m * a[2 * m] / x ** (2 * m) for m in range(lp))
             Q = math.fsum((-1.0) ** m * a[2 * m + 1] / x ** (2 * m + 1) for m in range(lq))
-            bP = abs(a[2 * lp]) / x ** (2 * lp) + 4 * lp * EPS
-            bQ = abs(a[2 * lq + 1]) / x ** (2 * lq + 1) + 4 * lq * EPS
+            size = (math.fsum(abs(a[2 * m]) / x ** (2 * m) for m in range(lp))
+                    + math.fsum(abs(a[2 * m + 1]) / x ** (2 * m + 1) for m in range(lq)))
+            bP = abs(a[2 * lp]) / x ** (2 * lp) + 4 * lp * EPS * size
+            bQ = abs(a[2 * lq + 1]) / x ** (2 * lq + 1) + 4 * lq * EPS * size
             chi = 2.0 * math.pi * math.fmod(k * eps_frac, 1.0) - omega
             amp = math.sqrt(2.0 / (math.pi * x))
             v = amp * (math.cos(chi) * P - math.sin(chi) * Q)
@@ -312,7 +315,7 @@ def test_direct_part_matches_per_term_loop(order, R):
     from framepcm.special_fn import EPS, _alt_sum_direct
 
     ref, ref_bound, scale = _direct_part_loop(order, R, 256)
-    value, bound = _alt_sum_direct(order, order, R, R - math.floor(R), 256)
+    value, bound = _alt_sum_direct(order, R, R - math.floor(R), 256)
     assert abs(value - ref) <= 32 * EPS * scale
     assert bound == pytest.approx(ref_bound, rel=1e-14, abs=0.0)
 
@@ -424,6 +427,25 @@ def test_bessel_large_x_against_oracle():
         assert abs(ev.value - _besselj_50(mpmath, order, x)) <= ev.abs_error_bound, (order, x)
 
 
+@pytest.mark.parametrize("order, x", [(20.5, 12.6), (20.5, 20.0), (30.5, 13.0)])
+def test_bessel_large_x_bound_covers_the_rounding_of_large_terms(order, x):
+    # the Hankel terms a_j / x^j reach 1e3-1e10 here; an allowance of
+    # 4 EPS per retained term, as if each were at most 1, fell 10-60x
+    # short of the actual error
+    mpmath = pytest.importorskip("mpmath")
+    ev = bessel_large_x(order, x)
+    assert abs(ev.value - _besselj_50(mpmath, order, x)) <= ev.abs_error_bound
+
+
+def test_alternating_sums_reject_a_nan_tol():
+    # NaN passed a `t <= 0` check and climbed the whole K ladder
+    from framepcm.special_fn import alternating_bessel_sums
+
+    for tol in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            alternating_bessel_sums(1.5, [10.3], [tol])
+
+
 def test_bessel_integral_int_order_against_oracle():
     # Bessel's integral J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt
     # (DLMF 10.9.2) by Gauss-Legendre; the bound is the disagreement of two
@@ -453,7 +475,7 @@ def test_bessel_large_x_at_huge_arguments(order):
 
 def _one_row(order, R, tol):
     try:
-        return alternating_bessel_sum_info(order, order, R, tol)
+        return alternating_bessel_sum_info(order, R, tol)
     except PrecisionExhausted as exc:
         return exc
 
@@ -471,7 +493,7 @@ def test_alternating_sums_rows_equal_their_one_row_calls(order):
           + [10.5, 100.5, 1000.49993, 20.50004, 0.49997, 0.50002, 3.0, 57.0])
     tols = [float(t) for t in 10 ** rng.uniform(-14, -8, len(Rs))]
     tols[-4:-2] = [1e-13, 1e-13]
-    rows = alternating_bessel_sums(order, order, Rs, tols)
+    rows = alternating_bessel_sums(order, Rs, tols)
     for R, tol, row in zip(Rs, tols, rows):
         one = _one_row(order, R, tol)
         assert type(row) is type(one) and repr(row) == repr(one) and str(row) == str(one)
@@ -487,9 +509,9 @@ def test_alternating_sums_row_does_not_depend_on_its_neighbours():
     from framepcm.special_fn import alternating_bessel_sums
 
     R = 300.4999
-    alone = alternating_bessel_sums(2.5, 2.5, [R], [1e-10])[0]
+    alone = alternating_bessel_sums(2.5, [R], [1e-10])[0]
     for company in ([1.3], [0.07, 5000.25, 12.5], list(np.linspace(100.1, 900.9, 19))):
-        rows = alternating_bessel_sums(2.5, 2.5, company + [R], [1e-10] * (len(company) + 1))
+        rows = alternating_bessel_sums(2.5, company + [R], [1e-10] * (len(company) + 1))
         assert rows[-1] == alone
 
 
@@ -501,7 +523,7 @@ def test_hopeless_ladder_raises_at_the_first_rung(monkeypatch):
     rungs = []
     direct = special_fn._alt_sum_direct
     monkeypatch.setattr(special_fn, "_alt_sum_direct",
-                        lambda *args: rungs.append(args[4]) or direct(*args))
+                        lambda *args: rungs.append(args[3]) or direct(*args))
     with pytest.raises(PrecisionExhausted, match="direct part's bound .* at K=64"):
-        alternating_bessel_sum_info(1, 1, 5.5, 1e-30)
+        alternating_bessel_sum_info(1, 5.5, 1e-30)
     assert rungs == [64]

@@ -14,7 +14,7 @@ recorded as ``raise <Type>: <message>``.  The grid:
   d = 2..12, R = r/delta in RS, delta in DELTAS;
 * ``lower_bound`` and ``sandwich_check`` with both kernel phases on the
   same points (d >= 3);
-* ``bessel_large_x`` at XS and ``alternating_bessel_sum_info`` (p = order) at
+* ``bessel_large_x`` at XS and ``alternating_bessel_sum_info`` at
   RS, for the orders 0, 1/2, ..., 12;
 * ``zeta_tail``, ``M1_constant`` and ``M2_constant``;
 * ``scaling_slope_fit`` at d = 3..12 over the default sweep of
@@ -109,7 +109,6 @@ def golden() -> dict:
 
     out: dict = {}
     for d in DIMS:
-        n, parity = d // 2, ("even", "odd")[d % 2]
         for R in RS:
             for delta in DELTAS:
                 r = R * delta
@@ -129,15 +128,14 @@ def golden() -> dict:
                     _record(out, f"lower_bound/matched={matched}/{at}",
                             lambda: lower_bound(d, r, delta, order_matched_phase=matched))
                     _record(out, f"sandwich/matched={matched}/{at}",
-                            lambda: sandwich_check(r, delta, n, parity,
-                                                   order_matched_phase=matched))
+                            lambda: sandwich_check(d, r, delta, order_matched_phase=matched))
     for order in ORDERS:
         for x in XS:
             _record(out, f"bessel_large_x/order={order!r}/x={x!r}",
                     lambda: bessel_large_x(order, x))
         for R in RS:
             _record(out, f"alternating_bessel_sum/order={order!r}/R={R!r}",
-                    lambda: alternating_bessel_sum_info(order, order, R, ALT_SUM_TOL))
+                    lambda: alternating_bessel_sum_info(order, R, ALT_SUM_TOL))
     for t in range(3, 27):
         _record(out, f"zeta_tail/p={t / 2!r}", lambda: zeta_tail(t / 2))
     for d in range(3, 13):
