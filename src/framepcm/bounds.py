@@ -256,8 +256,8 @@ def scaling_slope_fit(d: int, r: float, eps_fixed: float, k_range) -> float:
     the quadrature, whose own estimate exceeds its value there at d >= 8.
     The series points share one batched alternating Bessel sum, whose
     fixed cost they pay once: measured with one BLAS thread on a 2-vCPU
-    VM at d = 3, 8 and 12, a one-row call costs 0.45-0.6 ms and a
-    nine-row call 1.1-1.4 ms.  Each point's route, K, value and estimate
+    VM at d = 3, 8 and 12, a one-row call costs 0.09-0.11 ms and a
+    nine-row call 0.13-0.42 ms.  Each point's route, K, value and estimate
     are those of ``limiting_error`` at that point alone.  A point whose
     estimate is at least its value is unresolved: ``PrecisionExhausted``
     names it rather than fitting noise.  Requires eps_fixed inside the

@@ -29,7 +29,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -71,7 +71,8 @@ class RunConfig:
 
     def save(self, path: Path) -> None:
         with _open_new(path) as fh:
-            fh.write(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps({"subcommand": self.subcommand, "parameters": self.parameters},
+                                indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: Path) -> "RunConfig":
@@ -250,8 +251,9 @@ def _cmd_bounds(args, outdir: Path) -> int:
         report = lower_bound(args.d, args.r, args.delta,
                              order_matched_phase=not args.paper_phase)
         print(f"I constant: {report.I_const:.6f}")
-        print(f"lower bound report: {report.to_dict()}")
-        _write_csv(outdir / "bound_report.csv", BOUND_CSV_FIELDS, [report.to_dict()])
+        row = report.to_dict()
+        print(f"lower bound report: {row}")
+        _write_csv(outdir / "bound_report.csv", BOUND_CSV_FIELDS, [row])
         # the one verdict, the sandwich's: an unmet hypothesis counts nothing
         sw = sandwich_check(args.d, args.r, args.delta,
                             order_matched_phase=not args.paper_phase)

@@ -99,11 +99,11 @@ _QUAD_ORDERS = (4, 8, 16, 32, 64, 128, 256, 512)
 # a rational upper bound on pi (math.pi lies below it)
 _PI_UP = Fraction(math.nextafter(math.pi, 4.0))
 # AUTO takes the quadrature only below this R = r/delta.  Measured per call
-# at d = 2..12 with one BLAS thread, the quadrature costs 0.05-0.11 ms
-# against the series' 0.34-0.53 ms at R = 80.3, and 0.04-0.14 ms against
-# 0.34-0.54 ms at R = 160.3: it is the cheaper route up to R ~ 1000 for
-# even d and R ~ 2000-4000 for odd d, but moving the crossover would move
-# default values
+# at d = 2..12 with one BLAS thread on a 2-vCPU VM, the quadrature costs
+# 0.02-0.05 ms against the series' 0.11-0.14 ms at R = 80.3, and
+# 0.03-0.07 ms against 0.11-0.13 ms at R = 160.3: it is the cheaper route
+# up to R ~ 600-1000 for even d and R ~ 2000 for odd d, but moving the
+# crossover would move default values
 _AUTO_QUAD_MAX_R = 100.0
 
 
@@ -381,6 +381,7 @@ def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
 # Bessel-series route
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)  # one float per (n, parity) below d = 441; a raise is not cached
 def _base_coef(n: int, parity: str) -> float:
     """(n-1)! C(2n-2, n-1) / (2^{2n-2} pi^n) (even) or (n-1)! / pi^{n+1}
     (odd), pi being math.pi, within 2 ulps: the leading coefficient of the

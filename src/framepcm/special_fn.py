@@ -32,8 +32,14 @@ truncation index K beside the value.  Direct summation is hopeless for
 small alpha (the certified tail decays like K^{-alpha+1/2}), so the tail is
 *computed*: the
 Hankel expansion turns it into a handful of phase sums
-sum_{k>K} z^k k^{-q} with |z| = 1, all at q = alpha + 1/2 + integer.  For
-z = e^{2 pi i beta} != 1 each is Li_q(z) minus the head sum_{k<=K}, with
+sum_{k>K} z^k k^{-q} with |z| = 1, all at q = alpha + 1/2 + integer.  The
+first rung of the K ladder is K = 0, where the tail is the whole sum and
+Hankel's expansion is cut at the smallest argument, 2 pi R; that serves
+every R where the expansion's remainder there meets the target (every R
+for half-integer alpha, where it terminates), and the ladder climbs to
+K = 64, 256, ... elsewhere.  For
+z = e^{2 pi i beta} != 1 each phase sum is Li_q(z) minus the head
+sum_{k<=K} (no head at K = 0), with
 the polylogarithm from its expansion in w = 2 pi i beta (DLMF 25.12.12;
 the harmonic/log form at integer q), which converges for every phase once
 beta is reduced to (-1/2, 1/2].  The expansion's zeta(q - j) come from
@@ -41,8 +47,8 @@ one table of zeta(alpha + 1/2 + t) per tail (Euler-Maclaurin for positive
 arguments, the functional equation DLMF 25.4.1 for negative ones), so all
 q of a tail are one gather and one row-sum; the omitted terms are bounded
 through DLMF 25.4.2.  Li - head is accurate only in absolute terms, so
-where the trivial bound K^{1-q}/(q-1) is smaller the tail is taken as 0
-with that bound.  At z = 1 the phase sum is a Hurwitz zeta tail from the
+where K > 0 and the trivial bound K^{1-q}/(q-1) is smaller the tail is
+taken as 0 with that bound.  At z = 1 the phase sum is a Hurwitz zeta tail from the
 same Euler-Maclaurin routine that fills the table.  The direct part
 k <= K is evaluated as arrays over k by the Hankel sums that also serve
 ``bessel_large_x``: one table of terms a_j / x_k^j, built as running
@@ -440,8 +446,9 @@ def bessel_large_x(order: float, x: float) -> BesselEval:
 # ---------------------------------------------------------------------------
 
 def _tail_majorant(q, K: int):
-    """sum_{k>K} k^{-q} <= K^{1-q} / (q - 1), for q > 1 (floats or arrays)."""
-    return K ** (1.0 - q) / (q - 1.0)
+    """sum_{k>K} k^{-q} <= K^{1-q} / (q - 1), and <= 1 + 1/(q - 1) at K = 0,
+    for q > 1 (floats or arrays)."""
+    return q / (q - 1.0) if K == 0 else K ** (1.0 - q) / (q - 1.0)
 
 
 # Euler-Maclaurin for zeta sums: the first _EM_N - 1 terms are summed and
@@ -602,11 +609,10 @@ def _trivial_tails(order: float, top: int, K: int):
     return arrays
 
 
-def _phase_tails(order: float, top: int, idx: np.ndarray, beta, K: int):
-    """sum_{k>K} e^{2 pi i beta k} k^{-q} at every q = order + 1/2 + idx, with
-    certified absolute bounds; ``beta`` is one phase or one per entry of
-    ``idx`` (a (row, q) pair each), in [-1/2, 1/2] but not 0; ``idx`` lies
-    in 0..top.  Returns (values, bounds) as arrays over idx.
+def _polylog(tab: _PhaseTable, idx: np.ndarray, beta: np.ndarray):
+    """Li_q(e^{2 pi i beta}) at every q = order + 1/2 + idx of ``tab``, one
+    beta per entry, in [-1/2, 1/2] but not 0.  Returns (values, bounds) as
+    arrays over idx.
 
     With w = 2 pi i beta, |w| <= pi < 2 pi,
     so the polylogarithm expansion (DLMF 25.12.12)
@@ -614,44 +620,19 @@ def _phase_tails(order: float, top: int, idx: np.ndarray, beta, K: int):
         Li_q(e^w) = Gamma(1-q) (-w)^{q-1} + sum_{j>=0} zeta(q-j) w^j / j!
 
     converges for every phase; for a positive integer q the Gamma term and
-    the j = q-1 term become w^{q-1}/(q-1)! [H_{q-1} - ln(-w)].  Every q of a
-    tail is order + 1/2 + integer, so one table of zeta(order + 1/2 + t)
+    the j = q-1 term become w^{q-1}/(q-1)! [H_{q-1} - ln(-w)].  Every q is
+    order + 1/2 + integer, so one table of zeta(order + 1/2 + t)
     (:func:`_phase_table`) serves them all and the series is one gather and
     one row-sum.  Row q stops at J_q >= q, where |beta|^j has fallen by
     2^-52; the omitted terms are bounded through |zeta(1-s)| <=
     2 (2 pi)^-s Gamma(s) zeta(s) (DLMF 25.4.2) by a geometric majorant of
-    ratio |beta|.  The tail is Li_q(z) minus the head sum_{k<=K} z^k k^-q,
-    one (rows x K) matrix of weights against phases taken from beta k
-    reduced exactly mod 1.  The bound adds that remainder to the rounding
-    of the zeta table, the series, the head and its phases.
-
-    Li - head is accurate only to about 1e-15 absolute, so for q > 1 the
-    trivial |tail| <= min(K^{1-q}/(q-1), (K+1)^-q / sin(pi |beta|)) (the
-    integral test; Abel's inequality) is returned, with value 0, wherever
-    it is the smaller bound; the head of such a row is not computed.
-
-    The series is summed left to right and the head over its K columns, so
-    an entry's value and bound do not depend on the other entries.
+    ratio |beta|.  The bound adds that remainder to the rounding of the
+    zeta table, the series and the singular term.  The series is summed
+    left to right, so an entry's value and bound do not depend on the
+    other entries.
     """
-    tab = _phase_table(order, top)
-    beta = beta + np.zeros(idx.size)
     b = np.abs(beta)
     q = tab.q[idx]
-    over = q > 1.0
-    values = np.zeros(q.size, dtype=complex)
-    majorant, abel = _trivial_tails(order, top, K)
-    bounds = np.minimum(majorant[idx], abel[idx] / np.sin(math.pi * b))
-    # rounding of the head per unit weight: ~18 EPS per term (the phase, its
-    # cos/sin, the power, the product) and (9 + log2(K)/2) EPS of numpy's
-    # pairwise summation.  For q > 1 the weights sum to less than zeta(q),
-    # so on rows not live this alone would exceed the trivial bound.
-    head_scale = (K.bit_length() + 24) * EPS
-    zq = tab.zeta_q_up[idx]
-    live = np.flatnonzero(~over | (head_scale * 2.0 * zq <= bounds))
-    if live.size == 0:
-        return values, bounds
-    idx, q, zq, over, beta, b = idx[live], q[live], zq[live], over[live], beta[live], b[live]
-
     # the series, each row cut at J_q (the columns past it hold exact zeros)
     # and summed left to right, so that its sum does not depend on the
     # other rows' J
@@ -692,8 +673,50 @@ def _phase_tails(order: float, top: int, idx: np.ndarray, beta, K: int):
         sing = power if sing is None else np.where(integer, sing, power)
         sing_err = power_err if sing_err is None else np.where(integer, sing_err, power_err)
 
-    fixed = (series_err + sing_err + _j_remainder(tab, idx, jq, b)
-             + 2 * EPS * (np.abs(series) + np.abs(sing)))
+    return series + sing, (series_err + sing_err + _j_remainder(tab, idx, jq, b)
+                           + 2 * EPS * (np.abs(series) + np.abs(sing)))
+
+
+def _phase_tails(order: float, top: int, idx: np.ndarray, beta, K: int):
+    """sum_{k>K} e^{2 pi i beta k} k^{-q} at every q = order + 1/2 + idx, with
+    certified absolute bounds; ``beta`` is one phase or one per entry of
+    ``idx`` (a (row, q) pair each), in [-1/2, 1/2] but not 0; ``idx`` lies
+    in 0..top.  Returns (values, bounds) as arrays over idx.
+
+    At K = 0 the tail is the polylogarithm Li_q(z) itself
+    (:func:`_polylog`).  Past K it is Li_q(z) minus the head
+    sum_{k<=K} z^k k^-q, one (rows x K) matrix of weights against phases
+    taken from beta k reduced exactly mod 1, and the bound adds the
+    rounding of the head and its phases.
+
+    Li - head is accurate only to about 1e-15 absolute, so for q > 1 the
+    trivial |tail| <= min(K^{1-q}/(q-1), (K+1)^-q / sin(pi |beta|)) (the
+    integral test; Abel's inequality) is returned, with value 0, wherever
+    it is the smaller bound; the head of such a row is not computed.
+
+    The head is summed over its K columns, so an entry's value and bound
+    do not depend on the other entries.
+    """
+    tab = _phase_table(order, top)
+    beta = beta + np.zeros(idx.size)
+    if K == 0:
+        return _polylog(tab, idx, beta)
+    q = tab.q[idx]
+    over = q > 1.0
+    values = np.zeros(q.size, dtype=complex)
+    majorant, abel = _trivial_tails(order, top, K)
+    bounds = np.minimum(majorant[idx], abel[idx] / np.sin(math.pi * np.abs(beta)))
+    # rounding of the head per unit weight: ~18 EPS per term (the phase, its
+    # cos/sin, the power, the product) and (9 + log2(K)/2) EPS of numpy's
+    # pairwise summation.  For q > 1 the weights sum to less than zeta(q),
+    # so on rows not live this alone would exceed the trivial bound.
+    head_scale = (K.bit_length() + 24) * EPS
+    zq = tab.zeta_q_up[idx]
+    live = np.flatnonzero(~over | (head_scale * 2.0 * zq <= bounds))
+    if live.size == 0:
+        return values, bounds
+    idx, q, zq, over, beta = idx[live], q[live], zq[live], over[live], beta[live]
+    li, fixed = _polylog(tab, idx, beta)
     use = ~over | (fixed + head_scale * 2.0 * zq <= bounds[live])
     if use.any():
         rows = live[use]
@@ -710,7 +733,7 @@ def _phase_tails(order: float, top: int, idx: np.ndarray, beta, K: int):
         weights = k ** -q[use, None]
         head = ((weights * np.cos(theta)[which]).sum(axis=1)
                 + 1j * (weights * np.sin(theta)[which]).sum(axis=1))
-        values[rows] = series[use] + sing[use] - head
+        values[rows] = li[use] - head
         bounds[rows] = fixed[use] + head_scale * weights.sum(axis=1) + 2 * EPS * np.abs(head)
     return values, bounds
 
@@ -719,8 +742,9 @@ def _phase_tails(order: float, top: int, idx: np.ndarray, beta, K: int):
 # the alternating Bessel sum
 # ---------------------------------------------------------------------------
 
-# the direct-part sizes K the alternating sum tries, smallest first
-_K_LADDER = (64, 256, 1024, 4096, 16384)
+# the direct-part sizes K the alternating sum tries, smallest first; at
+# K = 0 there is no direct part
+_K_LADDER = (0, 64, 256, 1024, 4096, 16384)
 
 
 @lru_cache(maxsize=64)
@@ -766,21 +790,33 @@ def _alt_sum_direct(order: float, R, eps_frac, K: int):
     return values, (w * b + rounding_w * np.abs(v)).sum(axis=1)
 
 
-def _alt_sum_tail(order: float, R, eps_frac, K: int):
+def _alt_sum_tail(order: float, R, eps_frac, K: int, tol):
     """Analytic continuation of the sums past k = K via Hankel + phase sums.
 
-    ``R`` and ``eps_frac`` are floats or 1-D arrays, one row each; returns
-    (values, bounds) as arrays over the rows.  The phase sums of all rows
-    are one call; each row's coefficients and sums are its own.
+    ``R``, ``eps_frac`` and ``tol`` are floats or 1-D arrays, one row each;
+    returns (values, bounds) as arrays over the rows.  The phase sums of all
+    rows are one call; each row's coefficients and sums are its own.  At
+    K = 0 the tail is the whole sum, and a row whose Hankel remainder alone
+    exceeds its tol gets (0, inf) without phase sums: that remainder is a
+    part of the bound the row would get.
     """
     omega = math.pi * order / 2.0 + math.pi / 4.0
-    R, eps_frac = np.atleast_1d(R), np.atleast_1d(eps_frac)
+    R, eps_frac, tol = np.atleast_1d(R), np.atleast_1d(eps_frac), np.atleast_1d(tol)
     # each row truncated where its first tail term k = K+1 needs it
     a, _, MP, MQ = _hankel_plan(order, (2.0 * math.pi * R) * (K + 1), 18)
+    tails, errs = np.zeros(R.size), np.full(R.size, math.inf)
     rows, idx, coef, beta = [], [], [], []
-    for r, eps, mp, mq in zip(R.tolist(), eps_frac.tolist(), MP.tolist(), MQ.tolist()):
+    for row, (r, eps, mp, mq) in enumerate(zip(R.tolist(), eps_frac.tolist(), MP.tolist(),
+                                               MQ.tolist())):
         twopiR = 2.0 * math.pi * r
-        rows.append((r, twopiR, mp, mq, len(idx)))
+        scale = 1.0 / (math.pi * math.sqrt(r))
+        # Hankel remainder summed over the tail (integral-test zeta bounds)
+        rem_p = abs(a[2 * mp]) * twopiR ** (-2 * mp) * _tail_majorant(order + 0.5 + 2 * mp, K)
+        rem_q = (abs(a[2 * mq + 1]) * twopiR ** (-2 * mq - 1)
+                 * _tail_majorant(order + 1.5 + 2 * mq, K))
+        if K == 0 and scale * (rem_p + rem_q) > tol[row]:
+            continue
+        rows.append((row, scale, rem_p, rem_q, mp + mq, len(idx)))
         # phase sums at q = order + 1/2 + i: i = 2m for the P terms, which take
         # the real part of their rotated sum, 2m + 1 for the Q terms, which
         # take minus its imaginary part, Re(1j z) = -Im(z)
@@ -791,6 +827,8 @@ def _alt_sum_tail(order: float, R, eps_frac, K: int):
         # (-1)^k e^{2 pi i k eps} = e^{2 pi i beta k}: beta = eps - 1/2, exact
         # (Sterbenz) wherever it is small; eps + 1/2 would round near beta = 0
         beta += [eps - 0.5] * len(row_idx)
+    if not rows:
+        return tails, errs
     # at eps = 1/2 exactly (beta = 0) the phase sums are zeta tails
     some_at_half = 0.0 in beta
     idx, coef, beta = np.array(idx), np.array(coef), np.array(beta)
@@ -809,16 +847,10 @@ def _alt_sum_tail(order: float, R, eps_frac, K: int):
             tp[~zeta], tb[~zeta] = _phase_tails(order, len(a) - 1, idx[~zeta], beta[~zeta], K)
     terms = (coef * (cmath.exp(-1j * omega) * tp)).real.tolist()
     bounds = np.add.reduceat(np.abs(coef) * tb, [row[-1] for row in rows]).tolist()
-    tails, errs = [], []
-    for (r, twopiR, mp, mq, lo), bound in zip(rows, bounds):
-        # Hankel remainder summed over the tail (integral-test zeta bounds)
-        bound += abs(a[2 * mp]) * twopiR ** (-2 * mp) * _tail_majorant(order + 0.5 + 2 * mp, K)
-        bound += (abs(a[2 * mq + 1]) * twopiR ** (-2 * mq - 1)
-                  * _tail_majorant(order + 1.5 + 2 * mq, K))
-        scale = 1.0 / (math.pi * math.sqrt(r))
-        tails.append(scale * math.fsum(terms[lo:lo + mp + mq]))
-        errs.append(scale * bound)
-    return np.array(tails), np.array(errs)
+    for (row, scale, rem_p, rem_q, n, lo), bound in zip(rows, bounds):
+        tails[row] = scale * math.fsum(terms[lo:lo + n])
+        errs[row] = scale * (bound + rem_p + rem_q)
+    return tails, errs
 
 
 def alternating_bessel_sums(order: float, R, tol) -> list:
@@ -829,11 +861,16 @@ def alternating_bessel_sums(order: float, R, tol) -> list:
     Returns one entry per R: ``(BesselEval, K)``, or the
     ``PrecisionExhausted`` that the point raised (returned, not raised).
     The rows share the Hankel tables, the phase-sum table and the K
-    ladder.  Each row leaves the ladder at the first rung where its own
-    bound meets its own tol, or where its direct part's bound alone
-    already exceeds it: that bound, sum_{k<=K} (w b + 4 EPS w |v|), only
-    grows with K, so no larger K could meet tol.  A row's K, value and
-    bound do not depend on the other rows.
+    ladder.  The first rung, K = 0, has no direct part: the whole sum is
+    Hankel's expansion cut at x = 2 pi R times polylogarithms, and a row
+    whose Hankel remainder over k >= 1 alone exceeds its tol skips it
+    (see :func:`_alt_sum_tail`).  Half-integer orders, whose expansion
+    terminates, leave there at every R where rounding allows.  Each row
+    leaves the ladder at the first rung where its own bound meets its own
+    tol, or where its direct part's bound alone already exceeds it: that
+    bound, sum_{k<=K} (w b + 4 EPS w |v|), only grows with K, so no larger
+    K could meet tol.  A row's K, value and bound do not depend on the
+    other rows.
     """
     _require_half_integer(order)
     Rs = [float(r) for r in R]
@@ -856,8 +893,11 @@ def alternating_bessel_sums(order: float, R, tol) -> list:
     for K in _K_LADDER:
         if not active:
             break
-        direct, db = _alt_sum_direct(order, np.array([Rs[row] for row in active]),
-                                     np.array([eps_frac[row] for row in active]), K)
+        if K:
+            direct, db = _alt_sum_direct(order, np.array([Rs[row] for row in active]),
+                                         np.array([eps_frac[row] for row in active]), K)
+        else:  # the tail is the whole sum
+            direct = db = np.zeros(len(active))
         going = []
         for row, value, bound in zip(active, direct.tolist(), db.tolist()):
             # the margin covers the pairwise summation's rounding (~30 EPS
@@ -873,7 +913,8 @@ def alternating_bessel_sums(order: float, R, tol) -> list:
         if not active:
             break
         tail, tb = _alt_sum_tail(order, np.array([Rs[row] for row in active]),
-                                 np.array([eps_frac[row] for row in active]), K)
+                                 np.array([eps_frac[row] for row in active]), K,
+                                 np.array([tols[row] for row in active]))
         active = []
         for (row, value, bound), t, tbound in zip(going, tail.tolist(), tb.tolist()):
             bound += tbound
@@ -893,10 +934,11 @@ def alternating_bessel_sums(order: float, R, tol) -> list:
 
 def alternating_bessel_sum_info(order: float, R: float, tol: float):
     """Certified sum_{k>=1} (-1)^k k^{-order} J_order(2 pi k R) as ``(BesselEval,
-    K)``, the BesselEval at argument 2 pi R: the first K terms directly, the
-    rest analytically from the Hankel expansion as unit-modulus phase sums,
-    K growing until the bound fits ``tol`` (else ``PrecisionExhausted``
-    with the best bound reached).  One row of :func:`alternating_bessel_sums`."""
+    K)``, the BesselEval at argument 2 pi R: the first K terms directly (none
+    at K = 0), the rest analytically from the Hankel expansion as
+    unit-modulus phase sums, K growing until the bound fits ``tol`` (else
+    ``PrecisionExhausted`` with the best bound reached).  One row of
+    :func:`alternating_bessel_sums`."""
     (res,) = alternating_bessel_sums(order, [R], [tol])
     if isinstance(res, PrecisionExhausted):
         raise res

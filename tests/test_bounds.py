@@ -245,10 +245,11 @@ def test_base_coefficient_past_binary64_raises_precision_exhausted():
     from framepcm import PrecisionExhausted
     from framepcm.bounds import _base_coef
 
-    with pytest.raises(PrecisionExhausted, match="n=250"):
-        _base_coef(250, "even")  # d = 500; this was a raw OverflowError
-    with pytest.raises(PrecisionExhausted):
-        _base_coef(700, "odd")  # pi^701 itself overflows
+    for _ in range(2):  # the cache keeps no value for a raise: every call raises
+        with pytest.raises(PrecisionExhausted, match="n=250"):
+            _base_coef(250, "even")  # d = 500; this was a raw OverflowError
+        with pytest.raises(PrecisionExhausted):
+            _base_coef(700, "odd")  # pi^701 itself overflows
 
 
 def test_slope_fit_refuses_an_unresolved_point():

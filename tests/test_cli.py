@@ -178,6 +178,57 @@ def test_bounds_point_and_slope(tmp_path):
     assert rows[0]["ok"] == "True"
 
 
+_LIMIT_CONFIG = """{
+  "parameters": {
+    "agree_rtol": 1e-06,
+    "d": 3,
+    "delta": 1.0,
+    "methods": "quadrature",
+    "r": 10.3,
+    "samples": 1000000,
+    "seed": 0,
+    "tol": null
+  },
+  "subcommand": "limit"
+}
+"""
+_BOUNDS_CONFIG = """{
+  "parameters": {
+    "d": 4,
+    "d_list": [
+      3,
+      4,
+      5
+    ],
+    "delta": 1.0,
+    "eps": null,
+    "kmax": 1000,
+    "kmin": 100,
+    "paper_phase": false,
+    "points": 9,
+    "r": 100.25,
+    "slope": false,
+    "slope_tol": 0.05
+  },
+  "subcommand": "bounds"
+}
+"""
+_BOUND_REPORT = ("d,r,delta,eps,lower,upper_scaling,M,I_const,C_const,window_ok\r\n"
+                 "4,100.25,1.0,0.25,1.7842500488021116e-05,0.00021551642086006304,"
+                 "0.13882635338559157,2.5464790894703255,0.01790945166580371,True\r\n")
+
+
+def test_run_config_and_bound_report_bytes(tmp_path):
+    # the files as written when RunConfig went through dataclasses.asdict
+    # and the report's dict was built once for the screen, once for the CSV
+    assert run(tmp_path, "limit", "--d", "3", "--r", "10.3", "--delta", "1",
+               "--methods", "quadrature") == EXIT_OK
+    assert (tmp_path / "run_config_limit.json").read_bytes() == _LIMIT_CONFIG.encode()
+    assert run(tmp_path, "bounds", "--d", "4", "--r", "100.25", "--delta", "1") == EXIT_OK
+    assert (tmp_path / "run_config_bounds.json").read_bytes() == _BOUNDS_CONFIG.encode()
+    assert (tmp_path / "bound_report.csv").read_bytes() == _BOUND_REPORT.encode()
+
+
 def test_bounds_defect_cell_fails(tmp_path):
     code = run(tmp_path, "bounds", "--d", "4", "--r", "100.375", "--delta", "1",
                "--paper-phase")

@@ -142,7 +142,9 @@ def test_result_metadata():
     res = limiting_error(_x(4, 30.25), UNIT, method=Method.QUADRATURE)
     assert res.breakpoint_count is not None and res.breakpoint_count >= 2 * 29
     res2 = limiting_error(_x(4, 30.25), UNIT, method=Method.BESSEL_SERIES)
-    assert res2.truncation_K is not None and res2.truncation_K >= 64
+    from framepcm.special_fn import _K_LADDER
+
+    assert res2.truncation_K in _K_LADDER
     assert res.value == pytest.approx(res2.value, rel=1e-8)
 
 
@@ -315,6 +317,41 @@ def test_series_route_against_breakpoint_sum_oracle():
         res = limiting_error(_x(d, R), UNIT, Method.BESSEL_SERIES)
         oracle = _breakpoint_sum_limit(mpmath, d, R)
         assert abs(res.value - oracle) <= res.error_estimate, (d, R, res, oracle)
+
+
+def _benchmark_oracle():
+    """``perfbench/oracle.py``, loaded from its file: it imports no framepcm."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_series_route_against_the_benchmark_oracle_on_a_seeded_grid():
+    # d = 2..16 at delta = 2^-k and R = r/delta in [3, 2000], a quarter of
+    # the points within 1e-2 of eps = 1/2; most take the series at K = 0,
+    # where the whole sum is Hankel terms times polylogarithms
+    pytest.importorskip("mpmath")
+    oracle = _benchmark_oracle()
+    rng = np.random.default_rng(2026)
+    Ks = []
+    for i in range(60):
+        d = 2 + i % 15
+        delta = 2.0 ** -int(rng.integers(0, 8))
+        if i % 4 == 0:
+            R = int(10 ** rng.uniform(0.5, 3.3)) + 0.5 + rng.choice((-1, 1)) * rng.uniform(1e-4, 1e-2)
+        else:
+            R = float(10 ** rng.uniform(0.5, 3.3))
+        res = limiting_error(_x(d, R * delta), QuantScheme(delta), Method.BESSEL_SERIES)
+        ref = oracle.limit_oracle(d, R * delta, delta)
+        assert abs(res.value - ref) <= res.error_estimate, (d, R, delta, res, ref)
+        Ks.append(res.truncation_K)
+    assert Ks.count(0) >= 40
 
 
 @pytest.mark.parametrize("d, R", [(3, 13.499999), (3, 1000.4999999), (3, 20.499999999),
@@ -693,12 +730,16 @@ def test_grid_falls_back_to_quadrature_row_by_row(monkeypatch):
     assert rungs[0] == (3, 64)  # the grid's one call, then one per single point
 
 
-def test_grid_row_climbing_past_64_beside_rows_that_stop_there():
-    # at d = 10 and tol 1e-26 the first two points need K = 1024
-    Rs = [100.49991, 100.375, 130.3, 150.50003, 210.45, 333.25]
-    grid = _grid_equals_points(10, 1.0, [1.0 / R for R in Rs], tol=1e-26)
+def test_grid_rows_climbing_past_the_first_rung_beside_rows_that_stop_there():
+    # at d = 10 and tol 1e-17 Hankel's expansion at 2 pi R cannot reach the
+    # target for the first two points, which need K = 1024 and 256; the
+    # quadrature's rounding floor misses it too, so every point takes the
+    # series
+    Rs = [2.7, 2.9, 3.3, 20.3, 100.375, 150.50003]
+    grid = _grid_equals_points(10, 1.0, [1.0 / R for R in Rs], tol=1e-17)
+    assert [res.method for res in grid] == [Method.BESSEL_SERIES] * 6
     Ks = [res.truncation_K for res in grid]
-    assert Ks[0] > 64 and Ks[2:] == [64] * 4  # Rs[3] is within 1e-4 of eps = 1/2 too
+    assert Ks[0] > 256 and Ks[1] > 64 and Ks[2:] == [0] * 4  # Rs[5]: eps within 1e-4 of 1/2
 
 
 def test_grid_of_nine_equals_its_nine_single_point_grids():

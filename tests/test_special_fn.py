@@ -527,3 +527,98 @@ def test_hopeless_ladder_raises_at_the_first_rung(monkeypatch):
     with pytest.raises(PrecisionExhausted, match="direct part's bound .* at K=64"):
         alternating_bessel_sum_info(1, 5.5, 1e-30)
     assert rungs == [64]
+
+
+# ---------------------------------------------------------------------------
+# the first rung, K = 0: the whole sum from Hankel terms times polylogarithms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_order_half_sum_against_its_closed_form(monkeypatch):
+    # sum_k (-1)^k k^-1/2 J_1/2(2 pi k R) = (1/2 - frac(R + 1/2)) / sqrt(R):
+    # Hankel's expansion of J_1/2 is its first term, so K = 0 serves every
+    # R, also R < 1, and the phase sums are Li_1 = -log(1 - z) and Li_2
+    mpmath = pytest.importorskip("mpmath")
+    from fractions import Fraction
+
+    from framepcm import special_fn
+
+    rng = np.random.default_rng(1912)
+    Rs = [float(R) for R in np.exp(rng.uniform(math.log(0.05), math.log(1e6), 120))]
+    assert sum(R < 1 for R in Rs) >= 10
+    rows = special_fn.alternating_bessel_sums(0.5, Rs, [1e-12] * len(Rs))
+    for R, row in zip(Rs, rows):
+        assert not isinstance(row, PrecisionExhausted), R
+        ev, K = row
+        shifted = Fraction(R) + Fraction(1, 2)
+        saw = Fraction(1, 2) - (shifted - math.floor(shifted))
+        with mpmath.workdps(30):
+            exact = mpmath.mpf(saw.numerator) / saw.denominator / mpmath.sqrt(R)
+            assert abs(ev.value - exact) <= ev.abs_error_bound, R
+        assert K == 0
+    # without the first rung the ladder cannot certify some of these rows
+    monkeypatch.setattr(special_fn, "_K_LADDER", special_fn._K_LADDER[1:])
+    rows = special_fn.alternating_bessel_sums(0.5, Rs, [1e-12] * len(Rs))
+    assert any(isinstance(row, PrecisionExhausted) for row in rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_phase_tails_at_k0_are_polylogarithms_with_q_at_most_one():
+    # orders 0 and 1/2 have q = 1/2 and q = 1, where sum_k z^k k^-q
+    # converges only conditionally: at K = 0 the tail is Li_q(z) itself,
+    # from the expansion alone, without the trivial bounds (which need q > 1)
+    mpmath = pytest.importorskip("mpmath")
+    from framepcm.special_fn import _phase_tails
+
+    for order in (0.0, 0.5):
+        idx = np.array([0, 1, 2])
+        for beta in (1e-7, 0.01, 0.3, 0.5):
+            values, bounds = _phase_tails(order, 2, idx, beta, 0)
+            for i, value, bound in zip(idx, values, bounds):
+                with mpmath.workdps(30):
+                    exact = complex(mpmath.polylog(mpmath.mpf(order + 0.5 + i),
+                                                   mpmath.expjpi(2 * mpmath.mpf(beta))))
+                assert abs(value - exact) <= bound, (order, i, beta)
+                assert bound < 1e-12 * max(1.0, abs(exact)), (order, i, beta)
+            # Li_q(conj z) = conj Li_q(z)
+            mirror, mirror_bounds = _phase_tails(order, 2, idx, -beta, 0)
+            assert np.array_equal(mirror, values.conjugate()) or beta == 0.5
+            assert np.array_equal(mirror_bounds, bounds)
+        # the sums themselves resolve at K = 0 away from eps = 1/2
+        for R in (3.3, 100.25, 1000.49):
+            assert alternating_bessel_sum_info(order, R, 1e-10)[1] == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pre_screen_changes_no_result(monkeypatch):
+    # at K = 0 a row whose Hankel remainder alone exceeds its tol skips the
+    # phase sums; with the screen forced off (tol = inf) every row's
+    # (value, bound, K), or its error message, is the same (only a raised
+    # row's ``achieved`` may then hold the skipped rung's bound).  Even d at
+    # R ~ 1-3 is where the remainder at 2 pi R is large
+    from framepcm import special_fn
+
+    rng = np.random.default_rng(44)
+    cases = []
+    for order in (0.0, 1.0, 2.0, 3.0, 5.0):
+        Rs = [float(R) for R in 1.0 + 2.0 * rng.random(10)] + [1.5, 2.5]
+        cases.append((order, Rs, [float(t) for t in 10 ** rng.uniform(-14, -8, len(Rs))]))
+    screened = [special_fn.alternating_bessel_sums(*case) for case in cases]
+
+    tail = special_fn._alt_sum_tail
+    skipped = 0
+
+    def unscreened(order, R, eps_frac, K, tol):
+        nonlocal skipped
+        on = tail(order, R, eps_frac, K, tol)
+        off = tail(order, R, eps_frac, K, np.full(np.size(tol), math.inf))
+        skipped += int(np.sum(np.isinf(on[1]) & np.isfinite(off[1])))
+        return off
+
+    monkeypatch.setattr(special_fn, "_alt_sum_tail", unscreened)
+    for case, rows in zip(cases, screened):
+        for on, off in zip(rows, special_fn.alternating_bessel_sums(*case)):
+            assert type(on) is type(off) and str(on) == str(off)
+            if not isinstance(on, PrecisionExhausted):
+                assert on == off
+    assert skipped >= 10

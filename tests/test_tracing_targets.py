@@ -65,8 +65,10 @@ def _one_call_per_target(outdir):
         ("framepcm.bounds", "limiting_error"): lambda: framepcm.bounds.limiting_error(
             [10.3, 0.0, 0.0], QuantScheme(1.0), Method.BESSEL_SERIES),
         ("framepcm.limit_error", "_quad_integral"): quadrature,
+        # at R = 1.3 the order-1 sum needs a direct part (K = 64), whose size
+        # the tracer reads from res[1]; at K = 0 it would count no terms
         ("framepcm.limit_error", "alternating_bessel_sum_info"):
-            lambda: limit_error.alternating_bessel_sum_info(1.5, 10.3, 1e-10),
+            lambda: limit_error.alternating_bessel_sum_info(1.0, 1.3, 1e-10),
         ("framepcm.limit_error", "gauss_legendre"): quadrature,
         ("framepcm.special_fn", "gauss_legendre"): cli("bessel", "--orders", "1", "--xs", "3.0"),
         ("framepcm.cli", "monte_carlo_limit"): cli("limit", "--d", "3", "--r", "10.3", "--delta",
