@@ -256,10 +256,26 @@ _ROW_BLOCK = 32  # a row grows by this many m at a time and serves every h below
 @lru_cache(maxsize=None)
 def _cleared_row(odd: bool, n: int, size: int) -> tuple[int, tuple[int, ...]]:
     """(den, a) with a[m] / den == D_closed(n, m) (odd) or L_closed(n, m)
-    (even) for m < size: one row of a closed-form table over one denominator."""
-    vals = [(D_closed if odd else L_closed)(n, m) for m in range(size)]
-    den = math.lcm(*(v.denominator for v in vals))
-    return den, tuple(v.numerator * (den // v.denominator) for v in vals)
+    (even) for m < size: one row of a closed-form table over one common
+    denominator, built from the integer factors without a Fraction.
+
+    Even: C(2n-2, n+m-1) / (n+m) = C(2n-1, n+m) / (2n-1), so den is
+    2^{2n-2} (2n-1) for every m.  Odd: den is the lcm of the products
+    p_m = prod_{j=m-n}^{m+n} (2j+1), each from the one before by exact
+    division.  Neither den need be the least one; the coefficient checks
+    are homogeneous in (den, a).
+    """
+    if not odd:
+        row = _pascal_row(2 * n - 1)
+        return (2 * n - 1) << (2 * n - 2), tuple(
+            (-1 if m & 1 else 1) * (2 * m + 1) * (row[n + m] if m < n else 0)
+            for m in range(size))
+    prods = [math.prod(range(1 - 2 * n, 2 * n + 2, 2))]
+    for m in range(1, size):
+        prods.append(prods[-1] * (2 * m + 2 * n + 1) // (2 * m - 2 * n - 1))
+    den = math.lcm(*prods)
+    top = (-1 if n & 1 else 1) * 2 * math.factorial(2 * n - 1)
+    return den, tuple(top * (2 * m + 1) * (den // p) for m, p in enumerate(prods))
 
 
 def _cleared(odd: bool, n: int, h: int) -> tuple[int, tuple[int, ...]]:

@@ -456,17 +456,19 @@ def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | N
     delta raised (returned, not raised).
     """
     out: list = [None] * len(deltas)
-    rows = []  # (point, prefactor, R, target of the alternating sum)
+    rows = []  # (point, prefactor, R, target of the alternating sum, phase of R)
     for i, delta in enumerate(deltas):
         try:
             prefac = _series_prefactor(r, delta, split)
+            # frac(r/delta) = fmod(r, delta)/delta exactly: fmod is exact
             rows.append((i, prefac, r / delta,
-                         _series_target(r, delta, split, tol) / abs(prefac)))
+                         _series_target(r, delta, split, tol) / abs(prefac),
+                         (math.fmod(r, delta), delta)))
         except PrecisionExhausted as exc:
             out[i] = exc
     sums = alternating_bessel_sums(split.order, [row[2] for row in rows],
-                                   [row[3] for row in rows])
-    for (i, prefac, _, _), res in zip(rows, sums):
+                                   [row[3] for row in rows], [row[4] for row in rows])
+    for (i, prefac, *_), res in zip(rows, sums):
         if isinstance(res, PrecisionExhausted):
             out[i] = res
         else:

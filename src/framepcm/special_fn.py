@@ -9,8 +9,9 @@ against each other:
   alternating-series tail bound plus an explicit rounding budget.  Only
   certifiable in binary64 for moderate arguments (cancellation grows like
   e^x), so the other routes take over for large x.
-* ``bessel_integral_int_order`` -- for integer order, Gauss-Legendre
-  quadrature of (1/pi) int_0^pi cos(n*t - x sin t) dt with order doubling.
+* ``bessel_integral_int_order`` -- for integer order, one Gauss-Legendre
+  rule on (1/pi) int_0^pi cos(n*t - x sin t) dt, its size chosen a priori
+  from the Bernstein-ellipse bound for analytic integrands.
 * ``bessel_half_order``  -- for half-integer order, the closed sin/cos
   forms propagated by the spherical upward recurrence (falls back to the
   series when x < order, where upward recurrence is unstable).
@@ -58,6 +59,7 @@ per row by the first-omitted-term rule.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -84,8 +86,22 @@ EPS = float(np.finfo(float).eps)
 # Largest per-term argument that ``_alt_sum_direct`` evaluates by the
 # series; beyond it the Hankel expansion is both cheaper and tighter.
 _SERIES_AUTO_X = 12.0
-# ``bessel_integral_int_order`` stops where two successive rules agree to this
-_INT_ORDER_AGREE = 1e-13
+# ``bessel_integral_int_order``: the node counts it may use (16 {1, 3/2} 2^k
+# up to its budget of 8192), the quadrature error it targets, and the
+# ellipse parameters rho it tries, 1 + 2^{j/2 - 4} for j = 0..14 (the best
+# rho falls towards 1 as x grows: about 1.5 at x = 400, 1.13 at x = 1e4)
+_INT_ORDER_LADDER = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048,
+                     3072, 4096, 6144, 8192)
+_INT_ORDER_TARGET = EPS
+_INT_ORDER_RHO = 1.0 + 2.0 ** (np.arange(15) / 2.0 - 4.0)
+# the m that meets the target at rho is n A + x B + C, with A = eta / (2 log rho),
+# B = sinh(eta) / (2 log rho), C = 1 + log((32/15) / ((rho^2 - 1) target)) / (2 log rho)
+_eta = math.pi * (_INT_ORDER_RHO - 1.0 / _INT_ORDER_RHO) / 4.0
+_lr2 = 2.0 * np.log(_INT_ORDER_RHO)
+_INT_ORDER_A = _eta / _lr2
+_INT_ORDER_B = np.sinh(_eta) / _lr2
+_INT_ORDER_C = 1.0 + np.log(32.0 / 15.0 / ((_INT_ORDER_RHO ** 2 - 1.0) * _INT_ORDER_TARGET)) / _lr2
+del _eta, _lr2
 
 
 def _series_domain_max(order: float) -> float:
@@ -228,33 +244,48 @@ def bessel_series(order: float, x: float, tol: float) -> BesselEval:
 # integral route (integer order)
 # ---------------------------------------------------------------------------
 
-def bessel_integral_int_order(n: int, x: float) -> BesselEval:
-    """J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt by Gauss-Legendre.
+def _int_order_nodes(n: int, x: float):
+    """The node count of :func:`bessel_integral_int_order` at (n, x), or None
+    past the budget ``_INT_ORDER_LADDER[-1]``.
 
-    The integrand is entire, so fixed-order rules converge spectrally; the
-    order is doubled until two successive rules agree to _INT_ORDER_AGREE,
-    and the disagreement (plus a summation rounding allowance) is reported
-    as the bound.  Serves as an independent oracle for the series route.
+    The integrand g(s) = cos(n t - x sin t), t = pi (s + 1)/2, is entire:
+    on the Bernstein ellipse E_rho |Im t| <= eta = pi (rho - 1/rho)/4, so
+    |g| <= cosh(n eta + x sinh eta) <= e^{n eta + x sinh eta}.  The
+    m-point rule errs on (1/2) int g by at most
+    (32/15) e^{n eta + x sinh eta} rho^{-2(m-1)} / (rho^2 - 1) (Trefethen,
+    ATAP Thm 19.3); the smallest m over ``_INT_ORDER_RHO`` that takes this
+    below ``_INT_ORDER_TARGET`` is rounded up on the ladder.
+    """
+    need = float((n * _INT_ORDER_A + x * _INT_ORDER_B + _INT_ORDER_C).min())
+    i = bisect.bisect_left(_INT_ORDER_LADDER, need)
+    return _INT_ORDER_LADDER[i] if i < len(_INT_ORDER_LADDER) else None
+
+
+def bessel_integral_int_order(n: int, x: float) -> BesselEval:
+    """J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt by one Gauss-Legendre rule.
+
+    The integrand is entire, so the rule's size follows a priori from the
+    Bernstein-ellipse bound (:func:`_int_order_nodes`) before any node is
+    built, and a J_n(x) past the 8192-node budget (x beyond ~1e4) raises
+    ``PrecisionExhausted`` without building one.  The bound is the
+    quadrature target plus a rounding allowance: 4 m EPS for the m-term
+    sum, the weights and the nodes, and 10 (x + n) EPS for the rounding of
+    the argument n t - x sin t, whose size is up to n pi + x.  Serves as an
+    independent oracle for the series route.
     """
     if n != int(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if x < 0:
+    if not x >= 0:  # nan too
         raise ValueError("argument must be nonnegative")
     n = int(n)
-    prev = None
-    m = 32
-    while m <= 8192:
-        nodes, weights = gauss_legendre(m)
-        t = 0.5 * math.pi * (nodes + 1.0)
-        f = np.cos(n * t - x * np.sin(t)) / math.pi
-        val = 0.5 * math.pi * float(np.dot(weights, f))
-        if prev is not None and abs(val - prev) <= _INT_ORDER_AGREE:
-            return BesselEval(n, x, val, abs(val - prev) + 4 * m * EPS)
-        prev = val
-        m *= 2
-    raise PrecisionExhausted(
-        f"quadrature for J_{n}({x}) did not converge to {_INT_ORDER_AGREE} within budget"
-    )
+    m = _int_order_nodes(n, x)
+    if m is None:
+        raise PrecisionExhausted(
+            f"quadrature for J_{n}({x}) needs more than {_INT_ORDER_LADDER[-1]} nodes")
+    nodes, weights = gauss_legendre(m)
+    t = 0.5 * math.pi * (nodes + 1.0)
+    val = 0.5 * float(np.dot(weights, np.cos(n * t - x * np.sin(t))))
+    return BesselEval(n, x, val, _INT_ORDER_TARGET + (4 * m + 10 * (x + n)) * EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -790,24 +821,25 @@ def _alt_sum_direct(order: float, R, eps_frac, K: int):
     return values, (w * b + rounding_w * np.abs(v)).sum(axis=1)
 
 
-def _alt_sum_tail(order: float, R, eps_frac, K: int, tol):
+def _alt_sum_tail(order: float, R, beta, K: int, tol):
     """Analytic continuation of the sums past k = K via Hankel + phase sums.
 
-    ``R``, ``eps_frac`` and ``tol`` are floats or 1-D arrays, one row each;
-    returns (values, bounds) as arrays over the rows.  The phase sums of all
+    ``R``, ``beta`` and ``tol`` are floats or 1-D arrays, one row each, with
+    beta = frac(R) - 1/2: (-1)^k e^{2 pi i k frac(R)} = e^{2 pi i beta k}.
+    Returns (values, bounds) as arrays over the rows.  The phase sums of all
     rows are one call; each row's coefficients and sums are its own.  At
     K = 0 the tail is the whole sum, and a row whose Hankel remainder alone
     exceeds its tol gets (0, inf) without phase sums: that remainder is a
     part of the bound the row would get.
     """
     omega = math.pi * order / 2.0 + math.pi / 4.0
-    R, eps_frac, tol = np.atleast_1d(R), np.atleast_1d(eps_frac), np.atleast_1d(tol)
+    R, tol = np.atleast_1d(R), np.atleast_1d(tol)
+    row_beta = np.atleast_1d(beta).tolist()
     # each row truncated where its first tail term k = K+1 needs it
     a, _, MP, MQ = _hankel_plan(order, (2.0 * math.pi * R) * (K + 1), 18)
     tails, errs = np.zeros(R.size), np.full(R.size, math.inf)
     rows, idx, coef, beta = [], [], [], []
-    for row, (r, eps, mp, mq) in enumerate(zip(R.tolist(), eps_frac.tolist(), MP.tolist(),
-                                               MQ.tolist())):
+    for row, (r, mp, mq) in enumerate(zip(R.tolist(), MP.tolist(), MQ.tolist())):
         twopiR = 2.0 * math.pi * r
         scale = 1.0 / (math.pi * math.sqrt(r))
         # Hankel remainder summed over the tail (integral-test zeta bounds)
@@ -824,12 +856,10 @@ def _alt_sum_tail(order: float, R, eps_frac, K: int, tol):
         idx += row_idx
         coef += [(-1.0) ** (i // 2) * a[i] * twopiR ** -i * (1j if i % 2 else 1.0)
                  for i in row_idx]
-        # (-1)^k e^{2 pi i k eps} = e^{2 pi i beta k}: beta = eps - 1/2, exact
-        # (Sterbenz) wherever it is small; eps + 1/2 would round near beta = 0
-        beta += [eps - 0.5] * len(row_idx)
+        beta += [row_beta[row]] * len(row_idx)
     if not rows:
         return tails, errs
-    # at eps = 1/2 exactly (beta = 0) the phase sums are zeta tails
+    # at frac(R) = 1/2 exactly (beta = 0) the phase sums are zeta tails
     some_at_half = 0.0 in beta
     idx, coef, beta = np.array(idx), np.array(coef), np.array(beta)
     if not some_at_half:
@@ -853,11 +883,21 @@ def _alt_sum_tail(order: float, R, eps_frac, K: int, tol):
     return tails, errs
 
 
-def alternating_bessel_sums(order: float, R, tol) -> list:
+def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
     """:func:`alternating_bessel_sum_info` at every R of an array, for one
     order.
 
-    ``R`` and ``tol`` are sequences, one tol per R.
+    ``R`` and ``tol`` are sequences, one tol per R.  ``phase``, where the
+    caller knows frac(R) better than R - floor(R), is one pair (f, q) per
+    R, 0 <= f < q, whose exact quotient f/q is frac(R): for R = r/delta,
+    (fmod(r, delta), delta), as fmod is exact.  The rounding of R itself,
+    up to ulp(R)/2, would move the phases 2 pi k frac(R) far past the
+    certified bound at large R; the amplitudes take R.  From the pair,
+    frac(R) = f/q and beta = frac(R) - 1/2 = (f - q/2)/q each carry one
+    rounding (f - q/2 is exact wherever beta is small), so that beta keeps
+    its relative accuracy near frac(R) = 1/2, where the polylogarithms'
+    |beta|^(order - 1/2) terms are steep for orders up to 3/2.  f/q never
+    rounds up to 1: below q the largest double is at most q (1 - 2^-53).
     Returns one entry per R: ``(BesselEval, K)``, or the
     ``PrecisionExhausted`` that the point raised (returned, not raised).
     The rows share the Hankel tables, the phase-sum table and the K
@@ -879,13 +919,18 @@ def alternating_bessel_sums(order: float, R, tol) -> list:
         raise ValueError("need R > 0")
     if len(tols) != len(Rs) or any(not t > 0 for t in tols):
         raise ValueError("tol must be positive, one per R")
-    eps_frac = [r - math.floor(r) for r in Rs]
+    pairs = ([(r - math.floor(r), 1.0) for r in Rs] if phase is None
+             else [(float(f), float(q)) for f, q in phase])
+    if len(pairs) != len(Rs) or any(not 0.0 <= f < q for f, q in pairs):
+        raise ValueError("phase must be one pair (f, q) with 0 <= f < q per R")
+    eps_frac = [f / q for f, q in pairs]
+    beta = [(f - 0.5 * q) / q for f, q in pairs]
     out: list = [None] * len(Rs)
-    for row, eps in enumerate(eps_frac):
+    for row, (eps, b) in enumerate(zip(eps_frac, beta)):
         if order == 0.5 and eps == 0.0:
             # every term is sqrt(2/(pi x)) sin(2 pi k R) = 0 exactly
             out[row] = BesselEval(order, 2.0 * math.pi * Rs[row], 0.0, 0.0), 0
-        elif order <= 0.5 and eps == 0.5:
+        elif order <= 0.5 and b == 0.0:
             out[row] = PrecisionExhausted(
                 f"sum with p={order} at eps=1/2 reduces to a divergent zeta series")
     best = [math.inf] * len(Rs)
@@ -913,7 +958,7 @@ def alternating_bessel_sums(order: float, R, tol) -> list:
         if not active:
             break
         tail, tb = _alt_sum_tail(order, np.array([Rs[row] for row in active]),
-                                 np.array([eps_frac[row] for row in active]), K,
+                                 np.array([beta[row] for row in active]), K,
                                  np.array([tols[row] for row in active]))
         active = []
         for (row, value, bound), t, tbound in zip(going, tail.tolist(), tb.tolist()):

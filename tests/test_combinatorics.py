@@ -246,15 +246,6 @@ def _index_tuples(mx):
     ]
 
 
-@pytest.fixture
-def fresh_rows():
-    # the coefficient checks keep per-n rows of the closed-form tables; a row
-    # built from a perturbed table must not outlive the test
-    comb_module._cleared_row.cache_clear()
-    yield
-    comb_module._cleared_row.cache_clear()
-
-
 def test_integer_checks_equal_the_fraction_references():
     for check, ref, tuples in _index_tuples(16):
         for args in tuples:
@@ -280,25 +271,24 @@ def test_all_suites_at_the_benchmark_top():
 @pytest.mark.parametrize("odd, n, m", [(False, 3, 1), (False, 3, 2), (False, 2, 5),
                                        (False, 1, 33), (True, 2, 1), (True, 4, 3),
                                        (True, 1, 33)])
-def test_coefficient_checks_see_one_perturbed_table_entry(monkeypatch, fresh_rows, odd, n, m):
+def test_coefficient_checks_see_one_perturbed_table_entry(monkeypatch, odd, n, m):
     # every h >= m uses X_m with the weight C(2h+1, h-m) on the left and not
     # on the right (m >= 1): a perturbed entry must fail each of them; the
-    # zero entries L_m, m >= n, and entries past the first row block count too
-    name, check = (("D_closed", check_coeff_identity_odd) if odd else
-                   ("L_closed", check_coeff_identity_even))
-    exact = getattr(comb_module, name)
-    bump = Fraction(1, 10 ** 40)
-
-    def perturbed(nn, mm):
-        value = exact(nn, mm)
-        if (nn, mm) != (n, m):
-            return value
-        return value + bump
-
-    monkeypatch.setattr(comb_module, name, perturbed)
+    # zero entries L_m, m >= n, and entries past the first row block count
+    # too.  The checks read the cleared rows, built from the integer factors
+    # of the closed forms (test_cleared_rows_equal_the_closed_forms)
+    check = check_coeff_identity_odd if odd else check_coeff_identity_even
+    monkeypatch.setattr(comb_module, "_cleared_row", _perturbed("_cleared_row", (odd, n, m)))
     for h in range(m + 3):
         assert check(n, h) is (h < m), h
         assert check(n + 1, h)  # other rows are untouched
+
+
+def test_cleared_rows_equal_the_closed_forms():
+    for odd, closed in ((False, L_closed), (True, D_closed)):
+        for n in range(1, 41):
+            den, row = comb_module._cleared_row(odd, n, 64)
+            assert all(Fraction(a, den) == closed(n, m) for m, a in enumerate(row)), (odd, n)
 
 
 def test_identity_checks_fail_on_an_off_by_one_side(monkeypatch):
@@ -364,7 +354,7 @@ def _perturbed(table, entry):
 
         def cleared(o, nn, size):
             den, row = exact(o, nn, size)
-            if (o, nn) == (odd, n):
+            if (o, nn) == (odd, n) and m < size:  # a shorter row has no entry m
                 row = row[:m] + (row[m] + 1,) + row[m + 1:]
             return den, row
         return cleared

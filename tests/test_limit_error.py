@@ -354,6 +354,47 @@ def test_series_route_against_the_benchmark_oracle_on_a_seeded_grid():
     assert Ks.count(0) >= 40
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_series_route_takes_the_exact_phase_at_non_dyadic_delta():
+    # delta log-uniform in [0.05, 1], so r/delta is rounded: up to ulp(R)/2
+    # off frac(R) moves the phases 2 pi k frac(R) far past the bound, so the
+    # phase comes from fmod(r, delta), which is exact (22 of these 40 points
+    # missed their estimate, by up to 43x, when it was taken from R)
+    pytest.importorskip("mpmath")
+    oracle = _benchmark_oracle()
+    rng = np.random.default_rng(5)
+    for i in range(40):
+        d = (3, 4, 5, 6, 8)[i % 5]
+        delta = float(10 ** rng.uniform(math.log10(0.05), 0.0))
+        r = float(10 ** rng.uniform(math.log10(200.0), math.log10(3000.0))) * delta
+        res = limiting_error(_x(d, r), QuantScheme(delta), Method.BESSEL_SERIES)
+        ref = oracle.limit_oracle(d, r, delta)
+        assert abs(res.value - ref) <= res.error_estimate, (d, r, delta, res, ref)
+
+
+@pytest.mark.parametrize("d, R", [(2, 100.5), (3, 100.5), (2, 1000.5), (4, 1000.5)])
+def test_series_route_near_half_at_non_dyadic_delta(d, R):
+    # r = fl(R delta) puts frac(r/delta) within ~1e-14 of 1/2, where the
+    # d = 2 and 3 sums have |beta|^(1/2) and |beta| terms: beta = frac - 1/2
+    # must keep its relative accuracy, so it is (fmod(r, delta) - delta/2)/delta
+    pytest.importorskip("mpmath")
+    delta = 0.37
+    res = limiting_error(_x(d, R * delta), QuantScheme(delta), Method.BESSEL_SERIES)
+    ref = _benchmark_oracle().limit_oracle(d, R * delta, delta)
+    assert abs(res.value - ref) <= res.error_estimate, (res, ref)
+
+
+def test_series_route_at_a_large_non_dyadic_ratio():
+    pytest.importorskip("mpmath")
+    # R = 8856.0...: the phase taken from the rounded R missed by 15.6x the
+    # estimate; the exact phase meets the oracle to the last bit
+    r, delta = 6207.174704544109, 0.7008946717927919
+    res = limiting_error(_x(3, r), QuantScheme(delta), Method.BESSEL_SERIES)
+    oracle = _benchmark_oracle()
+    for ref in (oracle.limit_oracle(3, r, delta), oracle.limit_d3_closed_form(r, delta)):
+        assert abs(res.value - ref) <= res.error_estimate, (res, ref)
+
+
 @pytest.mark.parametrize("d, R", [(3, 13.499999), (3, 1000.4999999), (3, 20.499999999),
                                   (2, 0.5000000036707667)])
 def test_series_route_near_half_against_breakpoint_sum_oracle(d, R):

@@ -437,6 +437,26 @@ def test_bessel_large_x_bound_covers_the_rounding_of_large_terms(order, x):
     assert abs(ev.value - _besselj_50(mpmath, order, x)) <= ev.abs_error_bound
 
 
+def test_alternating_sums_take_the_phase_as_an_exact_quotient():
+    from framepcm.special_fn import alternating_bessel_sums
+
+    # (f, 1.0) with f = R - floor(R) is the phase taken when none is given
+    for R in (3.7, 10.5, 100.375):
+        assert (alternating_bessel_sums(1.5, [R], [1e-10], [(R - math.floor(R), 1.0)])
+                == alternating_bessel_sums(1.5, [R], [1e-10]))
+    # just below an integer: f/q stays below 1, and the sum meets the one at
+    # the integer, from which it differs by ~2^-53 in R
+    for q in (0.37, 0.5, 1.0, 3.0):
+        f = math.nextafter(q, 0.0)
+        assert f / q < 1.0
+        [(below, _)], [(at, _)] = (alternating_bessel_sums(2.0, [10.0], [1e-12], [phase])
+                                   for phase in ((f, q), (0.0, q)))
+        assert abs(below.value - at.value) <= below.abs_error_bound + at.abs_error_bound
+    for phase in ([(1.0, 1.0)], [(0.5, 0.37)], [(-0.1, 1.0)], [(math.nan, 1.0)], []):
+        with pytest.raises(ValueError, match="phase"):
+            alternating_bessel_sums(1.5, [10.3], [1e-10], phase)
+
+
 def test_alternating_sums_reject_a_nan_tol():
     # NaN passed a `t <= 0` check and climbed the whole K ladder
     from framepcm.special_fn import alternating_bessel_sums
@@ -446,15 +466,70 @@ def test_alternating_sums_reject_a_nan_tol():
             alternating_bessel_sums(1.5, [10.3], [tol])
 
 
+def _ladder_crossings(n, top):
+    """x just below and just above each x where the rule of
+    bessel_integral_int_order(n, x) steps up the ladder, for x <= top."""
+    from framepcm.special_fn import _INT_ORDER_LADDER, _int_order_nodes
+
+    points = []
+    for below, above in zip(_INT_ORDER_LADDER, _INT_ORDER_LADDER[1:]):
+        if _int_order_nodes(n, 0.0) > below or _int_order_nodes(n, top) <= below:
+            continue
+        lo, hi = 0.0, top  # the node count is nondecreasing in x
+        while hi - lo > 1e-9 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _int_order_nodes(n, mid) <= below else (lo, mid)
+        assert (_int_order_nodes(n, lo), _int_order_nodes(n, hi)) == (below, above)
+        points += [(n, lo), (n, hi)]
+    return points
+
+
 def test_bessel_integral_int_order_against_oracle():
     # Bessel's integral J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt
-    # (DLMF 10.9.2) by Gauss-Legendre; the bound is the disagreement of two
-    # successive orders plus the summation rounding
+    # (DLMF 10.9.2) by one Gauss-Legendre rule, sized a priori from the
+    # Bernstein-ellipse bound: seeded points over n = 0..40, x in [0, 1000],
+    # and the points on either side of each step of the node ladder, where
+    # the rule below the step is the smallest that meets the target
     mpmath = pytest.importorskip("mpmath")
-    for n, x in _oracle_draws(704, 60, list(range(0, 13)),
-                              lambda rng, n: rng.uniform(0.0, 60.0)):
+    draws = _oracle_draws(704, 300, list(range(0, 41)),
+                          lambda rng, n: rng.uniform(0.0, 1000.0))
+    crossings = [p for n in (0, 1, 7, 20, 40) for p in _ladder_crossings(n, 1000.0)]
+    assert len(crossings) >= 40
+    for n, x in [(0, 0.0), (40, 0.0)] + crossings + draws:
         ev = bessel_integral_int_order(n, x)
         assert abs(ev.value - _besselj_50(mpmath, n, x)) <= ev.abs_error_bound, (n, x)
+
+
+def test_bessel_integral_int_order_builds_one_rule(monkeypatch):
+    from framepcm import special_fn
+
+    built = []
+    real = special_fn.gauss_legendre
+    monkeypatch.setattr(special_fn, "gauss_legendre", lambda m: built.append(m) or real(m))
+    for n, x in ((0, 0.0), (5, 0.7), (5, 120.0), (12, 400.0), (3, 1000.0)):
+        built.clear()
+        bessel_integral_int_order(n, x)
+        assert built == [special_fn._int_order_nodes(n, x)], (n, x)
+    # past the 8192-node budget it raises before building a rule
+    built.clear()
+    for x in (1.1e4, 1e5, math.inf):
+        with pytest.raises(PrecisionExhausted, match="more than 8192 nodes"):
+            bessel_integral_int_order(1, x)
+    assert built == []
+    with pytest.raises(ValueError):
+        bessel_integral_int_order(1, math.nan)
+
+
+def test_cli_bessel_past_the_node_budget_exits_3_without_a_rule(monkeypatch, tmp_path):
+    from framepcm import special_fn
+    from framepcm.cli import EXIT_PRECISION, main
+
+    def no_rule(m):
+        raise AssertionError(f"built a {m}-node rule")
+
+    monkeypatch.setattr(special_fn, "gauss_legendre", no_rule)
+    argv = ["--outdir", str(tmp_path), "bessel", "--orders", "1", "--xs", "1e5"]
+    assert EXIT_PRECISION == 3 and main(argv) == EXIT_PRECISION
 
 
 @pytest.mark.parametrize("order", [0, 0.5, 3, 12.5])
@@ -608,10 +683,10 @@ def test_pre_screen_changes_no_result(monkeypatch):
     tail = special_fn._alt_sum_tail
     skipped = 0
 
-    def unscreened(order, R, eps_frac, K, tol):
+    def unscreened(order, R, beta, K, tol):
         nonlocal skipped
-        on = tail(order, R, eps_frac, K, tol)
-        off = tail(order, R, eps_frac, K, np.full(np.size(tol), math.inf))
+        on = tail(order, R, beta, K, tol)
+        off = tail(order, R, beta, K, np.full(np.size(tol), math.inf))
         skipped += int(np.sum(np.isinf(on[1]) & np.isfinite(off[1])))
         return off
 

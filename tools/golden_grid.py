@@ -15,7 +15,8 @@ recorded as ``raise <Type>: <message>``.  The grid:
 * ``lower_bound`` and ``sandwich_check`` with both kernel phases on the
   same points (d >= 3);
 * ``bessel_large_x`` at XS and ``alternating_bessel_sum_info`` at
-  RS, for the orders 0, 1/2, ..., 12;
+  RS, for the orders 0, 1/2, ..., 12, and ``bessel_integral_int_order`` at
+  INT_XS for the integer ones (``bessel_integral_int_order/n=<n>/x=<x>``);
 * ``zeta_tail``, ``M1_constant`` and ``M2_constant``;
 * ``scaling_slope_fit`` at d = 3..12 over the default sweep of
   ``framepcm bounds --slope`` (SLOPE_KS, eps 3/8 for even d and 1/4 for
@@ -42,7 +43,7 @@ lie inside the old bound and outside the new one.  A line per prefix then
 counts the three kinds and gives the largest relative difference and
 |Δvalue|/bound of each file over its moved keys; it exits 1 if any key
 differs.
-Takes about 40 s.
+Takes about 10 s.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ RS = (0.3, 3.7, 10.25, 10.5, 13.499999, 57.4, 100.375, 100.5, 1000.3, 1000.49999
 DELTAS = (1.0, 1.0 / 16.0, 0.37)
 ORDERS = [0.5 * t for t in range(25)]
 XS = (0.7, 3.7, 12.5, 57.4, 100.0, 1000.3, 9999.9)
+# XS below the ~1e4 where the integral route's rule reaches 8192 nodes, and 0
+INT_XS = (0.0, *XS[:-1])
 EPSS = (1.0 / 6.0, 0.2, 0.25, 0.3, 1.0 / 3.0, 0.375, 0.45, 0.5)
 MC_SAMPLES = 200_000  # more than one Monte Carlo batch
 # (kind, d, N); random frames take seed 0
@@ -105,7 +108,7 @@ def golden() -> dict:
                           harmonic_frame_2d, limiting_error, lower_bound, monte_carlo_limit,
                           quantize_and_reconstruct, random_sphere_frame, sandwich_check,
                           scaling_slope_fit, zeta_tail)
-    from framepcm.special_fn import alternating_bessel_sum_info
+    from framepcm.special_fn import alternating_bessel_sum_info, bessel_integral_int_order
 
     out: dict = {}
     for d in DIMS:
@@ -136,6 +139,10 @@ def golden() -> dict:
         for R in RS:
             _record(out, f"alternating_bessel_sum/order={order!r}/R={R!r}",
                     lambda: alternating_bessel_sum_info(order, R, ALT_SUM_TOL))
+        if order % 1 == 0:
+            for x in INT_XS:
+                _record(out, f"bessel_integral_int_order/n={int(order)}/x={x!r}",
+                        lambda: bessel_integral_int_order(int(order), x))
     for t in range(3, 27):
         _record(out, f"zeta_tail/p={t / 2!r}", lambda: zeta_tail(t / 2))
     for d in range(3, 13):
