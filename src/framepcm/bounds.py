@@ -77,8 +77,8 @@ ODD_WINDOW = (1.0 / 6.0, 1.0 / 3.0)
 DEFAULT_R_MIN = 50.0
 _WINDOWS = {"even": EVEN_WINDOW, "odd": ODD_WINDOW}
 
-# closed windows: membership must not flip on the float noise picked up
-# when eps is reconstructed as frac(r/delta) at large r
+# closed windows: membership must not flip on the one rounding of
+# eps = fmod(r, delta)/delta
 _WINDOW_SLACK = 1e-9
 
 
@@ -168,7 +168,7 @@ def _bound(d: int, r: float, delta: float, order_matched_phase: bool):
     if d < 3:
         raise ValueError("need d >= 3")
     R = _checked_ratio(r, delta)
-    eps = R - math.floor(R)
+    eps = math.fmod(r, delta) / delta  # frac(r/delta), rounded once: fmod is exact
     split = parity_split(d)
     M = _kernel(eps, split, order_matched_phase)
     base = _base_coef(split.n, split.parity)
@@ -256,8 +256,8 @@ def scaling_slope_fit(d: int, r: float, eps_fixed: float, k_range) -> float:
     the quadrature, whose own estimate exceeds its value there at d >= 8.
     The series points share one batched alternating Bessel sum, whose
     fixed cost they pay once: measured with one BLAS thread on a 2-vCPU
-    VM at d = 3, 8 and 12, a one-row call costs 0.09-0.11 ms and a
-    nine-row call 0.13-0.42 ms.  Each point's route, K, value and estimate
+    VM at d = 3, 4, 8 and 12, a one-row call costs 0.053-0.054 ms and a
+    nine-row call 0.081-0.092 ms.  Each point's route, K, value and estimate
     are those of ``limiting_error`` at that point alone.  A point whose
     estimate is at least its value is unresolved: ``PrecisionExhausted``
     names it rather than fitting noise.  Requires eps_fixed inside the

@@ -45,7 +45,8 @@ class SignalSpec:
     """A signal paired with the quantities the error analysis runs on.
 
     ``r`` is the Euclidean norm, ``R = r/delta`` the norm in alphabet
-    steps, and ``eps = R - floor(R)`` its fractional part in ``[0, 1)``.
+    steps, and ``eps = fmod(r, delta)/delta`` its fractional part in
+    ``[0, 1)``, rounded once.
     """
 
     x: np.ndarray
@@ -67,8 +68,9 @@ class SignalSpec:
         R = r / scheme.delta
         if not math.isfinite(R):
             raise ValueError(f"signal norm / delta overflows ({r} / {scheme.delta})")
-        eps = R - math.floor(R)
-        return cls(x=x, r=r, R=R, eps=eps)
+        # frac(r/delta) = fmod(r, delta)/delta with one rounding: fmod is exact,
+        # where R - floor(R) carries the rounding of R (up to ulp(R)/2)
+        return cls(x=x, r=r, R=R, eps=math.fmod(r, scheme.delta) / scheme.delta)
 
     @property
     def dim(self) -> int:

@@ -43,11 +43,13 @@ z = e^{2 pi i beta} != 1 each phase sum is Li_q(z) minus the head
 sum_{k<=K} (no head at K = 0), with
 the polylogarithm from its expansion in w = 2 pi i beta (DLMF 25.12.12;
 the harmonic/log form at integer q), which converges for every phase once
-beta is reduced to (-1/2, 1/2].  The expansion's zeta(q - j) come from
-one table of zeta(alpha + 1/2 + t) per tail (Euler-Maclaurin for positive
-arguments, the functional equation DLMF 25.4.1 for negative ones), so all
-q of a tail are one gather and one row-sum; the omitted terms are bounded
-through DLMF 25.4.2.  Li - head is accurate only in absolute terms, so
+beta is reduced to (-1/2, 1/2].  All q of a row share beta, so each row
+forms the powers c_j = (2 pi |beta|)^j / j! once, and its polylogarithms
+at every q, with their bounds, are one product of c with a Toeplitz table
+of zeta(q_i - j) i^j and its bound weights, cached per (alpha, number of
+q) (Euler-Maclaurin for positive arguments, the functional equation DLMF
+25.4.1 for negative ones); the omitted terms are bounded through DLMF
+25.4.2.  Li - head is accurate only in absolute terms, so
 where K > 0 and the trivial bound K^{1-q}/(q-1) is smaller the tail is
 taken as 0 with that bound.  At z = 1 the phase sum is a Hurwitz zeta tail from the
 same Euler-Maclaurin routine that fills the table.  The direct part
@@ -490,6 +492,7 @@ _EM_B = tuple(b / math.factorial(2 * m) for m, b in enumerate(
 # deepest j of the polylogarithm series; keeps Gamma(1 - s) of the table finite
 _J_CAP = 160
 _I_POW = np.array([1.0, 1j, -1.0, -1j])  # i^j by j mod 4
+_J = np.arange(_J_CAP + 1)
 # the constant parts of the remainder bound of the polylogarithm series
 _LOG_PI2_3 = math.log(math.pi ** 2 / 3.0)
 _LOG_2PI = math.log(2 * math.pi)
@@ -532,35 +535,44 @@ def _zeta_em(s, m0: int):
 
 @dataclass(frozen=True)
 class _PhaseTable:
-    """The part of the phase tails at q = order + 1/2 + i, i = 0..top, that does
-    not depend on the phase.  ``zeta[depth + t]`` is zeta(order + 1/2 + t) for
-    t = -depth..top, ``zeta_err`` its absolute bound; per i: q, zeta(q) plus
-    its bound, whether q is a positive integer, Gamma(1-q) (other q),
-    H_{q-1} (integer q), and cos, sin of pi (q-1)/2; per (i, J), J <= depth,
-    the parts of :func:`_j_remainder` that do not depend on the phase."""
+    """The part of the polylogarithms Li_q(e^{2 pi i b}) at q = order + 1/2 + i,
+    i = 0..top, that does not depend on the phase (see :func:`_polylogs`).
+
+    ``series`` has one row per j = 0..depth and three blocks of top + 1
+    columns: the real and imaginary parts of the series' coefficients
+    zeta(q_i - j) i^j, and their bound weights.  ``integer`` tells whether
+    every q is an integer (the harmonic/log form); ``sing`` holds three
+    blocks of per-i factors of the rest of the singular term.  ``q``,
+    ``zeta_q_err``, the bound of the table's zeta(q), and ``zeta_q_up``,
+    zeta(q) plus that bound, serve the callers.
+    """
 
     depth: int
-    zeta: np.ndarray
-    zeta_err: np.ndarray
+    series: np.ndarray
+    integer: bool
+    sing: np.ndarray
     q: np.ndarray
+    zeta_q_err: np.ndarray
     zeta_q_up: np.ndarray
-    integer: np.ndarray
-    gamma: np.ndarray
-    harmonic: np.ndarray
-    cos_q: np.ndarray
-    sin_q: np.ndarray
-    rem_log: np.ndarray
-    rem_rho: np.ndarray
 
 
 @lru_cache(maxsize=32)
 def _phase_table(order: float, top: int) -> _PhaseTable:
-    """The phase-independent part of :func:`_phase_tails`, cached per (order, top).
+    """The phase-independent part of :func:`_polylogs`, cached per (order, top).
 
     zeta(s) comes from :func:`_zeta_em` for s > 0, from the functional
     equation zeta(s) = 2 (2 pi)^{s-1} cos(pi (1-s)/2) Gamma(1-s) zeta(1-s)
-    (DLMF 25.4.1) for s < 0, and zeta(0) = -1/2; the pole s = 1 holds 0
-    (integer q take that term from the harmonic/log form).
+    (DLMF 25.4.1) for s < 0, and zeta(0) = -1/2; the pole s = 1 holds 0.
+    The singular term is c_n i^n (H_n + i pi/2 - ln(2 pi b)) at integer q,
+    n = q - 1, within EPS c_n ((2n + 4) |H_n + i pi/2 - ln(2 pi b)| + H_n
+    + |ln(2 pi b)| + 2), and Gamma(1-q) (2 pi b)^{q-1} e^{-i pi (q-1)/2}
+    within (|q-1| + 26) EPS at other q, 2 EPS of each the final rounding
+    of Li; ``sing`` holds its factors.  The bound weight of term j is the
+    table's bound plus EPS times its size times 2j + 1 (c_j and its
+    product), 2 (the final rounding of Li, as |Re| + |Im| of the series is
+    at most sum_j |coefficient c_j|) and, for j >= 1, depth/2 + 1 (a sum
+    of depth terms in any order, then the addition of the term j = 0).
+    Row depth carries the remainder past it (see :func:`_polylogs`).
     """
     q = order + 0.5 + np.arange(top + 1, dtype=float)
     depth = min(math.floor(q[-1]) + 1 + 60, _J_CAP)
@@ -581,47 +593,83 @@ def _phase_table(order: float, top: int) -> _PhaseTable:
         zeta[neg] = mag * cos
         err[neg] = mag * (np.abs(cos) * (e1 / z1 + (s1 / 2 + 16) * EPS)
                           + np.where(s1 == np.floor(s1), 0.0, 4 * EPS))
-    integer = (q >= 1.0) & (q == np.round(q))
-    gamma = np.array([0.0 if i else math.gamma(1.0 - v) for v, i in zip(q, integer)])
-    harmonic = np.array([math.fsum(1.0 / np.arange(1.0, v)) if i else 0.0
-                         for v, i in zip(q, integer)])
-    # the remainder of the series cut at J: log(pi^2/3) + (q-1) log(2 pi)
-    # + lgamma(J+2-q) - lgamma(J+2), infinite where J < q, and the factor
-    # max(1, (J+2-q)/(J+2)) of its ratio (see _j_remainder); J + 2 - q is
-    # (J - i) + 3/2 - order, so its lgamma takes one value per J - i
-    J = np.arange(depth + 1)
-    shift = np.arange(-top, depth + 1) + 1.5 - order
-    lgamma_shift = np.array([math.lgamma(v) if v > 0 else math.inf for v in shift.tolist()])
-    lgamma_top = lgamma_shift[J - np.arange(top + 1)[:, None] + top]
-    rem_log = (np.where(J >= q[:, None], lgamma_top, math.inf)
-               + (_LOG_PI2_3 + (q - 1.0) * _LOG_2PI)[:, None]
-               - np.array([math.lgamma(v) for v in (J + 2.0).tolist()]))
-    arrays = (zeta, err, q, zeta[depth:] + err[depth:], integer, gamma, harmonic,
-              _cos_half_pi(q - 1.0), _cos_half_pi(q - 2.0), rem_log,
-              np.maximum(1.0, (J + 2.0 - q[:, None]) / (J + 2.0)))
-    for arr in arrays:  # shared by every caller through the cache
+    zeta_q_err = err[depth:]
+    zeta_q_up = zeta[depth:] + zeta_q_err
+    i, j = np.arange(top + 1), _J[:depth + 1, None]
+    at = depth + i - j  # zeta(q_i - j)
+    coef = zeta[at] * _I_POW[j % 4]
+    err = err[at]
+    integer = q[0] == math.floor(q[0])  # half-integer order: every q >= 1 is an integer
+    if integer:
+        # the factors of 1, ln(2 pi b) and |ln(2 pi b)|, with
+        # |H_n - ln(2 pi b)| <= H_n + |ln(2 pi b)|
+        n = (q - 1.0).astype(int)
+        harmonic = np.array([math.fsum(1.0 / np.arange(1.0, v)) for v in q])
+        i_n, zero = _I_POW[n % 4], np.zeros(q.size)
+        const = i_n * (harmonic + 0.5j * math.pi)
+        sing = np.array([[*const.real, *const.imag,
+                          *(EPS * ((2 * n + 4) * (harmonic + 0.5 * math.pi) + harmonic + 2))],
+                         [*-i_n.real, *-i_n.imag, *zero], [*zero, *zero, *(EPS * (2 * n + 5.0))]])
+    else:
+        gamma = np.array([math.gamma(1.0 - v) for v in q])
+        sing = np.concatenate((gamma * _cos_half_pi(q - 1.0), -gamma * _cos_half_pi(q - 2.0),
+                               EPS * np.abs(gamma) * (np.abs(q - 1.0) + 26)))
+    size = np.abs(coef.real) + np.abs(coef.imag)
+    weight = err + EPS * size * (2 * j + 3 + np.where(j, 0.5 * depth + 1, 0))
+    # the remainder past depth, rem b^{depth+1} / (1 - b) with log rem =
+    # log(pi^2/3) + (q-1) log(2 pi) + lgamma(depth+2-q) - lgamma(depth+2), is
+    # at most rem depth! / (2 pi)^depth times c_depth (b <= 1/2), which is
+    # within 4 (depth + 1) EPS of its rounded value, plus (depth + 1) 2^-1074
+    # where the running product is subnormal; infinite where depth < q
+    log_rem = (_LOG_PI2_3 + (q - 1.0) * _LOG_2PI - depth * _LOG_2PI + math.lgamma(depth + 1.0)
+               - math.lgamma(depth + 2.0))
+    rem = np.array([math.exp(v + math.lgamma(depth + 2.0 - w)) if depth >= w else math.inf
+                    for v, w in zip(log_rem.tolist(), q.tolist())]) * (1.0 + 4 * (depth + 1) * EPS)
+    weight[depth] += np.where(np.isfinite(rem), rem, 0.0)
+    weight[0] += rem * ((depth + 1) * 2.0 ** -1074)
+    series = np.concatenate((coef.real, coef.imag, weight), axis=1)
+    for arr in (series, sing, q, zeta_q_err, zeta_q_up):  # shared by every caller through the cache
         arr.setflags(write=False)
-    return _PhaseTable(depth, *arrays)
+    return _PhaseTable(depth, series, integer, sing, q, zeta_q_err, zeta_q_up)
 
 
-# per column j of the polylogarithm series: j, i^j and 2j + 1
-_J = np.arange(_J_CAP + 1)
-_J_I_POW = _I_POW[_J % 4]
-_J_ROUNDINGS = 2 * _J + 1
+def _polylogs(tab: _PhaseTable, b: np.ndarray):
+    """Li_q(e^{2 pi i b}) at every q of ``tab``, one b in (0, 1/2] per row;
+    Li_q(e^{-2 pi i b}) is its conjugate.  Returns (re, im, bounds), each
+    rows x (top + 1).
 
+    With w = 2 pi i b, |w| <= pi < 2 pi, the expansion (DLMF 25.12.12)
 
-def _j_remainder(tab: _PhaseTable, idx: np.ndarray, J: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bound on sum_{j>J} |zeta(q-j)| (2 pi b)^j / j! for J >= q, b = |beta|,
-    at q = order + 1/2 + idx of ``tab``, as arrays over (idx, J, b) entries.
+        Li_q(e^w) = Gamma(1-q) (-w)^{q-1} + sum_{j>=0} zeta(q-j) w^j / j!
 
-    By |zeta(1-s)| <= 2 (2 pi)^-s Gamma(s) zeta(s) (DLMF 25.4.2), with
-    zeta(s) <= zeta(2), term j is at most 2 zeta(2) (2 pi)^{q-1} b^j
-    Gamma(j-q+1)/Gamma(j+1): a majorant whose ratio rho is b for q >= 0.
-    Infinite where J < q (the table's depth ran out) or rho >= 1.
+    converges for every phase; for a positive integer q the Gamma term and
+    the j = q-1 term become w^{q-1}/(q-1)! [H_{q-1} - ln(-w)].  Each row
+    forms c_j = (2 pi b)^j / j! once, for j = 1..depth, and its series at
+    every q, with their bounds, are one product of c with the table
+    (:func:`_phase_table`) plus the table's term j = 0, which dominates at
+    small b.  The omitted terms j > depth >= q are bounded
+    through |zeta(1-s)| <= 2 (2 pi)^-s Gamma(s) zeta(s) (DLMF 25.4.2): term
+    j is at most 2 zeta(2) (2 pi)^{q-1} b^j Gamma(j-q+1)/Gamma(j+1), a
+    majorant of ratio at most b for q > 0, whose sum the table charges to
+    c_depth.  numpy's matmul takes the rows one vector-matrix product at a
+    time, so a row's values and bounds do not depend on the other rows.
     """
-    rho = b * tab.rem_rho[idx, J]
-    rem = np.exp(tab.rem_log[idx, J] + (J + 1) * np.log(b)) / (1.0 - rho)
-    return np.where(rho < 1.0, rem, math.inf)
+    top = tab.q.size
+    a = 2.0 * math.pi * b
+    # c_1..c_depth, (2 pi b)^j / j! within 2j EPS
+    c = np.cumprod(np.divide.outer(a, _J[1:tab.depth + 1]), axis=1)
+    series = (c[:, None, :] @ tab.series[1:])[:, 0] + tab.series[0]
+    if tab.integer:
+        n = int(tab.q[0]) - 1
+        cn = (c[:, n - 1:n - 1 + top] if n else  # c_0 = 1
+              np.concatenate((np.ones((b.size, 1)), c[:, :top - 1]), axis=1))
+        lw = np.log(a)[:, None]
+        series += np.concatenate((cn, cn, cn), axis=1) * (
+            tab.sing[0] + lw * tab.sing[1] + np.abs(lw) * tab.sing[2])
+    else:
+        power = a[:, None] ** (tab.q - 1.0)
+        series += np.concatenate((power, power, power), axis=1) * tab.sing
+    return series[:, :top], series[:, top:2 * top], series[:, 2 * top:]
 
 
 @lru_cache(maxsize=64)
@@ -640,133 +688,72 @@ def _trivial_tails(order: float, top: int, K: int):
     return arrays
 
 
-def _polylog(tab: _PhaseTable, idx: np.ndarray, beta: np.ndarray):
-    """Li_q(e^{2 pi i beta}) at every q = order + 1/2 + idx of ``tab``, one
-    beta per entry, in [-1/2, 1/2] but not 0.  Returns (values, bounds) as
-    arrays over idx.
+def _phase_tails(order: float, top: int, beta, K: int):
+    """sum_{k>K} e^{2 pi i beta k} k^{-q} at every q = order + 1/2 + i,
+    i = 0..top, with certified absolute bounds; ``beta`` is one phase per
+    row, in [-1/2, 1/2], and 0 only where every q > 1.  Returns (re, im,
+    bounds), each rows x (top + 1).
 
-    With w = 2 pi i beta, |w| <= pi < 2 pi,
-    so the polylogarithm expansion (DLMF 25.12.12)
-
-        Li_q(e^w) = Gamma(1-q) (-w)^{q-1} + sum_{j>=0} zeta(q-j) w^j / j!
-
-    converges for every phase; for a positive integer q the Gamma term and
-    the j = q-1 term become w^{q-1}/(q-1)! [H_{q-1} - ln(-w)].  Every q is
-    order + 1/2 + integer, so one table of zeta(order + 1/2 + t)
-    (:func:`_phase_table`) serves them all and the series is one gather and
-    one row-sum.  Row q stops at J_q >= q, where |beta|^j has fallen by
-    2^-52; the omitted terms are bounded through |zeta(1-s)| <=
-    2 (2 pi)^-s Gamma(s) zeta(s) (DLMF 25.4.2) by a geometric majorant of
-    ratio |beta|.  The bound adds that remainder to the rounding of the
-    zeta table, the series and the singular term.  The series is summed
-    left to right, so an entry's value and bound do not depend on the
-    other entries.
-    """
-    b = np.abs(beta)
-    q = tab.q[idx]
-    # the series, each row cut at J_q (the columns past it hold exact zeros)
-    # and summed left to right, so that its sum does not depend on the
-    # other rows' J
-    jq = np.minimum((np.floor(q) + 1 + np.ceil(52 * math.log(2) / -np.log(b))).astype(int),
-                    tab.depth)
-    width = int(jq.max()) + 1
-    keep = _J[:width] <= jq[:, None]
-    at = tab.depth + idx[:, None] - _J[:width]
-    zg = tab.zeta[at] * keep
-    x = 2.0 * math.pi * beta
-    c = np.ones((x.size, width))  # x^j / j!, within 2j EPS
-    np.divide(x[:, None], _J[1:width], out=c[:, 1:])
-    np.cumprod(c, axis=1, out=c)
-    zc = zg * c
-    series = np.cumsum(zc * _J_I_POW[:width], axis=1)[:, -1]
-    # per term (2j + 1) EPS, and J_q/2 EPS of the row sum for its summation
-    series_err = np.cumsum(tab.zeta_err[at] * keep * np.abs(c) + EPS * np.abs(zc) * (
-        _J_ROUNDINGS[:width] + 0.5 * jq[:, None]), axis=1)[:, -1]
-
-    # the singular term: the harmonic/log form for integer q, else
-    # Gamma(1-q) (-w)^{q-1} = Gamma(1-q) (2 pi b)^{q-1} e^{-i pi sign (q-1)/2};
-    # each form is evaluated only when some q takes it
-    integer = tab.integer[idx]
-    sign = np.copysign(1.0, beta)
-    sing = sing_err = None
-    if integer.any():
-        n = np.where(integer, q, 1.0).astype(int) - 1
-        cn = c[np.arange(n.size), n]
-        lw = np.log(2.0 * math.pi * b)
-        bracket = tab.harmonic[idx] - lw + 0.5j * math.pi * sign
-        sing = cn * _I_POW[n % 4] * bracket
-        sing_err = EPS * np.abs(cn) * ((2 * n + 2) * np.abs(bracket) + tab.harmonic[idx]
-                                       + np.abs(lw) + 2)
-    if not integer.all():
-        power = tab.gamma[idx] * (2.0 * math.pi * b) ** (q - 1.0) * (
-            tab.cos_q[idx] - 1j * sign * tab.sin_q[idx])
-        power_err = EPS * np.abs(power) * (np.abs(q - 1.0) + 24)
-        sing = power if sing is None else np.where(integer, sing, power)
-        sing_err = power_err if sing_err is None else np.where(integer, sing_err, power_err)
-
-    return series + sing, (series_err + sing_err + _j_remainder(tab, idx, jq, b)
-                           + 2 * EPS * (np.abs(series) + np.abs(sing)))
-
-
-def _phase_tails(order: float, top: int, idx: np.ndarray, beta, K: int):
-    """sum_{k>K} e^{2 pi i beta k} k^{-q} at every q = order + 1/2 + idx, with
-    certified absolute bounds; ``beta`` is one phase or one per entry of
-    ``idx`` (a (row, q) pair each), in [-1/2, 1/2] but not 0; ``idx`` lies
-    in 0..top.  Returns (values, bounds) as arrays over idx.
-
-    At K = 0 the tail is the polylogarithm Li_q(z) itself
-    (:func:`_polylog`).  Past K it is Li_q(z) minus the head
-    sum_{k<=K} z^k k^-q, one (rows x K) matrix of weights against phases
-    taken from beta k reduced exactly mod 1, and the bound adds the
+    At beta = 0 the tail is the Hurwitz zeta tail sum_{k>K} k^-q
+    (:func:`_zeta_em`).  At K = 0 and beta != 0 it is the polylogarithm
+    Li_q(z) itself (:func:`_polylogs`).  Past K it is Li_q(z) minus the
+    head sum_{k<=K} z^k k^-q, one (entries x K) matrix of weights against
+    phases taken from beta k reduced exactly mod 1, and the bound adds the
     rounding of the head and its phases.
 
     Li - head is accurate only to about 1e-15 absolute, so for q > 1 the
     trivial |tail| <= min(K^{1-q}/(q-1), (K+1)^-q / sin(pi |beta|)) (the
     integral test; Abel's inequality) is returned, with value 0, wherever
-    it is the smaller bound; the head of such a row is not computed.
-
-    The head is summed over its K columns, so an entry's value and bound
-    do not depend on the other entries.
+    it is the smaller bound (for zeta tails: the first); the head of such
+    an entry is not computed.  Every entry's sums run over widths of its
+    own, so a row does not depend on the other rows.
     """
     tab = _phase_table(order, top)
-    beta = beta + np.zeros(idx.size)
-    if K == 0:
-        return _polylog(tab, idx, beta)
-    q = tab.q[idx]
-    over = q > 1.0
-    values = np.zeros(q.size, dtype=complex)
-    majorant, abel = _trivial_tails(order, top, K)
-    bounds = np.minimum(majorant[idx], abel[idx] / np.sin(math.pi * np.abs(beta)))
-    # rounding of the head per unit weight: ~18 EPS per term (the phase, its
-    # cos/sin, the power, the product) and (9 + log2(K)/2) EPS of numpy's
-    # pairwise summation.  For q > 1 the weights sum to less than zeta(q),
-    # so on rows not live this alone would exceed the trivial bound.
-    head_scale = (K.bit_length() + 24) * EPS
-    zq = tab.zeta_q_up[idx]
-    live = np.flatnonzero(~over | (head_scale * 2.0 * zq <= bounds))
-    if live.size == 0:
-        return values, bounds
-    idx, q, zq, over, beta = idx[live], q[live], zq[live], over[live], beta[live]
-    li, fixed = _polylog(tab, idx, beta)
-    use = ~over | (fixed + head_scale * 2.0 * zq <= bounds[live])
-    if use.any():
-        rows = live[use]
-        k = _direct_weights(order, K)[0]
-        # one row of phases per run of equal beta (the entries of one row)
-        beta = beta[use]
-        first = np.empty(beta.size, dtype=bool)
-        first[0] = True
-        np.not_equal(beta[1:], beta[:-1], out=first[1:])
-        phases = beta[first]
-        beta_hi = np.round(phases * (1 << 26))[:, None] / (1 << 26)  # k * beta_hi is exact below 2^26
-        theta = (2.0 * math.pi) * (np.mod(k * beta_hi, 1.0) + k * (phases[:, None] - beta_hi))
-        which = np.cumsum(first) - 1
-        weights = k ** -q[use, None]
-        head = ((weights * np.cos(theta)[which]).sum(axis=1)
-                + 1j * (weights * np.sin(theta)[which]).sum(axis=1))
-        values[rows] = li[use] - head
-        bounds[rows] = fixed[use] + head_scale * weights.sum(axis=1) + 2 * EPS * np.abs(head)
-    return values, bounds
+    beta = np.asarray(beta, dtype=float).reshape(-1)
+    b = np.abs(beta)
+    phase = b > 0.0
+    zeta_rows = not phase.all()
+    if zeta_rows:
+        re, im, bounds = (np.zeros((b.size, top + 1)) for _ in range(3))
+        if phase.any():
+            re[phase], im[phase], bounds[phase] = _polylogs(tab, b[phase])
+    else:
+        re, im, bounds = _polylogs(tab, b)
+    im *= np.sign(beta)[:, None]  # Li_q(conj z) = conj Li_q(z); 0 on zeta rows
+    if K and phase.any():
+        majorant, abel = _trivial_tails(order, top, K)
+        trivial = np.minimum(majorant, abel / np.sin(math.pi * np.where(phase, b, 0.5))[:, None])
+        # rounding of the head per unit weight: ~18 EPS per term (the phase, its
+        # cos/sin, the power, the product) and (9 + log2(K)/2) EPS of numpy's
+        # pairwise summation.  For q > 1 the weights sum to less than zeta(q),
+        # so where the trivial bound is smaller than that, this alone exceeds it
+        head_scale = (K.bit_length() + 24) * EPS
+        use = phase[:, None] & ((tab.q <= 1.0) | (bounds + head_scale * 2.0 * tab.zeta_q_up
+                                                  <= trivial))
+        re, im = np.where(use, re, 0.0), np.where(use, im, 0.0)
+        bounds = np.where(use, bounds, trivial)
+        rows, cols = np.nonzero(use)
+        if rows.size:
+            k = _direct_weights(order, K)[0]
+            # one row of phases per row with a head
+            heads = np.flatnonzero(use.any(axis=1))
+            phases = beta[heads, None]
+            beta_hi = np.round(phases * (1 << 26)) / (1 << 26)  # k * beta_hi is exact below 2^26
+            theta = (2.0 * math.pi) * (np.mod(k * beta_hi, 1.0) + k * (phases - beta_hi))
+            which = np.searchsorted(heads, rows)
+            weights = k ** -tab.q[cols, None]
+            head_re = (weights * np.cos(theta)[which]).sum(axis=1)
+            head_im = (weights * np.sin(theta)[which]).sum(axis=1)
+            re[rows, cols] -= head_re
+            im[rows, cols] -= head_im
+            bounds[rows, cols] += (head_scale * weights.sum(axis=1)
+                                   + 2 * EPS * np.hypot(head_re, head_im))
+    if zeta_rows:
+        values, zeta_bounds = _zeta_em(tab.q, K + 1)
+        trivial = _tail_majorant(tab.q, K)
+        re[~phase] = np.where(zeta_bounds < trivial, values, 0.0)
+        bounds[~phase] = np.minimum(zeta_bounds, trivial)
+    return re, im, bounds
 
 
 # ---------------------------------------------------------------------------
@@ -821,66 +808,72 @@ def _alt_sum_direct(order: float, R, eps_frac, K: int):
     return values, (w * b + rounding_w * np.abs(v)).sum(axis=1)
 
 
+@lru_cache(maxsize=64)
+def _tail_columns(order: float, width: int, K: int):
+    """Per column i < ``width`` of the Hankel terms of :func:`_alt_sum_tail`:
+    i // 2, whether i is odd, and the majorant of sum_{k>K} k^-q at
+    q = order + 1/2 + i (0 in columns 0 and 1, never a first omitted term);
+    and top, the last column a retained term can take (width - 2, as the
+    last column can only be omitted, or the last nonzero a_i,
+    i = order - 1/2, at half-integer orders, where the expansion
+    terminates), with the real and imaginary parts of e^{-i omega} i^i at
+    i = 0..top."""
+    i = np.arange(width)
+    q = order + 0.5 + np.maximum(i, 2)
+    top = width - 2 if order % 1 == 0 else int(order - 0.5)
+    rot = cmath.exp(-1j * (math.pi * order / 2.0 + math.pi / 4.0)) * _I_POW[i[:top + 1] % 4]
+    arrays = (i // 2, i % 2 == 1, np.where(i < 2, 0.0, _tail_majorant(q, K)), rot.real, rot.imag)
+    for arr in arrays:  # shared by every caller through the cache
+        arr.setflags(write=False)
+    return (top, *arrays)
+
+
 def _alt_sum_tail(order: float, R, beta, K: int, tol):
     """Analytic continuation of the sums past k = K via Hankel + phase sums.
 
     ``R``, ``beta`` and ``tol`` are floats or 1-D arrays, one row each, with
     beta = frac(R) - 1/2: (-1)^k e^{2 pi i k frac(R)} = e^{2 pi i beta k}.
-    Returns (values, bounds) as arrays over the rows.  The phase sums of all
-    rows are one call; each row's coefficients and sums are its own.  At
-    K = 0 the tail is the whole sum, and a row whose Hankel remainder alone
-    exceeds its tol gets (0, inf) without phase sums: that remainder is a
-    part of the bound the row would get.
+    Returns (values, bounds) as arrays over the rows.  Each row's Hankel
+    expansion is cut where its first tail term k = K+1 needs it, and its
+    term i, a_i (2 pi R)^-i i^i (the plan's own terms at K = 0), multiplies
+    the phase sum at q = order + 1/2 + i; the phase sums of all rows are
+    one call (:func:`_phase_tails`), over the q of every term the plan may
+    retain (:func:`_tail_columns`).  Every sum runs over a width fixed by
+    (order, K), so a row does not depend on the other rows.  At
+    K = 0 the tail is the whole sum, and a row gets (0, inf) without phase
+    sums where a part of the bound it would get already exceeds its tol:
+    its Hankel remainder plus the bound of the table's zeta(q0),
+    q0 = order + 1/2, which its first phase sum carries (in its term j = 0,
+    or as the zeta tail itself at beta = 0); Hankel's first term is 1.
     """
-    omega = math.pi * order / 2.0 + math.pi / 4.0
-    R, tol = np.atleast_1d(R), np.atleast_1d(tol)
-    row_beta = np.atleast_1d(beta).tolist()
+    R, beta, tol = np.atleast_1d(R), np.atleast_1d(beta), np.atleast_1d(tol)
+    twopiR = 2.0 * math.pi * R
     # each row truncated where its first tail term k = K+1 needs it
-    a, _, MP, MQ = _hankel_plan(order, (2.0 * math.pi * R) * (K + 1), 18)
-    tails, errs = np.zeros(R.size), np.full(R.size, math.inf)
-    rows, idx, coef, beta = [], [], [], []
-    for row, (r, mp, mq) in enumerate(zip(R.tolist(), MP.tolist(), MQ.tolist())):
-        twopiR = 2.0 * math.pi * r
-        scale = 1.0 / (math.pi * math.sqrt(r))
-        # Hankel remainder summed over the tail (integral-test zeta bounds)
-        rem_p = abs(a[2 * mp]) * twopiR ** (-2 * mp) * _tail_majorant(order + 0.5 + 2 * mp, K)
-        rem_q = (abs(a[2 * mq + 1]) * twopiR ** (-2 * mq - 1)
-                 * _tail_majorant(order + 1.5 + 2 * mq, K))
-        if K == 0 and scale * (rem_p + rem_q) > tol[row]:
-            continue
-        rows.append((row, scale, rem_p, rem_q, mp + mq, len(idx)))
-        # phase sums at q = order + 1/2 + i: i = 2m for the P terms, which take
-        # the real part of their rotated sum, 2m + 1 for the Q terms, which
-        # take minus its imaginary part, Re(1j z) = -Im(z)
-        row_idx = [*range(0, 2 * mp, 2), *range(1, 2 * mq, 2)]
-        idx += row_idx
-        coef += [(-1.0) ** (i // 2) * a[i] * twopiR ** -i * (1j if i % 2 else 1.0)
-                 for i in row_idx]
-        beta += [row_beta[row]] * len(row_idx)
-    if not rows:
-        return tails, errs
-    # at frac(R) = 1/2 exactly (beta = 0) the phase sums are zeta tails
-    some_at_half = 0.0 in beta
-    idx, coef, beta = np.array(idx), np.array(coef), np.array(beta)
-    if not some_at_half:
-        tp, tb = _phase_tails(order, len(a) - 1, idx, beta, K)
-    else:
-        zeta = beta == 0.0
-        tp = np.zeros(idx.size, dtype=complex)
-        tb = np.zeros(idx.size)
-        s = order + 0.5 + idx[zeta]
-        values, bounds = _zeta_em(s, K + 1)
-        # as in _phase_tails: the trivial bound where it is the smaller one
-        trivial = _tail_majorant(s, K)
-        tp[zeta], tb[zeta] = np.where(bounds < trivial, values, 0.0), np.minimum(bounds, trivial)
-        if not zeta.all():
-            tp[~zeta], tb[~zeta] = _phase_tails(order, len(a) - 1, idx[~zeta], beta[~zeta], K)
-    terms = (coef * (cmath.exp(-1j * omega) * tp)).real.tolist()
-    bounds = np.add.reduceat(np.abs(coef) * tb, [row[-1] for row in rows]).tolist()
-    for (row, scale, rem_p, rem_q, n, lo), bound in zip(rows, bounds):
-        tails[row] = scale * math.fsum(terms[lo:lo + n])
-        errs[row] = scale * (bound + rem_p + rem_q)
-    return tails, errs
+    a, coef, lp, lq = _hankel_plan(order, twopiR * (K + 1), 18)
+    if K:  # the plan's terms are a_i / (2 pi R (K+1))^i
+        coef = np.array(a) * twopiR[:, None] ** -np.arange(len(a))
+    top, half, odd, majorant, rot_re, rot_im = _tail_columns(order, len(a), K)
+    # the retained terms: i < 2 lp for the P terms (even i), i < 2 lq for
+    # Q; the first omitted ones: i = 2 lp and 2 lq + 1
+    cut = np.where(odd, lq[:, None], lp[:, None])
+    kept, omitted = half < cut, half == cut
+    # Hankel remainder summed over the tail (integral-test zeta bounds)
+    hankel = (np.abs(np.where(omitted, coef, 0.0)) * majorant).sum(axis=1)
+    scale = (1.0 / math.pi) / np.sqrt(R)
+    tab = _phase_table(order, top)
+    if K == 0:
+        live = scale * (tab.zeta_q_err[0] * (1.0 - 1e-9) + hankel) <= tol
+        if not live.all():
+            tails, errs = np.zeros(R.size), np.full(R.size, math.inf)
+            if live.any():
+                tails[live], errs[live] = _alt_sum_tail(order, R[live], beta[live], K, tol[live])
+            return tails, errs
+    re, im, tb = _phase_tails(order, top, beta, K)
+    kept = kept[:, :top + 1]
+    coef = np.where(kept, coef[:, :top + 1], 0.0)
+    terms = coef * (rot_re * re - rot_im * im)
+    tails = scale * np.array([math.fsum(row) for row in terms.tolist()])
+    return tails, scale * ((np.abs(coef) * np.where(kept, tb, 0.0)).sum(axis=1) + hankel)
 
 
 def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
@@ -903,8 +896,9 @@ def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
     The rows share the Hankel tables, the phase-sum table and the K
     ladder.  The first rung, K = 0, has no direct part: the whole sum is
     Hankel's expansion cut at x = 2 pi R times polylogarithms, and a row
-    whose Hankel remainder over k >= 1 alone exceeds its tol skips it
-    (see :func:`_alt_sum_tail`).  Half-integer orders, whose expansion
+    whose Hankel remainder over k >= 1 plus the bound of zeta(order + 1/2)
+    its first polylogarithm carries already exceeds its tol skips it (see
+    :func:`_alt_sum_tail`).  Half-integer orders, whose expansion
     terminates, leave there at every R where rounding allows.  Each row
     leaves the ladder at the first rung where its own bound meets its own
     tol, or where its direct part's bound alone already exceeds it: that

@@ -260,3 +260,30 @@ def test_slope_fit_refuses_an_unresolved_point():
     with pytest.raises(PrecisionExhausted, match=r"k=100 \(d=40, eps=0.375\) is unresolved: "
                                                   r"the quadrature value"):
         scaling_slope_fit(40, 1.0, 0.375, [100, 200, 400, 800])
+
+
+def test_the_phase_is_the_exact_fractional_part_rounded_once():
+    # eps = fmod(r, delta)/delta: fmod is exact, so eps is frac(r/delta)
+    # rounded once.  R - floor(R) carried the rounding of R = r/delta, up
+    # to 6e-8 at R <= 1e9, far past the windows' 1e-9 slack: at this point
+    # it read 0.25, inside the even window, for an exact 0.24999997644
+    import random
+    from fractions import Fraction
+
+    from framepcm.quantization import SignalSpec
+
+    r, delta = 66723219.70782858, 0.09759118545857538
+    rep = lower_bound(4, r, delta)
+    assert abs(rep.eps - 0.24999997644) < 1e-10
+    assert not rep.window_ok and rep.lower == 0.0
+    assert "outside window" in sandwich_check(4, r, delta).status
+    rng = random.Random(2202)
+    for _ in range(2000):
+        delta = 10 ** rng.uniform(-3, 1)
+        r = delta * 10 ** rng.uniform(0, 9)
+        exact = Fraction(r) / Fraction(delta)
+        frac = float(exact - math.floor(exact))  # correctly rounded
+        assert lower_bound(3, r, delta).eps == frac, (r, delta)
+        sig = SignalSpec.from_vector(np.array([r, 0.0, 0.0]), QuantScheme(delta))
+        exact = Fraction(sig.r) / Fraction(delta)
+        assert sig.eps == float(exact - math.floor(exact)), (r, delta)

@@ -784,11 +784,16 @@ def test_grid_rows_climbing_past_the_first_rung_beside_rows_that_stop_there():
 
 
 def test_grid_of_nine_equals_its_nine_single_point_grids():
+    # an odd d (half-integer order) and two even d (integer orders, whose
+    # tails use every retained Hankel term); 60 and 90 take the quadrature
+    # below d = 8
     from framepcm import limiting_error_grid
 
     deltas = [1.0 / (k + 0.3) for k in (60, 90, 100, 180, 316, 562, 1000, 1778, 3162)]
-    grid = limiting_error_grid(5, 1.0, deltas)
-    assert grid == [limiting_error_grid(5, 1.0, [delta])[0] for delta in deltas]
+    for d in (4, 5, 12):
+        grid = limiting_error_grid(d, 1.0, deltas)
+        assert grid == [limiting_error_grid(d, 1.0, [delta])[0] for delta in deltas], d
+        assert sum(res.method == Method.BESSEL_SERIES for res in grid) >= 7, d
 
 
 def test_grid_validation():

@@ -360,19 +360,20 @@ def test_phase_tails_against_polylog():
 
     for p in (0.5, 1.0, 1.5, 2.0, 3.5, 4.0, 4.5, 6.0):
         rows = _tail_rows(p)
-        idx = np.array([i for i, _, _ in rows])
-        for row, (i, betas, Ks) in enumerate(rows):
+        top = max(i for i, _, _ in rows)
+        for i, betas, Ks in rows:
             q = p + 0.5 + i
             for beta in betas:
                 exacts = _polylog_tails(mpmath, q, beta, Ks)
                 for K, exact in exacts.items():
                     # Li_q(conj z) = conj Li_q(z) gives -beta without a second reference
                     for sign in (1.0, -1.0) if beta < 1e-6 else (1.0,):
-                        values, bounds = _phase_tails(p, int(idx.max()), idx, sign * beta, K)
+                        re, im, bounds = _phase_tails(p, top, [sign * beta], K)
                         ref = exact if sign > 0 else exact.conjugate()
-                        assert abs(values[row] - ref) <= bounds[row], (p, q, sign * beta, K)
+                        assert abs(complex(re[0, i], im[0, i]) - ref) <= bounds[0, i], (
+                            p, q, sign * beta, K)
                         if q > 1:
-                            assert bounds[row] <= K ** (1 - q) / (q - 1)
+                            assert bounds[0, i] <= K ** (1 - q) / (q - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +581,22 @@ def test_alternating_sums_rows_equal_their_one_row_calls(order):
 
 
 def test_alternating_sums_row_does_not_depend_on_its_neighbours():
-    # the same R in batches of different sizes and company
+    # the same rows in batches of different sizes and company, at a
+    # half-integer and an integer order: eps within 1e-4 of 1/2, eps = 1/2
+    # exactly (the zeta tails), R < 1 (which climbs past K = 0 at order 4)
+    # and a row the pre-screen skips at K = 0
     from framepcm.special_fn import alternating_bessel_sums
 
-    R = 300.4999
-    alone = alternating_bessel_sums(2.5, [R], [1e-10])[0]
-    for company in ([1.3], [0.07, 5000.25, 12.5], list(np.linspace(100.1, 900.9, 19))):
-        rows = alternating_bessel_sums(2.5, company + [R], [1e-10] * (len(company) + 1))
-        assert rows[-1] == alone
+    Rs, tols = [300.4999, 1000.50008, 57.5, 0.83, 2.2], [1e-10, 1e-12, 1e-11, 1e-9, 1e-14]
+    for order in (2.5, 4.0):
+        alone = [alternating_bessel_sums(order, [R], [tol])[0] for R, tol in zip(Rs, tols)]
+        assert [row[1] for row in alone if not isinstance(row, PrecisionExhausted)][:3] == [0] * 3
+        for company in ([1.3], [0.07, 5000.25, 12.5], list(np.linspace(100.1, 900.9, 19))):
+            rows = alternating_bessel_sums(order, company + Rs, [1e-10] * len(company) + tols)
+            assert [repr(row) for row in rows[len(company):]] == [repr(row) for row in alone]
+            rows = alternating_bessel_sums(order, Rs + company, tols + [1e-10] * len(company))
+            assert [repr(row) for row in rows[:len(Rs)]] == [repr(row) for row in alone]
+    assert alone[3][1] > 0
 
 
 def test_hopeless_ladder_raises_at_the_first_rung(monkeypatch):
@@ -646,19 +655,20 @@ def test_phase_tails_at_k0_are_polylogarithms_with_q_at_most_one():
     from framepcm.special_fn import _phase_tails
 
     for order in (0.0, 0.5):
-        idx = np.array([0, 1, 2])
         for beta in (1e-7, 0.01, 0.3, 0.5):
-            values, bounds = _phase_tails(order, 2, idx, beta, 0)
-            for i, value, bound in zip(idx, values, bounds):
+            re, im, bounds = _phase_tails(order, 2, [beta], 0)
+            values, bounds = re[0] + 1j * im[0], bounds[0]
+            for i, value, bound in zip(range(3), values, bounds):
                 with mpmath.workdps(30):
                     exact = complex(mpmath.polylog(mpmath.mpf(order + 0.5 + i),
                                                    mpmath.expjpi(2 * mpmath.mpf(beta))))
                 assert abs(value - exact) <= bound, (order, i, beta)
                 assert bound < 1e-12 * max(1.0, abs(exact)), (order, i, beta)
             # Li_q(conj z) = conj Li_q(z)
-            mirror, mirror_bounds = _phase_tails(order, 2, idx, -beta, 0)
+            mirror_re, mirror_im, mirror_bounds = _phase_tails(order, 2, [-beta], 0)
+            mirror = mirror_re[0] + 1j * mirror_im[0]
             assert np.array_equal(mirror, values.conjugate()) or beta == 0.5
-            assert np.array_equal(mirror_bounds, bounds)
+            assert np.array_equal(mirror_bounds[0], bounds)
         # the sums themselves resolve at K = 0 away from eps = 1/2
         for R in (3.3, 100.25, 1000.49):
             assert alternating_bessel_sum_info(order, R, 1e-10)[1] == 0
@@ -666,11 +676,14 @@ def test_phase_tails_at_k0_are_polylogarithms_with_q_at_most_one():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pre_screen_changes_no_result(monkeypatch):
-    # at K = 0 a row whose Hankel remainder alone exceeds its tol skips the
+    # at K = 0 a row whose Hankel remainder plus the bound of zeta(order +
+    # 1/2), which its first phase sum carries, exceeds its tol skips the
     # phase sums; with the screen forced off (tol = inf) every row's
     # (value, bound, K), or its error message, is the same (only a raised
     # row's ``achieved`` may then hold the skipped rung's bound).  Even d at
-    # R ~ 1-3 is where the remainder at 2 pi R is large
+    # R ~ 1-3 is where the remainder at 2 pi R is large; tols near 1e-18
+    # at large orders (the default route's target at d = 40, R = 100.375)
+    # are where the zeta bound alone already misses, at any R
     from framepcm import special_fn
 
     rng = np.random.default_rng(44)
@@ -678,9 +691,16 @@ def test_pre_screen_changes_no_result(monkeypatch):
     for order in (0.0, 1.0, 2.0, 3.0, 5.0):
         Rs = [float(R) for R in 1.0 + 2.0 * rng.random(10)] + [1.5, 2.5]
         cases.append((order, Rs, [float(t) for t in 10 ** rng.uniform(-14, -8, len(Rs))]))
+    for order in (2.0, 10.0, 20.0, 20.5):
+        Rs = [100.375, 1000.3, 1e4 + 0.3, 2.5e5 + 0.2, 100.5]
+        cases.append((order, Rs, [1.78e-18, 1e-19, 5e-20, 1e-20, 1e-18]))
     screened = [special_fn.alternating_bessel_sums(*case) for case in cases]
-
+    # the order-20 row that AUTO's fall-back at d = 40 computed in full,
+    # and its bound with the screen off, far above the skipping threshold
     tail = special_fn._alt_sum_tail
+    assert tail(20.0, [100.375], [-0.125], 0, [1.78e-18])[1][0] == math.inf
+    assert 1.78e-18 < tail(20.0, [100.375], [-0.125], 0, [math.inf])[1][0] < 1e-14
+
     skipped = 0
 
     def unscreened(order, R, beta, K, tol):
@@ -696,4 +716,66 @@ def test_pre_screen_changes_no_result(monkeypatch):
             assert type(on) is type(off) and str(on) == str(off)
             if not isinstance(on, PrecisionExhausted):
                 assert on == off
-    assert skipped >= 10
+    assert skipped >= 30
+
+
+def _k0_reference(mpmath, order, R, beta, lp, lq, negligible):
+    """The K = 0 sum's Hankel-times-polylogarithm form at 20 digits, over the
+    retained terms (i < 2 lp even, i < 2 lq odd) whose size exceeds
+    ``negligible``, and the Hankel remainder the bound must cover: the
+    first omitted terms times sum_k k^-q <= q/(q - 1)."""
+    with mpmath.workdps(20):
+        nu, x = mpmath.mpf(order), 2 * mpmath.pi * mpmath.mpf(R)
+        a = [mpmath.mpf(1)]
+        for j in range(1, max(2 * lp, 2 * lq + 1) + 1):
+            a.append(a[-1] * (4 * nu ** 2 - (2 * j - 1) ** 2) / (8 * j))
+        z = mpmath.expjpi(2 * mpmath.mpf(beta))
+        total = mpmath.mpc(0)
+        for i in [*range(0, 2 * lp, 2), *range(1, 2 * lq, 2)]:
+            coef = a[i] / x ** i * mpmath.mpc(0, 1) ** i
+            if i and abs(coef) * 3 < negligible:  # |Li_q| <= zeta(3/2) < 3 for q >= 3/2
+                continue
+            total += coef * mpmath.polylog(nu + mpmath.mpf(1) / 2 + i, z)
+        scale = 1 / (mpmath.pi * mpmath.sqrt(mpmath.mpf(R)))
+        ref = (mpmath.expj(-(mpmath.pi * nu / 2 + mpmath.pi / 4)) * total).real * scale
+        rem = sum(abs(a[i]) / x ** i * (nu + mpmath.mpf(1) / 2 + i) / (nu + i - mpmath.mpf(1) / 2)
+                  for i in (2 * lp, 2 * lq + 1)) * scale
+        return float(ref), float(rem)
+
+
+def test_k0_sums_against_mpmath_one_row_and_batched():
+    # the first rung's whole sum, Hankel's expansion at 2 pi R times
+    # polylogarithms, at orders 0..12 in steps of 1/2 over seeded |beta| in
+    # [1e-6, 1/2] (either sign) and R in [0.05, 1e6]: each batch equals
+    # its one-row calls bit for bit, and where the bound is informative it
+    # covers the distance to a 20-digit reference of the retained terms
+    # plus the Hankel remainder
+    mpmath = pytest.importorskip("mpmath")
+    from framepcm.special_fn import _alt_sum_tail, _hankel_plan
+
+    rng = np.random.default_rng(2201)
+    checked = 0
+    for order in [t / 2 for t in range(25)]:
+        Rs, betas = [], []
+        for _ in range(4):
+            b = float(10 ** rng.uniform(-6, math.log10(0.5)))
+            R0 = float(10 ** rng.uniform(math.log10(0.05), 6))
+            beta = b if rng.random() < 0.5 else -b
+            R = math.floor(R0) + 0.5 + beta
+            if R < 0.05:
+                beta, R = -beta, R + 2 * b
+            Rs.append(R)
+            betas.append(beta)
+        inf = [math.inf] * len(Rs)
+        values, bounds = _alt_sum_tail(order, np.array(Rs), np.array(betas), 0, np.array(inf))
+        for row, (R, beta) in enumerate(zip(Rs, betas)):
+            one = _alt_sum_tail(order, np.array([R]), np.array([beta]), 0, np.array([math.inf]))
+            assert (one[0][0], one[1][0]) == (values[row], bounds[row]), (order, R, beta)
+            if not bounds[row] < 1e-6 * max(abs(values[row]), 1e-3):
+                continue  # an uninformative bound (small R at integer orders)
+            _, _, lp, lq = _hankel_plan(order, 2 * math.pi * R, 18)
+            ref, rem = _k0_reference(mpmath, order, R, beta, int(lp[0]), int(lq[0]),
+                                     1e-6 * bounds[row] * math.pi * math.sqrt(R))
+            assert abs(values[row] - ref) <= bounds[row] - (1 - 1e-9) * rem, (order, R, beta)
+            checked += 1
+    assert checked >= 80

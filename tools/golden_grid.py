@@ -17,6 +17,9 @@ recorded as ``raise <Type>: <message>``.  The grid:
 * ``bessel_large_x`` at XS and ``alternating_bessel_sum_info`` at
   RS, for the orders 0, 1/2, ..., 12, and ``bessel_integral_int_order`` at
   INT_XS for the integer ones (``bessel_integral_int_order/n=<n>/x=<x>``);
+  per order, whether one ``alternating_bessel_sums`` batch over all of RS
+  equals its one-row calls
+  (``alternating_bessel_sums/order=<o>/batch_equals_rows``);
 * ``zeta_tail``, ``M1_constant`` and ``M2_constant``;
 * ``scaling_slope_fit`` at d = 3..12 over the default sweep of
   ``framepcm bounds --slope`` (SLOPE_KS, eps 3/8 for even d and 1/4 for
@@ -102,6 +105,24 @@ def _record(out: dict, key: str, call) -> None:
         out[key] = repr(res)
 
 
+def _batch_equals_rows(order: float) -> bool:
+    """Whether one ``alternating_bessel_sums`` batch over RS equals its
+    one-row ``alternating_bessel_sum_info`` calls: per R the same
+    ``(BesselEval, K)``, or a ``PrecisionExhausted`` with the same message."""
+    from framepcm.special_fn import (PrecisionExhausted, alternating_bessel_sum_info,
+                                     alternating_bessel_sums)
+
+    rows = alternating_bessel_sums(order, RS, [ALT_SUM_TOL] * len(RS))
+    for R, row in zip(RS, rows):
+        try:
+            one = alternating_bessel_sum_info(order, R, ALT_SUM_TOL)
+        except PrecisionExhausted as exc:
+            one = exc
+        if repr(row) != repr(one):
+            return False
+    return True
+
+
 def golden() -> dict:
     from framepcm import (QuantScheme, M1_constant, M2_constant, Method, bessel_large_x,
                           equidistribution_diagnostic, fibonacci_sphere_frame,
@@ -139,6 +160,8 @@ def golden() -> dict:
         for R in RS:
             _record(out, f"alternating_bessel_sum/order={order!r}/R={R!r}",
                     lambda: alternating_bessel_sum_info(order, R, ALT_SUM_TOL))
+        _record(out, f"alternating_bessel_sums/order={order!r}/batch_equals_rows",
+                lambda: _batch_equals_rows(order))
         if order % 1 == 0:
             for x in INT_XS:
                 _record(out, f"bessel_integral_int_order/n={int(order)}/x={x!r}",
