@@ -272,7 +272,9 @@ def _cmd_bounds(args, outdir: Path) -> int:
                                             args.points)).astype(int))
         rows, unresolved = [], []
         for d in args.d_list:
-            eps = args.eps if args.eps is not None else (0.375 if d % 2 == 0 else 0.25)
+            # the default eps keeps off the zeros of the leading coefficient
+            # C_d(eps), which tend to 1/4 for odd d and 3/8 for even d
+            eps = args.eps if args.eps is not None else (0.46 if d % 2 == 0 else 0.31)
             try:
                 slope = scaling_slope_fit(d, 1.0, eps, ks)
             except sf.PrecisionExhausted as exc:

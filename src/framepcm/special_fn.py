@@ -25,20 +25,17 @@ On top of these, ``alternating_bessel_sums`` evaluates
 
     S = sum_{k>=1} (-1)^k k^{-alpha} J_alpha(2 pi k R)
 
-with a certified bound at many R for one alpha at once: the rows
-share the tables and the K ladder, and each row's sums run over widths of
-its own, so its result does not depend on the other rows.
+with a certified bound at many R for one alpha at once.
 ``alternating_bessel_sum_info`` is its one-row case, and returns the
 truncation index K beside the value.  Direct summation is hopeless for
 small alpha (the certified tail decays like K^{-alpha+1/2}), so the tail is
-*computed*: the
-Hankel expansion turns it into a handful of phase sums
-sum_{k>K} z^k k^{-q} with |z| = 1, all at q = alpha + 1/2 + integer.  The
-first rung of the K ladder is K = 0, where the tail is the whole sum and
-Hankel's expansion is cut at the smallest argument, 2 pi R; that serves
+*computed*: the Hankel expansion turns it into a handful of phase sums
+sum_{k>K} z^k k^{-q} with |z| = 1, all at q = alpha + 1/2 + integer.  Every
+row first takes K = 0, in one batched call: the tail is the whole sum, and
+Hankel's expansion is cut at the smallest argument, 2 pi R.  That serves
 every R where the expansion's remainder there meets the target (every R
-for half-integer alpha, where it terminates), and the ladder climbs to
-K = 64, 256, ... elsewhere.  For
+for half-integer alpha, where it terminates); a row it does not serve
+climbs K = 64, 256, ... on its own, summing k <= K directly.  For
 z = e^{2 pi i beta} != 1 each phase sum is Li_q(z) minus the head
 sum_{k<=K} (no head at K = 0), with
 the polylogarithm from its expansion in w = 2 pi i beta (DLMF 25.12.12;
@@ -56,7 +53,7 @@ same Euler-Maclaurin routine that fills the table.  The direct part
 k <= K is evaluated as arrays over k by the Hankel sums that also serve
 ``bessel_large_x``: one table of terms a_j / x_k^j, built as running
 ratios so that no power of x can overflow (at huge x they underflow), cut
-per row by the first-omitted-term rule.
+per term by the first-omitted-term rule.
 """
 
 from __future__ import annotations
@@ -542,9 +539,8 @@ class _PhaseTable:
     columns: the real and imaginary parts of the series' coefficients
     zeta(q_i - j) i^j, and their bound weights.  ``integer`` tells whether
     every q is an integer (the harmonic/log form); ``sing`` holds three
-    blocks of per-i factors of the rest of the singular term.  ``q``,
-    ``zeta_q_err``, the bound of the table's zeta(q), and ``zeta_q_up``,
-    zeta(q) plus that bound, serve the callers.
+    blocks of per-i factors of the rest of the singular term.  ``q`` and
+    ``zeta_q_up``, zeta(q) plus its bound, serve the callers.
     """
 
     depth: int
@@ -552,7 +548,6 @@ class _PhaseTable:
     integer: bool
     sing: np.ndarray
     q: np.ndarray
-    zeta_q_err: np.ndarray
     zeta_q_up: np.ndarray
 
 
@@ -593,8 +588,7 @@ def _phase_table(order: float, top: int) -> _PhaseTable:
         zeta[neg] = mag * cos
         err[neg] = mag * (np.abs(cos) * (e1 / z1 + (s1 / 2 + 16) * EPS)
                           + np.where(s1 == np.floor(s1), 0.0, 4 * EPS))
-    zeta_q_err = err[depth:]
-    zeta_q_up = zeta[depth:] + zeta_q_err
+    zeta_q_up = zeta[depth:] + err[depth:]
     i, j = np.arange(top + 1), _J[:depth + 1, None]
     at = depth + i - j  # zeta(q_i - j)
     coef = zeta[at] * _I_POW[j % 4]
@@ -628,9 +622,9 @@ def _phase_table(order: float, top: int) -> _PhaseTable:
     weight[depth] += np.where(np.isfinite(rem), rem, 0.0)
     weight[0] += rem * ((depth + 1) * 2.0 ** -1074)
     series = np.concatenate((coef.real, coef.imag, weight), axis=1)
-    for arr in (series, sing, q, zeta_q_err, zeta_q_up):  # shared by every caller through the cache
+    for arr in (series, sing, q, zeta_q_up):  # shared by every caller through the cache
         arr.setflags(write=False)
-    return _PhaseTable(depth, series, integer, sing, q, zeta_q_err, zeta_q_up)
+    return _PhaseTable(depth, series, integer, sing, q, zeta_q_up)
 
 
 def _polylogs(tab: _PhaseTable, b: np.ndarray):
@@ -672,22 +666,6 @@ def _polylogs(tab: _PhaseTable, b: np.ndarray):
     return series[:, :top], series[:, top:2 * top], series[:, 2 * top:]
 
 
-@lru_cache(maxsize=64)
-def _trivial_tails(order: float, top: int, K: int):
-    """The trivial bounds on the tails of :func:`_phase_tails`, per q of
-    ``_phase_table(order, top)``: K^{1-q}/(q-1), and the numerator of Abel's
-    inequality |tail| <= (1 + 8 EPS) (K+1)^-q / sin(pi |beta|), which
-    follows from |sum_{K<k<=n} z^k| <= 2/|1-z| = 1/sin(pi |beta|); both
-    infinite where q <= 1."""
-    q = _phase_table(order, top).q
-    over = q > 1.0
-    arrays = (np.where(over, _tail_majorant(np.where(over, q, 2.0), K), math.inf),
-              np.where(over, (1.0 + 8 * EPS) * (K + 1.0) ** -q, math.inf))
-    for arr in arrays:  # shared by every caller through the cache
-        arr.setflags(write=False)
-    return arrays
-
-
 def _phase_tails(order: float, top: int, beta, K: int):
     """sum_{k>K} e^{2 pi i beta k} k^{-q} at every q = order + 1/2 + i,
     i = 0..top, with certified absolute bounds; ``beta`` is one phase per
@@ -721,7 +699,11 @@ def _phase_tails(order: float, top: int, beta, K: int):
         re, im, bounds = _polylogs(tab, b)
     im *= np.sign(beta)[:, None]  # Li_q(conj z) = conj Li_q(z); 0 on zeta rows
     if K and phase.any():
-        majorant, abel = _trivial_tails(order, top, K)
+        # K^{1-q}/(q-1), and Abel's |tail| <= (1 + 8 EPS) (K+1)^-q / sin(pi |beta|)
+        # from |sum_{K<k<=n} z^k| <= 2/|1-z| = 1/sin(pi |beta|); infinite where q <= 1
+        over = tab.q > 1.0
+        majorant = np.where(over, _tail_majorant(np.where(over, tab.q, 2.0), K), math.inf)
+        abel = np.where(over, (1.0 + 8 * EPS) * (K + 1.0) ** -tab.q, math.inf)
         trivial = np.minimum(majorant, abel / np.sin(math.pi * np.where(phase, b, 0.5))[:, None])
         # rounding of the head per unit weight: ~18 EPS per term (the phase, its
         # cos/sin, the power, the product) and (9 + log2(K)/2) EPS of numpy's
@@ -734,7 +716,7 @@ def _phase_tails(order: float, top: int, beta, K: int):
         bounds = np.where(use, bounds, trivial)
         rows, cols = np.nonzero(use)
         if rows.size:
-            k = _direct_weights(order, K)[0]
+            k = np.arange(1, K + 1, dtype=float)
             # one row of phases per row with a head
             heads = np.flatnonzero(use.any(axis=1))
             phases = beta[heads, None]
@@ -765,47 +747,30 @@ def _phase_tails(order: float, top: int, beta, K: int):
 _K_LADDER = (0, 64, 256, 1024, 4096, 16384)
 
 
-@lru_cache(maxsize=64)
-def _direct_weights(order: float, K: int):
-    """k = 1..K, k^-order, (-1)^k k^-order and 4 EPS k^-order, the weights of the
-    direct part."""
-    k = np.arange(1, K + 1, dtype=float)
-    w = k ** (-order)
-    arrays = (k, w, np.where(k % 2, -w, w), 4 * EPS * w)
-    for arr in arrays:  # shared by every caller through the cache
-        arr.setflags(write=False)
-    return arrays
+def _alt_sum_direct(order: float, R: float, eps_frac: float, K: int):
+    """sum_{k=1}^{K} (-1)^k k^{-order} J_order(2 pi k R) with a certified bound,
+    as floats (value, bound); ``eps_frac`` is frac(R).
 
-
-def _alt_sum_direct(order: float, R, eps_frac, K: int):
-    """sum_{k=1}^{K} (-1)^k k^{-order} J_order(2 pi k R) with certified bounds.
-
-    ``R`` and ``eps_frac`` (its fractional part) are floats or 1-D arrays,
-    one row each; returns (values, bounds) as arrays over the rows.
-    Evaluated as (rows x K) arrays over k.  Terms with x = 2 pi k R beyond
+    Evaluated as arrays over k.  Terms with x = 2 pi k R beyond
     ``_SERIES_AUTO_X`` come from :func:`_hankel_sums`, each cut by the
-    first-omitted-term rule; the few k below it take the series.  Each
-    row's sums run over its own K terms, so a row does not depend on the
-    other rows.
+    first-omitted-term rule; the few k below it take the series.
     """
     omega = math.pi * order / 2.0 + math.pi / 4.0
-    R, eps_frac = np.atleast_1d(R), np.atleast_1d(eps_frac)
-    k, w, signed_w, rounding_w = _direct_weights(order, K)
-    x = (2.0 * math.pi * R)[:, None] * k
+    k = np.arange(1, K + 1, dtype=float)
+    w = k ** (-order)
+    x = 2.0 * math.pi * R * k
     # the Hankel terms, at x = 12 in place of the arguments of series terms
-    P, Q, bP, bQ = (s.reshape(x.shape)
-                    for s in _hankel_sums(order, np.maximum(x, _SERIES_AUTO_X).ravel()))
+    P, Q, bP, bQ = _hankel_sums(order, np.maximum(x, _SERIES_AUTO_X))
     # reduced phase: 2 pi k R - omega == 2 pi k eps - omega (mod 2 pi)
-    chi = 2.0 * math.pi * np.fmod(k * eps_frac[:, None], 1.0) - omega
+    chi = 2.0 * math.pi * np.fmod(k * eps_frac, 1.0) - omega
     v, b = _hankel_combine(np.sqrt(2.0 / (math.pi * x)), np.cos(chi), np.sin(chi),
                            P, Q, bP, bQ, 2 * math.pi * EPS * (k + 4))
-    if x[:, 0].min() <= _SERIES_AUTO_X:  # a leading run of some rows: x grows with k
-        for row, i in zip(*np.nonzero(x <= _SERIES_AUTO_X)):
-            ev = _series_eval(order, float(x[row, i]))
-            # allowance for the argument itself being a rounded product
-            v[row, i], b[row, i] = ev.value, ev.abs_error_bound + 2 * EPS * x[row, i]
-    values = np.array([math.fsum(row) for row in (signed_w * v).tolist()])
-    return values, (w * b + rounding_w * np.abs(v)).sum(axis=1)
+    for i in np.flatnonzero(x <= _SERIES_AUTO_X):  # a leading run: x grows with k
+        ev = _series_eval(order, float(x[i]))
+        # allowance for the argument itself being a rounded product
+        v[i], b[i] = ev.value, ev.abs_error_bound + 2 * EPS * x[i]
+    value = math.fsum((np.where(k % 2, -w, w) * v).tolist())
+    return value, float((w * b + 4 * EPS * w * np.abs(v)).sum())
 
 
 @lru_cache(maxsize=64)
@@ -828,25 +793,20 @@ def _tail_columns(order: float, width: int, K: int):
     return (top, *arrays)
 
 
-def _alt_sum_tail(order: float, R, beta, K: int, tol):
+def _alt_sum_tail(order: float, R, beta, K: int):
     """Analytic continuation of the sums past k = K via Hankel + phase sums.
 
-    ``R``, ``beta`` and ``tol`` are floats or 1-D arrays, one row each, with
-    beta = frac(R) - 1/2: (-1)^k e^{2 pi i k frac(R)} = e^{2 pi i beta k}.
-    Returns (values, bounds) as arrays over the rows.  Each row's Hankel
-    expansion is cut where its first tail term k = K+1 needs it, and its
-    term i, a_i (2 pi R)^-i i^i (the plan's own terms at K = 0), multiplies
-    the phase sum at q = order + 1/2 + i; the phase sums of all rows are
-    one call (:func:`_phase_tails`), over the q of every term the plan may
-    retain (:func:`_tail_columns`).  Every sum runs over a width fixed by
-    (order, K), so a row does not depend on the other rows.  At
-    K = 0 the tail is the whole sum, and a row gets (0, inf) without phase
-    sums where a part of the bound it would get already exceeds its tol:
-    its Hankel remainder plus the bound of the table's zeta(q0),
-    q0 = order + 1/2, which its first phase sum carries (in its term j = 0,
-    or as the zeta tail itself at beta = 0); Hankel's first term is 1.
+    ``R`` and ``beta`` are 1-D arrays, one row each, with beta = frac(R) -
+    1/2: (-1)^k e^{2 pi i k frac(R)} = e^{2 pi i beta k}.  Returns (values,
+    bounds) as arrays over the rows.  Each row's Hankel expansion is cut
+    where its first tail term k = K+1 needs it, and its term i,
+    a_i (2 pi R)^-i i^i (the plan's own terms at K = 0, where the tail is
+    the whole sum), multiplies the phase sum at q = order + 1/2 + i; the
+    phase sums of all rows are one call (:func:`_phase_tails`), over the q
+    of every term the plan may retain (:func:`_tail_columns`).  Every sum
+    runs over a width fixed by (order, K), so a row does not depend on the
+    other rows.
     """
-    R, beta, tol = np.atleast_1d(R), np.atleast_1d(beta), np.atleast_1d(tol)
     twopiR = 2.0 * math.pi * R
     # each row truncated where its first tail term k = K+1 needs it
     a, coef, lp, lq = _hankel_plan(order, twopiR * (K + 1), 18)
@@ -860,20 +820,48 @@ def _alt_sum_tail(order: float, R, beta, K: int, tol):
     # Hankel remainder summed over the tail (integral-test zeta bounds)
     hankel = (np.abs(np.where(omitted, coef, 0.0)) * majorant).sum(axis=1)
     scale = (1.0 / math.pi) / np.sqrt(R)
-    tab = _phase_table(order, top)
-    if K == 0:
-        live = scale * (tab.zeta_q_err[0] * (1.0 - 1e-9) + hankel) <= tol
-        if not live.all():
-            tails, errs = np.zeros(R.size), np.full(R.size, math.inf)
-            if live.any():
-                tails[live], errs[live] = _alt_sum_tail(order, R[live], beta[live], K, tol[live])
-            return tails, errs
     re, im, tb = _phase_tails(order, top, beta, K)
     kept = kept[:, :top + 1]
     coef = np.where(kept, coef[:, :top + 1], 0.0)
     terms = coef * (rot_re * re - rot_im * im)
-    tails = scale * np.array([math.fsum(row) for row in terms.tolist()])
-    return tails, scale * ((np.abs(coef) * np.where(kept, tb, 0.0)).sum(axis=1) + hankel)
+    # Hankel terms that overflow (large orders at small R) leave a row (0, inf):
+    # its remainder, a term past every retained one, is then not finite
+    finite = np.isfinite(hankel)
+    tails = scale * np.array([math.fsum(row) if ok else 0.0
+                              for row, ok in zip(terms.tolist(), finite.tolist())])
+    bounds = scale * ((np.abs(coef) * np.where(kept, tb, 0.0)).sum(axis=1) + hankel)
+    return tails, np.where(finite, bounds, math.inf)
+
+
+def _alt_sum_climb(order: float, R: float, eps_frac: float, beta: float, tol: float,
+                   best: float):
+    """One row of :func:`alternating_bessel_sums` whose K = 0 bound ``best``
+    missed ``tol``: the first K of ``_K_LADDER[1:]`` terms directly, the
+    rest by :func:`_alt_sum_tail`, K climbing until the bound meets tol.
+
+    Returns ``(BesselEval, K)``, or the ``PrecisionExhausted`` it gives up
+    with (returned, not raised), ``achieved`` the best bound reached.  It
+    gives up at the first K whose direct part's bound alone exceeds tol:
+    that bound, sum_{k<=K} (w b + 4 EPS w |v|), only grows with K, so no
+    larger K could meet tol.
+    """
+    for K in _K_LADDER[1:]:
+        value, bound = _alt_sum_direct(order, R, eps_frac, K)
+        # the margin covers the pairwise summation's rounding (~30 EPS
+        # relative at K = 16384), which a larger K could round the other way
+        if bound * (1.0 - 1e-12) > tol:
+            return PrecisionExhausted(
+                f"alternating Bessel sum (order={order}, p={order}, R={R}): the direct "
+                f"part's bound {bound:.3e} at K={K} alone exceeds tol {tol:.3e}",
+                achieved=best if best < math.inf else None)
+        tail, tb = _alt_sum_tail(order, np.array([R]), np.array([beta]), K)
+        bound += float(tb[0])
+        best = min(best, bound)
+        if bound <= tol:
+            return BesselEval(order, 2.0 * math.pi * R, value + float(tail[0]), bound), K
+    return PrecisionExhausted(
+        f"alternating Bessel sum (order={order}, p={order}, R={R}) reached bound "
+        f"{best:.3e} > tol {tol:.3e}", achieved=best)
 
 
 def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
@@ -893,18 +881,13 @@ def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
     rounds up to 1: below q the largest double is at most q (1 - 2^-53).
     Returns one entry per R: ``(BesselEval, K)``, or the
     ``PrecisionExhausted`` that the point raised (returned, not raised).
-    The rows share the Hankel tables, the phase-sum table and the K
-    ladder.  The first rung, K = 0, has no direct part: the whole sum is
-    Hankel's expansion cut at x = 2 pi R times polylogarithms, and a row
-    whose Hankel remainder over k >= 1 plus the bound of zeta(order + 1/2)
-    its first polylogarithm carries already exceeds its tol skips it (see
-    :func:`_alt_sum_tail`).  Half-integer orders, whose expansion
-    terminates, leave there at every R where rounding allows.  Each row
-    leaves the ladder at the first rung where its own bound meets its own
-    tol, or where its direct part's bound alone already exceeds it: that
-    bound, sum_{k<=K} (w b + 4 EPS w |v|), only grows with K, so no larger
-    K could meet tol.  A row's K, value and bound do not depend on the
-    other rows.
+    Every row first takes the rung K = 0, in one batched
+    :func:`_alt_sum_tail` call: no direct part, the whole sum is Hankel's
+    expansion cut at x = 2 pi R times polylogarithms.  Half-integer
+    orders, whose expansion terminates, end there at every R where
+    rounding allows.  A row whose K = 0 bound misses its tol climbs the
+    rest of the K ladder on its own (:func:`_alt_sum_climb`).  A row's K,
+    value and bound do not depend on the other rows.
     """
     _require_half_integer(order)
     Rs = [float(r) for r in R]
@@ -927,47 +910,15 @@ def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
         elif order <= 0.5 and b == 0.0:
             out[row] = PrecisionExhausted(
                 f"sum with p={order} at eps=1/2 reduces to a divergent zeta series")
-    best = [math.inf] * len(Rs)
-    active = [row for row, res in enumerate(out) if res is None]
-    for K in _K_LADDER:
-        if not active:
-            break
-        if K:
-            direct, db = _alt_sum_direct(order, np.array([Rs[row] for row in active]),
-                                         np.array([eps_frac[row] for row in active]), K)
-        else:  # the tail is the whole sum
-            direct = db = np.zeros(len(active))
-        going = []
-        for row, value, bound in zip(active, direct.tolist(), db.tolist()):
-            # the margin covers the pairwise summation's rounding (~30 EPS
-            # relative at K = 16384), which a larger K could round the other way
-            if bound * (1.0 - 1e-12) > tols[row]:
-                out[row] = PrecisionExhausted(
-                    f"alternating Bessel sum (order={order}, p={order}, R={Rs[row]}): the direct "
-                    f"part's bound {bound:.3e} at K={K} alone exceeds tol {tols[row]:.3e}",
-                    achieved=best[row] if best[row] < math.inf else None)
-            else:
-                going.append((row, value, bound))
-        active = [row for row, _, _ in going]
-        if not active:
-            break
-        tail, tb = _alt_sum_tail(order, np.array([Rs[row] for row in active]),
-                                 np.array([beta[row] for row in active]), K,
-                                 np.array([tols[row] for row in active]))
-        active = []
-        for (row, value, bound), t, tbound in zip(going, tail.tolist(), tb.tolist()):
-            bound += tbound
-            best[row] = min(best[row], bound)
-            if bound <= tols[row]:
-                out[row] = BesselEval(order, 2.0 * math.pi * Rs[row], value + t, bound), K
-            else:
-                active.append(row)
-    for row in active:
-        out[row] = PrecisionExhausted(
-            f"alternating Bessel sum (order={order}, p={order}, R={Rs[row]}) reached bound "
-            f"{best[row]:.3e} > tol {tols[row]:.3e}",
-            achieved=best[row],
-        )
+    live = [row for row, res in enumerate(out) if res is None]
+    if live:
+        tails, bounds = _alt_sum_tail(order, np.array([Rs[row] for row in live]),
+                                      np.array([beta[row] for row in live]), 0)
+        for row, value, bound in zip(live, tails.tolist(), bounds.tolist()):
+            out[row] = ((BesselEval(order, 2.0 * math.pi * Rs[row], value, bound), 0)
+                        if bound <= tols[row] else
+                        _alt_sum_climb(order, Rs[row], eps_frac[row], beta[row], tols[row],
+                                       bound))
     return out
 
 
@@ -975,8 +926,8 @@ def alternating_bessel_sum_info(order: float, R: float, tol: float):
     """Certified sum_{k>=1} (-1)^k k^{-order} J_order(2 pi k R) as ``(BesselEval,
     K)``, the BesselEval at argument 2 pi R: the first K terms directly (none
     at K = 0), the rest analytically from the Hankel expansion as
-    unit-modulus phase sums, K growing until the bound fits ``tol`` (else
-    ``PrecisionExhausted`` with the best bound reached).  One row of
+    unit-modulus phase sums, K climbing from 0 until the bound fits ``tol``
+    (else ``PrecisionExhausted`` with the best bound reached).  One row of
     :func:`alternating_bessel_sums`."""
     (res,) = alternating_bessel_sums(order, [R], [tol])
     if isinstance(res, PrecisionExhausted):

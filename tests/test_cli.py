@@ -408,6 +408,37 @@ def test_config_values_that_would_not_parse_are_config_errors(tmp_path, capsys,
     assert json.loads(err)["error"] == "config" and "Traceback" not in err
 
 
+SIMULATE = ("simulate", "--delta", "0.5", "--r", "3.26")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((*SIMULATE, "--frame", "harmonic", "--d", "3", "--N", "200"), "harmonic frame is 2-D"),
+    ((*SIMULATE, "--frame", "fibonacci", "--d", "4", "--N", "200"), "fibonacci frame is 3-D"),
+    ((*SIMULATE, "--frame", "random", "--d", "5", "--N", "3"), "need N >= d"),
+    (("--config", "LIST"), "holds no RunConfig object"),
+])
+def test_config_errors_exit_with_their_message(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "list.json"
+    cfg.write_text(json.dumps([{"subcommand": "verify", "parameters": {"max": 4}}]))
+    argv = [str(cfg) if arg == "LIST" else arg for arg in argv]
+    assert run(tmp_path, *argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    detail = json.loads(err.strip().splitlines()[-1])
+    assert detail["error"] == "config" and message in detail["detail"]
+
+
+def test_odd_d_quadrature_below_its_rounding_floor_exits_precision_exhausted(tmp_path, capsys):
+    # the odd-d rule is exact on each piece, so only the rounding allowance
+    # of its pieces can miss the target: 1e-20 lies below it at d = 3
+    code = run(tmp_path, "limit", "--d", "3", "--r", "10.3", "--delta", "1",
+               "--methods", "quadrature", "--tol", "1e-20")
+    assert code == EXIT_PRECISION
+    err = _last_json_line(capsys)
+    assert err["error"] == "precision-exhausted"
+    assert "piecewise quadrature did not reach 1.000e-20" in err["detail"]
+
+
 # ---------------------------------------------------------------------------
 # the write path: every output a new file, never the old one rewritten
 # ---------------------------------------------------------------------------
@@ -510,6 +541,17 @@ def test_limit_at_d_500_exits_with_precision_exhausted(tmp_path, capsys):
     assert run(tmp_path, "limit", "--d", "500", "--r", "20.3", "--delta", "1") == EXIT_PRECISION
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "precision-exhausted" and "Traceback" not in err
+
+
+def test_bounds_slope_default_eps_keeps_off_the_zeros_of_the_leading_coefficient(tmp_path):
+    # at eps 1/4 (odd d) and 3/8 (even d) the default sweep missed (d + 1)/2
+    # at d = 7, 8, 11 and 12, near the zeros of C_d(eps); 0.31 and 0.46 pass
+    d_list = ["3", "4", "5", "6", "7", "8", "11", "12"]
+    assert run(tmp_path, "bounds", "--slope", "--d-list", *d_list) == EXIT_OK
+    rows = read_csv(tmp_path / "slopes.csv")
+    assert [row["d"] for row in rows] == d_list
+    assert [row["eps"] for row in rows] == ["0.31", "0.46"] * 4
+    assert all(row["ok"] == "True" for row in rows)
 
 
 def _last_json_line(capsys):

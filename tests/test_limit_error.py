@@ -513,6 +513,23 @@ def test_breakpoints_come_out_sorted():
         assert np.array_equal(np.concatenate([parts[0]] + [p[1:] for p in parts[1:]]), whole)
 
 
+@pytest.mark.parametrize("r, delta, start, K", [
+    (263609.14413675776, 0.3858190710904905, 683246, 683245),  # steps down
+    (508650.475006533, 0.8839047038257892, 575458, 575459),    # steps up
+])
+def test_jump_count_corrects_its_first_guess(r, delta, start, K):
+    # ceil(r/delta - 1/2) misses the binary64 count of the jumps
+    # delta (k + 1/2)/r < 1 by one either way, and a correction loop mends it
+    from framepcm.limit_error import _jump_count
+
+    assert math.ceil(r / delta - 0.5) == start
+    assert _jump_count(r, delta) == K
+    # the binary64 jumps ascend with k, so the count is the first k at 1 or above
+    assert delta * (K - 0.5) / r < 1.0 <= delta * (K + 0.5) / r
+    k = np.arange(K - 3, K + 4, dtype=float)
+    assert np.count_nonzero(delta * (k + 0.5) / r < 1.0) == 3
+
+
 @pytest.mark.parametrize("d", [3, 5, 11])
 def test_odd_d_quadrature_is_exact_below_the_first_jump(d):
     # at R < 1/2 Delta(r u) = r u, and the integral is r int_{-1}^{1} u^2 (1 - u^2)^m du
@@ -758,17 +775,17 @@ def test_grid_rows_equal_limiting_error_at_each_point(d, eps):
 def test_grid_falls_back_to_quadrature_row_by_row(monkeypatch):
     # at d = 40 the series cancels below binary64 at every R; at R = 50.3
     # too, the quadrature's rounding floor misses the target, so all three
-    # rows leave the one batched ladder at its first rung and take the
+    # rows leave the ladder at its first climbed rung and take the
     # quadrature, as AUTO does at each point
     from framepcm import special_fn
 
     rungs = []
     direct = special_fn._alt_sum_direct
     monkeypatch.setattr(special_fn, "_alt_sum_direct",
-                        lambda *args: rungs.append((len(args[1]), args[3])) or direct(*args))
+                        lambda *args: rungs.append(args[3]) or direct(*args))
     grid = _grid_equals_points(40, 1.0, [1.0 / 100.375, 1.0 / 50.3, 1.0 / 1000.375])
     assert [res.method for res in grid] == [Method.QUADRATURE] * 3
-    assert rungs[0] == (3, 64)  # the grid's one call, then one per single point
+    assert rungs == [64] * 6  # each row of the grid, then each single point
 
 
 def test_grid_rows_climbing_past_the_first_rung_beside_rows_that_stop_there():

@@ -584,7 +584,7 @@ def test_alternating_sums_row_does_not_depend_on_its_neighbours():
     # the same rows in batches of different sizes and company, at a
     # half-integer and an integer order: eps within 1e-4 of 1/2, eps = 1/2
     # exactly (the zeta tails), R < 1 (which climbs past K = 0 at order 4)
-    # and a row the pre-screen skips at K = 0
+    # and a row at a tol far below its K = 0 bound
     from framepcm.special_fn import alternating_bessel_sums
 
     Rs, tols = [300.4999, 1000.50008, 57.5, 0.83, 2.2], [1e-10, 1e-12, 1e-11, 1e-9, 1e-14]
@@ -597,6 +597,27 @@ def test_alternating_sums_row_does_not_depend_on_its_neighbours():
             rows = alternating_bessel_sums(order, Rs + company, tols + [1e-10] * len(company))
             assert [repr(row) for row in rows[:len(Rs)]] == [repr(row) for row in alone]
     assert alone[3][1] > 0
+
+
+def test_alternating_sums_return_python_floats():
+    # numpy inputs, rows that end at K = 0 in the batch (eps = 1/2 exactly
+    # among them) and a row that climbs to K = 64 (order 4 at R = 0.3):
+    # every value, bound and argument is a float, which tools/golden_grid.py
+    # writes by repr
+    from framepcm.special_fn import alternating_bessel_sums
+
+    Rs = np.array([0.3, 100.25, 57.5, 3.0])
+    phase = [(np.float64(R % 1.0), np.float64(1.0)) for R in Rs]
+    # order 1/2 at eps = 0 is exactly 0; at eps = 1/2 it has no sum
+    for order, at, Ks in ((4.0, Rs, [64, 0, 0, 0]), (2.5, Rs, [0, 0, 0, 0]),
+                          (0.5, Rs[[0, 1, 3]], [0, 0, 0])):
+        rows = alternating_bessel_sums(order, at, np.full(at.size, 1e-10),
+                                       phase if order == 2.5 else None)
+        assert [row[1] for row in rows] == Ks
+        for ev, K in rows:
+            assert type(K) is int
+            assert all(type(v) is float for v in (ev.order, ev.argument, ev.value,
+                                                  ev.abs_error_bound)), (order, ev)
 
 
 def test_hopeless_ladder_raises_at_the_first_rung(monkeypatch):
@@ -618,7 +639,7 @@ def test_hopeless_ladder_raises_at_the_first_rung(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_order_half_sum_against_its_closed_form(monkeypatch):
+def test_order_half_sum_against_its_closed_form():
     # sum_k (-1)^k k^-1/2 J_1/2(2 pi k R) = (1/2 - frac(R + 1/2)) / sqrt(R):
     # Hankel's expansion of J_1/2 is its first term, so K = 0 serves every
     # R, also R < 1, and the phase sums are Li_1 = -log(1 - z) and Li_2
@@ -640,9 +661,10 @@ def test_order_half_sum_against_its_closed_form(monkeypatch):
             exact = mpmath.mpf(saw.numerator) / saw.denominator / mpmath.sqrt(R)
             assert abs(ev.value - exact) <= ev.abs_error_bound, R
         assert K == 0
-    # without the first rung the ladder cannot certify some of these rows
-    monkeypatch.setattr(special_fn, "_K_LADDER", special_fn._K_LADDER[1:])
-    rows = special_fn.alternating_bessel_sums(0.5, Rs, [1e-12] * len(Rs))
+    # the climb past K = 0 alone cannot certify some of these rows
+    frac = [R - math.floor(R) for R in Rs]
+    rows = [special_fn._alt_sum_climb(0.5, R, f, f - 0.5, 1e-12, math.inf)
+            for R, f in zip(Rs, frac)]
     assert any(isinstance(row, PrecisionExhausted) for row in rows)
 
 
@@ -672,51 +694,6 @@ def test_phase_tails_at_k0_are_polylogarithms_with_q_at_most_one():
         # the sums themselves resolve at K = 0 away from eps = 1/2
         for R in (3.3, 100.25, 1000.49):
             assert alternating_bessel_sum_info(order, R, 1e-10)[1] == 0
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_pre_screen_changes_no_result(monkeypatch):
-    # at K = 0 a row whose Hankel remainder plus the bound of zeta(order +
-    # 1/2), which its first phase sum carries, exceeds its tol skips the
-    # phase sums; with the screen forced off (tol = inf) every row's
-    # (value, bound, K), or its error message, is the same (only a raised
-    # row's ``achieved`` may then hold the skipped rung's bound).  Even d at
-    # R ~ 1-3 is where the remainder at 2 pi R is large; tols near 1e-18
-    # at large orders (the default route's target at d = 40, R = 100.375)
-    # are where the zeta bound alone already misses, at any R
-    from framepcm import special_fn
-
-    rng = np.random.default_rng(44)
-    cases = []
-    for order in (0.0, 1.0, 2.0, 3.0, 5.0):
-        Rs = [float(R) for R in 1.0 + 2.0 * rng.random(10)] + [1.5, 2.5]
-        cases.append((order, Rs, [float(t) for t in 10 ** rng.uniform(-14, -8, len(Rs))]))
-    for order in (2.0, 10.0, 20.0, 20.5):
-        Rs = [100.375, 1000.3, 1e4 + 0.3, 2.5e5 + 0.2, 100.5]
-        cases.append((order, Rs, [1.78e-18, 1e-19, 5e-20, 1e-20, 1e-18]))
-    screened = [special_fn.alternating_bessel_sums(*case) for case in cases]
-    # the order-20 row that AUTO's fall-back at d = 40 computed in full,
-    # and its bound with the screen off, far above the skipping threshold
-    tail = special_fn._alt_sum_tail
-    assert tail(20.0, [100.375], [-0.125], 0, [1.78e-18])[1][0] == math.inf
-    assert 1.78e-18 < tail(20.0, [100.375], [-0.125], 0, [math.inf])[1][0] < 1e-14
-
-    skipped = 0
-
-    def unscreened(order, R, beta, K, tol):
-        nonlocal skipped
-        on = tail(order, R, beta, K, tol)
-        off = tail(order, R, beta, K, np.full(np.size(tol), math.inf))
-        skipped += int(np.sum(np.isinf(on[1]) & np.isfinite(off[1])))
-        return off
-
-    monkeypatch.setattr(special_fn, "_alt_sum_tail", unscreened)
-    for case, rows in zip(cases, screened):
-        for on, off in zip(rows, special_fn.alternating_bessel_sums(*case)):
-            assert type(on) is type(off) and str(on) == str(off)
-            if not isinstance(on, PrecisionExhausted):
-                assert on == off
-    assert skipped >= 30
 
 
 def _k0_reference(mpmath, order, R, beta, lp, lq, negligible):
@@ -766,10 +743,9 @@ def test_k0_sums_against_mpmath_one_row_and_batched():
                 beta, R = -beta, R + 2 * b
             Rs.append(R)
             betas.append(beta)
-        inf = [math.inf] * len(Rs)
-        values, bounds = _alt_sum_tail(order, np.array(Rs), np.array(betas), 0, np.array(inf))
+        values, bounds = _alt_sum_tail(order, np.array(Rs), np.array(betas), 0)
         for row, (R, beta) in enumerate(zip(Rs, betas)):
-            one = _alt_sum_tail(order, np.array([R]), np.array([beta]), 0, np.array([math.inf]))
+            one = _alt_sum_tail(order, np.array([R]), np.array([beta]), 0)
             assert (one[0][0], one[1][0]) == (values[row], bounds[row]), (order, R, beta)
             if not bounds[row] < 1e-6 * max(abs(values[row]), 1e-3):
                 continue  # an uninformative bound (small R at integer orders)

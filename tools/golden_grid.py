@@ -21,9 +21,12 @@ recorded as ``raise <Type>: <message>``.  The grid:
   equals its one-row calls
   (``alternating_bessel_sums/order=<o>/batch_equals_rows``);
 * ``zeta_tail``, ``M1_constant`` and ``M2_constant``;
-* ``scaling_slope_fit`` at d = 3..12 over the default sweep of
-  ``framepcm bounds --slope`` (SLOPE_KS, eps 3/8 for even d and 1/4 for
-  odd d), one key per d (``slope/d=<d>/eps=<eps>``);
+* ``scaling_slope_fit`` at d = 3..12 over the default k sweep of
+  ``framepcm bounds --slope`` (SLOPE_KS), one key per d
+  (``slope/d=<d>/eps=<eps>``), at eps 3/8 for even d and 1/4 for odd d.
+  These are the CLI's former default eps, kept so that golden files from
+  either side of that change compare; the CLI now defaults to 0.46 and
+  0.31, off the zeros of the leading coefficient C_d(eps);
 * for the frames in FRAMES (harmonic, Fibonacci and random, N <= 2e4),
   ``tightness_defect``, ``equidistribution_diagnostic`` at degree 4 and
   the ``quantize_and_reconstruct`` error of a fixed signal per delta in
