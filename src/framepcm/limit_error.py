@@ -18,27 +18,18 @@ to exactly r, which pins it down).
 
 The 1-D integral is computed two ways that check each other:
 
-* QUADRATURE -- Gauss-Legendre on each smooth piece, the pieces cut at
-  every jump u = cos t = delta(k+1/2)/r of the sawtooth.  Delta is odd,
-  so the integrand is symmetric about t = pi/2 and only u in [0, 1] is
-  integrated, then doubled.  For odd d the call works in u, where a
-  piece's integrand is the polynomial (r u - delta k) u (1 - u^2)^m of
-  degree d - 1, m = (d - 3)/2, and the (d + 1)/2-point rule is exact.
-  For even d it works in t, where a piece's integrand is a trigonometric
-  polynomial of degree d, so the classical Gauss-Legendre remainder (DLMF
-  3.5.19) with Bernstein's inequality bounds the error of an order before
-  anything is evaluated, and the call takes the lowest order whose bound
-  meets the rounding floor.  Either way every piece is evaluated once,
-  slice by slice in O(1) memory, the estimate is that bound (0 for odd d)
-  plus a model of the rounding, and past a fixed number of nodes the call
-  raises ``PrecisionExhausted`` instead;
+* QUADRATURE -- the breakpoint sum, piece by piece in closed form: the
+  sawtooth steps by delta at each jump u = cos t = delta(k+1/2)/r, so the
+  integral is (delta/e) (R G - sum_{k<K} (1 - u_k^2)^e), e = (d - 1)/2,
+  R = r/delta, G rational (times pi for even d), summed in O(1) memory by
+  one ``math.fsum``, with an a priori bound on its rounding as estimate;
 * BESSEL_SERIES -- the closed form through the alternating Bessel sums
   (the Fourier expansion of the sawtooth composed with the finite
   cosine-projection identities), delegated to
   ``special_fn.alternating_bessel_sums``.
 
 AUTO, the default, picks one of the two per call (``_auto_route``): the
-quadrature below R = r/delta = 100 when its rounding floor meets the
+quadrature below R = r/delta = 100 when its rounding bound meets the
 target, the series otherwise, and the quadrature again if the series
 raises ``PrecisionExhausted``.  The result names the route that ran.
 ``limiting_error_grid`` applies the same rule at many delta for one (d, r),
@@ -54,7 +45,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
@@ -63,8 +53,8 @@ import numpy as np
 
 from .frames import uniform_sphere_points
 from .quantization import QuantScheme, SignalSpec, quant_error
-# alternating_bessel_sum_info is not called here but stays importable from
-# this module: perfbench/tracing.py wraps framepcm.limit_error's copy
+# alternating_bessel_sum_info and gauss_legendre are not called here but stay
+# importable from this module: perfbench/tracing.py wraps this module's copies
 from .special_fn import (EPS, PrecisionExhausted, alternating_bessel_sum_info,  # noqa: F401
                          alternating_bessel_sums, gauss_legendre)
 
@@ -86,24 +76,17 @@ __all__ = [
 # Carlo batch
 DEFAULT_PIECE_TOL = 1e-10
 _MC_BATCH = 1 << 17
-# quadrature pieces evaluated per numpy slice: bounds the quadrature's
-# memory at any R (4096 was the fastest of the sizes measured)
+# breakpoint-sum terms evaluated per numpy slice: bounds the quadrature's
+# memory at any R
 _QUAD_CHUNK = 4096
-# the most Gauss-Legendre nodes, (pieces of [0, 1]) x order, one quadrature
-# call evaluates.  A call at the cap took 0.64 s at d = 3 (R = 8.4e6), 0.74-
-# 0.84 s at d = 2, 4 and 12 (R = 4.2e6) and 0.29 s at d = 41 (R = 8e5), each
-# under 35 MB peak RSS, on a 2-vCPU VM with one BLAS thread
-_QUAD_MAX_NODES = 1 << 24
-# the Gauss-Legendre orders the even-d quadrature chooses from, lowest first
-_QUAD_ORDERS = (4, 8, 16, 32, 64, 128, 256, 512)
-# a rational upper bound on pi (math.pi lies below it)
-_PI_UP = Fraction(math.nextafter(math.pi, 4.0))
+# the most terms one breakpoint sum evaluates: a call at the cap took
+# 0.35-0.39 s at d = 3, 4 and 41 on a 2-vCPU VM with one BLAS thread
+_QUAD_MAX_TERMS = 1 << 24
 # AUTO takes the quadrature only below this R = r/delta.  Measured per call
 # at d = 2..12 with one BLAS thread on a 2-vCPU VM, the quadrature costs
-# 0.02-0.05 ms against the series' 0.11-0.14 ms at R = 80.3, and
-# 0.03-0.07 ms against 0.11-0.13 ms at R = 160.3: it is the cheaper route
-# up to R ~ 600-1000 for even d and R ~ 2000 for odd d, but moving the
-# crossover would move default values
+# 0.017 ms against the series' 0.072 ms at R = 80.3 and 0.035 ms against
+# 0.072 ms at R = 1000.3; the two cost the same near R = 3000, but moving
+# the crossover would move default values
 _AUTO_QUAD_MAX_R = 100.0
 
 
@@ -201,180 +184,95 @@ def angular_constant(d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# piecewise quadrature route
+# breakpoint-sum route (QUADRATURE)
 # ---------------------------------------------------------------------------
 
+# pi to 40 digits, as an integer ratio
+_PI_NUM, _PI_DEN = 31415926535897932384626433832795028841972, 10 ** 40
+
+
 @lru_cache(maxsize=None)
-def _gl_remainder_constant(n: int) -> Fraction:
-    """An upper bound on C_n = (n!)^4 / ((2n+1) ((2n)!)^3), a 64-bit dyadic.
+def _smooth_coef(d: int) -> tuple[int, int]:
+    """G = int_0^1 (1 - u^2)^e du, e = (d - 1)/2, as an integer ratio: exactly
+    4^n / ((2n + 1) C(2n, n)) at d = 2n + 1 (2/3 at d = 3), and pi C(2n, n) /
+    (2 4^n) at d = 2n (pi/4 at d = 2) with pi to 40 digits."""
+    n = d // 2
+    if d % 2:
+        return 4 ** n, (2 * n + 1) * math.comb(2 * n, n)
+    return _PI_NUM * math.comb(2 * n, n), _PI_DEN * 2 * 4 ** n
 
-    The n-point Gauss-Legendre rule on an interval of width h errs by
-    C_n h^{2n+1} f^{(2n)}(xi) for some xi in it (DLMF 3.5.19 mapped from
-    [-1, 1]).  C_n is computed exactly in integers and rounded up to a
-    64-bit mantissa; binary64 would underflow from n = 128 on.
+
+def _quad_plan(r: float, delta: float, d: int, tol: float | None):
+    """(q, f, K, estimate, target) of :func:`_quad_integral` at (r, delta, d).
+
+    r = q delta + f exactly (divmod takes the exact f = fmod(r, delta) and
+    rounds (r - f)/delta to q), so K = q + [f > delta/2] jumps u_k lie in
+    (0, 1).  The target is ``tol``, else DEFAULT_PIECE_TOL per piece of
+    [0, pi]; the estimate bounds the rounding a priori.  To first order in
+    EPS, with e = (d - 1)/2 and t_k = (1 - u_k^2)^e: x_k = 1 - u_k errs by
+    3 EPS/2 of itself, and t_k, a function of u_k through x_k (2 - x_k),
+    follows it through its derivative, by 3 EPS/2 e h_k with h_k = 2 u_k
+    (1 - u_k) (1 - u_k^2)^{e-1}; 2 - x_k, the product and the power add
+    (2e + P) EPS/2 t_k, P = 0 at e = 1, 1 at e = 1/2 and 2 (numpy's w ** 0.5
+    and w ** 2 are sqrt and square), else 8 (pow within 4 ulp).  h and t
+    are unimodal on [0, 1], at most 1, so their sums are at most K and R
+    times their integrals, (1 - G)/e and G, plus 1.  R G rounds once, and
+    |I| <= min(r, delta/2)/e three times; 1 % covers the higher orders.
     """
-    num = math.factorial(n) ** 4
-    den = (2 * n + 1) * math.factorial(2 * n) ** 3
-    shift = den.bit_length() - num.bit_length() + 64
-    return Fraction(-(-(num << shift) // den), 1 << shift)
-
-
-def _ceil_float(num: int, den: int) -> float:
-    """The least binary64 value >= num/den (num, den > 0, below overflow)."""
-    f = num / den  # correctly rounded
-    f_num, f_den = f.as_integer_ratio()
-    return f if f_num * den >= num * f_den else math.nextafter(f, math.inf)
-
-
-def _quad_order(max_width: float, degree: int, sup: Fraction, threshold: float):
-    """The smallest order n in _QUAD_ORDERS whose summed remainder bound
-    C_n (max_width degree)^{2n} sup pi is at most ``threshold``, and that
-    bound rounded up; (None, None) when no order reaches it.
-
-    On a piece the integrand is a trigonometric polynomial of ``degree``
-    and sup-norm at most ``sup``, so Bernstein's inequality bounds its
-    2n-th derivative by degree^{2n} sup; the piece widths sum to pi/2,
-    and the folded sum counts each piece twice.  The comparison is exact,
-    in integers.
-    """
-    h_num, h_den = max_width.as_integer_ratio()
-    h_num *= degree
-    scale = sup * _PI_UP
-    t_num, t_den = threshold.as_integer_ratio()
-    for n in _QUAD_ORDERS:
-        c = _gl_remainder_constant(n)
-        num = c.numerator * h_num ** (2 * n) * scale.numerator
-        den = c.denominator * h_den ** (2 * n) * scale.denominator
-        if num * t_den <= t_num * den:
-            return n, _ceil_float(num, den)
-    return None, None
-
-
-def _jump_count(r: float, delta: float) -> int:
-    """K, the number of jumps u_k = delta (k + 1/2) / r of u |-> Delta(r u)
-    in (0, 1), as computed in binary64 (valid for r/delta below 2^50)."""
-    K = max(math.ceil(r / delta - 0.5), 0)
-    while K > 0 and delta * (K - 0.5) / r >= 1.0:
-        K -= 1
-    while delta * (K + 0.5) / r < 1.0:
-        K += 1
-    return K
-
-
-def _edges(r: float, delta: float, K: int, start: int, stop: int) -> np.ndarray:
-    """u_{start-1}, ..., u_{stop-1}: the ends of pieces start..stop-1 of
-    [0, 1], piece j running from the jump u_{j-1} to u_j, with u_{-1} = 0
-    and u_K = 1 standing for the ends.  On piece j, Delta(r u) = r u - delta j."""
-    u = delta * (np.arange(start, stop + 1) - 0.5) / r
-    if start == 0:
-        u[0] = 0.0
-    if stop == K + 1:
-        u[-1] = 1.0
-    return u
-
-
-def _widest_t_piece(r: float, delta: float, K: int) -> float:
-    """The largest t-width arccos u_{j-1} - arccos u_j of the pieces of
-    [0, 1] (see ``_edges``).  The widths grow with u, as arccos is concave
-    there, except for the half piece at u = 0: the widest is that one or
-    one of the two next to u = 1."""
-    def t(k):
-        return math.pi / 2 if k < 0 else 0.0 if k == K else math.acos(delta * (k + 0.5) / r)
-    return max(t(j - 1) - t(j) for j in {0, K - 1, K} if j >= 0)
+    q, f = divmod(r, delta)
+    K = int(q) + (f > 0.5 * delta)
+    e = (d - 1) / 2
+    num, den = _smooth_coef(d)
+    G, R = num / den, r / delta
+    P = 0.0 if e == 1 else 1.0 if e in (0.5, 2) else 8.0
+    t_sum, h_sum = min(K, R * G + 1.0), min(K, R * (1.0 - G) / e + 1.0)
+    estimate = 0.505 * EPS * (r * G / e + delta * ((2.0 + P / e) * t_sum + 3.0 * h_sum)
+                              + 3.0 * min(r, 0.5 * delta) / e)
+    return q, f, K, estimate, tol if tol is not None else DEFAULT_PIECE_TOL * (2 * K + 1)
 
 
 def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
-    """Breakpoint-aware Gauss-Legendre for int_0^pi Delta(r cos t) cos t sin^p t dt.
+    """int_0^pi Delta(r cos t) cos t sin^p t dt by the breakpoint sum.
 
-    Delta is odd, so the integrand is symmetric about t = pi/2: the call
-    integrates over u = cos t in [0, 1], cut at the K jumps u_k, and
-    doubles the sum (2K + 1 pieces over [0, pi]).
+    In u = cos t it is int_{-1}^{1} Delta(r u) u (1 - u^2)^{e-1} du,
+    e = (p + 1)/2, where Delta(r u) = r u - delta round(r u/delta) steps by
+    delta at each jump +-u_k, k < K; piece by piece, in closed form,
 
-    * Odd d (p odd): in u the integral is int_0^1 Delta(r u) u (1 - u^2)^m
-      du with m = (p - 1)/2, and on a piece the integrand is a polynomial
-      of degree p + 1, which the (m + 2)-point rule integrates exactly.
-    * Even d: in t on [0, pi/2], the integrand on a piece is a
-      trigonometric polynomial of degree p + 2 with sup-norm at most
-      2r + delta, whose Gauss-Legendre error ``_quad_order`` bounds a
-      priori from the widest piece, taken in closed form.  The call takes
-      the lowest order whose summed bound meets the rounding floor (and
-      leaves the target room for that floor).
+        I = (delta/e) (R G - sum_{k<K} (1 - u_k^2)^e),  R = r/delta,
 
-    Every piece is evaluated once, at that order, over slices of
-    _QUAD_CHUNK pieces generated on the fly and summed by one
-    ``math.fsum``: the memory is O(_QUAD_CHUNK) at any R (under 1 MB at
-    d = 3).  Above _QUAD_MAX_NODES nodes the call raises
-    ``PrecisionExhausted`` before evaluating anything.
-
-    The estimate is the truncation bound (0 for odd d) plus a rounding
-    model: the floor npieces EPS delta, one rounding of about EPS delta
-    per piece, and the relative rounding of the products and the dot
-    product.  ``tol`` is the target (default DEFAULT_PIECE_TOL per piece);
-    ``PrecisionExhausted`` when the estimate would exceed it or no order
-    of _QUAD_ORDERS is fine enough.  Returns (value, estimate, piece count
-    over [0, pi]).
+    G = :func:`_smooth_coef`, R G rounded once from the exact ratio.  1 - u_k
+    is (f + delta (q - k - 1/2))/r from r = q delta + f (:func:`_quad_plan`),
+    so each term keeps its relative accuracy up to u_k = 1.  The terms are
+    generated _QUAD_CHUNK at a time and summed, with R G, by one
+    ``math.fsum``, in O(_QUAD_CHUNK) memory at any R.  ``PrecisionExhausted``
+    past _QUAD_MAX_TERMS terms (each a node of the midpoint sum), before
+    any is evaluated, or where the estimate exceeds the target.  Returns
+    (value, estimate, 2K + 1), the number of pieces over [0, pi].
     """
     if tol is not None and not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    # at least 2 nodes on each of the K + 1 >= R + 1/2 pieces of [0, 1]
-    if 2.0 * r / delta + 1.0 > _QUAD_MAX_NODES:
-        raise PrecisionExhausted(f"piecewise quadrature needs more than {_QUAD_MAX_NODES} "
-                                 f"nodes (r={r}, delta={delta})")
-    K = _jump_count(r, delta)
-    npieces = 2 * K + 1
-    target = tol if tol is not None else DEFAULT_PIECE_TOL * npieces
-    floor = npieces * EPS * delta
-    odd = sin_pow % 2 == 1
-    if odd:
-        m = (sin_pow - 1) // 2
-        # (1 - u)(1 + u) rounds w = 1 - u^2 by 3 EPS/2 at most, w^m by 3m
-        # of them plus 4 ulp of pow; the piece's products, its dot product
-        # and its scaling by the half-width add order + 6
-        order, bound = m + 2, 0.0
-        ops = order + 3 * m + 14
-    else:
-        order, bound = _quad_order(_widest_t_piece(r, delta, K), sin_pow + 2,
-                                   2 * Fraction(r) + Fraction(delta),
-                                   min(floor, target - floor))
-        if order is None:
-            raise PrecisionExhausted(f"piecewise quadrature did not reach {target:.3e}: no order "
-                                     f"up to {_QUAD_ORDERS[-1]} is fine enough (r={r}, delta={delta})")
-        ops = order + sin_pow + 6
-    # the products and the order-term dot product round a piece by at most
-    # ops EPS/2 of its integral of |f| (the gamma_n bound), and |f| <=
-    # min(r, delta/2) |cos t| sin^p t integrates to at most 2 min(r, delta/2) / (p + 1)
-    estimate = bound + floor + ops * EPS * min(r, 0.5 * delta) / (sin_pow + 1)
+    r, delta, d = float(r), float(delta), sin_pow + 2  # as_integer_ratio below
+    q, f, K, estimate, target = _quad_plan(r, delta, d, tol)
+    if K > _QUAD_MAX_TERMS:
+        raise PrecisionExhausted(f"piecewise quadrature needs more than {_QUAD_MAX_TERMS} nodes "
+                                 f"(r={r}, delta={delta})")
     if estimate > target:
-        raise PrecisionExhausted(
-            f"piecewise quadrature did not reach {target:.3e} (r={r}, delta={delta})"
-        )
-    if (K + 1) * order > _QUAD_MAX_NODES:
-        raise PrecisionExhausted(f"piecewise quadrature needs {(K + 1) * order} nodes, more "
-                                 f"than {_QUAD_MAX_NODES} (r={r}, delta={delta})")
-    nodes, weights = gauss_legendre(order)
-    shifted = nodes + 1.0
+        raise PrecisionExhausted(f"piecewise quadrature did not reach {target:.3e}: its rounding "
+                                 f"bound is {estimate:.3e} (r={r}, delta={delta})")
+    e = (d - 1) / 2
 
-    def slices():
-        for start in range(0, K + 1, _QUAD_CHUNK):
-            stop = min(start + _QUAD_CHUNK, K + 1)
-            u = _edges(r, delta, K, start, stop)
-            step = delta * np.arange(start, stop)[:, None]
-            if odd:
-                half = 0.5 * (u[1:] - u[:-1])
-                x = u[:-1, None] + half[:, None] * shifted
-                f = (r * x - step) * x
-                if m:
-                    f *= ((1.0 - x) * (1.0 + x)) ** m
-            else:
-                t = np.arccos(u)
-                half = 0.5 * (t[:-1] - t[1:])
-                theta = t[1:, None] + half[:, None] * shifted
-                cos = np.cos(theta)
-                f = (r * cos - step) * cos * np.sin(theta) ** sin_pow
+    def terms():
+        for start in range(0, K, _QUAD_CHUNK):
+            # q - k - 1/2 is exact, and so is f - delta/2 at k = q
+            x = (f + delta * ((q - 0.5 - start) - np.arange(min(_QUAD_CHUNK, K - start)))) / r
             # fsum reads and drops one float at a time: no list of a slice's floats
-            yield memoryview(half * (f @ weights))
+            yield memoryview((x * (2.0 - x)) ** e)
 
-    return 2.0 * math.fsum(chain.from_iterable(slices())), estimate, npieces
+    (r_num, r_den), (d_num, d_den), (g_num, g_den) = (
+        r.as_integer_ratio(), delta.as_integer_ratio(), _smooth_coef(d))
+    smooth = r_num * d_den * g_num / (r_den * d_num * g_den)
+    total = math.fsum(chain((-smooth,), chain.from_iterable(terms())))
+    return -delta / e * total, estimate, 2 * K + 1
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +318,20 @@ def _series_prefactor(r: float, delta: float, split: ParitySplit) -> float:
                      f"the order-{split.order:g} series prefactor", r, delta)
 
 
-def _auto_route(r: float, delta: float, target: float) -> Method:
-    """The route AUTO tries first, given the series' ``_series_target``.
+def _auto_route(r: float, delta: float, split: ParitySplit, tol: float | None) -> Method:
+    """The route AUTO tries first.
 
     The quadrature below R = _AUTO_QUAD_MAX_R, where it is the cheaper one,
-    provided its rounding floor (2R + 2) EPS delta (one rounding of about
-    EPS delta per piece, 2R + 2 pieces at most) already meets the target
-    the series would work to; the series otherwise.  The floor rules the
-    quadrature out at d = 8, R = 20.3 and at d = 12 beyond R ~ 6.6.
+    provided its rounding bound (:func:`_quad_plan`) already meets both
+    its own target and the one the series would work to, so that it never
+    refuses a point AUTO hands it; the series otherwise.  The bound rules
+    the quadrature out at d = 8, R = 20.3 and at d = 12 beyond R ~ 7.1.
+    ``PrecisionExhausted`` where the series' target leaves binary64.
     """
-    R = r / delta
-    if R < _AUTO_QUAD_MAX_R and (2 * R + 2) * EPS * delta <= target:
-        return Method.QUADRATURE
+    if r / delta < _AUTO_QUAD_MAX_R:
+        *_, estimate, target = _quad_plan(r, delta, split.sin_pow + 2, tol)
+        if estimate <= min(target, _series_target(r, delta, split, tol)):
+            return Method.QUADRATURE
     return Method.BESSEL_SERIES
 
 
@@ -493,7 +393,7 @@ def _auto_integrals(r: float, deltas: list, split: ParitySplit, tol: float | Non
         try:
             # the series' default target is relative to the scale, which
             # can leave binary64 at large d
-            if _auto_route(r, delta, _series_target(r, delta, split, tol)) == Method.BESSEL_SERIES:
+            if _auto_route(r, delta, split, tol) == Method.BESSEL_SERIES:
                 series_at.append(i)
         except PrecisionExhausted:
             pass
@@ -586,11 +486,14 @@ def limiting_error(x, scheme: QuantScheme, method=Method.AUTO,
 
 
 def _lifted(dcd: float, res: _Integral) -> LimitErrorResult:
-    """The limiting error d c_d |integral| of a 1-D integral; dcd = d c_d."""
+    """The limiting error d c_d |integral| of a 1-D integral; dcd = d c_d.
+    The estimate adds 4 EPS of the value for the lift: d c_d was within 3 EPS
+    of mpmath at d = 2..399, 500, 1000, 5000, 1e4 and 1e5."""
+    value = dcd * abs(res.value)
     return LimitErrorResult(
-        value=dcd * abs(res.value),
+        value=value,
         method=res.method,
-        error_estimate=dcd * res.error_estimate,
+        error_estimate=dcd * res.error_estimate + 4 * EPS * value,
         breakpoint_count=res.breakpoint_count,
         truncation_K=res.truncation_K,
     )

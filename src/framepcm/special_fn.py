@@ -183,7 +183,11 @@ def _series_eval(order: float, x: float) -> BesselEval:
     if x == 0.0:
         return BesselEval(order, x, 1.0 if order == 0 else 0.0, 0.0)
 
-    t = (x / 2.0) ** order / _gamma_order_plus_1(order, twice)
+    try:
+        t = (x / 2.0) ** order / _gamma_order_plus_1(order, twice)
+    except OverflowError:  # from order 170.5 on, Gamma or the power leaves binary64
+        raise PrecisionExhausted(f"the first series term leaves binary64 (order={order}, "
+                                 f"x={x})") from None
     terms = []
     sum_abs = 0.0
     rounding = 0.0
@@ -657,6 +661,10 @@ def _polylogs(tab: _PhaseTable, b: np.ndarray):
         n = int(tab.q[0]) - 1
         cn = (c[:, n - 1:n - 1 + top] if n else  # c_0 = 1
               np.concatenate((np.ones((b.size, 1)), c[:, :top - 1]), axis=1))
+        if cn.shape[1] < top:
+            # c_j past the depth (half-integer orders from 81.5) is left 0: those
+            # q exceed the depth, so their remainder bound is already infinite
+            cn = np.pad(cn, ((0, 0), (0, top - cn.shape[1])))
         lw = np.log(a)[:, None]
         series += np.concatenate((cn, cn, cn), axis=1) * (
             tab.sing[0] + lw * tab.sing[1] + np.abs(lw) * tab.sing[2])
@@ -747,13 +755,15 @@ def _phase_tails(order: float, top: int, beta, K: int):
 _K_LADDER = (0, 64, 256, 1024, 4096, 16384)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _alt_sum_direct(order: float, R: float, eps_frac: float, K: int):
     """sum_{k=1}^{K} (-1)^k k^{-order} J_order(2 pi k R) with a certified bound,
     as floats (value, bound); ``eps_frac`` is frac(R).
 
     Evaluated as arrays over k.  Terms with x = 2 pi k R beyond
     ``_SERIES_AUTO_X`` come from :func:`_hankel_sums`, each cut by the
-    first-omitted-term rule; the few k below it take the series.
+    first-omitted-term rule; the few k below it take the series.  Hankel
+    terms that overflow (large orders at small x) give (0, inf).
     """
     omega = math.pi * order / 2.0 + math.pi / 4.0
     k = np.arange(1, K + 1, dtype=float)
@@ -769,8 +779,10 @@ def _alt_sum_direct(order: float, R: float, eps_frac: float, K: int):
         ev = _series_eval(order, float(x[i]))
         # allowance for the argument itself being a rounded product
         v[i], b[i] = ev.value, ev.abs_error_bound + 2 * EPS * x[i]
-    value = math.fsum((np.where(k % 2, -w, w) * v).tolist())
-    return value, float((w * b + 4 * EPS * w * np.abs(v)).sum())
+    bound = float((w * b + 4 * EPS * w * np.abs(v)).sum())
+    if not bound < math.inf:  # nan too
+        return 0.0, math.inf
+    return math.fsum((np.where(k % 2, -w, w) * v).tolist()), bound
 
 
 @lru_cache(maxsize=64)
@@ -793,6 +805,7 @@ def _tail_columns(order: float, width: int, K: int):
     return (top, *arrays)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing rows come out (0, inf)
 def _alt_sum_tail(order: float, R, beta, K: int):
     """Analytic continuation of the sums past k = K via Hankel + phase sums.
 
@@ -846,7 +859,10 @@ def _alt_sum_climb(order: float, R: float, eps_frac: float, beta: float, tol: fl
     larger K could meet tol.
     """
     for K in _K_LADDER[1:]:
-        value, bound = _alt_sum_direct(order, R, eps_frac, K)
+        try:
+            value, bound = _alt_sum_direct(order, R, eps_frac, K)
+        except PrecisionExhausted as exc:  # a series term leaves binary64
+            return exc
         # the margin covers the pairwise summation's rounding (~30 EPS
         # relative at K = 16384), which a larger K could round the other way
         if bound * (1.0 - 1e-12) > tol:

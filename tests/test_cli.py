@@ -620,3 +620,27 @@ def test_quadrature_at_r_1e9_exits_without_a_traceback(tmp_path, capsys, argv, c
             "error": "precision-exhausted",
             "detail": "piecewise quadrature needs more than 16777216 nodes "
                       f"(r={float(argv[argv.index('--r') + 1])}, delta=1.0)"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("bessel", "--orders", "200.5", "--xs", "1"),
+    ("limit", "--d", "400", "--r", "1", "--delta", "1", "--methods", "bessel_series"),
+    ("limit", "--d", "361", "--r", "20.3", "--delta", "1", "--methods", "bessel_series"),
+])
+def test_large_orders_exit_without_a_traceback(tmp_path, capsys, argv):
+    # Gamma(order + 1) of the series terms left binary64 (a raw OverflowError)
+    # and the order-180.5 polylogarithm table raised a broadcast ValueError
+    code = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_PRECISION) and "Traceback" not in err
+    if code == EXIT_PRECISION:
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "precision-exhausted"
+
+
+def test_quadrature_at_d_1000_below_the_first_jump_exits_0(tmp_path, capsys):
+    # at R < 1/2 the limit is r exactly; the Gauss-Legendre order ladder ran
+    # out here and this exited 3
+    assert run(tmp_path, "limit", "--d", "1000", "--r", "0.3", "--delta", "1",
+               "--methods", "quadrature") == EXIT_OK
+    [row] = read_csv(tmp_path / "limit.csv")
+    assert abs(float(row["value"]) - 0.3) <= float(row["error_estimate"])

@@ -423,29 +423,35 @@ def test_series_route_at_huge_hankel_arguments(d, R):
 
 
 # ---------------------------------------------------------------------------
-# the quadrature route: its a-priori order and its estimate
+# the quadrature route: the breakpoint sum and its a-priori estimate
 # ---------------------------------------------------------------------------
 
-def test_gauss_legendre_remainder_constant_is_rounded_up():
-    from framepcm.limit_error import _QUAD_ORDERS, _gl_remainder_constant
+def _exact_odd_integral(d, r, delta):
+    """The 1-D integral I = (delta/e) (R G - sum_{k<K} (1 - u_k^2)^e) at odd
+    d, e = (d - 1)/2, as an exact Fraction: R = r/delta = a/b is rational,
+    G = 4^e / ((2e + 1) C(2e, e)), and 1 - u_k^2 = (4a^2 - (2k + 1)^2 b^2)/(4a^2)."""
+    e = (d - 1) // 2
+    a, b = (Fraction(r) / Fraction(delta)).as_integer_ratio()
+    steps = 0
+    k = 0
+    while (2 * k + 1) * b < 2 * a:
+        steps += (4 * a * a - (2 * k + 1) ** 2 * b * b) ** e
+        k += 1
+    smooth = Fraction(a, b) * Fraction(4 ** e, (2 * e + 1) * math.comb(2 * e, e))
+    return Fraction(delta) / e * (smooth - Fraction(steps, (4 * a * a) ** e))
 
-    for n in _QUAD_ORDERS:
-        exact = Fraction(math.factorial(n) ** 4,
-                         (2 * n + 1) * math.factorial(2 * n) ** 3)
-        assert exact <= _gl_remainder_constant(n) <= exact * (1 + Fraction(1, 2 ** 62)), n
 
-
-# pi < 3.14159265358979324
-_PI_ABOVE = Fraction(314159265358979324, 10 ** 17)
-
-
-def _half_range_widths(r, delta):
-    """The t-widths of the quadrature's pieces of [0, pi/2], cut at
-    t = arccos(delta (k + 1/2) / r), apart from the code under test."""
-    k = np.arange(math.ceil(r / delta + 0.5) + 1, dtype=float)
-    c = delta * (k + 0.5) / r
-    pts = np.concatenate(([0.0], np.arccos(c[c < 1.0])[::-1], [math.pi / 2]))
-    return np.diff(pts)
+def _mp_even_integral(mpmath, d, r, delta):
+    """The same integral at even d, in mpmath with digits to spare, as a
+    Fraction (exactly the mpmath value)."""
+    with mpmath.workdps(int(40 + (d + 1) / 2 * math.log10(max(r / delta, 10.0)))):
+        R = mpmath.mpf(r) / mpmath.mpf(delta)
+        e = mpmath.mpf(d - 1) / 2
+        smooth = R * mpmath.gamma(1.5) * mpmath.gamma(e + 1) / mpmath.gamma(e + 1.5)
+        steps = mpmath.fsum((1 - (mpmath.mpf(2 * k + 1) / (2 * R)) ** 2) ** e
+                            for k in range(int(mpmath.ceil(R - 0.5))))
+        man, exp = (mpmath.mpf(delta) / e * (smooth - steps)).man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 @pytest.mark.parametrize("d, R, delta", [
@@ -453,40 +459,31 @@ def _half_range_widths(r, delta):
     (3, 1e5 + 0.3, 1.0), (8, 2000.3, 1.0 / 16.0), (2, 10.5 + 1e-7, 1.0), (7, 0.8, 3.0),
 ])
 def test_quadrature_takes_the_lowest_order_its_bound_certifies(monkeypatch, d, R, delta):
+    # the breakpoint sum is each piece's integral in closed form: it takes no
+    # Gauss-Legendre rule at all, and its estimate is an a priori bound on
+    # its rounding alone, a few EPS of r + delta at most
+    mpmath = pytest.importorskip("mpmath")
     from framepcm import limit_error
     from framepcm.special_fn import EPS
 
-    orders = []
-    real = limit_error.gauss_legendre
-    monkeypatch.setattr(limit_error, "gauss_legendre", lambda n: orders.append(n) or real(n))
+    monkeypatch.setattr(limit_error, "gauss_legendre", None)
     r = R * delta
     value, estimate, npieces = limit_error._quad_integral(r, delta, d - 2, None)
-    [n] = orders  # every piece at one order, in one pass
-    widths = _half_range_widths(r, delta)
-    assert 2 * widths.size - 1 == npieces  # pieces over [0, pi]: the middle one folds in two
-    floor = npieces * EPS * delta
-    if d % 2:
-        # in u = cos t a piece's integrand is a polynomial of degree d - 1, which the
-        # (d + 1)/2-point rule integrates exactly: the estimate is the rounding model
-        # alone, (order + 3m + 14) EPS/2 of the integral of |f| <= 2 min(r, delta/2)/(d - 1)
-        m = (d - 3) // 2
-        assert n == (d + 1) // 2
-        assert estimate == floor + (n + 3 * m + 14) * EPS * min(r, 0.5 * delta) / (d - 1)
-        return
-    # C_n (h_max d)^{2n} (2r + delta) pi: the summed Gauss-Legendre remainder
-    # on trigonometric polynomials of degree d, sup-norm <= 2r + delta
-    spread = (Fraction(float(widths.max())) * d, (2 * Fraction(r) + Fraction(delta)) * _PI_ABOVE)
+    # K jumps k + 1/2 < R in [0, 1], 2K + 1 pieces over [0, pi]
+    assert npieces == 2 * math.ceil(Fraction(r) / Fraction(delta) - Fraction(1, 2)) + 1
+    exact = (_exact_odd_integral(d, r, delta) if d % 2 else
+             _mp_even_integral(mpmath, d, r, delta))
+    assert abs(Fraction(value) - exact) <= Fraction(estimate)
+    assert 0 < estimate <= 4 * EPS * (r + delta)
 
-    def bound(m, c_m):
-        return c_m * spread[0] ** (2 * m) * spread[1]
 
-    def exact_c(m):
-        return Fraction(math.factorial(m) ** 4, (2 * m + 1) * math.factorial(2 * m) ** 3)
-
-    assert bound(n, limit_error._gl_remainder_constant(n)) <= floor
-    assert estimate >= bound(n, exact_c(n)) + floor
-    if n > limit_error._QUAD_ORDERS[0]:
-        assert bound(n // 2, exact_c(n // 2)) > floor  # the order below fails
+def test_quadrature_takes_numpy_scalars():
+    # R G is formed from the exact integer ratios of r and delta
+    r = float(np.float32(10.3))
+    assert (integral_odd(np.float32(10.3), np.int64(1), 1, method=Method.QUADRATURE)
+            == integral_odd(r, 1.0, 1, method=Method.QUADRATURE))
+    assert (integral_even(np.int64(10), np.float64(1.0), 2, method=Method.QUADRATURE)
+            == integral_even(10.0, 1.0, 2, method=Method.QUADRATURE))
 
 
 def test_quadrature_raises_for_a_target_below_its_rounding_floor():
@@ -494,40 +491,77 @@ def test_quadrature_raises_for_a_target_below_its_rounding_floor():
         integral_even(10.25, 1.0, 2, method=Method.QUADRATURE, tol=1e-16)
 
 
-def test_breakpoints_come_out_sorted():
-    # the pieces of [0, 1] run between the K jumps delta (k + 1/2)/r in (0, 1);
-    # generated slice by slice, their ends ascend from 0 to 1 and the slices meet
-    from framepcm.limit_error import _edges, _jump_count
-
-    for r, delta in ((0.3, 1.0), (0.7, 1.0), (10.5 + 1e-9, 1.0), (2000.3, 1.0 / 16.0),
-                     (1e5 + 0.3, 0.37)):
-        K = _jump_count(r, delta)
-        k = np.arange(math.ceil(r / delta + 0.5) + 1, dtype=float)
-        c = delta * (k + 0.5) / r
-        assert np.count_nonzero(c < 1.0) == K
-        whole = _edges(r, delta, K, 0, K + 1)
-        assert whole[0] == 0.0 and whole[-1] == 1.0 and np.all(np.diff(whole) > 0)
-        assert np.array_equal(whole[1:-1], c[:K])
-        parts = [_edges(r, delta, K, start, min(start + 333, K + 1))
-                 for start in range(0, K + 1, 333)]
-        assert np.array_equal(np.concatenate([parts[0]] + [p[1:] for p in parts[1:]]), whole)
-
-
 @pytest.mark.parametrize("r, delta, start, K", [
-    (263609.14413675776, 0.3858190710904905, 683246, 683245),  # steps down
-    (508650.475006533, 0.8839047038257892, 575458, 575459),    # steps up
+    (263609.14413675776, 0.3858190710904905, 683246, 683246),  # binary64 counts 683245
+    (508650.475006533, 0.8839047038257892, 575458, 575459),    # the guess is one short
 ])
 def test_jump_count_corrects_its_first_guess(r, delta, start, K):
-    # ceil(r/delta - 1/2) misses the binary64 count of the jumps
-    # delta (k + 1/2)/r < 1 by one either way, and a correction loop mends it
-    from framepcm.limit_error import _jump_count
+    # frac(r/delta) is within 1e-10 of 1/2 at both: ceil(r/delta - 1/2), and
+    # the count of the binary64 jumps delta (k + 1/2)/r < 1, each miss the
+    # count by one at one of them; from r = q delta + f, exact in binary64,
+    # it is q + [f > delta/2], checked here with Fractions
+    from framepcm.limit_error import _quad_plan
 
     assert math.ceil(r / delta - 0.5) == start
-    assert _jump_count(r, delta) == K
-    # the binary64 jumps ascend with k, so the count is the first k at 1 or above
-    assert delta * (K - 0.5) / r < 1.0 <= delta * (K + 0.5) / r
+    q, f, count, _, _ = _quad_plan(r, delta, 3, None)
+    assert count == K
+    assert Fraction(r) == q * Fraction(delta) + Fraction(f) and 0 <= f < delta
+    assert K - Fraction(1, 2) < Fraction(r) / Fraction(delta) < K + Fraction(1, 2)
+    # the binary64 jumps ascend with k: their count is the first k at 1 or above
     k = np.arange(K - 3, K + 4, dtype=float)
-    assert np.count_nonzero(delta * (k + 0.5) / r < 1.0) == 3
+    binary64 = K - 3 + int(np.count_nonzero(delta * (k + 0.5) / r < 1.0))
+    assert start != K or binary64 != K
+
+
+def _odd_d_points():
+    """Seeded (d, r, delta) at odd d = 3..63, R = r/delta in [0.3, 200] with
+    delta log-uniform in [1e-3, 1e3], a quarter of them within 1e-9 of
+    K + 1/2, where a jump sits next to u = 1."""
+    import random
+
+    rng = random.Random(2024)
+    points = []
+    for i in range(48):
+        d = rng.randrange(3, 64, 2)
+        R = 10 ** rng.uniform(math.log10(0.3), math.log10(200.0))
+        if i % 4 == 0:
+            R = math.floor(R) + 0.5 + rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-12, -9)
+        delta = 10 ** rng.uniform(-3.0, 3.0)
+        points.append((d, R * delta, delta))
+    return points
+
+
+def test_odd_d_quadrature_against_the_exact_breakpoint_sum():
+    # at odd d the breakpoint sum is rational in r and delta, so its exact
+    # value is a Fraction: the float sum lies within its estimate of it
+    from framepcm.limit_error import _quad_integral
+
+    worst = 0.0
+    for d, r, delta in _odd_d_points():
+        value, estimate, _ = _quad_integral(r, delta, d - 2, None)
+        miss = abs(Fraction(value) - _exact_odd_integral(d, r, delta)) / Fraction(estimate)
+        assert miss <= 1, (d, r, delta, float(miss))
+        worst = max(worst, float(miss))
+    assert worst > 1e-3  # the estimate is not vacuous
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quadrature_against_the_benchmark_oracle_on_a_seeded_sweep():
+    # d = 2..64, delta log-uniform in [1e-2, 1e2], R log-uniform in [0.3, 1e4],
+    # and d = 2 with eps within 1e-9 of 1/2, where the last term (1 - u_k^2)^(1/2)
+    # is steep: each term keeps its relative accuracy there
+    pytest.importorskip("mpmath")
+    oracle = _benchmark_oracle()
+    rng = np.random.default_rng(24)
+    points = [(int(d), float(10 ** rng.uniform(math.log10(0.3), 4.0)),
+               float(10 ** rng.uniform(-2.0, 2.0))) for d in rng.integers(2, 65, size=36)]
+    points += [(2, int(10 ** rng.uniform(0.0, 3.0)) + 0.5 + float(rng.choice((-1, 1)))
+                * float(10 ** rng.uniform(-12, -9)), float(10 ** rng.uniform(-2.0, 2.0)))
+               for _ in range(8)]
+    for d, R, delta in points:
+        res = limiting_error(_x(d, R * delta), QuantScheme(delta), Method.QUADRATURE)
+        ref = oracle.limit_oracle(d, R * delta, delta)
+        assert abs(res.value - ref) <= res.error_estimate, (d, R, delta, res, ref)
 
 
 @pytest.mark.parametrize("d", [3, 5, 11])
@@ -714,31 +748,32 @@ def test_quadrature_memory_is_bounded_at_large_R():
 
 
 def test_quadrature_refuses_beyond_its_node_cap(monkeypatch):
-    # both checks come before any piece is evaluated (the rule is never fetched)
+    # one term per jump in [0, 1], each a node of the midpoint sum; the cap
+    # is checked before any term is evaluated (numpy is not reached)
     from framepcm import limit_error
 
-    monkeypatch.setattr(limit_error, "gauss_legendre", None)
+    monkeypatch.setattr(limit_error, "np", None)
     for r, sin_pow in ((1e9, 1), (1e9 + 0.3, 39), (1e9 + 0.3, 62)):
-        with pytest.raises(PrecisionExhausted, match="nodes"):
+        with pytest.raises(PrecisionExhausted, match="more than 16777216 nodes"):
             limit_error._quad_integral(r, 1.0, sin_pow, None)
-    # d = 41: 21 nodes on each of 500,001 pieces of [0, 1]
-    monkeypatch.setattr(limit_error, "_QUAD_MAX_NODES", 21 * 500_001 - 1)
-    with pytest.raises(PrecisionExhausted, match="10500021 nodes"):
+    monkeypatch.undo()
+    # d = 41 at R = 5e5 + 0.3: 500,000 terms
+    monkeypatch.setattr(limit_error, "_QUAD_MAX_TERMS", 499_999)
+    with pytest.raises(PrecisionExhausted, match="more than 499999 nodes"):
         limit_error._quad_integral(5e5 + 0.3, 1.0, 39, None)
+    monkeypatch.setattr(limit_error, "_QUAD_MAX_TERMS", 500_000)
+    assert limit_error._quad_integral(5e5 + 0.3, 1.0, 39, None)[2] == 1_000_001
 
 
 def test_quadrature_chunks_cover_every_piece(monkeypatch):
     from framepcm import limit_error
 
     whole = limit_error._quad_integral(2000.3, 1.0, 4, None)
-    monkeypatch.setattr(limit_error, "_QUAD_CHUNK", 333)  # 2001 pieces of [0, 1], a partial last slice
-    value, estimate, pieces = limit_error._quad_integral(2000.3, 1.0, 4, None)
-    assert pieces == whole[2] == 4001
-    # the pieces may round differently in another slicing (the BLAS kernel
-    # for a row depends on its place), by far less than the rounding floor
-    # the estimate carries; a lost or doubled piece would move it by ~1e-4
-    assert abs(value - whole[0]) <= 1e-6 * whole[1]
-    assert estimate == pytest.approx(whole[1], rel=1e-6)
+    monkeypatch.setattr(limit_error, "_QUAD_CHUNK", 333)  # 2000 terms, a partial last slice
+    # each term is computed elementwise and fsum is exact, so the slicing
+    # changes nothing; a lost or doubled term would move the value by ~1e-4
+    assert limit_error._quad_integral(2000.3, 1.0, 4, None) == whole
+    assert whole[2] == 4001
 
 
 # ---------------------------------------------------------------------------

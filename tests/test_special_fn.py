@@ -18,7 +18,7 @@ from framepcm import (
     bessel_series,
 )
 from framepcm.limit_error import integral_even
-from framepcm.special_fn import alternating_bessel_sum_info
+from framepcm.special_fn import alternating_bessel_sum_info, alternating_bessel_sums
 
 # scipy reference itself carries a couple of ulps; grant it this allowance
 # when it plays the role of an extra oracle.
@@ -755,3 +755,33 @@ def test_k0_sums_against_mpmath_one_row_and_batched():
             assert abs(values[row] - ref) <= bounds[row] - (1 - 1e-9) * rem, (order, R, beta)
             checked += 1
     assert checked >= 80
+
+
+@pytest.mark.parametrize("order", [81.5, 180.5, 200.0, 249.5, 300.0])
+def test_alternating_sums_at_large_orders_give_a_value_or_precision_exhausted(order):
+    # the polylogarithm table's depth is capped at 160, below q from order
+    # 81.5 on (a broadcast ValueError at half-integer orders), Gamma(order + 1)
+    # leaves binary64 from order 170.5 on (an OverflowError from the series
+    # terms of the direct part), and the Hankel terms overflow at small R (a
+    # RuntimeWarning, an error here)
+    import warnings
+
+    Rs = [0.05, 0.3, 0.5, 1.0, 2.3, 20.3, 200.3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = alternating_bessel_sums(order, Rs, [1e-10] * len(Rs))
+    for R, res in zip(Rs, rows):
+        if not isinstance(res, PrecisionExhausted):
+            ev, _ = res
+            assert math.isfinite(ev.value) and ev.abs_error_bound <= 1e-10, (order, R, res)
+
+
+def test_order_81_5_sum_against_mpmath():
+    # past the table's depth K = 0 cannot certify the sum, and K = 64 does
+    mpmath = pytest.importorskip("mpmath")
+    [(ev, K)] = alternating_bessel_sums(81.5, [200.3], [1e-10])
+    with mpmath.workdps(40):
+        ref = mpmath.fsum((-1) ** k * mpmath.mpf(k) ** -81.5
+                          * mpmath.besselj(81.5, 2 * mpmath.pi * k * mpmath.mpf(200.3))
+                          for k in range(1, 6))
+    assert K == 64 and abs(ev.value - float(ref)) <= ev.abs_error_bound
