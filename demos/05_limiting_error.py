@@ -30,7 +30,7 @@ mc = monte_carlo_limit(sig, scheme, samples=2_000_000, seed=11)
 print(f"  quadrature   : {q.value:.12e}  (err est {q.error_estimate:.1e}, "
       f"{q.breakpoint_count} smooth pieces)")
 print(f"  bessel series: {b.value:.12e}  (certified {b.error_estimate:.1e}, "
-      f"K={b.truncation_K} direct terms)")
+      "Hankel terms times polylogarithms)")
 print(f"  monte carlo  : {mc.value:.12e}  (+- {mc.error_estimate:.1e}, "
       f"{mc.sample_count} samples)")
 print(f"  quad-series disagreement: {abs(q.value - b.value):.2e}")

@@ -352,6 +352,13 @@ def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | N
     """The series route at every delta of ``deltas``, in one
     :func:`alternating_bessel_sums` call.
 
+    An explicit ``tol`` is the absolute target of each integral.  Under the
+    default target a row is accepted where its bound meets
+    :func:`_series_target` or 1e-10 of the value, whichever is larger: at
+    large d the scale-based target alone asks for less than the sum's own
+    rounding (d = 40, R = 100.375: 1.8e-18 of a sum of 9.9e-3, bounded to
+    1.6e-15), so the sum runs with no target and the rule is applied to its
+    result.
     Returns per delta an ``_Integral``, or the ``PrecisionExhausted`` that
     delta raised (returned, not raised).
     """
@@ -367,14 +374,21 @@ def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | N
         except PrecisionExhausted as exc:
             out[i] = exc
     sums = alternating_bessel_sums(split.order, [row[2] for row in rows],
-                                   [row[3] for row in rows], [row[4] for row in rows])
-    for (i, prefac, *_), res in zip(rows, sums):
-        if isinstance(res, PrecisionExhausted):
-            out[i] = res
-        else:
+                                   [math.inf if tol is None else row[3] for row in rows],
+                                   [row[4] for row in rows])
+    for (i, prefac, R, target, _), res in zip(rows, sums):
+        if not isinstance(res, PrecisionExhausted):
             ev, trunc_k = res
-            out[i] = _Integral(prefac * ev.value, abs(prefac) * ev.abs_error_bound, None,
-                               trunc_k, Method.BESSEL_SERIES)
+            bound, accept = ev.abs_error_bound, max(target, 1e-10 * abs(ev.value))
+            if tol is None and not bound <= accept:
+                res = PrecisionExhausted(
+                    f"alternating Bessel sum (order={split.order}, R={R}) reached bound "
+                    f"{bound:.3e} > {accept:.3e}, the larger of its target and 1e-10 of its "
+                    f"value", achieved=bound)
+            else:
+                res = _Integral(prefac * ev.value, abs(prefac) * bound, None, trunc_k,
+                                Method.BESSEL_SERIES)
+        out[i] = res
     return out
 
 
@@ -382,9 +396,10 @@ def _auto_integrals(r: float, deltas: list, split: ParitySplit, tol: float | Non
     """The 1-D integral by AUTO at every delta of ``deltas``.
 
     Each delta takes the route ``_auto_route`` gives it, and the
-    quadrature where the series raises ``PrecisionExhausted`` (e.g. d = 40,
-    R = 100.375, where the order-20 sum cancels below binary64 resolution,
-    or d = 500, R = 20.3, where the scale and the prefactor leave binary64).
+    quadrature where the series raises ``PrecisionExhausted`` (e.g. d = 165,
+    R = 5000.3, where the order-82.5 polylogarithms run past their table's
+    depth, or d = 500, R = 20.3, where the scale and the prefactor leave
+    binary64).
     The series deltas share one :func:`_series_integrals` call; a delta's
     route, K, value and estimate do not depend on the other deltas.
     """

@@ -27,33 +27,28 @@ On top of these, ``alternating_bessel_sums`` evaluates
 
 with a certified bound at many R for one alpha at once.
 ``alternating_bessel_sum_info`` is its one-row case, and returns the
-truncation index K beside the value.  Direct summation is hopeless for
-small alpha (the certified tail decays like K^{-alpha+1/2}), so the tail is
-*computed*: the Hankel expansion turns it into a handful of phase sums
-sum_{k>K} z^k k^{-q} with |z| = 1, all at q = alpha + 1/2 + integer.  Every
-row first takes K = 0, in one batched call: the tail is the whole sum, and
-Hankel's expansion is cut at the smallest argument, 2 pi R.  That serves
-every R where the expansion's remainder there meets the target (every R
-for half-integer alpha, where it terminates); a row it does not serve
-climbs K = 64, 256, ... on its own, summing k <= K directly.  For
-z = e^{2 pi i beta} != 1 each phase sum is Li_q(z) minus the head
-sum_{k<=K} (no head at K = 0), with
-the polylogarithm from its expansion in w = 2 pi i beta (DLMF 25.12.12;
-the harmonic/log form at integer q), which converges for every phase once
-beta is reduced to (-1/2, 1/2].  All q of a row share beta, so each row
-forms the powers c_j = (2 pi |beta|)^j / j! once, and its polylogarithms
-at every q, with their bounds, are one product of c with a Toeplitz table
-of zeta(q_i - j) i^j and its bound weights, cached per (alpha, number of
-q) (Euler-Maclaurin for positive arguments, the functional equation DLMF
+truncation index K = 0 beside the value.  No term is summed directly (the
+certified tail of a direct sum decays only like K^{-alpha+1/2}): the whole
+sum is *computed*, in one batched call over the rows.  Hankel's expansion,
+cut at the smallest argument 2 pi R, turns it into a handful of phase sums
+sum_{k>=1} z^k k^{-q} with |z| = 1, all at q = alpha + 1/2 + integer.  That
+serves every R where the expansion's remainder there meets the target
+(every R for half-integer alpha, where it terminates); a row it does not
+serve raises ``PrecisionExhausted`` with the bound it reached.  For
+z = e^{2 pi i beta} != 1 each phase sum is the polylogarithm Li_q(z), from
+its expansion in w = 2 pi i beta (DLMF 25.12.12; the harmonic/log form at
+integer q), which converges for every phase once beta is reduced to
+(-1/2, 1/2].  All q of a row share beta, so each row forms the powers
+c_j = (2 pi |beta|)^j / j! once, and its polylogarithms at every q, with
+their bounds, are one product of c with a Toeplitz table of
+zeta(q_i - j) i^j and its bound weights, cached per (alpha, number of q)
+(Euler-Maclaurin for positive arguments, the functional equation DLMF
 25.4.1 for negative ones); the omitted terms are bounded through DLMF
-25.4.2.  Li - head is accurate only in absolute terms, so
-where K > 0 and the trivial bound K^{1-q}/(q-1) is smaller the tail is
-taken as 0 with that bound.  At z = 1 the phase sum is a Hurwitz zeta tail from the
-same Euler-Maclaurin routine that fills the table.  The direct part
-k <= K is evaluated as arrays over k by the Hankel sums that also serve
-``bessel_large_x``: one table of terms a_j / x_k^j, built as running
-ratios so that no power of x can overflow (at huge x they underflow), cut
-per term by the first-omitted-term rule.
+25.4.2.  At z = 1 the phase sum is zeta(q) from the same Euler-Maclaurin
+routine that fills the table.  The Hankel terms a_j / x^j come from one
+table built as running ratios, so that no power of x can overflow (at
+huge x they underflow), cut by the first-omitted-term rule; the same
+table serves ``bessel_large_x``.
 """
 
 from __future__ import annotations
@@ -61,6 +56,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,9 +78,6 @@ __all__ = [
 
 EPS = float(np.finfo(float).eps)
 
-# Largest per-term argument that ``_alt_sum_direct`` evaluates by the
-# series; beyond it the Hankel expansion is both cheaper and tighter.
-_SERIES_AUTO_X = 12.0
 # ``bessel_integral_int_order``: the node counts it may use (16 {1, 3/2} 2^k
 # up to its budget of 8192), the quadrature error it targets, and the
 # ellipse parameters rho it tries, 1 + 2^{j/2 - 4} for j = 0..14 (the best
@@ -184,10 +177,18 @@ def _series_eval(order: float, x: float) -> BesselEval:
         return BesselEval(order, x, 1.0 if order == 0 else 0.0, 0.0)
 
     try:
-        t = (x / 2.0) ** order / _gamma_order_plus_1(order, twice)
-    except OverflowError:  # from order 170.5 on, Gamma or the power leaves binary64
-        raise PrecisionExhausted(f"the first series term leaves binary64 (order={order}, "
-                                 f"x={x})") from None
+        t, first_err = (x / 2.0) ** order / _gamma_order_plus_1(order, twice), 0.0
+    except OverflowError:
+        # Gamma(order + 1) leaves binary64 from order 170.5 on (its factorials
+        # from 85.5 at half-integers), or the power does: the first term is
+        # then taken in logarithms, within 16 EPS of the logarithms' sizes
+        # relative, an error every term t_k = t_0 prod(ratios) carries
+        log_pow, log_gamma = order * math.log(x / 2.0), math.lgamma(order + 1.0)
+        t = math.exp(log_pow - log_gamma) if log_pow - log_gamma < 709.0 else math.inf
+        first_err = 16 * EPS * (abs(log_pow) + log_gamma + 1.0)
+    if not sys.float_info.min <= t < math.inf:  # a subnormal has lost its relative accuracy
+        raise PrecisionExhausted(f"the first series term is not a normal double "
+                                 f"(order={order}, x={x})")
     terms = []
     sum_abs = 0.0
     rounding = 0.0
@@ -211,8 +212,10 @@ def _series_eval(order: float, x: float) -> BesselEval:
             break
         t = t_next
         k += 1
+    if not sum_abs < math.inf:
+        raise PrecisionExhausted(f"the series terms leave binary64 (order={order}, x={x})")
     value = math.fsum(terms)
-    bound = tail + rounding + 2 * EPS * abs(value)
+    bound = tail + rounding + first_err * sum_abs + 2 * EPS * abs(value)
     return BesselEval(order, x, value, bound)
 
 
@@ -444,18 +447,6 @@ def _hankel_sums(order: float, x):
     return P, Q, bP, bQ
 
 
-def _hankel_combine(amp, cos_chi, sin_chi, P, Q, bP, bQ, chi_err):
-    """amp [cos(chi) P - sin(chi) Q] and its certified bound, for floats or arrays.
-
-    ``amp`` is sqrt(2/(pi x)); ``chi`` is the phase x - omega, possibly
-    reduced mod 2 pi, and ``chi_err`` bounds its rounding;
-    |d value/d chi| <= amp*(|P|+|Q|).
-    """
-    value = amp * (cos_chi * P - sin_chi * Q)
-    bound = amp * (bP + bQ) + amp * (abs(P) + abs(Q)) * chi_err + 4 * EPS * abs(value)
-    return value, bound
-
-
 def bessel_large_x(order: float, x: float) -> BesselEval:
     """J_order(x) from Hankel's expansion; certified, exact for half-integers.
 
@@ -469,21 +460,16 @@ def bessel_large_x(order: float, x: float) -> BesselEval:
     omega = math.pi * order / 2.0 + math.pi / 4.0
     chi = x - omega
     P, Q, bP, bQ = (float(v[0]) for v in _hankel_sums(order, x))
-    # x - omega carries ~eps*x of rounding
-    value, bound = _hankel_combine(math.sqrt(2.0 / (math.pi * x)), math.cos(chi),
-                                   math.sin(chi), P, Q, bP, bQ, 2 * EPS * (x + 4.0))
+    amp = math.sqrt(2.0 / (math.pi * x))
+    value = amp * (math.cos(chi) * P - math.sin(chi) * Q)
+    # x - omega carries ~eps*x of rounding, and |d value/d chi| <= amp (|P| + |Q|)
+    bound = amp * (bP + bQ) + amp * (abs(P) + abs(Q)) * (2 * EPS * (x + 4.0)) + 4 * EPS * abs(value)
     return BesselEval(order, x, value, bound)
 
 
 # ---------------------------------------------------------------------------
-# phase sums  sum_{k>K} z^k k^{-q}  (|z| = 1)
+# phase sums  sum_{k>=1} z^k k^{-q}  (|z| = 1)
 # ---------------------------------------------------------------------------
-
-def _tail_majorant(q, K: int):
-    """sum_{k>K} k^{-q} <= K^{1-q} / (q - 1), and <= 1 + 1/(q - 1) at K = 0,
-    for q > 1 (floats or arrays)."""
-    return q / (q - 1.0) if K == 0 else K ** (1.0 - q) / (q - 1.0)
-
 
 # Euler-Maclaurin for zeta sums: the first _EM_N - 1 terms are summed and
 # B_2 .. B_16 corrections taken, each B_2m already divided by (2m)!
@@ -543,8 +529,8 @@ class _PhaseTable:
     columns: the real and imaginary parts of the series' coefficients
     zeta(q_i - j) i^j, and their bound weights.  ``integer`` tells whether
     every q is an integer (the harmonic/log form); ``sing`` holds three
-    blocks of per-i factors of the rest of the singular term.  ``q`` and
-    ``zeta_q_up``, zeta(q) plus its bound, serve the callers.
+    blocks of per-i factors of the rest of the singular term.  ``q`` serves
+    the callers.
     """
 
     depth: int
@@ -552,7 +538,6 @@ class _PhaseTable:
     integer: bool
     sing: np.ndarray
     q: np.ndarray
-    zeta_q_up: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -592,7 +577,6 @@ def _phase_table(order: float, top: int) -> _PhaseTable:
         zeta[neg] = mag * cos
         err[neg] = mag * (np.abs(cos) * (e1 / z1 + (s1 / 2 + 16) * EPS)
                           + np.where(s1 == np.floor(s1), 0.0, 4 * EPS))
-    zeta_q_up = zeta[depth:] + err[depth:]
     i, j = np.arange(top + 1), _J[:depth + 1, None]
     at = depth + i - j  # zeta(q_i - j)
     coef = zeta[at] * _I_POW[j % 4]
@@ -626,9 +610,9 @@ def _phase_table(order: float, top: int) -> _PhaseTable:
     weight[depth] += np.where(np.isfinite(rem), rem, 0.0)
     weight[0] += rem * ((depth + 1) * 2.0 ** -1074)
     series = np.concatenate((coef.real, coef.imag, weight), axis=1)
-    for arr in (series, sing, q, zeta_q_up):  # shared by every caller through the cache
+    for arr in (series, sing, q):  # shared by every caller through the cache
         arr.setflags(write=False)
-    return _PhaseTable(depth, series, integer, sing, q, zeta_q_up)
+    return _PhaseTable(depth, series, integer, sing, q)
 
 
 def _polylogs(tab: _PhaseTable, b: np.ndarray):
@@ -674,75 +658,28 @@ def _polylogs(tab: _PhaseTable, b: np.ndarray):
     return series[:, :top], series[:, top:2 * top], series[:, 2 * top:]
 
 
-def _phase_tails(order: float, top: int, beta, K: int):
-    """sum_{k>K} e^{2 pi i beta k} k^{-q} at every q = order + 1/2 + i,
+def _phase_tails(order: float, top: int, beta):
+    """sum_{k>=1} e^{2 pi i beta k} k^{-q} at every q = order + 1/2 + i,
     i = 0..top, with certified absolute bounds; ``beta`` is one phase per
     row, in [-1/2, 1/2], and 0 only where every q > 1.  Returns (re, im,
     bounds), each rows x (top + 1).
 
-    At beta = 0 the tail is the Hurwitz zeta tail sum_{k>K} k^-q
-    (:func:`_zeta_em`).  At K = 0 and beta != 0 it is the polylogarithm
-    Li_q(z) itself (:func:`_polylogs`).  Past K it is Li_q(z) minus the
-    head sum_{k<=K} z^k k^-q, one (entries x K) matrix of weights against
-    phases taken from beta k reduced exactly mod 1, and the bound adds the
-    rounding of the head and its phases.
-
-    Li - head is accurate only to about 1e-15 absolute, so for q > 1 the
-    trivial |tail| <= min(K^{1-q}/(q-1), (K+1)^-q / sin(pi |beta|)) (the
-    integral test; Abel's inequality) is returned, with value 0, wherever
-    it is the smaller bound (for zeta tails: the first); the head of such
-    an entry is not computed.  Every entry's sums run over widths of its
-    own, so a row does not depend on the other rows.
+    At beta != 0 the sum is the polylogarithm Li_q(z) (:func:`_polylogs`),
+    at beta = 0 it is zeta(q) (:func:`_zeta_em`).  Every entry's sums run
+    over widths of its own, so a row does not depend on the other rows.
     """
     tab = _phase_table(order, top)
     beta = np.asarray(beta, dtype=float).reshape(-1)
     b = np.abs(beta)
     phase = b > 0.0
-    zeta_rows = not phase.all()
-    if zeta_rows:
+    if phase.all():
+        re, im, bounds = _polylogs(tab, b)
+    else:
         re, im, bounds = (np.zeros((b.size, top + 1)) for _ in range(3))
         if phase.any():
             re[phase], im[phase], bounds[phase] = _polylogs(tab, b[phase])
-    else:
-        re, im, bounds = _polylogs(tab, b)
+        re[~phase], bounds[~phase] = _zeta_em(tab.q, 1)
     im *= np.sign(beta)[:, None]  # Li_q(conj z) = conj Li_q(z); 0 on zeta rows
-    if K and phase.any():
-        # K^{1-q}/(q-1), and Abel's |tail| <= (1 + 8 EPS) (K+1)^-q / sin(pi |beta|)
-        # from |sum_{K<k<=n} z^k| <= 2/|1-z| = 1/sin(pi |beta|); infinite where q <= 1
-        over = tab.q > 1.0
-        majorant = np.where(over, _tail_majorant(np.where(over, tab.q, 2.0), K), math.inf)
-        abel = np.where(over, (1.0 + 8 * EPS) * (K + 1.0) ** -tab.q, math.inf)
-        trivial = np.minimum(majorant, abel / np.sin(math.pi * np.where(phase, b, 0.5))[:, None])
-        # rounding of the head per unit weight: ~18 EPS per term (the phase, its
-        # cos/sin, the power, the product) and (9 + log2(K)/2) EPS of numpy's
-        # pairwise summation.  For q > 1 the weights sum to less than zeta(q),
-        # so where the trivial bound is smaller than that, this alone exceeds it
-        head_scale = (K.bit_length() + 24) * EPS
-        use = phase[:, None] & ((tab.q <= 1.0) | (bounds + head_scale * 2.0 * tab.zeta_q_up
-                                                  <= trivial))
-        re, im = np.where(use, re, 0.0), np.where(use, im, 0.0)
-        bounds = np.where(use, bounds, trivial)
-        rows, cols = np.nonzero(use)
-        if rows.size:
-            k = np.arange(1, K + 1, dtype=float)
-            # one row of phases per row with a head
-            heads = np.flatnonzero(use.any(axis=1))
-            phases = beta[heads, None]
-            beta_hi = np.round(phases * (1 << 26)) / (1 << 26)  # k * beta_hi is exact below 2^26
-            theta = (2.0 * math.pi) * (np.mod(k * beta_hi, 1.0) + k * (phases - beta_hi))
-            which = np.searchsorted(heads, rows)
-            weights = k ** -tab.q[cols, None]
-            head_re = (weights * np.cos(theta)[which]).sum(axis=1)
-            head_im = (weights * np.sin(theta)[which]).sum(axis=1)
-            re[rows, cols] -= head_re
-            im[rows, cols] -= head_im
-            bounds[rows, cols] += (head_scale * weights.sum(axis=1)
-                                   + 2 * EPS * np.hypot(head_re, head_im))
-    if zeta_rows:
-        values, zeta_bounds = _zeta_em(tab.q, K + 1)
-        trivial = _tail_majorant(tab.q, K)
-        re[~phase] = np.where(zeta_bounds < trivial, values, 0.0)
-        bounds[~phase] = np.minimum(zeta_bounds, trivial)
     return re, im, bounds
 
 
@@ -750,48 +687,13 @@ def _phase_tails(order: float, top: int, beta, K: int):
 # the alternating Bessel sum
 # ---------------------------------------------------------------------------
 
-# the direct-part sizes K the alternating sum tries, smallest first; at
-# K = 0 there is no direct part
-_K_LADDER = (0, 64, 256, 1024, 4096, 16384)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _alt_sum_direct(order: float, R: float, eps_frac: float, K: int):
-    """sum_{k=1}^{K} (-1)^k k^{-order} J_order(2 pi k R) with a certified bound,
-    as floats (value, bound); ``eps_frac`` is frac(R).
-
-    Evaluated as arrays over k.  Terms with x = 2 pi k R beyond
-    ``_SERIES_AUTO_X`` come from :func:`_hankel_sums`, each cut by the
-    first-omitted-term rule; the few k below it take the series.  Hankel
-    terms that overflow (large orders at small x) give (0, inf).
-    """
-    omega = math.pi * order / 2.0 + math.pi / 4.0
-    k = np.arange(1, K + 1, dtype=float)
-    w = k ** (-order)
-    x = 2.0 * math.pi * R * k
-    # the Hankel terms, at x = 12 in place of the arguments of series terms
-    P, Q, bP, bQ = _hankel_sums(order, np.maximum(x, _SERIES_AUTO_X))
-    # reduced phase: 2 pi k R - omega == 2 pi k eps - omega (mod 2 pi)
-    chi = 2.0 * math.pi * np.fmod(k * eps_frac, 1.0) - omega
-    v, b = _hankel_combine(np.sqrt(2.0 / (math.pi * x)), np.cos(chi), np.sin(chi),
-                           P, Q, bP, bQ, 2 * math.pi * EPS * (k + 4))
-    for i in np.flatnonzero(x <= _SERIES_AUTO_X):  # a leading run: x grows with k
-        ev = _series_eval(order, float(x[i]))
-        # allowance for the argument itself being a rounded product
-        v[i], b[i] = ev.value, ev.abs_error_bound + 2 * EPS * x[i]
-    bound = float((w * b + 4 * EPS * w * np.abs(v)).sum())
-    if not bound < math.inf:  # nan too
-        return 0.0, math.inf
-    return math.fsum((np.where(k % 2, -w, w) * v).tolist()), bound
-
-
 @lru_cache(maxsize=64)
-def _tail_columns(order: float, width: int, K: int):
+def _tail_columns(order: float, width: int):
     """Per column i < ``width`` of the Hankel terms of :func:`_alt_sum_tail`:
-    i // 2, whether i is odd, and the majorant of sum_{k>K} k^-q at
-    q = order + 1/2 + i (0 in columns 0 and 1, never a first omitted term);
-    and top, the last column a retained term can take (width - 2, as the
-    last column can only be omitted, or the last nonzero a_i,
+    i // 2, whether i is odd, and the majorant sum_{k>=1} k^-q <= q/(q - 1)
+    at q = order + 1/2 + i (0 in columns 0 and 1, never a first omitted
+    term); and top, the last column a retained term can take (width - 2, as
+    the last column can only be omitted, or the last nonzero a_i,
     i = order - 1/2, at half-integer orders, where the expansion
     terminates), with the real and imaginary parts of e^{-i omega} i^i at
     i = 0..top."""
@@ -799,41 +701,37 @@ def _tail_columns(order: float, width: int, K: int):
     q = order + 0.5 + np.maximum(i, 2)
     top = width - 2 if order % 1 == 0 else int(order - 0.5)
     rot = cmath.exp(-1j * (math.pi * order / 2.0 + math.pi / 4.0)) * _I_POW[i[:top + 1] % 4]
-    arrays = (i // 2, i % 2 == 1, np.where(i < 2, 0.0, _tail_majorant(q, K)), rot.real, rot.imag)
+    arrays = (i // 2, i % 2 == 1, np.where(i < 2, 0.0, q / (q - 1.0)), rot.real, rot.imag)
     for arr in arrays:  # shared by every caller through the cache
         arr.setflags(write=False)
     return (top, *arrays)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing rows come out (0, inf)
-def _alt_sum_tail(order: float, R, beta, K: int):
-    """Analytic continuation of the sums past k = K via Hankel + phase sums.
+def _alt_sum_tail(order: float, R, beta):
+    """The whole sum, analytically, via Hankel + phase sums.
 
     ``R`` and ``beta`` are 1-D arrays, one row each, with beta = frac(R) -
     1/2: (-1)^k e^{2 pi i k frac(R)} = e^{2 pi i beta k}.  Returns (values,
     bounds) as arrays over the rows.  Each row's Hankel expansion is cut
-    where its first tail term k = K+1 needs it, and its term i,
-    a_i (2 pi R)^-i i^i (the plan's own terms at K = 0, where the tail is
-    the whole sum), multiplies the phase sum at q = order + 1/2 + i; the
-    phase sums of all rows are one call (:func:`_phase_tails`), over the q
-    of every term the plan may retain (:func:`_tail_columns`).  Every sum
-    runs over a width fixed by (order, K), so a row does not depend on the
-    other rows.
+    where its first term k = 1, at x = 2 pi R, needs it, and its term i,
+    a_i (2 pi R)^-i i^i, multiplies the phase sum at q = order + 1/2 + i;
+    the phase sums of all rows are one call (:func:`_phase_tails`), over
+    the q of every term the plan may retain (:func:`_tail_columns`).  Every
+    sum runs over a width fixed by the order, so a row does not depend on
+    the other rows.
     """
     twopiR = 2.0 * math.pi * R
-    # each row truncated where its first tail term k = K+1 needs it
-    a, coef, lp, lq = _hankel_plan(order, twopiR * (K + 1), 18)
-    if K:  # the plan's terms are a_i / (2 pi R (K+1))^i
-        coef = np.array(a) * twopiR[:, None] ** -np.arange(len(a))
-    top, half, odd, majorant, rot_re, rot_im = _tail_columns(order, len(a), K)
+    _, coef, lp, lq = _hankel_plan(order, twopiR, 18)
+    top, half, odd, majorant, rot_re, rot_im = _tail_columns(order, coef.shape[1])
     # the retained terms: i < 2 lp for the P terms (even i), i < 2 lq for
     # Q; the first omitted ones: i = 2 lp and 2 lq + 1
     cut = np.where(odd, lq[:, None], lp[:, None])
     kept, omitted = half < cut, half == cut
-    # Hankel remainder summed over the tail (integral-test zeta bounds)
+    # Hankel remainder summed over k (integral-test zeta bounds)
     hankel = (np.abs(np.where(omitted, coef, 0.0)) * majorant).sum(axis=1)
     scale = (1.0 / math.pi) / np.sqrt(R)
-    re, im, tb = _phase_tails(order, top, beta, K)
+    re, im, tb = _phase_tails(order, top, beta)
     kept = kept[:, :top + 1]
     coef = np.where(kept, coef[:, :top + 1], 0.0)
     terms = coef * (rot_re * re - rot_im * im)
@@ -844,40 +742,6 @@ def _alt_sum_tail(order: float, R, beta, K: int):
                               for row, ok in zip(terms.tolist(), finite.tolist())])
     bounds = scale * ((np.abs(coef) * np.where(kept, tb, 0.0)).sum(axis=1) + hankel)
     return tails, np.where(finite, bounds, math.inf)
-
-
-def _alt_sum_climb(order: float, R: float, eps_frac: float, beta: float, tol: float,
-                   best: float):
-    """One row of :func:`alternating_bessel_sums` whose K = 0 bound ``best``
-    missed ``tol``: the first K of ``_K_LADDER[1:]`` terms directly, the
-    rest by :func:`_alt_sum_tail`, K climbing until the bound meets tol.
-
-    Returns ``(BesselEval, K)``, or the ``PrecisionExhausted`` it gives up
-    with (returned, not raised), ``achieved`` the best bound reached.  It
-    gives up at the first K whose direct part's bound alone exceeds tol:
-    that bound, sum_{k<=K} (w b + 4 EPS w |v|), only grows with K, so no
-    larger K could meet tol.
-    """
-    for K in _K_LADDER[1:]:
-        try:
-            value, bound = _alt_sum_direct(order, R, eps_frac, K)
-        except PrecisionExhausted as exc:  # a series term leaves binary64
-            return exc
-        # the margin covers the pairwise summation's rounding (~30 EPS
-        # relative at K = 16384), which a larger K could round the other way
-        if bound * (1.0 - 1e-12) > tol:
-            return PrecisionExhausted(
-                f"alternating Bessel sum (order={order}, p={order}, R={R}): the direct "
-                f"part's bound {bound:.3e} at K={K} alone exceeds tol {tol:.3e}",
-                achieved=best if best < math.inf else None)
-        tail, tb = _alt_sum_tail(order, np.array([R]), np.array([beta]), K)
-        bound += float(tb[0])
-        best = min(best, bound)
-        if bound <= tol:
-            return BesselEval(order, 2.0 * math.pi * R, value + float(tail[0]), bound), K
-    return PrecisionExhausted(
-        f"alternating Bessel sum (order={order}, p={order}, R={R}) reached bound "
-        f"{best:.3e} > tol {tol:.3e}", achieved=best)
 
 
 def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
@@ -895,15 +759,14 @@ def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
     its relative accuracy near frac(R) = 1/2, where the polylogarithms'
     |beta|^(order - 1/2) terms are steep for orders up to 3/2.  f/q never
     rounds up to 1: below q the largest double is at most q (1 - 2^-53).
-    Returns one entry per R: ``(BesselEval, K)``, or the
+    Returns one entry per R: ``(BesselEval, 0)``, or the
     ``PrecisionExhausted`` that the point raised (returned, not raised).
-    Every row first takes the rung K = 0, in one batched
-    :func:`_alt_sum_tail` call: no direct part, the whole sum is Hankel's
-    expansion cut at x = 2 pi R times polylogarithms.  Half-integer
-    orders, whose expansion terminates, end there at every R where
-    rounding allows.  A row whose K = 0 bound misses its tol climbs the
-    rest of the K ladder on its own (:func:`_alt_sum_climb`).  A row's K,
-    value and bound do not depend on the other rows.
+    Every row is one batched :func:`_alt_sum_tail` call: the whole sum is
+    Hankel's expansion cut at x = 2 pi R times polylogarithms.
+    Half-integer orders, whose expansion terminates, resolve at every R
+    where rounding allows.  A row whose bound misses its tol gives
+    ``PrecisionExhausted`` with that bound as ``achieved``.  A row's value
+    and bound do not depend on the other rows.
     """
     _require_half_integer(order)
     Rs = [float(r) for r in R]
@@ -916,11 +779,10 @@ def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
              else [(float(f), float(q)) for f, q in phase])
     if len(pairs) != len(Rs) or any(not 0.0 <= f < q for f, q in pairs):
         raise ValueError("phase must be one pair (f, q) with 0 <= f < q per R")
-    eps_frac = [f / q for f, q in pairs]
     beta = [(f - 0.5 * q) / q for f, q in pairs]
     out: list = [None] * len(Rs)
-    for row, (eps, b) in enumerate(zip(eps_frac, beta)):
-        if order == 0.5 and eps == 0.0:
+    for row, ((f, _), b) in enumerate(zip(pairs, beta)):
+        if order == 0.5 and f == 0.0:
             # every term is sqrt(2/(pi x)) sin(2 pi k R) = 0 exactly
             out[row] = BesselEval(order, 2.0 * math.pi * Rs[row], 0.0, 0.0), 0
         elif order <= 0.5 and b == 0.0:
@@ -929,22 +791,22 @@ def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
     live = [row for row, res in enumerate(out) if res is None]
     if live:
         tails, bounds = _alt_sum_tail(order, np.array([Rs[row] for row in live]),
-                                      np.array([beta[row] for row in live]), 0)
+                                      np.array([beta[row] for row in live]))
         for row, value, bound in zip(live, tails.tolist(), bounds.tolist()):
             out[row] = ((BesselEval(order, 2.0 * math.pi * Rs[row], value, bound), 0)
                         if bound <= tols[row] else
-                        _alt_sum_climb(order, Rs[row], eps_frac[row], beta[row], tols[row],
-                                       bound))
+                        PrecisionExhausted(f"alternating Bessel sum (order={order}, R={Rs[row]}) "
+                                           f"reached bound {bound:.3e} > tol {tols[row]:.3e}",
+                                           achieved=bound))
     return out
 
 
 def alternating_bessel_sum_info(order: float, R: float, tol: float):
     """Certified sum_{k>=1} (-1)^k k^{-order} J_order(2 pi k R) as ``(BesselEval,
-    K)``, the BesselEval at argument 2 pi R: the first K terms directly (none
-    at K = 0), the rest analytically from the Hankel expansion as
-    unit-modulus phase sums, K climbing from 0 until the bound fits ``tol``
-    (else ``PrecisionExhausted`` with the best bound reached).  One row of
-    :func:`alternating_bessel_sums`."""
+    K)``, the BesselEval at argument 2 pi R and K = 0, the number of terms
+    summed directly: the whole sum comes analytically from the Hankel
+    expansion as unit-modulus phase sums (else ``PrecisionExhausted`` with
+    the bound reached).  One row of :func:`alternating_bessel_sums`."""
     (res,) = alternating_bessel_sums(order, [R], [tol])
     if isinstance(res, PrecisionExhausted):
         raise res

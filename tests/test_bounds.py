@@ -253,13 +253,14 @@ def test_base_coefficient_past_binary64_raises_precision_exhausted():
 
 
 def test_slope_fit_refuses_an_unresolved_point():
-    # d = 40: every point falls back to a quadrature whose estimate exceeds
-    # its value; the fit used to return 0.48 from that noise
+    # d = 165: every point falls back to a quadrature whose estimate exceeds
+    # its value (the order-82.5 series runs past its polylogarithm table);
+    # the fit used to return noise (0.48 at d = 40, which now resolves)
     from framepcm import PrecisionExhausted
 
-    with pytest.raises(PrecisionExhausted, match=r"k=100 \(d=40, eps=0.375\) is unresolved: "
+    with pytest.raises(PrecisionExhausted, match=r"k=100 \(d=165, eps=0.3\) is unresolved: "
                                                   r"the quadrature value"):
-        scaling_slope_fit(40, 1.0, 0.375, [100, 200, 400, 800])
+        scaling_slope_fit(165, 1.0, 0.3, [100, 200, 400, 800])
 
 
 def test_the_phase_is_the_exact_fractional_part_rounded_once():

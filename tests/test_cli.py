@@ -529,8 +529,8 @@ def test_limit_flags_an_estimate_that_exceeds_its_value(tmp_path, capsys):
     assert lines[1].lstrip().startswith("bessel_series:") and marker not in lines[1]
     csv_text = (tmp_path / "limit.csv").read_text()
     assert "unresolved" not in csv_text and len(read_csv(tmp_path / "limit.csv")) == 2
-    # d = 40, R = 100.375: AUTO falls back to a quadrature that cannot resolve it
-    assert run(tmp_path, "limit", "--d", "40", "--r", "100.375", "--delta", "1",
+    # d = 165, R = 5000.3: AUTO falls back to a quadrature that cannot resolve it
+    assert run(tmp_path, "limit", "--d", "165", "--r", "5000.3", "--delta", "1",
                "--methods", "auto") == EXIT_OK
     line, = capsys.readouterr().out.splitlines()
     assert line.lstrip().startswith("quadrature:") and line.endswith(marker)
@@ -559,9 +559,10 @@ def _last_json_line(capsys):
 
 
 def test_bounds_slope_with_unresolved_points_exits_precision_exhausted(tmp_path, capsys):
-    # d = 40 from k = 100: each point is a quadrature fall-back whose estimate
-    # exceeds its value; this printed "[FAIL] d=40: slope=0.4828"
-    code = run(tmp_path, "bounds", "--slope", "--d-list", "40", "--kmin", "100",
+    # d = 165 from k = 100: each point is a quadrature fall-back whose
+    # estimate exceeds its value; this printed "[FAIL] d=40: slope=0.4828"
+    # where d = 40 fell back too
+    code = run(tmp_path, "bounds", "--slope", "--d-list", "165", "--kmin", "100",
                "--kmax", "2000")
     assert code == EXIT_PRECISION
     err = _last_json_line(capsys)
@@ -569,19 +570,28 @@ def test_bounds_slope_with_unresolved_points_exits_precision_exhausted(tmp_path,
 
 
 def test_bounds_slope_keeps_the_resolved_d_of_a_mixed_list(tmp_path, capsys):
-    # d = 40 is unresolved over this sweep, d = 3 and 5 are not: their fits
-    # are printed and written, d = 40's is not, and the run exits 3
-    code = run(tmp_path, "bounds", "--slope", "--d-list", "3", "40", "5", "--kmin", "100",
+    # d = 165 is unresolved over this sweep, d = 3 and 5 are not: their fits
+    # are printed and written, d = 165's is not, and the run exits 3
+    code = run(tmp_path, "bounds", "--slope", "--d-list", "3", "165", "5", "--kmin", "100",
                "--kmax", "2000")
     assert code == EXIT_PRECISION
     captured = capsys.readouterr()
     assert "[PASS] d=3:" in captured.out and "[PASS] d=5:" in captured.out
-    assert "[UNRESOLVED] d=40: slope point k=100" in captured.out
+    assert "[UNRESOLVED] d=165: slope point k=100" in captured.out
     err = json.loads(captured.err.strip().splitlines()[-1])
-    assert err["error"] == "precision-exhausted" and "d=40" in err["detail"]
+    assert err["error"] == "precision-exhausted" and "d=165" in err["detail"]
     rows = read_csv(tmp_path / "slopes.csv")
     assert [row["d"] for row in rows] == ["3", "5"]
     assert all(row["ok"] == "True" for row in rows)
+
+
+def test_bounds_slope_at_d_40_resolves_under_the_relative_default_target(tmp_path, capsys):
+    # every point was a quadrature fall-back that printed [UNRESOLVED] while
+    # the series' default target was 1e-10 of the scale alone
+    code = run(tmp_path, "bounds", "--slope", "--d-list", "40", "--eps", "0.3", "--kmin",
+               "1000", "--kmax", "5000")
+    assert code == EXIT_OK
+    assert "[PASS] d=40: slope=20.4" in capsys.readouterr().out
 
 
 def test_bounds_report_at_d_500_exits_without_a_traceback(tmp_path, capsys):

@@ -142,9 +142,7 @@ def test_result_metadata():
     res = limiting_error(_x(4, 30.25), UNIT, method=Method.QUADRATURE)
     assert res.breakpoint_count is not None and res.breakpoint_count >= 2 * 29
     res2 = limiting_error(_x(4, 30.25), UNIT, method=Method.BESSEL_SERIES)
-    from framepcm.special_fn import _K_LADDER
-
-    assert res2.truncation_K in _K_LADDER
+    assert res2.truncation_K == 0
     assert res.value == pytest.approx(res2.value, rel=1e-8)
 
 
@@ -396,11 +394,17 @@ def test_series_route_at_a_large_non_dyadic_ratio():
 
 
 @pytest.mark.parametrize("d, R", [(3, 13.499999), (3, 1000.4999999), (3, 20.499999999),
-                                  (2, 0.5000000036707667)])
+                                  (2, 0.5000000036707667), (3, 0.5000000036707667)])
 def test_series_route_near_half_against_breakpoint_sum_oracle(d, R):
     # eps within 1e-6 of 1/2: the phase sums' z lies within 2e-5 of 1; at
-    # R < 1 the phase must not be rounded on its way to the tails
+    # R < 1 the phase must not be rounded on its way to the tails.  The
+    # order-1 expansion at 2 pi R < 2 pi cannot reach the target (d = 2);
+    # the half-integer one terminates (d = 3)
     mpmath = pytest.importorskip("mpmath")
+    if d == 2:
+        with pytest.raises(PrecisionExhausted):
+            limiting_error(_x(d, R), UNIT, Method.BESSEL_SERIES)
+        return
     res = limiting_error(_x(d, R), UNIT, Method.BESSEL_SERIES)
     assert abs(res.value - _breakpoint_sum_limit(mpmath, d, R)) <= res.error_estimate
 
@@ -410,16 +414,14 @@ def test_series_route_near_half_against_breakpoint_sum_oracle(d, R):
 def test_series_route_at_huge_hankel_arguments(d, R):
     # x = 2 pi k R reaches ~1e14 (d = 4) and the order 20 needs ~46
     # Hankel terms (d = 40); no power of x may overflow
-    try:
-        res = limiting_error(_x(d, R), UNIT, Method.BESSEL_SERIES)
-    except PrecisionExhausted:
-        assert d == 40  # the order-20 sum cancels below binary64 resolution
-        return
+    res = limiting_error(_x(d, R), UNIT, Method.BESSEL_SERIES)
     assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
     assert res.error_estimate < 1e-6 * res.value
-    # the limit scales like R^{-(d-1)/2} at fixed eps; compare with R = 1e4 + eps
-    ref = limiting_error(_x(d, 1e4 + 0.375), UNIT, Method.BESSEL_SERIES).value
-    assert res.value * R ** 1.5 == pytest.approx(ref * (1e4 + 0.375) ** 1.5, rel=1e-3)
+    if d == 4:
+        # the limit scales like R^{-(d-1)/2} at fixed eps; compare with R = 1e4 + eps
+        ref = limiting_error(_x(d, 1e4 + 0.375), UNIT, Method.BESSEL_SERIES).value
+        assert res.value * R ** 1.5 == pytest.approx(ref * (1e4 + 0.375) ** 1.5, rel=1e-3,
+                                                     abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +649,44 @@ def test_auto_route_table(d, R, route):
 
 
 def test_auto_falls_back_to_quadrature_with_an_honest_estimate():
-    # the order-20 series cancels below binary64 resolution at d = 40
+    # the order-82.5 polylogarithms run past their table's depth at d = 165;
+    # the quadrature's estimate exceeds its value there, but covers its error
     mpmath = pytest.importorskip("mpmath")
     with pytest.raises(PrecisionExhausted):
-        limiting_error(_x(40, 100.375), UNIT, Method.BESSEL_SERIES)
-    res = limiting_error(_x(40, 100.375), UNIT, Method.AUTO)
+        limiting_error(_x(165, 5000.3), UNIT, Method.BESSEL_SERIES)
+    res = limiting_error(_x(165, 5000.3), UNIT, Method.AUTO)
     assert res.method == Method.QUADRATURE
-    assert abs(res.value - _breakpoint_sum_limit(mpmath, 40, 100.375)) <= res.error_estimate
+    assert res.error_estimate >= res.value
+    assert abs(res.value - _breakpoint_sum_limit(mpmath, 165, 5000.3)) <= res.error_estimate
+
+
+# at large d the value is far above the scale delta^s / r^(s-1) (~5e5 times
+# at d = 40, R = 100.375), so 1e-10 of the scale asked the series for less
+# than its own rounding; 1e-10 of the value is what it reaches at K = 0
+_RELATIVE_TARGET_POINTS = [(40, 100.375), (40, 1000.3), (40, 10000.3), (41, 1e6 + 0.3),
+                           (41, 1e9 + 0.3), (63, 1e9 + 0.3), (21, 1e12 + 0.3)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d, R", _RELATIVE_TARGET_POINTS)
+def test_auto_takes_the_series_under_the_relative_default_target(d, R):
+    # these exited 3 or printed an unresolved quadrature under the
+    # scale-based target alone
+    res = limiting_error(_x(d, R), UNIT)
+    assert (res.method, res.truncation_K) == (Method.BESSEL_SERIES, 0)
+    assert 0 < res.error_estimate <= 1e-10 * res.value
+    if d == 40:
+        pytest.importorskip("mpmath")
+        ref = _benchmark_oracle().limit_oracle(d, R, 1.0)
+        assert abs(res.value - ref) <= res.error_estimate, (res, ref)
+
+
+def test_an_explicit_tol_keeps_its_absolute_meaning():
+    # 1e-10 of the value is met at d = 40, R = 100.375, an absolute 1e-50 is not
+    res = limiting_error(_x(40, 100.375), UNIT, Method.BESSEL_SERIES)
+    assert res.error_estimate > 1e-50
+    with pytest.raises(PrecisionExhausted):
+        limiting_error(_x(40, 100.375), UNIT, Method.BESSEL_SERIES, tol=1e-50)
 
 
 @pytest.mark.parametrize("d", [500, 501])
@@ -807,32 +840,30 @@ def test_grid_rows_equal_limiting_error_at_each_point(d, eps):
     assert routes[2:] == [Method.BESSEL_SERIES] * (len(deltas) - 2)
 
 
-def test_grid_falls_back_to_quadrature_row_by_row(monkeypatch):
-    # at d = 40 the series cancels below binary64 at every R; at R = 50.3
-    # too, the quadrature's rounding floor misses the target, so all three
-    # rows leave the ladder at its first climbed rung and take the
-    # quadrature, as AUTO does at each point
-    from framepcm import special_fn
-
-    rungs = []
-    direct = special_fn._alt_sum_direct
-    monkeypatch.setattr(special_fn, "_alt_sum_direct",
-                        lambda *args: rungs.append(args[3]) or direct(*args))
-    grid = _grid_equals_points(40, 1.0, [1.0 / 100.375, 1.0 / 50.3, 1.0 / 1000.375])
+def test_grid_falls_back_to_quadrature_row_by_row():
+    # at d = 165 the order-82.5 polylogarithms run past their table's depth
+    # at every R, so the series rows of the grid take the quadrature, as
+    # AUTO does at each point; at R = 50.3 AUTO takes the quadrature first
+    grid = _grid_equals_points(165, 1.0, [1.0 / 5000.3, 1.0 / 50.3, 1.0 / 1000.375])
     assert [res.method for res in grid] == [Method.QUADRATURE] * 3
-    assert rungs == [64] * 6  # each row of the grid, then each single point
+    with pytest.raises(PrecisionExhausted):
+        limiting_error(_x(165, 5000.3), UNIT, Method.BESSEL_SERIES)
 
 
-def test_grid_rows_climbing_past_the_first_rung_beside_rows_that_stop_there():
+def test_grid_rows_the_series_cannot_serve_beside_rows_it_serves():
     # at d = 10 and tol 1e-17 Hankel's expansion at 2 pi R cannot reach the
-    # target for the first two points, which need K = 1024 and 256; the
-    # quadrature's rounding floor misses it too, so every point takes the
-    # series
-    Rs = [2.7, 2.9, 3.3, 20.3, 100.375, 150.50003]
+    # target at R = 2.7, and the quadrature's rounding floor misses it too,
+    # so that point raises, alone or in a grid; the rows beside it resolve
+    # at K = 0 and do not depend on it
+    from framepcm import limiting_error_grid
+
+    Rs = [3.3, 20.3, 100.375, 150.50003]  # the last: eps within 1e-4 of 1/2
     grid = _grid_equals_points(10, 1.0, [1.0 / R for R in Rs], tol=1e-17)
-    assert [res.method for res in grid] == [Method.BESSEL_SERIES] * 6
-    Ks = [res.truncation_K for res in grid]
-    assert Ks[0] > 256 and Ks[1] > 64 and Ks[2:] == [0] * 4  # Rs[5]: eps within 1e-4 of 1/2
+    assert [(res.method, res.truncation_K) for res in grid] == [(Method.BESSEL_SERIES, 0)] * 4
+    with pytest.raises(PrecisionExhausted):
+        limiting_error(_x(10, 2.7), UNIT, tol=1e-17)
+    with pytest.raises(PrecisionExhausted):
+        limiting_error_grid(10, 1.0, [1.0 / R for R in [2.7] + Rs], tol=1e-17)
 
 
 def test_grid_of_nine_equals_its_nine_single_point_grids():
@@ -858,21 +889,3 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         limiting_error_grid(3, 1.0, [0.1, -0.2])
     assert limiting_error_grid(3, 1.0, []) == []
-
-
-def test_auto_fall_back_stops_the_series_at_its_first_rung(monkeypatch):
-    # d = 40, R = 100.375: the series' direct part alone exceeds the target
-    # at K = 64, so AUTO falls back after one rung instead of climbing the
-    # whole ladder; the route, value and estimate are the quadrature's
-    from framepcm import special_fn
-
-    rungs = []
-    direct = special_fn._alt_sum_direct
-    monkeypatch.setattr(special_fn, "_alt_sum_direct",
-                        lambda *args: rungs.append(args[3]) or direct(*args))
-    res = limiting_error(_x(40, 100.375), UNIT)
-    assert rungs == [64]
-    quad = limiting_error(_x(40, 100.375), UNIT, Method.QUADRATURE)
-    assert (res.method, res.value, res.error_estimate) == (Method.QUADRATURE, quad.value,
-                                                            quad.error_estimate)
-    assert res == quad

@@ -65,10 +65,10 @@ def _one_call_per_target(outdir):
         ("framepcm.bounds", "limiting_error"): lambda: framepcm.bounds.limiting_error(
             [10.3, 0.0, 0.0], QuantScheme(1.0), Method.BESSEL_SERIES),
         ("framepcm.limit_error", "_quad_integral"): quadrature,
-        # at R = 1.3 the order-1 sum needs a direct part (K = 64), whose size
-        # the tracer reads from res[1]; at K = 0 it would count no terms
+        # the tracer reads the direct part's size from res[1], which is 0:
+        # the alternating sum has no direct part
         ("framepcm.limit_error", "alternating_bessel_sum_info"):
-            lambda: limit_error.alternating_bessel_sum_info(1.0, 1.3, 1e-10),
+            lambda: limit_error.alternating_bessel_sum_info(2.0, 10.25, 1e-10),
         # limit_error no longer calls it, so the call is made through its copy
         ("framepcm.limit_error", "gauss_legendre"): lambda: limit_error.gauss_legendre(8),
         ("framepcm.special_fn", "gauss_legendre"): cli("bessel", "--orders", "1", "--xs", "3.0"),
@@ -123,6 +123,9 @@ def test_every_target_records_a_span_with_its_counts(tmp_path, capsys):
         span = "limit_error.series" if callable(name) else name
         recorded = [node for path, node in nodes.items() if path[-1] == span]
         assert recorded, (module, attr, span)
-        if counts is not None:
+        if attr == "alternating_bessel_sum_info":
+            assert all(node.counts == {"direct_terms": 0} for node in recorded), (
+                [n.counts for n in recorded])
+        elif counts is not None:
             assert all(node.counts and all(v > 0 for v in node.counts.values())
                        for node in recorded), (module, attr, [n.counts for n in recorded])

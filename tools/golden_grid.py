@@ -11,7 +11,9 @@ recorded as ``raise <Type>: <message>``.  The grid:
 
 * ``limiting_error`` by its default route (``limit/default``), by
   quadrature and by the Bessel series, and ``monte_carlo_limit``, at
-  d = 2..12, R = r/delta in RS, delta in DELTAS;
+  d = 2..12, R = r/delta in RS, delta in DELTAS, and by its default
+  route at the large-d points LARGE_D (delta = 1), where the default
+  target is 1e-10 of the value rather than of the scale;
 * ``lower_bound`` and ``sandwich_check`` with both kernel phases on the
   same points (d >= 3);
 * ``bessel_large_x`` at XS and ``alternating_bessel_sum_info`` at
@@ -86,6 +88,9 @@ FRAMES = (("harmonic", 2, 7), ("harmonic", 2, 20_000), ("fibonacci", 3, 500),
           ("random", 8, 20_000))
 EQUIDIST_DEGREE = 4
 ALT_SUM_TOL = 1e-10
+# (d, R): large d, where the value is far above the scale delta^s / r^(s-1)
+LARGE_D = ((40, 100.375), (40, 1000.3), (40, 10000.3), (41, 1e6 + 0.3), (41, 1e9 + 0.3),
+           (63, 1e9 + 0.3), (21, 1e12 + 0.3))
 COMB_MAX = 24  # the top of the benchmark's verify --max range
 # the k of framepcm bounds --slope at its defaults --kmin 100 --kmax 1000 --points 9
 SLOPE_KS = np.unique(np.round(np.logspace(2, 3, 9)).astype(int))
@@ -156,6 +161,11 @@ def golden() -> dict:
                             lambda: lower_bound(d, r, delta, order_matched_phase=matched))
                     _record(out, f"sandwich/matched={matched}/{at}",
                             lambda: sandwich_check(d, r, delta, order_matched_phase=matched))
+    for d, R in LARGE_D:
+        x = np.zeros(d)
+        x[0] = R
+        _record(out, f"limit/default/d={d}/R={R!r}/delta=1.0",
+                lambda: limiting_error(x, QuantScheme(1.0)))
     for order in ORDERS:
         for x in XS:
             _record(out, f"bessel_large_x/order={order!r}/x={x!r}",
