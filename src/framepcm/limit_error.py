@@ -171,16 +171,15 @@ def parity_split(d: int) -> ParitySplit:
 
 def angular_constant(d: int) -> float:
     """c_d = (surface of S^{d-2}) / (surface of S^{d-1}); satisfies
-    c_d * int_0^pi sin^{d-2} = 1."""
+    c_d * int_0^pi sin^{d-2} = 1.  With u = cos theta the integral is 2 G at
+    d - 2, G(d) = int_0^1 (1 - u^2)^{(d-1)/2} du of :func:`_smooth_coef`, and
+    G(d) = G(d - 2) (d - 1)/d, so c_d = (d - 1) / (2 d G(d)) is one integer
+    ratio rounded once; G(d) is the one the quadrature at d takes."""
     if d < 2:
         raise ValueError("need d >= 2")
-    if d < 344:
-        return math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d - 1) / 2.0))
-    # math.gamma overflows; ln Gamma(y + 1/2) - ln Gamma(y) from the Stirling
-    # series (DLMF 5.11.8), whose next term is below 1e-18 at y >= 171.5
-    t = 2.0 / (d - 1)
-    log_ratio = -t / 8.0 + t ** 3 / 192.0 - t ** 5 / 640.0 + 17.0 * t ** 7 / 14336.0
-    return math.sqrt((d - 1) / (2.0 * math.pi)) * math.exp(log_ratio)
+    d = int(d)  # a numpy int would overflow 4^n
+    num, den = _smooth_coef(d)
+    return (d - 1) * den / (2 * d * num)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +501,10 @@ def limiting_error(x, scheme: QuantScheme, method=Method.AUTO,
 
 def _lifted(dcd: float, res: _Integral) -> LimitErrorResult:
     """The limiting error d c_d |integral| of a 1-D integral; dcd = d c_d.
-    The estimate adds 4 EPS of the value for the lift: d c_d was within 3 EPS
-    of mpmath at d = 2..399, 500, 1000, 5000, 1e4 and 1e5."""
+    The estimate adds 4 EPS of the value for the lift: c_d is an exact ratio
+    rounded once (within 0.48 EPS of 50-digit mpmath at d = 2..399, 500,
+    1000, 5000, 1e4 and 1e5), d c_d within 0.84 EPS, and the product adds
+    one more rounding."""
     value = dcd * abs(res.value)
     return LimitErrorResult(
         value=value,

@@ -9,9 +9,10 @@ against each other:
   alternating-series tail bound plus an explicit rounding budget.  Only
   certifiable in binary64 for moderate arguments (cancellation grows like
   e^x), so the other routes take over for large x.
-* ``bessel_integral_int_order`` -- for integer order, one Gauss-Legendre
-  rule on (1/pi) int_0^pi cos(n*t - x sin t) dt, its size chosen a priori
-  from the Bernstein-ellipse bound for analytic integrands.
+* ``bessel_integral_int_order`` -- for integer order, the trapezoidal rule
+  on Bessel's integral (1/2pi) int_0^{2pi} cos(n*t - x sin t) dt, whose
+  integrand is periodic: it errs only by aliased Bessel values, so its
+  size follows a priori from their bound.
 * ``bessel_half_order``  -- for half-integer order, the closed sin/cos
   forms propagated by the spherical upward recurrence (falls back to the
   series when x < order, where upward recurrence is unstable).
@@ -53,7 +54,6 @@ table serves ``bessel_large_x``.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import sys
@@ -78,22 +78,8 @@ __all__ = [
 
 EPS = float(np.finfo(float).eps)
 
-# ``bessel_integral_int_order``: the node counts it may use (16 {1, 3/2} 2^k
-# up to its budget of 8192), the quadrature error it targets, and the
-# ellipse parameters rho it tries, 1 + 2^{j/2 - 4} for j = 0..14 (the best
-# rho falls towards 1 as x grows: about 1.5 at x = 400, 1.13 at x = 1e4)
-_INT_ORDER_LADDER = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048,
-                     3072, 4096, 6144, 8192)
-_INT_ORDER_TARGET = EPS
-_INT_ORDER_RHO = 1.0 + 2.0 ** (np.arange(15) / 2.0 - 4.0)
-# the m that meets the target at rho is n A + x B + C, with A = eta / (2 log rho),
-# B = sinh(eta) / (2 log rho), C = 1 + log((32/15) / ((rho^2 - 1) target)) / (2 log rho)
-_eta = math.pi * (_INT_ORDER_RHO - 1.0 / _INT_ORDER_RHO) / 4.0
-_lr2 = 2.0 * np.log(_INT_ORDER_RHO)
-_INT_ORDER_A = _eta / _lr2
-_INT_ORDER_B = np.sinh(_eta) / _lr2
-_INT_ORDER_C = 1.0 + np.log(32.0 / 15.0 / ((_INT_ORDER_RHO ** 2 - 1.0) * _INT_ORDER_TARGET)) / _lr2
-del _eta, _lr2
+# ``bessel_integral_int_order``: the largest rule it may take (x up to ~1.2e4)
+_TRAPEZOID_BUDGET = 16384
 
 
 def _series_domain_max(order: float) -> float:
@@ -152,7 +138,10 @@ def _require_half_integer(order: float) -> int:
 
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int):
-    """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
+    """Cached Gauss-Legendre nodes/weights on [-1, 1].
+
+    No route of the package calls it; it stays because
+    ``perfbench/tracing.py`` wraps it and reads its cache."""
     return np.polynomial.legendre.leggauss(n)
 
 
@@ -250,48 +239,51 @@ def bessel_series(order: float, x: float, tol: float) -> BesselEval:
 # integral route (integer order)
 # ---------------------------------------------------------------------------
 
-def _int_order_nodes(n: int, x: float):
-    """The node count of :func:`bessel_integral_int_order` at (n, x), or None
-    past the budget ``_INT_ORDER_LADDER[-1]``.
-
-    The integrand g(s) = cos(n t - x sin t), t = pi (s + 1)/2, is entire:
-    on the Bernstein ellipse E_rho |Im t| <= eta = pi (rho - 1/rho)/4, so
-    |g| <= cosh(n eta + x sinh eta) <= e^{n eta + x sinh eta}.  The
-    m-point rule errs on (1/2) int g by at most
-    (32/15) e^{n eta + x sinh eta} rho^{-2(m-1)} / (rho^2 - 1) (Trefethen,
-    ATAP Thm 19.3); the smallest m over ``_INT_ORDER_RHO`` that takes this
-    below ``_INT_ORDER_TARGET`` is rounded up on the ladder.
-    """
-    need = float((n * _INT_ORDER_A + x * _INT_ORDER_B + _INT_ORDER_C).min())
-    i = bisect.bisect_left(_INT_ORDER_LADDER, need)
-    return _INT_ORDER_LADDER[i] if i < len(_INT_ORDER_LADDER) else None
-
-
 def bessel_integral_int_order(n: int, x: float) -> BesselEval:
-    """J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt by one Gauss-Legendre rule.
+    """J_n(x) = (1/2pi) int_0^{2pi} cos(n t - x sin t) dt by the m-point
+    trapezoidal rule, at its m/2 + 1 nodes in [0, pi] (the integrand is
+    symmetric about pi).
 
-    The integrand is entire, so the rule's size follows a priori from the
-    Bernstein-ellipse bound (:func:`_int_order_nodes`) before any node is
-    built, and a J_n(x) past the 8192-node budget (x beyond ~1e4) raises
-    ``PrecisionExhausted`` without building one.  The bound is the
-    quadrature target plus a rounding allowance: 4 m EPS for the m-term
-    sum, the weights and the nodes, and 10 (x + n) EPS for the rounding of
-    the argument n t - x sin t, whose size is up to n pi + x.  Serves as an
-    independent oracle for the series route.
+    The integrand is 2pi-periodic, so by Jacobi-Anger (DLMF 10.12.1) the
+    rule returns sum_j J_{n-jm}(x): it errs by J_{jm+n} and +-J_{jm-n},
+    j >= 1, all of order at least k = m - n.  For k >= x/2 their majorants
+    (x/2)^nu / nu! (DLMF 10.14.4) decrease in nu and shrink along each
+    chain by rho = (x/2)^m k!/(k + m)! <= (x/2)^k / k! per step, so the
+    error is at most 2 (x/2)^k / k! / (1 - rho) < 2.01 (x/2)^k / k!.  m is
+    n plus the least k that takes this below EPS, by bisection on
+    k ln(x/2) - lgamma(k + 1), rounded up to even, and is fixed before any
+    node is evaluated: past ``_TRAPEZOID_BUDGET`` nodes (x beyond ~1.2e4,
+    and x = inf) it raises ``PrecisionExhausted``.  The bound is EPS plus a
+    rounding allowance: 4 m EPS for the sum and the nodes, and 10 (x + n)
+    EPS for the argument n t - x sin t, of size up to n pi + x.  Serves as
+    an independent oracle for the series route.
     """
     if n != int(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     if not x >= 0:  # nan too
         raise ValueError("argument must be nonnegative")
     n = int(n)
-    m = _int_order_nodes(n, x)
-    if m is None:
+    log_half_x = math.log(x) - math.log(2.0) if x > 0 else -math.inf
+    log_target = math.log(EPS / 2.01)
+
+    def misses(k: int) -> bool:
+        return k * log_half_x - math.lgamma(k + 1.0) > log_target
+
+    # (e x/2k)^k / (e sqrt(k)) <= (x/2)^k / k! <= (e x/2k)^k: every k <= e x/2
+    # misses the target, and k = e x/2 + 37 meets it, e^-37 < EPS/2.01
+    lo = math.floor(min(0.5 * math.e * x, _TRAPEZOID_BUDGET))
+    hi = min(lo + 38, _TRAPEZOID_BUDGET - n)
+    if hi <= lo or misses(hi):
         raise PrecisionExhausted(
-            f"quadrature for J_{n}({x}) needs more than {_INT_ORDER_LADDER[-1]} nodes")
-    nodes, weights = gauss_legendre(m)
-    t = 0.5 * math.pi * (nodes + 1.0)
-    val = 0.5 * float(np.dot(weights, np.cos(n * t - x * np.sin(t))))
-    return BesselEval(n, x, val, _INT_ORDER_TARGET + (4 * m + 10 * (x + n)) * EPS)
+            f"trapezoidal rule for J_{n}({x}) needs more than {_TRAPEZOID_BUDGET} nodes")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if misses(mid) else (lo, mid)
+    m = n + hi + (n + hi) % 2
+    t = np.arange(m // 2 + 1) * (2.0 * math.pi / m)
+    g = np.cos(n * t - x * np.sin(t))
+    val = float(2.0 * g.sum() - g[0] - g[-1]) / m
+    return BesselEval(n, x, val, EPS + (4 * m + 10 * (x + n)) * EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +367,6 @@ def asymptotic_estimate(order: float, x: float) -> AsymptoticEnvelope:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def _hankel_coeffs(order: float, jmax: int) -> tuple[float, ...]:
-    """a_0..a_jmax with a_j = prod_{i<=j} (4 order^2 - (2i-1)^2) / (8^j j!)."""
-    a = [1.0]
-    for j in range(1, jmax + 1):
-        a.append(a[-1] * (4.0 * order * order - (2 * j - 1) ** 2) / (8.0 * j))
-    return tuple(a)
-
-
-@lru_cache(maxsize=128)
 def _hankel_ratios(order: float, jmax: int) -> np.ndarray:
     """a_j / a_{j-1} = (4 order^2 - (2j-1)^2) / (8j) for j = 1..jmax."""
     j = np.arange(1, jmax + 1)
@@ -393,12 +376,13 @@ def _hankel_ratios(order: float, jmax: int) -> np.ndarray:
 
 
 def _hankel_plan(order: float, x, spare: int):
-    """Coefficients, terms and truncation points of the Hankel sums P, Q.
+    """Terms and truncation points of the Hankel sums P, Q.
 
-    ``x`` is an argument or a 1-D array of them.  Returns (a, terms, lp,
-    lq): a = a_0..a_jmax, ``terms[i, j] = a_j / x_i^j`` built as running
-    ratios (a power of x is never formed, so large x underflows the terms
-    instead of overflowing), and per argument P keeps lp terms, Q keeps lq.
+    ``x`` is an argument or a 1-D array of them.  Returns (terms, lp, lq):
+    ``terms[i, j] = a_j / x_i^j``, j = 0..jmax, with a_j = prod_{i<=j}
+    (4 order^2 - (2i-1)^2) / (8^j j!), built as running ratios (a power of
+    x is never formed, so large x underflows the terms instead of
+    overflowing), and per argument P keeps lp terms, Q keeps lq.
     For real order >= 0 and x > 0 the remainder after the retained terms
     is bounded by the first omitted term provided enough terms are kept
     (2*lp >= order - 1/2 for P, 2*lq + 1 >= order - 1/2 for Q; DLMF
@@ -422,7 +406,7 @@ def _hankel_plan(order: float, x, spare: int):
     np.greater_equal(mag[:, 2:], mag[:, :-2], out=stop[:, :-2])
     lp = lp_min + np.argmax(stop[:, 2 * lp_min::2], axis=1)
     lq = lq_min + np.argmax(stop[:, 2 * lq_min + 1::2], axis=1)
-    return _hankel_coeffs(order, jmax), terms, lp, lq
+    return terms, lp, lq
 
 
 def _hankel_sums(order: float, x):
@@ -433,7 +417,7 @@ def _hankel_sums(order: float, x):
     per retained term of the retained |terms| of P and Q summed, at least
     a_0 = 1 (near x = 12 the terms of order 30 reach 1e10).
     """
-    _, terms, lp, lq = _hankel_plan(order, x, 26)
+    terms, lp, lq = _hankel_plan(order, x, 26)
     even, odd = terms[:, 0::2], terms[:, 1::2]
     m = np.arange(odd.shape[1])
     sign = np.where(m % 2, -1.0, 1.0)
@@ -722,7 +706,7 @@ def _alt_sum_tail(order: float, R, beta):
     the other rows.
     """
     twopiR = 2.0 * math.pi * R
-    _, coef, lp, lq = _hankel_plan(order, twopiR, 18)
+    coef, lp, lq = _hankel_plan(order, twopiR, 18)
     top, half, odd, majorant, rot_re, rot_im = _tail_columns(order, coef.shape[1])
     # the retained terms: i < 2 lp for the P terms (even i), i < 2 lq for
     # Q; the first omitted ones: i = 2 lp and 2 lq + 1
@@ -741,7 +725,9 @@ def _alt_sum_tail(order: float, R, beta):
     tails = scale * np.array([math.fsum(row) if ok else 0.0
                               for row, ok in zip(terms.tolist(), finite.tolist())])
     bounds = scale * ((np.abs(coef) * np.where(kept, tb, 0.0)).sum(axis=1) + hankel)
-    return tails, np.where(finite, bounds, math.inf)
+    # a retained term that underflowed to 0 (large orders at large R) beside a
+    # phase sum of infinite bound makes the bound 0 inf = nan: it is inf
+    return tails, np.where(finite & ~np.isnan(bounds), bounds, math.inf)
 
 
 def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:

@@ -127,6 +127,45 @@ def test_series_verdict_fails_on_a_miss_beyond_both_estimates(tmp_path, capsys, 
     assert "quadrature vs series agreement: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("d, r", [("20", "12.3"), ("3", "4000000.7")])
+def test_series_verdict_is_uninformative_where_the_estimates_cover_the_difference(
+        tmp_path, capsys, d, r):
+    # the routes differ by 3.4e-15 at d = 20, R = 12.3 and by 2.3e-10 at
+    # d = 3, R = 4e6 + 0.7, inside the quadrature's estimates of 7.3e-14 and
+    # 2.0e-9: a referee that resolves only 3.8e-4 and 8.1e-3 of the value
+    # shows no disagreement, and no agreement within 1e-6 either
+    argv = ["limit", "--d", d, "--r", r, "--delta", "1", "--methods", "quadrature,bessel_series"]
+    assert run(tmp_path, *argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "quadrature vs series agreement: UNINFORMATIVE" in out
+    assert "relative accuracy" in out and "> 1.0e-06)" in out
+
+
+def test_monte_carlo_verdict_where_the_scale_leaves_binary64(tmp_path, capsys):
+    # at d = 500, R = 20.3 the scale delta^s / r^(s-1) underflows: the verdict
+    # measures the estimates against the value alone
+    assert run(tmp_path, "limit", "--d", "500", "--r", "20.3", "--delta", "1",
+               "--methods", "quadrature,monte_carlo", "--samples", "2000") == EXIT_OK
+    assert "quadrature vs Monte Carlo agreement: UNINFORMATIVE" in capsys.readouterr().out
+
+
+def test_series_verdict_fails_where_a_broken_estimate_misses_the_difference(
+        tmp_path, capsys, monkeypatch):
+    from framepcm import cli
+
+    real = cli.limiting_error
+
+    def overconfident(sig, scheme, method, tol):
+        res = real(sig, scheme, method=method, tol=tol)
+        return dataclasses.replace(res, error_estimate=1e-6 * res.error_estimate)
+
+    monkeypatch.setattr(cli, "limiting_error", overconfident)
+    argv = ["limit", "--d", "20", "--r", "12.3", "--delta", "1",
+            "--methods", "quadrature,bessel_series"]
+    assert run(tmp_path, *argv) == EXIT_CHECK_FAILED
+    assert "quadrature vs series agreement: FAIL" in capsys.readouterr().out
+
+
 def test_limit_rerun_from_config_reproduces(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -429,56 +429,64 @@ def test_alternating_sums_reject_a_nan_tol():
             alternating_bessel_sums(1.5, [10.3], [tol])
 
 
-def _ladder_crossings(n, top):
-    """x just below and just above each x where the rule of
-    bessel_integral_int_order(n, x) steps up the ladder, for x <= top."""
-    from framepcm.special_fn import _INT_ORDER_LADDER, _int_order_nodes
-
-    points = []
-    for below, above in zip(_INT_ORDER_LADDER, _INT_ORDER_LADDER[1:]):
-        if _int_order_nodes(n, 0.0) > below or _int_order_nodes(n, top) <= below:
-            continue
-        lo, hi = 0.0, top  # the node count is nondecreasing in x
-        while hi - lo > 1e-9 * hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if _int_order_nodes(n, mid) <= below else (lo, mid)
-        assert (_int_order_nodes(n, lo), _int_order_nodes(n, hi)) == (below, above)
-        points += [(n, lo), (n, hi)]
-    return points
-
-
 def test_bessel_integral_int_order_against_oracle():
-    # Bessel's integral J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt
-    # (DLMF 10.9.2) by one Gauss-Legendre rule, sized a priori from the
-    # Bernstein-ellipse bound: seeded points over n = 0..40, x in [0, 1000],
-    # and the points on either side of each step of the node ladder, where
-    # the rule below the step is the smallest that meets the target
+    # Bessel's integral J_n(x) = (1/2pi) int_0^2pi cos(n t - x sin t) dt
+    # (DLMF 10.9.2) by the trapezoidal rule, sized a priori from the bound
+    # on its aliased Bessel terms: seeded points over n = 0..40, x in
+    # [0, 1e4] and log-uniform x in [1e-12, 10], and x = 0
     mpmath = pytest.importorskip("mpmath")
-    draws = _oracle_draws(704, 300, list(range(0, 41)),
-                          lambda rng, n: rng.uniform(0.0, 1000.0))
-    crossings = [p for n in (0, 1, 7, 20, 40) for p in _ladder_crossings(n, 1000.0)]
-    assert len(crossings) >= 40
-    for n, x in [(0, 0.0), (40, 0.0)] + crossings + draws:
+    draws = _oracle_draws(704, 200, list(range(0, 41)), lambda rng, n: rng.uniform(0.0, 1e4))
+    small = _oracle_draws(705, 60, list(range(0, 41)), lambda rng, n: 10 ** rng.uniform(-12, 1))
+    for n, x in [(0, 0.0), (1, 0.0), (40, 0.0)] + draws + small:
         ev = bessel_integral_int_order(n, x)
         assert abs(ev.value - _besselj_50(mpmath, n, x)) <= ev.abs_error_bound, (n, x)
 
 
+def _least_rule(mpmath, n, x):
+    """n + the least k >= 1 with 2.01 (x/2)^k / k! <= EPS, rounded up to
+    even, by a linear scan in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        half, target = mpmath.mpf(x) / 2, mpmath.mpf(2) ** -52 / mpmath.mpf("2.01")
+        k, term = 1, mpmath.mpf(x) / 2
+        while term > target:
+            k += 1
+            term *= half / k
+    return n + k + (n + k) % 2
+
+
+class _CountingNumpy:
+    """numpy, with the sizes of the arrays passed to cos recorded."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, a):
+        self.sizes.append(np.size(a))
+        return np.cos(a)
+
+
 def test_bessel_integral_int_order_builds_one_rule(monkeypatch):
+    # one trapezoidal rule per call, its m/2 + 1 nodes on [0, pi] fixed
+    # before any is evaluated: m = n + the least k that meets the target
+    mpmath = pytest.importorskip("mpmath")
     from framepcm import special_fn
 
-    built = []
-    real = special_fn.gauss_legendre
-    monkeypatch.setattr(special_fn, "gauss_legendre", lambda m: built.append(m) or real(m))
-    for n, x in ((0, 0.0), (5, 0.7), (5, 120.0), (12, 400.0), (3, 1000.0)):
-        built.clear()
+    counting = _CountingNumpy()
+    monkeypatch.setattr(special_fn, "np", counting)
+    for n, x in ((0, 0.0), (5, 0.7), (0, 1e-300), (5, 120.0), (12, 400.0), (3, 1000.0),
+                 (40, 9999.9)):
+        counting.sizes.clear()
         bessel_integral_int_order(n, x)
-        assert built == [special_fn._int_order_nodes(n, x)], (n, x)
-    # past the 8192-node budget it raises before building a rule
-    built.clear()
-    for x in (1.1e4, 1e5, math.inf):
-        with pytest.raises(PrecisionExhausted, match="more than 8192 nodes"):
-            bessel_integral_int_order(1, x)
-    assert built == []
+        assert counting.sizes == [_least_rule(mpmath, n, x) // 2 + 1], (n, x)
+    # past the 16384-node budget it raises before evaluating a node
+    counting.sizes.clear()
+    for n, x in ((1, 1.25e4), (1, 1e5), (1, 1.7e308), (1, math.inf), (16384, 1.0)):
+        with pytest.raises(PrecisionExhausted, match="more than 16384 nodes"):
+            bessel_integral_int_order(n, x)
+    assert counting.sizes == []
     with pytest.raises(ValueError):
         bessel_integral_int_order(1, math.nan)
 
@@ -487,12 +495,22 @@ def test_cli_bessel_past_the_node_budget_exits_3_without_a_rule(monkeypatch, tmp
     from framepcm import special_fn
     from framepcm.cli import EXIT_PRECISION, main
 
-    def no_rule(m):
-        raise AssertionError(f"built a {m}-node rule")
-
-    monkeypatch.setattr(special_fn, "gauss_legendre", no_rule)
+    monkeypatch.setattr(special_fn, "np", None)  # any node would need numpy
     argv = ["--outdir", str(tmp_path), "bessel", "--orders", "1", "--xs", "1e5"]
     assert EXIT_PRECISION == 3 and main(argv) == EXIT_PRECISION
+
+
+def test_cli_bessel_takes_no_gauss_legendre_rule(monkeypatch, tmp_path):
+    from framepcm import special_fn
+    from framepcm.cli import EXIT_OK, main
+
+    def no_rule(m):
+        raise AssertionError(f"built a {m}-node Gauss-Legendre rule")
+
+    monkeypatch.setattr(special_fn, "gauss_legendre", no_rule)
+    argv = ["--outdir", str(tmp_path), "bessel", "--orders", "1", "2", "12",
+            "--xs", "0.5", "400", "9000"]
+    assert main(argv) == EXIT_OK
 
 
 @pytest.mark.parametrize("order", [0, 0.5, 3, 12.5])
@@ -702,7 +720,7 @@ def test_k0_sums_against_mpmath_one_row_and_batched():
             assert (one[0][0], one[1][0]) == (values[row], bounds[row]), (order, R, beta)
             if not bounds[row] < 1e-6 * max(abs(values[row]), 1e-3):
                 continue  # an uninformative bound (small R at integer orders)
-            _, _, lp, lq = _hankel_plan(order, 2 * math.pi * R, 18)
+            _, lp, lq = _hankel_plan(order, 2 * math.pi * R, 18)
             ref, rem = _k0_reference(mpmath, order, R, beta, int(lp[0]), int(lq[0]),
                                      1e-6 * bounds[row] * math.pi * math.sqrt(R))
             assert abs(values[row] - ref) <= bounds[row] - (1 - 1e-9) * rem, (order, R, beta)
@@ -725,3 +743,13 @@ def test_alternating_sums_at_large_orders_give_a_value_or_precision_exhausted(or
         if not isinstance(res, PrecisionExhausted):
             ev, _ = res
             assert math.isfinite(ev.value) and ev.abs_error_bound <= 1e-10, (order, R, res)
+
+
+@pytest.mark.parametrize("order", [81.5, 82.0])
+def test_a_term_that_underflows_beside_an_unbounded_phase_sum_gives_bound_inf(order):
+    # at R = 1e6 + 0.3 the retained Hankel terms past q = 160 underflow to 0
+    # where their polylogarithms, past the table's depth, have infinite
+    # bounds: 0 inf made the bound nan
+    (res,) = alternating_bessel_sums(order, [1e6 + 0.3], [1e-10])
+    assert isinstance(res, PrecisionExhausted) and res.achieved == math.inf
+    assert f"(order={order}, R=1000000.3) reached bound inf > tol 1.000e-10" in str(res)

@@ -47,6 +47,7 @@ def _one_call_per_target(outdir):
     import framepcm.combinatorics as comb
     import framepcm.frames as frames
     import framepcm.limit_error as limit_error
+    import framepcm.special_fn as special_fn
     from framepcm import Method, QuantScheme
     from framepcm.cli import main
 
@@ -69,9 +70,9 @@ def _one_call_per_target(outdir):
         # the alternating sum has no direct part
         ("framepcm.limit_error", "alternating_bessel_sum_info"):
             lambda: limit_error.alternating_bessel_sum_info(2.0, 10.25, 1e-10),
-        # limit_error no longer calls it, so the call is made through its copy
+        # no route calls it any more, so each call is made through the copy
         ("framepcm.limit_error", "gauss_legendre"): lambda: limit_error.gauss_legendre(8),
-        ("framepcm.special_fn", "gauss_legendre"): cli("bessel", "--orders", "1", "--xs", "3.0"),
+        ("framepcm.special_fn", "gauss_legendre"): lambda: special_fn.gauss_legendre(8),
         ("framepcm.cli", "monte_carlo_limit"): cli("limit", "--d", "3", "--r", "10.3", "--delta",
                                                    "1", "--methods", "monte_carlo",
                                                    "--samples", "1000"),
