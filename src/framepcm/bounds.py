@@ -49,7 +49,7 @@ import numpy as np
 # limiting_error is not called here but stays importable from this module:
 # perfbench/tracing.py wraps framepcm.bounds.limiting_error
 from .limit_error import (Method, ParitySplit, _base_coef, _checked_ratio,  # noqa: F401
-                          _integral_full, angular_constant, limiting_error,
+                          _integrals, angular_constant, limiting_error,
                           limiting_error_grid, parity_split)
 from .special_fn import PrecisionExhausted, _zeta_em
 
@@ -241,7 +241,7 @@ def sandwich_check(d: int, r: float, delta: float,
         return SandwichResult(math.nan, math.nan, None, None, unmet)
     lower = max(low_c, 0.0) * scale
     upper = up_c * scale
-    integral = _integral_full(r, delta, split, Method.AUTO, None)
+    (integral,) = _integrals(r, [delta], split, Method.AUTO, None)
     val = abs(integral.value)
     return SandwichResult(lower, upper, val, bool(lower <= val <= upper), "ok", integral.method)
 
@@ -257,7 +257,7 @@ def scaling_slope_fit(d: int, r: float, eps_fixed: float, k_range) -> float:
     The series points share one batched alternating Bessel sum, whose
     fixed cost they pay once: measured with one BLAS thread on a 2-vCPU
     VM at d = 3, 4, 8 and 12, a one-row call costs 0.053-0.054 ms and a
-    nine-row call 0.081-0.092 ms.  Each point's route, K, value and estimate
+    nine-row call 0.081-0.092 ms.  Each point's route, value and estimate
     are those of ``limiting_error`` at that point alone.  A point whose
     estimate is at least its value is unresolved: ``PrecisionExhausted``
     names it rather than fitting noise.  Requires eps_fixed inside the

@@ -211,6 +211,8 @@ def _verdict(label: str, ref, value: float, estimate: float, scale: float,
 
 
 def _cmd_limit(args, outdir: Path) -> int:
+    if not 0 < args.agree_rtol < math.inf:  # nan too: else no verdict could PASS
+        raise ValueError(f"--agree-rtol must be positive and finite, got {args.agree_rtol}")
     scheme = QuantScheme(args.delta)
     x = np.zeros(args.d)
     x[0] = args.r
@@ -254,6 +256,8 @@ def _cmd_limit(args, outdir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_bounds(args, outdir: Path) -> int:
+    if args.slope and not 1 <= args.kmin < args.kmax:  # the sweep is log-spaced
+        raise ValueError(f"need 1 <= --kmin < --kmax, got --kmin {args.kmin} --kmax {args.kmax}")
     failures = 0
     if args.r is not None:
         report = lower_bound(args.d, args.r, args.delta,

@@ -28,12 +28,13 @@ The 1-D integral is computed two ways that check each other:
   cosine-projection identities), delegated to
   ``special_fn.alternating_bessel_sums``.
 
-AUTO, the default, picks one of the two per call (``_auto_route``): the
+AUTO, the default, picks one of the two per delta (``_auto_route``): the
 quadrature below R = r/delta = 100 when its rounding bound meets the
 target, the series otherwise, and the quadrature again if the series
-raises ``PrecisionExhausted``.  The result names the route that ran.
-``limiting_error_grid`` applies the same rule at many delta for one (d, r),
-with the series points in one batched alternating sum.
+raises ``PrecisionExhausted``.  One dispatcher, ``_integrals``, runs every
+route at one or many delta for one (d, r), with the series points in one
+batched alternating sum, and returns one :class:`LimitErrorResult` per
+delta, which names the route that ran.
 
 ``monte_carlo_limit`` integrates the sphere integral directly and is the
 coarse referee for both, and the only route that reads x beyond ||x||.
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
@@ -72,8 +73,8 @@ __all__ = [
     "LIMIT_CSV_FIELDS",
 ]
 
-# default per-piece quadrature target and the samples drawn per Monte
-# Carlo batch
+# default per-piece quadrature target, relative to delta, and the samples
+# drawn per Monte Carlo batch
 DEFAULT_PIECE_TOL = 1e-10
 _MC_BATCH = 1 << 17
 # breakpoint-sum terms evaluated per numpy slice: bounds the quadrature's
@@ -105,11 +106,14 @@ def _as_method(method) -> Method:
 
 @dataclass(frozen=True)
 class LimitErrorResult:
+    """One route's result: the signed 1-D integral inside this module, the
+    limiting error d c_d |integral| outside it.  ``method`` is the route
+    that ran, never AUTO."""
+
     value: float
     method: Method
     error_estimate: float
     breakpoint_count: int | None = None
-    truncation_K: int | None = None
     sample_count: int | None = None
 
 
@@ -206,8 +210,9 @@ def _quad_plan(r: float, delta: float, d: int, tol: float | None):
 
     r = q delta + f exactly (divmod takes the exact f = fmod(r, delta) and
     rounds (r - f)/delta to q), so K = q + [f > delta/2] jumps u_k lie in
-    (0, 1).  The target is ``tol``, else DEFAULT_PIECE_TOL per piece of
-    [0, pi]; the estimate bounds the rounding a priori.  To first order in
+    (0, 1).  The target is ``tol``, else DEFAULT_PIECE_TOL delta per piece
+    of [0, pi], so that, like the estimate, it scales with (r, delta); the
+    estimate bounds the rounding a priori.  To first order in
     EPS, with e = (d - 1)/2 and t_k = (1 - u_k^2)^e: x_k = 1 - u_k errs by
     3 EPS/2 of itself, and t_k, a function of u_k through x_k (2 - x_k),
     follows it through its derivative, by 3 EPS/2 e h_k with h_k = 2 u_k
@@ -227,7 +232,7 @@ def _quad_plan(r: float, delta: float, d: int, tol: float | None):
     t_sum, h_sum = min(K, R * G + 1.0), min(K, R * (1.0 - G) / e + 1.0)
     estimate = 0.505 * EPS * (r * G / e + delta * ((2.0 + P / e) * t_sum + 3.0 * h_sum)
                               + 3.0 * min(r, 0.5 * delta) / e)
-    return q, f, K, estimate, tol if tol is not None else DEFAULT_PIECE_TOL * (2 * K + 1)
+    return q, f, K, estimate, tol if tol is not None else DEFAULT_PIECE_TOL * delta * (2 * K + 1)
 
 
 def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
@@ -323,28 +328,19 @@ def _auto_route(r: float, delta: float, split: ParitySplit, tol: float | None) -
     The quadrature below R = _AUTO_QUAD_MAX_R, where it is the cheaper one,
     provided its rounding bound (:func:`_quad_plan`) already meets both
     its own target and the one the series would work to, so that it never
-    refuses a point AUTO hands it; the series otherwise.  The bound rules
-    the quadrature out at d = 8, R = 20.3 and at d = 12 beyond R ~ 7.1.
-    ``PrecisionExhausted`` where the series' target leaves binary64.
+    refuses a point AUTO hands it, or where that series target leaves
+    binary64, so that the series could not run; the series otherwise.  The
+    bound rules the quadrature out at d = 8, R = 20.3 and at d = 12 beyond
+    R ~ 7.1.
     """
     if r / delta < _AUTO_QUAD_MAX_R:
         *_, estimate, target = _quad_plan(r, delta, split.sin_pow + 2, tol)
-        if estimate <= min(target, _series_target(r, delta, split, tol)):
+        try:
+            if estimate <= min(target, _series_target(r, delta, split, tol)):
+                return Method.QUADRATURE
+        except PrecisionExhausted:  # the series' target leaves binary64
             return Method.QUADRATURE
     return Method.BESSEL_SERIES
-
-
-class _Integral(NamedTuple):
-    value: float
-    error_estimate: float
-    breakpoint_count: int | None
-    truncation_K: int | None
-    method: Method  # the route that ran, never AUTO
-
-
-def _quad_full(r: float, delta: float, split: ParitySplit, tol: float | None) -> _Integral:
-    val, err, npieces = _quad_integral(r, delta, split.sin_pow, tol)
-    return _Integral(val, err, npieces, None, Method.QUADRATURE)
 
 
 def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | None) -> list:
@@ -358,8 +354,8 @@ def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | N
     rounding (d = 40, R = 100.375: 1.8e-18 of a sum of 9.9e-3, bounded to
     1.6e-15), so the sum runs with no target and the rule is applied to its
     result.
-    Returns per delta an ``_Integral``, or the ``PrecisionExhausted`` that
-    delta raised (returned, not raised).
+    Returns per delta a :class:`LimitErrorResult` of the signed integral, or
+    the ``PrecisionExhausted`` that delta raised (returned, not raised).
     """
     out: list = [None] * len(deltas)
     rows = []  # (point, prefactor, R, target of the alternating sum, phase of R)
@@ -377,7 +373,7 @@ def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | N
                                    [row[4] for row in rows])
     for (i, prefac, R, target, _), res in zip(rows, sums):
         if not isinstance(res, PrecisionExhausted):
-            ev, trunc_k = res
+            ev = res[0]
             bound, accept = ev.abs_error_bound, max(target, 1e-10 * abs(ev.value))
             if tol is None and not bound <= accept:
                 res = PrecisionExhausted(
@@ -385,55 +381,45 @@ def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | N
                     f"{bound:.3e} > {accept:.3e}, the larger of its target and 1e-10 of its "
                     f"value", achieved=bound)
             else:
-                res = _Integral(prefac * ev.value, abs(prefac) * bound, None, trunc_k,
-                                Method.BESSEL_SERIES)
+                res = LimitErrorResult(prefac * ev.value, Method.BESSEL_SERIES,
+                                       abs(prefac) * bound)
         out[i] = res
     return out
 
 
-def _auto_integrals(r: float, deltas: list, split: ParitySplit, tol: float | None) -> list:
-    """The 1-D integral by AUTO at every delta of ``deltas``.
+def _integrals(r: float, deltas: list, split: ParitySplit, method, tol: float | None) -> list:
+    """The signed 1-D integral by ``method`` at every delta of ``deltas``: one
+    :class:`LimitErrorResult` each, naming the route that ran, never AUTO.
 
-    Each delta takes the route ``_auto_route`` gives it, and the
-    quadrature where the series raises ``PrecisionExhausted`` (e.g. d = 165,
-    R = 5000.3, where the order-82.5 polylogarithms run past their table's
-    depth, or d = 500, R = 20.3, where the scale and the prefactor leave
-    binary64).
-    The series deltas share one :func:`_series_integrals` call; a delta's
-    route, K, value and estimate do not depend on the other deltas.
+    The series deltas share one :func:`_series_integrals` call: every delta
+    under BESSEL_SERIES, which raises the series' ``PrecisionExhausted``,
+    and under AUTO those :func:`_auto_route` gives the series.  Every other
+    delta takes the quadrature, and so does an AUTO delta where the series
+    raises ``PrecisionExhausted`` (e.g. d = 165, R = 5000.3, where the
+    order-82.5 polylogarithms run past their table's depth, or d = 500,
+    R = 20.3, where the scale and the prefactor leave binary64).  A delta's
+    route, value and estimate do not depend on the other deltas.
     """
-    series_at = []
-    for i, delta in enumerate(deltas):
-        try:
-            # the series' default target is relative to the scale, which
-            # can leave binary64 at large d
-            if _auto_route(r, delta, split, tol) == Method.BESSEL_SERIES:
-                series_at.append(i)
-        except PrecisionExhausted:
-            pass
-    series = dict(zip(series_at, _series_integrals(r, [deltas[i] for i in series_at], split, tol)))
+    for delta in deltas:
+        _checked_ratio(r, delta)
+    method = _as_method(method)
+    if method not in (Method.AUTO, Method.QUADRATURE, Method.BESSEL_SERIES):
+        raise ValueError(f"method {method} not available for the 1-D integrals")
+    first = [_auto_route(r, delta, split, tol) if method == Method.AUTO else method
+             for delta in deltas]  # the route each delta tries first
+    series_at = [i for i, route in enumerate(first) if route == Method.BESSEL_SERIES]
+    series = (dict(zip(series_at, _series_integrals(r, [deltas[i] for i in series_at], split, tol)))
+              if series_at else {})
     out = []
     for i, delta in enumerate(deltas):
         res = series.get(i)
-        out.append(res if isinstance(res, _Integral) else _quad_full(r, delta, split, tol))
-    return out
-
-
-def _integral_full(r, delta, split: ParitySplit, method, tol) -> _Integral:
-    """The 1-D integral by ``method``; AUTO resolves to the route that runs
-    (see :func:`_auto_integrals`)."""
-    _checked_ratio(r, delta)
-    method = _as_method(method)
-    if method == Method.AUTO:
-        return _auto_integrals(r, [delta], split, tol)[0]
-    if method == Method.QUADRATURE:
-        return _quad_full(r, delta, split, tol)
-    if method == Method.BESSEL_SERIES:
-        (res,) = _series_integrals(r, [delta], split, tol)
-        if isinstance(res, PrecisionExhausted):
+        if isinstance(res, PrecisionExhausted) and method == Method.BESSEL_SERIES:
             raise res
-        return res
-    raise ValueError(f"method {method} not available for the 1-D integrals")
+        if not isinstance(res, LimitErrorResult):
+            value, estimate, pieces = _quad_integral(r, delta, split.sin_pow, tol)
+            res = LimitErrorResult(value, Method.QUADRATURE, estimate, pieces)
+        out.append(res)
+    return out
 
 
 def _checked_n(n) -> int:
@@ -451,14 +437,14 @@ def integral_even(r: float, delta: float, n: int, method=Method.AUTO,
     piece gives the closed Beta-type value; QUADRATURE handles that case
     naturally.
     """
-    return _integral_full(r, delta, parity_split(2 * _checked_n(n)), method, tol).value
+    return _integrals(r, [delta], parity_split(2 * _checked_n(n)), method, tol)[0].value
 
 
 def integral_odd(r: float, delta: float, n: int, method=Method.AUTO,
                  tol: float | None = None) -> float:
     """int_0^pi Delta(r cos t) cos t sin^{2n-1} t dt by the chosen route
     (default AUTO)."""
-    return _integral_full(r, delta, parity_split(2 * _checked_n(n) + 1), method, tol).value
+    return _integrals(r, [delta], parity_split(2 * _checked_n(n) + 1), method, tol)[0].value
 
 
 # ---------------------------------------------------------------------------
@@ -495,24 +481,18 @@ def limiting_error(x, scheme: QuantScheme, method=Method.AUTO,
                          "monte_carlo_limit(x, scheme, samples, seed)")
     if sig.r == 0.0:
         return LimitErrorResult(0.0, Method.QUADRATURE if method == Method.AUTO else method, 0.0)
-    res = _integral_full(sig.r, scheme.delta, parity_split(d), method, tol)
+    (res,) = _integrals(sig.r, [scheme.delta], parity_split(d), method, tol)
     return _lifted(d * angular_constant(d), res)
 
 
-def _lifted(dcd: float, res: _Integral) -> LimitErrorResult:
+def _lifted(dcd: float, res: LimitErrorResult) -> LimitErrorResult:
     """The limiting error d c_d |integral| of a 1-D integral; dcd = d c_d.
     The estimate adds 4 EPS of the value for the lift: c_d is an exact ratio
     rounded once (within 0.48 EPS of 50-digit mpmath at d = 2..399, 500,
     1000, 5000, 1e4 and 1e5), d c_d within 0.84 EPS, and the product adds
     one more rounding."""
     value = dcd * abs(res.value)
-    return LimitErrorResult(
-        value=value,
-        method=res.method,
-        error_estimate=dcd * res.error_estimate + 4 * EPS * value,
-        breakpoint_count=res.breakpoint_count,
-        truncation_K=res.truncation_K,
-    )
+    return replace(res, value=value, error_estimate=dcd * res.error_estimate + 4 * EPS * value)
 
 
 def limiting_error_grid(d: int, r: float, deltas, tol: float | None = None) -> list:
@@ -523,17 +503,15 @@ def limiting_error_grid(d: int, r: float, deltas, tol: float | None = None) -> l
     time; the series points share one :func:`alternating_bessel_sums`
     call, so the series' fixed cost is paid once per grid, not per point.
     A series point that raises ``PrecisionExhausted`` falls back to the
-    quadrature on its own, as AUTO does.  A point's route, K, value and
+    quadrature on its own, as AUTO does.  A point's route, value and
     estimate do not depend on the other deltas: each equals
     ``limiting_error(x, QuantScheme(delta))`` for any x with ||x|| = r.
     """
     if d < 2:
         raise ValueError("need dimension >= 2")
-    deltas = [float(delta) for delta in deltas]
-    for delta in deltas:
-        _checked_ratio(r, delta)
+    results = _integrals(r, [float(delta) for delta in deltas], parity_split(d), Method.AUTO, tol)
     dcd = d * angular_constant(d)
-    return [_lifted(dcd, res) for res in _auto_integrals(r, deltas, parity_split(d), tol)]
+    return [_lifted(dcd, res) for res in results]
 
 
 def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitErrorResult:

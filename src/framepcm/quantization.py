@@ -15,9 +15,12 @@ of the package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .special_fn import PrecisionExhausted
 
 __all__ = [
     "QuantScheme",
@@ -65,6 +68,9 @@ class SignalSpec:
                              + ", ".join(f"x[{i}] = {x[i]}" for i in bad[:8]))
         with np.errstate(over="ignore"):
             r = float(np.linalg.norm(x))
+        if r == math.inf:  # the squares overflow: scale by a power of 2 near max |x_i|
+            scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(x))))[1])
+            r = float(np.linalg.norm(x * scale)) / scale
         R = r / scheme.delta
         if not math.isfinite(R):
             raise ValueError(f"signal norm / delta overflows ({r} / {scheme.delta})")
@@ -132,8 +138,16 @@ def quantize_and_reconstruct(x, frame, scheme: QuantScheme):
 def wnh_mse(d: int, N: int, scheme: QuantScheme) -> float:
     """Mean-square reconstruction error ``d^2 delta^2 / (12 N)`` predicted
     when the coefficient errors are modeled as i.i.d. uniform noise on
-    ``(-delta/2, delta/2)``.
+    ``(-delta/2, delta/2)``; ``PrecisionExhausted`` where it overflows or
+    underflows below the normal range.
     """
     if d < 1 or N < 1:
         raise ValueError("d and N must be positive integers")
-    return d * d * scheme.delta ** 2 / (12.0 * N)
+    try:
+        mse = d * d * scheme.delta ** 2 / (12.0 * N)
+    except OverflowError:
+        mse = math.inf
+    if not sys.float_info.min <= mse < math.inf:
+        raise PrecisionExhausted(f"the WNH MSE leaves binary64 (d={d}, N={N}, "
+                                 f"delta={scheme.delta})")
+    return mse

@@ -343,7 +343,8 @@ def asymptotic_estimate(order: float, x: float) -> AsymptoticEnvelope:
     ``omega = pi*order/2 + pi/4``; the residual bound is
     ``c * |order^2 - 1/4| * x^{-3/2}`` with the branch constant c chosen by
     (|order| <= 1/2) -> (2/pi)^{3/2}; (x >= sqrt(mu), order > 1/2) ->
-    sqrt(2)/2; (0 < x < sqrt(mu), order > 1/2) -> 5/4.
+    sqrt(2)/2; (0 < x < sqrt(mu), order > 1/2) -> 5/4.  It is inf where
+    x^{-3/2} overflows.
     """
     if not x > 0:
         raise ValueError("need x > 0")
@@ -351,15 +352,12 @@ def asymptotic_estimate(order: float, x: float) -> AsymptoticEnvelope:
     mu = abs(order * order - 0.25)
     c = _branch_c(order, x, mu)
     main = math.sqrt(2.0 / (math.pi * x)) * math.cos(x - omega)
-    return AsymptoticEnvelope(
-        order=order,
-        argument=x,
-        main_term=main,
-        omega=omega,
-        mu=mu,
-        c=c,
-        residual_bound=c * mu * x ** -1.5,
-    )
+    try:
+        residual = c * mu * x ** -1.5
+    except OverflowError:  # x below ~1e-205: the envelope says nothing there
+        residual = math.inf
+    return AsymptoticEnvelope(order=order, argument=x, main_term=main, omega=omega, mu=mu, c=c,
+                              residual_bound=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +429,14 @@ def _hankel_sums(order: float, x):
     return P, Q, bP, bQ
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing terms come out (0, inf)
 def bessel_large_x(order: float, x: float) -> BesselEval:
     """J_order(x) from Hankel's expansion; certified, exact for half-integers.
 
     value = sqrt(2/(pi x)) [cos(x - omega) P - sin(x - omega) Q].  Intended
     for x comfortably above the order; the bound honestly blows up when the
-    expansion cannot reach precision.
+    expansion cannot reach precision, and is inf, with value 0, where its
+    terms overflow.
     """
     if not x > 0:
         raise ValueError("need x > 0")
@@ -444,6 +444,8 @@ def bessel_large_x(order: float, x: float) -> BesselEval:
     omega = math.pi * order / 2.0 + math.pi / 4.0
     chi = x - omega
     P, Q, bP, bQ = (float(v[0]) for v in _hankel_sums(order, x))
+    if not math.isfinite(P + Q + bP + bQ):  # e.g. order 300 at x = 10
+        return BesselEval(order, x, 0.0, math.inf)
     amp = math.sqrt(2.0 / (math.pi * x))
     value = amp * (math.cos(chi) * P - math.sin(chi) * Q)
     # x - omega carries ~eps*x of rounding, and |d value/d chi| <= amp (|P| + |Q|)

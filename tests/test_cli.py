@@ -389,6 +389,40 @@ def test_bounds_with_non_finite_r_over_delta_is_a_config_error(tmp_path, capsys,
     assert json.loads(err)["error"] == "config" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("limit", "--d", "3", "--r", "10.3", "--delta", "1", "--agree-rtol", "nan"), "--agree-rtol"),
+    (("limit", "--d", "3", "--r", "10.3", "--delta", "1", "--agree-rtol", "0"), "--agree-rtol"),
+    (("limit", "--d", "3", "--r", "10.3", "--delta", "1", "--agree-rtol", "-1"), "--agree-rtol"),
+    (("bounds", "--slope", "--kmin", "0"), "--kmin"),
+    (("bounds", "--slope", "--kmin", "10", "--kmax", "1"), "--kmax"),
+])
+def test_flags_that_would_check_nothing_are_config_errors(tmp_path, capsys, argv, flag):
+    # an agree-rtol of nan, 0 or below left no PASS possible and exited 0; a
+    # kmin of 0 failed with "math domain error", kmin > kmax fitted a slope
+    assert run(tmp_path, *argv) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and flag in err["detail"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    # the envelope says nothing where x ** -1.5 overflows, which raised a raw
+    # OverflowError
+    (("bessel", "--orders", "0", "--xs", "1e-300"), EXIT_OK),
+    # the quadrature's default target scales with delta: this exited 3, and
+    # the same geometry at --r 10.3 --delta 1 exits 0
+    (("limit", "--d", "3", "--r", "1030000000", "--delta", "100000000",
+      "--methods", "quadrature"), EXIT_OK),
+    # R = 10, where the squares of the entries overflow: this exited 2
+    (("limit", "--d", "3", "--r", "1e200", "--delta", "1e199", "--methods", "quadrature"),
+     EXIT_OK),
+    # delta ** 2 of the WNH figure overflows, which raised a raw OverflowError
+    (("simulate", "--d", "3", "--N", "10", "--delta", "1e160", "--r", "1e150"), EXIT_PRECISION),
+])
+def test_extreme_inputs_exit_without_a_traceback(tmp_path, capsys, argv, code):
+    assert run(tmp_path, *argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_no_subcommand_is_config_error(tmp_path):
     assert run(tmp_path) == EXIT_CONFIG
 

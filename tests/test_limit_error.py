@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -51,7 +52,7 @@ def test_signal_spec_rejects_non_finite_entries():
     with pytest.raises(ValueError, match=r"x\[0\] = inf"):
         limiting_error([math.inf, 0.0, 0.0], UNIT)
     with pytest.raises(ValueError, match="overflows"):
-        SignalSpec.from_vector([1e200, 1e200], UNIT)
+        SignalSpec.from_vector([1.7e308, 1.7e308], UNIT)
 
 
 def test_quadrature_rejects_bad_tol_up_front():
@@ -142,8 +143,17 @@ def test_result_metadata():
     res = limiting_error(_x(4, 30.25), UNIT, method=Method.QUADRATURE)
     assert res.breakpoint_count is not None and res.breakpoint_count >= 2 * 29
     res2 = limiting_error(_x(4, 30.25), UNIT, method=Method.BESSEL_SERIES)
-    assert res2.truncation_K == 0
+    assert (res2.method, res2.breakpoint_count) == (Method.BESSEL_SERIES, None)
     assert res.value == pytest.approx(res2.value, rel=1e-8)
+
+
+def _per_delta(d, R, delta, method):
+    """(route, value/delta, estimate/delta) at r = R delta, None on a raise."""
+    try:
+        res = limiting_error(_x(d, R * delta), QuantScheme(delta), method)
+    except PrecisionExhausted:
+        return None
+    return res.method, res.value / delta, res.error_estimate / delta
 
 
 def test_scale_invariance():
@@ -151,6 +161,14 @@ def test_scale_invariance():
         a = limiting_error(_x(3, 7.3), UNIT)
         b = limiting_error(_x(3, s * 7.3), QuantScheme(s))
         assert b.value == pytest.approx(s * a.value, rel=1e-11)
+    # at a power of two every route scales exactly: the quadrature's default
+    # target scales with delta (at delta = 2^100, d = 4, R = 0.3 it raised)
+    for d, R, method in itertools.product((3, 4), (0.3, 2.3, 7.3), (
+            Method.AUTO, Method.QUADRATURE, Method.BESSEL_SERIES)):
+        ref = _per_delta(d, R, 1.0, method)
+        assert ref is not None or (d, R, method) == (4, 0.3, Method.BESSEL_SERIES)
+        for k in (100, -100, 300, -300):
+            assert _per_delta(d, R, 2.0 ** k, method) == ref, (d, R, method, k)
 
 
 def test_nearby_radius_periodicity_trend():
@@ -332,12 +350,11 @@ def _benchmark_oracle():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_series_route_against_the_benchmark_oracle_on_a_seeded_grid():
     # d = 2..16 at delta = 2^-k and R = r/delta in [3, 2000], a quarter of
-    # the points within 1e-2 of eps = 1/2; most take the series at K = 0,
-    # where the whole sum is Hankel terms times polylogarithms
+    # the points within 1e-2 of eps = 1/2; the series' whole sum is Hankel
+    # terms times polylogarithms
     pytest.importorskip("mpmath")
     oracle = _benchmark_oracle()
     rng = np.random.default_rng(2026)
-    Ks = []
     for i in range(60):
         d = 2 + i % 15
         delta = 2.0 ** -int(rng.integers(0, 8))
@@ -348,8 +365,7 @@ def test_series_route_against_the_benchmark_oracle_on_a_seeded_grid():
         res = limiting_error(_x(d, R * delta), QuantScheme(delta), Method.BESSEL_SERIES)
         ref = oracle.limit_oracle(d, R * delta, delta)
         assert abs(res.value - ref) <= res.error_estimate, (d, R, delta, res, ref)
-        Ks.append(res.truncation_K)
-    assert Ks.count(0) >= 40
+        assert res.method == Method.BESSEL_SERIES
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -662,7 +678,7 @@ def test_auto_falls_back_to_quadrature_with_an_honest_estimate():
 
 # at large d the value is far above the scale delta^s / r^(s-1) (~5e5 times
 # at d = 40, R = 100.375), so 1e-10 of the scale asked the series for less
-# than its own rounding; 1e-10 of the value is what it reaches at K = 0
+# than its own rounding; 1e-10 of the value is what it reaches
 _RELATIVE_TARGET_POINTS = [(40, 100.375), (40, 1000.3), (40, 10000.3), (41, 1e6 + 0.3),
                            (41, 1e9 + 0.3), (63, 1e9 + 0.3), (21, 1e12 + 0.3)]
 
@@ -673,7 +689,7 @@ def test_auto_takes_the_series_under_the_relative_default_target(d, R):
     # these exited 3 or printed an unresolved quadrature under the
     # scale-based target alone
     res = limiting_error(_x(d, R), UNIT)
-    assert (res.method, res.truncation_K) == (Method.BESSEL_SERIES, 0)
+    assert res.method == Method.BESSEL_SERIES
     assert 0 < res.error_estimate <= 1e-10 * res.value
     if d == 40:
         pytest.importorskip("mpmath")
@@ -815,7 +831,7 @@ def test_quadrature_chunks_cover_every_piece(monkeypatch):
 
 def _grid_equals_points(d, r, deltas, tol=None):
     """limiting_error_grid at (d, r, deltas), after checking that each row
-    equals limiting_error at its point alone: route, K, value, estimate."""
+    equals limiting_error at its point alone: route, value, estimate."""
     from framepcm import limiting_error_grid
 
     grid = limiting_error_grid(d, r, deltas, tol)
@@ -854,12 +870,12 @@ def test_grid_rows_the_series_cannot_serve_beside_rows_it_serves():
     # at d = 10 and tol 1e-17 Hankel's expansion at 2 pi R cannot reach the
     # target at R = 2.7, and the quadrature's rounding floor misses it too,
     # so that point raises, alone or in a grid; the rows beside it resolve
-    # at K = 0 and do not depend on it
+    # by the series and do not depend on it
     from framepcm import limiting_error_grid
 
     Rs = [3.3, 20.3, 100.375, 150.50003]  # the last: eps within 1e-4 of 1/2
     grid = _grid_equals_points(10, 1.0, [1.0 / R for R in Rs], tol=1e-17)
-    assert [(res.method, res.truncation_K) for res in grid] == [(Method.BESSEL_SERIES, 0)] * 4
+    assert [res.method for res in grid] == [Method.BESSEL_SERIES] * 4
     with pytest.raises(PrecisionExhausted):
         limiting_error(_x(10, 2.7), UNIT, tol=1e-17)
     with pytest.raises(PrecisionExhausted):

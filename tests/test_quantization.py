@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from framepcm import (
+    PrecisionExhausted,
     QuantScheme,
     SignalSpec,
     harmonic_frame_2d,
@@ -67,6 +68,16 @@ def test_signal_spec_fields():
     assert sig.dim == 2
 
 
+def test_signal_spec_where_the_squares_of_the_entries_overflow():
+    # np.linalg.norm squares the entries: r = 1e200 read as inf, R = 10 as an overflow
+    sig = SignalSpec.from_vector([1e200, 0.0, 0.0], QuantScheme(1e199))
+    assert (sig.r, sig.R) == (1e200, 1e200 / 1e199)
+    assert SignalSpec.from_vector([3e200, -4e200], UNIT).r == pytest.approx(5e200, rel=1e-15)
+    # a finite norm is taken as before, bit for bit
+    x = np.random.default_rng(3).standard_normal(7) * 1e150
+    assert SignalSpec.from_vector(x, UNIT).r == float(np.linalg.norm(x))
+
+
 def test_reconstruct_zero_signal():
     frame = harmonic_frame_2d(7)
     _, err = quantize_and_reconstruct(np.zeros(2), frame, UNIT)
@@ -115,3 +126,11 @@ def test_wnh_mse_values():
     assert wnh_mse(3, 1, QuantScheme(2.0)) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         wnh_mse(0, 5, UNIT)
+
+
+@pytest.mark.parametrize("delta", [1e160, 1e-170])
+def test_wnh_mse_that_leaves_binary64_raises_precision_exhausted(delta):
+    # delta ** 2 raised a raw OverflowError past ~1.3e154, and below ~1e-162
+    # it is 0, which simulate divides by
+    with pytest.raises(PrecisionExhausted, match="WNH MSE leaves binary64"):
+        wnh_mse(3, 10, QuantScheme(delta))

@@ -115,6 +115,19 @@ def test_envelope_exact_at_order_half():
     assert env.main_term == pytest.approx(math.sqrt(2 / (math.pi * 2.7)) * math.sin(2.7))
 
 
+def test_envelope_says_nothing_where_x_to_the_minus_3_halves_overflows():
+    # x ** -1.5 raised a raw OverflowError below x ~ 1e-205
+    assert asymptotic_estimate(0, 1e-300).residual_bound == math.inf
+    assert asymptotic_estimate(0, 1e-200).residual_bound < math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_x_route_where_the_hankel_terms_overflow():
+    # order 300 at x = 10: the terms overflowed and the value and bound were nan
+    ev = bessel_large_x(300, 10.0)
+    assert (ev.value, ev.abs_error_bound) == (0.0, math.inf)
+
+
 def test_envelope_branch_table():
     # 0 < x < sqrt(mu) with order > 1/2 selects c = 5/4
     assert asymptotic_estimate(3, 2.0).c == 1.25
