@@ -30,8 +30,9 @@ The 1-D integral is computed two ways that check each other:
 
 AUTO, the default, picks one of the two per delta (``_auto_route``): the
 quadrature below R = r/delta = 100 when its rounding bound meets the
-target, the series otherwise, and the quadrature again if the series
-raises ``PrecisionExhausted``.  One dispatcher, ``_integrals``, runs every
+series' target, the series otherwise, and the quadrature again if the
+series raises ``PrecisionExhausted`` (naming both causes, the series'
+first, if that raises too).  One dispatcher, ``_integrals``, runs every
 route at one or many delta for one (d, r), with the series points in one
 batched alternating sum, and returns one :class:`LimitErrorResult` per
 delta, which names the route that ran.
@@ -43,7 +44,6 @@ coarse referee for both, and the only route that reads x beyond ||x||.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -56,8 +56,8 @@ from .frames import uniform_sphere_points
 from .quantization import QuantScheme, SignalSpec, quant_error
 # alternating_bessel_sum_info and gauss_legendre are not called here but stay
 # importable from this module: perfbench/tracing.py wraps this module's copies
-from .special_fn import (EPS, PrecisionExhausted, alternating_bessel_sum_info,  # noqa: F401
-                         alternating_bessel_sums, gauss_legendre)
+from .special_fn import (EPS, PrecisionExhausted, _binary64,  # noqa: F401
+                         alternating_bessel_sum_info, alternating_bessel_sums, gauss_legendre)
 
 __all__ = [
     "Method",
@@ -73,10 +73,9 @@ __all__ = [
     "LIMIT_CSV_FIELDS",
 ]
 
-# default per-piece quadrature target, relative to delta, and the samples
-# drawn per Monte Carlo batch
-DEFAULT_PIECE_TOL = 1e-10
-_MC_BATCH = 1 << 17
+# the coordinates drawn per Monte Carlo batch, 2^17 samples up to d = 16:
+# bounds a batch's memory at any d
+_MC_BATCH_ELEMENTS = 1 << 21
 # breakpoint-sum terms evaluated per numpy slice: bounds the quadrature's
 # memory at any R
 _QUAD_CHUNK = 4096
@@ -135,24 +134,18 @@ class ParitySplit(NamedTuple):
     s: float
 
     def scale(self, r: float, delta: float) -> float:
-        """delta^s / r^{s-1}; ``PrecisionExhausted`` where it leaves
-        binary64 (e.g. d = 500, r/delta = 20.3, where r^{s-1} overflows)."""
-        return _binary64(lambda: delta ** self.s / r ** (self.s - 1.0),
-                         f"scale delta^{self.s} / r^{self.s - 1.0}", r, delta)
-
-
-def _binary64(compute, what: str, r: float, delta: float) -> float:
-    """compute(), or ``PrecisionExhausted`` named after ``what`` where it, or
-    a factor of it, overflows or underflows below the normal range (a
-    subnormal has lost relative precision), which no route's target or
-    prefactor survives."""
-    try:
-        value = compute()
-    except (OverflowError, ZeroDivisionError, PrecisionExhausted):
-        value = math.nan
-    if not sys.float_info.min <= abs(value) < math.inf:
-        raise PrecisionExhausted(f"{what} leaves binary64 (r={r}, delta={delta})")
-    return value
+        """delta^s / r^{s-1}, taken as delta (delta/r)^{s-1} where a factor
+        of the direct form leaves binary64 (d = 3, r = 1e200, delta = 1e199,
+        where the scale is 1e198); ``PrecisionExhausted`` where the scale or
+        (delta/r)^{s-1} leaves it (e.g. d = 500, r/delta = 20.3)."""
+        def message():
+            return (f"scale delta^{self.s} / r^{self.s - 1.0} leaves binary64 "
+                    f"(r={r}, delta={delta})")
+        try:
+            return _binary64(lambda: delta ** self.s / r ** (self.s - 1.0), message)
+        except PrecisionExhausted:
+            power = _binary64(lambda: (delta / r) ** (self.s - 1.0), message)
+            return _binary64(lambda: delta * power, message)
 
 
 def _checked_ratio(r: float, delta: float) -> float:
@@ -205,14 +198,13 @@ def _smooth_coef(d: int) -> tuple[int, int]:
     return _PI_NUM * math.comb(2 * n, n), _PI_DEN * 2 * 4 ** n
 
 
-def _quad_plan(r: float, delta: float, d: int, tol: float | None):
-    """(q, f, K, estimate, target) of :func:`_quad_integral` at (r, delta, d).
+def _quad_plan(r: float, delta: float, d: int):
+    """(q, f, K, estimate) of :func:`_quad_integral` at (r, delta, d).
 
     r = q delta + f exactly (divmod takes the exact f = fmod(r, delta) and
     rounds (r - f)/delta to q), so K = q + [f > delta/2] jumps u_k lie in
-    (0, 1).  The target is ``tol``, else DEFAULT_PIECE_TOL delta per piece
-    of [0, pi], so that, like the estimate, it scales with (r, delta); the
-    estimate bounds the rounding a priori.  To first order in
+    (0, 1).  The estimate bounds the rounding a priori and, like r and
+    delta, scales with the units.  To first order in
     EPS, with e = (d - 1)/2 and t_k = (1 - u_k^2)^e: x_k = 1 - u_k errs by
     3 EPS/2 of itself, and t_k, a function of u_k through x_k (2 - x_k),
     follows it through its derivative, by 3 EPS/2 e h_k with h_k = 2 u_k
@@ -222,6 +214,8 @@ def _quad_plan(r: float, delta: float, d: int, tol: float | None):
     are unimodal on [0, 1], at most 1, so their sums are at most K and R
     times their integrals, (1 - G)/e and G, plus 1.  R G rounds once, and
     |I| <= min(r, delta/2)/e three times; 1 % covers the higher orders.
+    With t_sum, h_sum <= K, G <= 1 and R < K + 1/2, the estimate is at most
+    7.4 EPS delta (2K + 1) at every d >= 2.
     """
     q, f = divmod(r, delta)
     K = int(q) + (f > 0.5 * delta)
@@ -232,7 +226,7 @@ def _quad_plan(r: float, delta: float, d: int, tol: float | None):
     t_sum, h_sum = min(K, R * G + 1.0), min(K, R * (1.0 - G) / e + 1.0)
     estimate = 0.505 * EPS * (r * G / e + delta * ((2.0 + P / e) * t_sum + 3.0 * h_sum)
                               + 3.0 * min(r, 0.5 * delta) / e)
-    return q, f, K, estimate, tol if tol is not None else DEFAULT_PIECE_TOL * delta * (2 * K + 1)
+    return q, f, K, estimate
 
 
 def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
@@ -250,18 +244,19 @@ def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
     generated _QUAD_CHUNK at a time and summed, with R G, by one
     ``math.fsum``, in O(_QUAD_CHUNK) memory at any R.  ``PrecisionExhausted``
     past _QUAD_MAX_TERMS terms (each a node of the midpoint sum), before
-    any is evaluated, or where the estimate exceeds the target.  Returns
-    (value, estimate, 2K + 1), the number of pieces over [0, pi].
+    any is evaluated, or where the estimate exceeds an explicit ``tol``;
+    with no ``tol`` there is no target to miss.  Returns (value, estimate,
+    2K + 1), the number of pieces over [0, pi].
     """
     if tol is not None and not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     r, delta, d = float(r), float(delta), sin_pow + 2  # as_integer_ratio below
-    q, f, K, estimate, target = _quad_plan(r, delta, d, tol)
+    q, f, K, estimate = _quad_plan(r, delta, d)
     if K > _QUAD_MAX_TERMS:
         raise PrecisionExhausted(f"piecewise quadrature needs more than {_QUAD_MAX_TERMS} nodes "
                                  f"(r={r}, delta={delta})")
-    if estimate > target:
-        raise PrecisionExhausted(f"piecewise quadrature did not reach {target:.3e}: its rounding "
+    if tol is not None and estimate > tol:
+        raise PrecisionExhausted(f"piecewise quadrature did not reach {tol:.3e}: its rounding "
                                  f"bound is {estimate:.3e} (r={r}, delta={delta})")
     e = (d - 1) / 2
 
@@ -299,13 +294,8 @@ def _base_coef(n: int, parity: str) -> float:
     else:
         num, den, power = math.factorial(n - 1), 1, n + 1
     shift = max(0, num.bit_length() - den.bit_length() - 1000)
-    try:
-        value = math.ldexp(num / (den << shift) / math.pi ** power, shift)
-    except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise PrecisionExhausted(f"the {parity} bound coefficient at n={n} leaves binary64")
-    return value
+    return _binary64(lambda: math.ldexp(num / (den << shift) / math.pi ** power, shift),
+                     lambda: f"the {parity} bound coefficient at n={n} leaves binary64")
 
 
 def _series_target(r: float, delta: float, split: ParitySplit, tol: float | None) -> float:
@@ -319,24 +309,25 @@ def _series_prefactor(r: float, delta: float, split: ParitySplit) -> float:
     the coefficient (d >= 441) or the scale leaves binary64."""
     return _binary64(lambda: -_base_coef(split.n, split.parity) * split.scale(r, delta)
                      * math.pi * math.sqrt(r / delta),
-                     f"the order-{split.order:g} series prefactor", r, delta)
+                     lambda: f"the order-{split.order:g} series prefactor leaves binary64 "
+                             f"(r={r}, delta={delta})")
 
 
 def _auto_route(r: float, delta: float, split: ParitySplit, tol: float | None) -> Method:
     """The route AUTO tries first.
 
     The quadrature below R = _AUTO_QUAD_MAX_R, where it is the cheaper one,
-    provided its rounding bound (:func:`_quad_plan`) already meets both
-    its own target and the one the series would work to, so that it never
-    refuses a point AUTO hands it, or where that series target leaves
-    binary64, so that the series could not run; the series otherwise.  The
-    bound rules the quadrature out at d = 8, R = 20.3 and at d = 12 beyond
-    R ~ 7.1.
+    provided its rounding bound (:func:`_quad_plan`) already meets the
+    target the series would work to, which is also the quadrature's own
+    target where ``tol`` is given, so that it never refuses a point AUTO
+    hands it; or where that series target leaves binary64, so that the
+    series could not run; the series otherwise.  The bound rules the
+    quadrature out at d = 8, R = 20.3 and at d = 12 beyond R ~ 7.1.
     """
     if r / delta < _AUTO_QUAD_MAX_R:
-        *_, estimate, target = _quad_plan(r, delta, split.sin_pow + 2, tol)
+        estimate = _quad_plan(r, delta, split.sin_pow + 2)[3]
         try:
-            if estimate <= min(target, _series_target(r, delta, split, tol)):
+            if estimate <= _series_target(r, delta, split, tol):
                 return Method.QUADRATURE
         except PrecisionExhausted:  # the series' target leaves binary64
             return Method.QUADRATURE
@@ -397,8 +388,10 @@ def _integrals(r: float, deltas: list, split: ParitySplit, method, tol: float | 
     delta takes the quadrature, and so does an AUTO delta where the series
     raises ``PrecisionExhausted`` (e.g. d = 165, R = 5000.3, where the
     order-82.5 polylogarithms run past their table's depth, or d = 500,
-    R = 20.3, where the scale and the prefactor leave binary64).  A delta's
-    route, value and estimate do not depend on the other deltas.
+    R = 20.3, where the scale and the prefactor leave binary64).  Where
+    that fall-back raises too, its ``PrecisionExhausted`` carries the
+    series' reason first.  A delta's route, value and estimate do not
+    depend on the other deltas.
     """
     for delta in deltas:
         _checked_ratio(r, delta)
@@ -416,7 +409,12 @@ def _integrals(r: float, deltas: list, split: ParitySplit, method, tol: float | 
         if isinstance(res, PrecisionExhausted) and method == Method.BESSEL_SERIES:
             raise res
         if not isinstance(res, LimitErrorResult):
-            value, estimate, pieces = _quad_integral(r, delta, split.sin_pow, tol)
+            try:
+                value, estimate, pieces = _quad_integral(r, delta, split.sin_pow, tol)
+            except PrecisionExhausted as exc:
+                if res is None:
+                    raise
+                raise PrecisionExhausted(f"{res}; the quadrature fall-back: {exc}") from exc
             res = LimitErrorResult(value, Method.QUADRATURE, estimate, pieces)
         out.append(res)
     return out
@@ -464,8 +462,8 @@ def limiting_error(x, scheme: QuantScheme, method=Method.AUTO,
     Reduces to d * c_d * |1-D integral| through the sphere-coordinate
     rotation; only ||x|| enters.  ``method`` selects the integral route:
     AUTO (the default) takes the quadrature below R = r/delta = 100 where
-    its rounding floor meets the target, and the certified Bessel series
-    otherwise, falling back to the quadrature if the series raises
+    its rounding floor meets the series' target, and the certified Bessel
+    series otherwise, falling back to the quadrature if the series raises
     ``PrecisionExhausted``.  The result's ``method`` is the route that ran,
     never AUTO (QUADRATURE for x = 0, where nothing is integrated).
     MONTE_CARLO raises ``ValueError``: its estimate needs a sample count
@@ -518,10 +516,12 @@ def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitE
     """Direct Monte Carlo estimate d * ||(1/S) sum Delta(x . z_s) z_s||.
 
     Uniform sphere samples from normalized Gaussians, drawn in batches of
-    2^17; deterministic for a fixed seed.  Each batch adds its moment sums
-    as two products, sum_s e_s z_s = e @ z and sum_s e_s^2 z_s^2 =
-    (e*e) @ (z*z) with e_s = Delta(x . z_s), squaring z in place, so a
-    batch holds no m x d array beyond z.  ``error_estimate`` propagates
+    2^17 up to d = 16 and of 2^21 // d past it, so that a batch's memory
+    does not grow with d; deterministic for a fixed seed, however the
+    draws are batched.  Each batch adds its moment sums as two products,
+    sum_s e_s z_s = e @ z and sum_s e_s^2 z_s^2 = (e*e) @ (z*z) with
+    e_s = Delta(x . z_s), squaring z in place, so a batch holds no m x d
+    array beyond z.  ``error_estimate`` propagates
     the per-component standard errors to the norm as sqrt(sum sigma_i^2):
     |  ||mean_hat|| - ||mean||  | <= ||error vector||, whose rms is exactly
     that, so the estimate stays valid even when the true mean sits below
@@ -535,8 +535,9 @@ def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitE
     total = np.zeros(d)
     total_sq = np.zeros(d)
     done = 0
+    batch = max(1, _MC_BATCH_ELEMENTS // max(d, 16))
     while done < samples:
-        m = min(_MC_BATCH, samples - done)
+        m = min(batch, samples - done)
         z = uniform_sphere_points(rng, m, d)
         e = quant_error(z @ sig.x, scheme)
         total += e @ z

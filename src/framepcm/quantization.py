@@ -15,12 +15,11 @@ of the package.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .special_fn import PrecisionExhausted
+from .special_fn import _binary64
 
 __all__ = [
     "QuantScheme",
@@ -143,11 +142,5 @@ def wnh_mse(d: int, N: int, scheme: QuantScheme) -> float:
     """
     if d < 1 or N < 1:
         raise ValueError("d and N must be positive integers")
-    try:
-        mse = d * d * scheme.delta ** 2 / (12.0 * N)
-    except OverflowError:
-        mse = math.inf
-    if not sys.float_info.min <= mse < math.inf:
-        raise PrecisionExhausted(f"the WNH MSE leaves binary64 (d={d}, N={N}, "
-                                 f"delta={scheme.delta})")
-    return mse
+    return _binary64(lambda: d * d * scheme.delta ** 2 / (12.0 * N),
+                     lambda: f"the WNH MSE leaves binary64 (d={d}, N={N}, delta={scheme.delta})")

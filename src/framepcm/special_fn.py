@@ -48,8 +48,8 @@ zeta(q_i - j) i^j and its bound weights, cached per (alpha, number of q)
 25.4.2.  At z = 1 the phase sum is zeta(q) from the same Euler-Maclaurin
 routine that fills the table.  The Hankel terms a_j / x^j come from one
 table built as running ratios, so that no power of x can overflow (at
-huge x they underflow), cut by the first-omitted-term rule; the same
-table serves ``bessel_large_x``.
+huge x they underflow), each parity cut at its smallest term, whose size
+bounds the remainder; the same table serves ``bessel_large_x``.
 """
 
 from __future__ import annotations
@@ -98,6 +98,19 @@ class PrecisionExhausted(ArithmeticError):
     def __init__(self, message: str, achieved: float | None = None):
         super().__init__(message)
         self.achieved = achieved
+
+
+def _binary64(compute, message) -> float:
+    """compute(), or ``PrecisionExhausted(message())`` where it, or a factor
+    of it, overflows or underflows below the normal range (a subnormal has
+    lost relative precision); the message is built only then."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError, PrecisionExhausted):
+        value = math.nan
+    if not sys.float_info.min <= abs(value) < math.inf:
+        raise PrecisionExhausted(message())
+    return value
 
 
 @dataclass(frozen=True)
@@ -374,19 +387,23 @@ def _hankel_ratios(order: float, jmax: int) -> np.ndarray:
 
 
 def _hankel_plan(order: float, x, spare: int):
-    """Terms and truncation points of the Hankel sums P, Q.
+    """Terms and cut of the Hankel sums P, Q.
 
-    ``x`` is an argument or a 1-D array of them.  Returns (terms, lp, lq):
-    ``terms[i, j] = a_j / x_i^j``, j = 0..jmax, with a_j = prod_{i<=j}
-    (4 order^2 - (2i-1)^2) / (8^j j!), built as running ratios (a power of
-    x is never formed, so large x underflows the terms instead of
-    overflowing), and per argument P keeps lp terms, Q keeps lq.
-    For real order >= 0 and x > 0 the remainder after the retained terms
-    is bounded by the first omitted term provided enough terms are kept
-    (2*lp >= order - 1/2 for P, 2*lq + 1 >= order - 1/2 for Q; DLMF
-    10.17(iii)); both conditions are enforced, then the truncation point is
-    pushed, by at most ``spare`` coefficients, while the omitted term keeps
-    shrinking.
+    ``x`` is an argument or a 1-D array of them.  Returns (terms, kept,
+    omitted): ``terms[i, j] = a_j / x_i^j``, j = 0..jmax, with a_j =
+    prod_{i<=j} (4 order^2 - (2i-1)^2) / (8^j j!), built as running ratios
+    (a power of x is never formed, so large x underflows the terms instead
+    of overflowing), and boolean masks of the same shape: the columns each
+    argument retains, P the even ones, Q the odd ones, and its first
+    omitted column of each parity.  For real order >= 0 and x > 0 the
+    remainder after the retained terms is bounded by the first omitted term
+    provided that column j satisfies j >= order - 1/2 (DLMF 10.17(iii)).
+    There the same-parity ratio |t_{j+2}/t_j| = ((2j+1)^2 - 4 order^2)
+    ((2j+3)^2 - 4 order^2) / (64 (j+1) (j+2) x^2) never decreases in j, so
+    the magnitudes fall and then rise: each parity is cut at its smallest
+    term among the columns that satisfy the condition, from column 2 (P)
+    or 3 (Q) on, up to ``spare`` columns past the later of the two least
+    such columns.
     """
     lp_min = max(1, math.ceil((order - 0.5) / 2.0))
     lq_min = max(1, math.ceil((order - 1.5) / 2.0))
@@ -397,53 +414,41 @@ def _hankel_plan(order: float, x, spare: int):
     np.divide(_hankel_ratios(order, jmax), x[:, None], out=terms[:, 1:])
     np.cumprod(terms, axis=1, out=terms)
     mag = np.abs(terms)
-    # the candidate omitted terms of P are the columns 0, 2, ..., of Q the
-    # columns 1, 3, ...; a cut stops at the first candidate whose successor
-    # (two columns on) does not shrink, or at the last one, which has none
-    stop = np.ones(terms.shape, dtype=bool)
-    np.greater_equal(mag[:, 2:], mag[:, :-2], out=stop[:, :-2])
-    lp = lp_min + np.argmax(stop[:, 2 * lp_min::2], axis=1)
-    lq = lq_min + np.argmax(stop[:, 2 * lq_min + 1::2], axis=1)
-    return terms, lp, lq
-
-
-def _hankel_sums(order: float, x):
-    """Partial Hankel sums P, Q with certified remainders, as arrays over x.
-
-    Returns (P, Q, bound_P, bound_Q), each row truncated by
-    :func:`_hankel_plan`; the bound is the first omitted term plus 4 EPS
-    per retained term of the retained |terms| of P and Q summed, at least
-    a_0 = 1 (near x = 12 the terms of order 30 reach 1e10).
-    """
-    terms, lp, lq = _hankel_plan(order, x, 26)
-    even, odd = terms[:, 0::2], terms[:, 1::2]
-    m = np.arange(odd.shape[1])
-    sign = np.where(m % 2, -1.0, 1.0)
-    kept_p = np.where(m < lp[:, None], even[:, :m.size], 0.0)
-    kept_q = np.where(m < lq[:, None], odd, 0.0)
-    P, Q = (sign * kept_p).sum(axis=1), (sign * kept_q).sum(axis=1)
-    size = np.abs(kept_p).sum(axis=1) + np.abs(kept_q).sum(axis=1)
-    rows = np.arange(terms.shape[0])
-    bP = np.abs(even[rows, lp]) + 4 * lp * EPS * size
-    bQ = np.abs(odd[rows, lq]) + 4 * lq * EPS * size
-    return P, Q, bP, bQ
+    # the first omitted column of P (even) and of Q (odd), per argument
+    cut_p = 2 * (lp_min + mag[:, 2 * lp_min::2].argmin(axis=1))
+    cut_q = 2 * (lq_min + mag[:, 2 * lq_min + 1::2].argmin(axis=1)) + 1
+    col = np.arange(jmax + 1)
+    at = np.where(col % 2, cut_q[:, None], cut_p[:, None])
+    return terms, col < at, col == at
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing terms come out (0, inf)
 def bessel_large_x(order: float, x: float) -> BesselEval:
     """J_order(x) from Hankel's expansion; certified, exact for half-integers.
 
-    value = sqrt(2/(pi x)) [cos(x - omega) P - sin(x - omega) Q].  Intended
-    for x comfortably above the order; the bound honestly blows up when the
-    expansion cannot reach precision, and is inf, with value 0, where its
-    terms overflow.
+    value = sqrt(2/(pi x)) [cos(x - omega) P - sin(x - omega) Q], P and Q
+    cut by :func:`_hankel_plan`.  The bound of each is its first omitted
+    term plus 4 EPS per retained term of the retained |terms| of P and Q
+    summed, at least a_0 = 1 (near x = 12 the terms of order 30 reach
+    1e10).  Intended for x comfortably above the order; the bound honestly
+    blows up when the expansion cannot reach precision, and is inf, with
+    value 0, where its terms overflow.
     """
     if not x > 0:
         raise ValueError("need x > 0")
     _require_half_integer(order)
     omega = math.pi * order / 2.0 + math.pi / 4.0
     chi = x - omega
-    P, Q, bP, bQ = (float(v[0]) for v in _hankel_sums(order, x))
+    (terms,), (kept,), (omitted,) = _hankel_plan(order, x, 26)
+    # P = a_0 - a_2/x^2 + ..., Q = a_1/x - a_3/x^3 + ...; the last column,
+    # even, is never retained
+    signed = np.where(kept, terms, 0.0) * (1.0 - 2.0 * (np.arange(terms.size) // 2 % 2))
+    p, q = signed[:-1:2], signed[1::2]
+    P, Q = float(p.sum()), float(q.sum())
+    size = float(np.abs(p).sum() + np.abs(q).sum())
+    lp, lq = int(omitted[::2].argmax()), int(omitted[1::2].argmax())  # terms retained
+    bP = float(abs(terms[2 * lp])) + 4 * lp * EPS * size
+    bQ = float(abs(terms[2 * lq + 1])) + 4 * lq * EPS * size
     if not math.isfinite(P + Q + bP + bQ):  # e.g. order 300 at x = 10
         return BesselEval(order, x, 0.0, math.inf)
     amp = math.sqrt(2.0 / (math.pi * x))
@@ -676,18 +681,17 @@ def _phase_tails(order: float, top: int, beta):
 @lru_cache(maxsize=64)
 def _tail_columns(order: float, width: int):
     """Per column i < ``width`` of the Hankel terms of :func:`_alt_sum_tail`:
-    i // 2, whether i is odd, and the majorant sum_{k>=1} k^-q <= q/(q - 1)
-    at q = order + 1/2 + i (0 in columns 0 and 1, never a first omitted
-    term); and top, the last column a retained term can take (width - 2, as
-    the last column can only be omitted, or the last nonzero a_i,
-    i = order - 1/2, at half-integer orders, where the expansion
-    terminates), with the real and imaginary parts of e^{-i omega} i^i at
-    i = 0..top."""
+    the majorant sum_{k>=1} k^-q <= q/(q - 1) at q = order + 1/2 + i (0 in
+    columns 0 and 1, never a first omitted term); and top, the last column
+    a retained term can take (width - 2, as the last column can only be
+    omitted, or the last nonzero a_i, i = order - 1/2, at half-integer
+    orders, where the expansion terminates), with the real and imaginary
+    parts of e^{-i omega} i^i at i = 0..top."""
     i = np.arange(width)
     q = order + 0.5 + np.maximum(i, 2)
     top = width - 2 if order % 1 == 0 else int(order - 0.5)
     rot = cmath.exp(-1j * (math.pi * order / 2.0 + math.pi / 4.0)) * _I_POW[i[:top + 1] % 4]
-    arrays = (i // 2, i % 2 == 1, np.where(i < 2, 0.0, q / (q - 1.0)), rot.real, rot.imag)
+    arrays = (np.where(i < 2, 0.0, q / (q - 1.0)), rot.real, rot.imag)
     for arr in arrays:  # shared by every caller through the cache
         arr.setflags(write=False)
     return (top, *arrays)
@@ -700,20 +704,17 @@ def _alt_sum_tail(order: float, R, beta):
     ``R`` and ``beta`` are 1-D arrays, one row each, with beta = frac(R) -
     1/2: (-1)^k e^{2 pi i k frac(R)} = e^{2 pi i beta k}.  Returns (values,
     bounds) as arrays over the rows.  Each row's Hankel expansion is cut
-    where its first term k = 1, at x = 2 pi R, needs it, and its term i,
-    a_i (2 pi R)^-i i^i, multiplies the phase sum at q = order + 1/2 + i;
-    the phase sums of all rows are one call (:func:`_phase_tails`), over
-    the q of every term the plan may retain (:func:`_tail_columns`).  Every
-    sum runs over a width fixed by the order, so a row does not depend on
-    the other rows.
+    where its first term k = 1, at x = 2 pi R, needs it
+    (:func:`_hankel_plan`, whose masks give the retained and the first
+    omitted columns), and its term i, a_i (2 pi R)^-i i^i, multiplies the
+    phase sum at q = order + 1/2 + i; the phase sums of all rows are one
+    call (:func:`_phase_tails`), over the q of every term the plan may
+    retain (:func:`_tail_columns`).  Every sum runs over a width fixed by
+    the order, so a row does not depend on the other rows.
     """
     twopiR = 2.0 * math.pi * R
-    coef, lp, lq = _hankel_plan(order, twopiR, 18)
-    top, half, odd, majorant, rot_re, rot_im = _tail_columns(order, coef.shape[1])
-    # the retained terms: i < 2 lp for the P terms (even i), i < 2 lq for
-    # Q; the first omitted ones: i = 2 lp and 2 lq + 1
-    cut = np.where(odd, lq[:, None], lp[:, None])
-    kept, omitted = half < cut, half == cut
+    coef, kept, omitted = _hankel_plan(order, twopiR, 18)
+    top, majorant, rot_re, rot_im = _tail_columns(order, coef.shape[1])
     # Hankel remainder summed over k (integral-test zeta bounds)
     hankel = (np.abs(np.where(omitted, coef, 0.0)) * majorant).sum(axis=1)
     scale = (1.0 / math.pi) / np.sqrt(R)

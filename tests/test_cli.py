@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
@@ -147,6 +148,62 @@ def test_monte_carlo_verdict_where_the_scale_leaves_binary64(tmp_path, capsys):
     assert run(tmp_path, "limit", "--d", "500", "--r", "20.3", "--delta", "1",
                "--methods", "quadrature,monte_carlo", "--samples", "2000") == EXIT_OK
     assert "quadrature vs Monte Carlo agreement: UNINFORMATIVE" in capsys.readouterr().out
+
+
+def test_series_where_a_factor_of_the_scale_overflows(tmp_path, capsys):
+    # R = 10 and the scale delta^2/r is 1e198, but delta^2 overflows: this
+    # exited 3 with "the order-1.5 series prefactor leaves binary64"
+    argv = ["limit", "--d", "3", "--r", "1e200", "--delta", "1e199"]
+    assert run(tmp_path, *argv, "--methods", "bessel_series") == EXIT_OK
+    assert run(tmp_path, *argv, "--methods", "quadrature,bessel_series") == EXIT_OK
+    assert "quadrature vs series agreement: PASS" in capsys.readouterr().out
+
+
+def test_auto_names_the_series_cause_where_its_fall_back_fails_too(tmp_path, capsys):
+    # the order-28 prefactor underflows at R = 1.95e11, where the quadrature
+    # needs 3.9e11 nodes: this named the node cap alone
+    assert run(tmp_path, "limit", "--d", "56", "--r", "195416737208.00534", "--delta", "1",
+               "--methods", "auto") == EXIT_PRECISION
+    detail = json.loads(capsys.readouterr().err)["detail"]
+    assert (detail.index("the order-28 series prefactor leaves binary64")
+            < detail.index("piecewise quadrature needs more than 16777216 nodes"))
+
+
+def _p3_points(count):
+    """Seeded (d, r, delta) of the verdict sweep: d 2..64, R = r/delta
+    log-uniform in [1, 3e5], delta 1, 0.37 or log-uniform in [1e-3, 1e3]."""
+    import random
+
+    rng = random.Random(31)
+    points = []
+    for i in range(count):
+        d = rng.randint(2, 64)
+        R = 10 ** rng.uniform(0.0, math.log10(3e5))
+        delta = (1.0, 0.37, 10 ** rng.uniform(-3.0, 3.0))[i % 3]
+        points.append((d, R * delta, delta))
+    return points
+
+
+def test_quadrature_and_series_never_fail_the_verdict_on_a_seeded_sweep():
+    # FAIL means |q - b| > est_q + est_b, one estimate dishonest; points where
+    # either route raises PrecisionExhausted have no verdict
+    from framepcm.cli import _verdict
+    from framepcm.limit_error import Method, limiting_error
+    from framepcm.quantization import QuantScheme
+    from framepcm.special_fn import PrecisionExhausted
+
+    compared = 0
+    for d, r, delta in _p3_points(500):
+        x = [r] + [0.0] * (d - 1)
+        try:
+            quad, series = (limiting_error(x, QuantScheme(delta), method)
+                            for method in (Method.QUADRATURE, Method.BESSEL_SERIES))
+        except PrecisionExhausted:
+            continue
+        assert not _verdict("sweep", quad, series.value, series.error_estimate, 0.0, 1e-6), (
+            d, r, delta, quad, series)
+        compared += 1
+    assert compared >= 400
 
 
 def test_series_verdict_fails_where_a_broken_estimate_misses_the_difference(

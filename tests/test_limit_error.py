@@ -242,10 +242,11 @@ def _per_sample_monte_carlo(x, scheme, samples, seed):
 
 
 @pytest.mark.parametrize("d, R, delta", [(2, 3.7, 0.1), (3, 0.3, 1.0), (5, 10.25, 0.37),
-                                         (8, 2.3, 1.0)])
+                                         (8, 2.3, 1.0), (40, 7.3, 0.37)])
 def test_monte_carlo_matches_per_sample_contributions(d, R, delta):
-    # same samples (300000: two full batches and a partial one); only the
-    # row norms and the order of the batch sums differ
+    # same samples (300000: two full batches of 2^17 and a partial one, or
+    # at d = 40 six batches of 2^21 // 40); only the row norms and the order
+    # of the batch sums differ
     x = np.arange(1.0, d + 1.0)
     x *= R * delta / np.linalg.norm(x)
     scheme = QuantScheme(delta)
@@ -254,6 +255,22 @@ def test_monte_carlo_matches_per_sample_contributions(d, R, delta):
     assert res.sample_count == 300_000
     assert abs(res.value - value) <= 1e-12 * value
     assert abs(res.error_estimate - estimate) <= 1e-12 * estimate
+
+
+def test_monte_carlo_memory_is_bounded_in_d():
+    # a batch held 2^17 x d coordinates, 132 MB of allocations here and
+    # 1.05 GB per array at d = 1000; now at most 2^21, twice over (the
+    # normal draws and their row norms' scaling)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        res = monte_carlo_limit(_x(2000, 3.7), UNIT, samples=8192, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.sample_count == 8192 and math.isfinite(res.value)
+    assert peak <= 3 * 8 * 2 ** 21
 
 
 def test_rotation_invariance_2d_quarter_turn():
@@ -509,6 +526,27 @@ def test_quadrature_raises_for_a_target_below_its_rounding_floor():
         integral_even(10.25, 1.0, 2, method=Method.QUADRATURE, tol=1e-16)
 
 
+def test_quadrature_rounding_bound_is_at_most_7_4_eps_per_piece():
+    # with t_sum, h_sum <= K, G <= 1 and R < K + 1/2 the estimate is at most
+    # 0.505 (2.5 + 6/e) EPS delta (2K + 1), e = (d - 1)/2 >= 1/2: 6e4 times
+    # below 1e-10 delta per piece, so a default target of that size could
+    # never refuse a point, and the quadrature takes none
+    from framepcm.limit_error import _quad_plan
+    from framepcm.special_fn import EPS
+
+    rng = np.random.default_rng(28)
+    worst = 0.0
+    for _ in range(20_000):
+        d = int(rng.integers(2, 601))
+        R = float(10 ** rng.uniform(-3.0, math.log10(1.6e7)))
+        delta = float(2.0 ** rng.uniform(-300.0, 300.0))
+        *_, K, estimate = _quad_plan(R * delta, delta, d)
+        ratio = estimate / (EPS * delta * (2 * K + 1))
+        assert ratio <= 7.4, (d, R, delta)
+        worst = max(worst, ratio)
+    assert worst > 2.0  # it reaches 2.15 here
+
+
 @pytest.mark.parametrize("r, delta, start, K", [
     (263609.14413675776, 0.3858190710904905, 683246, 683246),  # binary64 counts 683245
     (508650.475006533, 0.8839047038257892, 575458, 575459),    # the guess is one short
@@ -521,7 +559,7 @@ def test_jump_count_corrects_its_first_guess(r, delta, start, K):
     from framepcm.limit_error import _quad_plan
 
     assert math.ceil(r / delta - 0.5) == start
-    q, f, count, _, _ = _quad_plan(r, delta, 3, None)
+    q, f, count, _ = _quad_plan(r, delta, 3)
     assert count == K
     assert Fraction(r) == q * Fraction(delta) + Fraction(f) and 0 <= f < delta
     assert K - Fraction(1, 2) < Fraction(r) / Fraction(delta) < K + Fraction(1, 2)
@@ -755,6 +793,30 @@ def test_scale_that_leaves_binary64_raises_precision_exhausted():
     with pytest.raises(PrecisionExhausted, match="scale"):
         split.scale(1.0, 1e-3)  # 1e-3^250.5 underflows to zero
     assert split.scale(2.3, 1.0) == 1.0 / 2.3 ** 249.5
+
+
+@pytest.mark.parametrize("d, r, delta", [(3, 1e200, 1e199), (4, 1e200, 1e199),
+                                         (41, 1e21, 1e20), (40, 3.7e-200, 1e-201)])
+def test_scale_where_only_a_factor_leaves_binary64(d, r, delta):
+    # delta^s or r^(s-1) leaves binary64 where the scale does not; this raised
+    # PrecisionExhausted, and with it the series' prefactor and target
+    mpmath = pytest.importorskip("mpmath")
+    from framepcm.special_fn import EPS
+
+    split = parity_split(d)
+    with pytest.raises((OverflowError, ZeroDivisionError)):
+        delta ** split.s / r ** (split.s - 1.0)
+    with mpmath.workdps(40):
+        ref = mpmath.mpf(delta) ** split.s / mpmath.mpf(r) ** (split.s - 1)
+        # delta/r rounds once, and the power carries that s - 1 times
+        assert abs(split.scale(r, delta) / ref - 1) <= (split.s + 2) * EPS / 2
+
+
+def test_scale_keeps_its_direct_value_and_refuses_a_subnormal_power():
+    assert parity_split(3).scale(10.3, 0.37) == 0.37 ** 2 / 10.3
+    assert parity_split(40).scale(1e3, 1e-2) == 1e-2 ** 20.5 / 1e3 ** 19.5
+    with pytest.raises(PrecisionExhausted, match="scale"):
+        parity_split(41).scale(1e36, 1e20)  # delta^21 overflows, (delta/r)^20 is 1e-320
 
 
 def test_auto_at_d_500_falls_back_to_quadrature():

@@ -704,6 +704,41 @@ def _k0_reference(mpmath, order, R, beta, lp, lq, negligible):
         return float(ref), float(rem)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # terms overflow at large orders, small x
+def test_each_hankel_cut_omits_the_smallest_term_of_its_window():
+    # past column order - 1/2 the same-parity ratio |t_{j+2}/t_j| never
+    # decreases in j, so the magnitudes of a window fall strictly to its
+    # smallest term and no further: the smallest term is also the first
+    # that its successor does not undercut.  P's window starts at the first
+    # even column >= max(2, order - 1/2), Q's at the first odd one >=
+    # max(3, order - 1/2) (DLMF 10.17(iii))
+    from framepcm.special_fn import _hankel_plan
+
+    rng = np.random.default_rng(1017)
+    rows = 0
+    for spare in (26, 18):
+        for order in np.arange(200) / 2:
+            x = 10 ** rng.uniform(math.log10(0.5), 7.0, size=100)
+            terms, kept, omitted = _hankel_plan(order, x, spare)
+            mag = np.abs(terms)
+            for parity, floor in ((0, 2), (1, 3)):
+                first = max(floor, math.ceil(order - 0.5))
+                first += (first - parity) % 2
+                window = mag[:, first::2]
+                assert (omitted[:, parity::2].sum(axis=1) == 1).all()
+                cut = omitted[:, first::2].argmax(axis=1)
+                assert omitted[np.arange(x.size), first + 2 * cut].all()
+                col = np.arange(parity, terms.shape[1], 2)
+                assert (kept[:, parity::2] == (col < first + 2 * cut[:, None])).all()
+                ok = np.isfinite(window).all(axis=1)
+                window, cut = window[ok], cut[ok]
+                assert (window[np.arange(cut.size), cut] == window.min(axis=1)).all()
+                falls = np.diff(window, axis=1) < 0
+                assert (falls | (np.arange(falls.shape[1]) >= cut[:, None])).all()
+                rows += cut.size
+    assert rows >= 70_000
+
+
 def test_k0_sums_against_mpmath_one_row_and_batched():
     # the whole sum, Hankel's expansion at 2 pi R times
     # polylogarithms, at orders 0..12 in steps of 1/2 over seeded |beta| in
@@ -733,8 +768,9 @@ def test_k0_sums_against_mpmath_one_row_and_batched():
             assert (one[0][0], one[1][0]) == (values[row], bounds[row]), (order, R, beta)
             if not bounds[row] < 1e-6 * max(abs(values[row]), 1e-3):
                 continue  # an uninformative bound (small R at integer orders)
-            _, lp, lq = _hankel_plan(order, 2 * math.pi * R, 18)
-            ref, rem = _k0_reference(mpmath, order, R, beta, int(lp[0]), int(lq[0]),
+            _, _, (omitted,) = _hankel_plan(order, 2 * math.pi * R, 18)
+            lp, lq = (int(np.argmax(omitted[parity::2])) for parity in (0, 1))
+            ref, rem = _k0_reference(mpmath, order, R, beta, lp, lq,
                                      1e-6 * bounds[row] * math.pi * math.sqrt(R))
             assert abs(values[row] - ref) <= bounds[row] - (1 - 1e-9) * rem, (order, R, beta)
             checked += 1
