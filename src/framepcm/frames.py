@@ -7,9 +7,16 @@ S^2 (low-discrepancy, defect O(1/N) empirically).  Tightness is measured
 by the Frobenius defect ||(d/N) sum e_j e_j^T - I||_F and equidistribution
 by comparing empirical monomial moments against the exact sphere moments.
 
+Frames are read in blocks of rows, at most _BLOCK_ELEMENTS coordinates
+each (:meth:`UnitNormFrame.blocks`).  Each family defines its rows once,
+block by block; a generated frame larger than one block holds only that
+recipe, so quantizing it, taking its tightness defect or saving it holds
+one block at a time, at any N.  Its N x d array exists only once
+``vectors`` is read, as the moment diagnostic does.
+
 Row norms are one fused pass (:func:`row_norms`), shared by the uniform
-sphere sampler, the unit-norm check of :class:`UnitNormFrame` (which also
-rejects non-finite vectors) and the Monte Carlo route of ``limit_error``.
+sphere sampler, the unit-norm check of every block (which also rejects
+non-finite vectors) and the Monte Carlo route of ``limit_error``.
 The moment diagnostic walks the exponent compositions depth-first, one
 vector product per monomial.
 """
@@ -18,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,25 +40,91 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
+# the coordinates of one block of frame rows: bounds what a pass over a
+# generated frame holds at any N.  A frame of up to 2^17 coordinates is one
+# block, held as an array from construction
+_BLOCK_ELEMENTS = 1 << 17
 
 
-@dataclass(frozen=True, eq=False)
+def _block_rows(d: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // d)
+
+
 class UnitNormFrame:
-    """N unit vectors in R^d, stored as rows of ``vectors`` (N x d)."""
+    """N unit vectors in R^d, the rows of an N x d frame, read block by block.
 
-    dim: int
-    count: int
-    vectors: np.ndarray
-    tightness_defect: float  # Frobenius norm of (d/N) sum e e^T - I
+    A frame built from an array (:func:`frame_from_csv`), or generated and
+    no larger than one block, holds its rows as the array ``vectors``.  A
+    larger generated frame holds only ``source``, a callable that returns a
+    fresh iterator over its rows, one block after another; :meth:`blocks`
+    generates them anew on each pass and checks each block for unit norm.
+    ``vectors`` is filled from the blocks on its first read and then kept.
+    ``tightness_defect`` is the Frobenius norm of (d/N) sum e e^T - I, the
+    Gram matrix summed block by block; a generated frame sums it on its
+    first full pass, whichever consumer makes it.
+    """
 
-    def __post_init__(self):
-        # written so that a NaN norm fails too
-        if not np.max(np.abs(row_norms(self.vectors) - 1.0)) <= _NORM_TOL:
-            finite = np.isfinite(self.vectors).all(axis=1)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                raise ValueError(f"frame vector {i} is not finite: {self.vectors[i]}")
-            raise ValueError("frame vectors must be unit norm to 1e-12")
+    def __init__(self, dim: int, count: int, *, vectors=None, source=None):
+        self.dim, self.count = dim, count
+        self._vectors, self._source, self._defect = vectors, source, None
+        if vectors is not None:
+            _check_unit_norm(vectors, 0)
+            self._defect = _defect(sum(b.T @ b for b in self.blocks()), dim, count)
+
+    def blocks(self):
+        """The rows in order, in blocks of at most _BLOCK_ELEMENTS
+        coordinates: row views of ``vectors`` where it is held, else blocks
+        generated from ``source``."""
+        if self._vectors is not None:
+            step = _block_rows(self.dim)
+            return (self._vectors[i:i + step] for i in range(0, self.count, step))
+        return self._generate()
+
+    def _generate(self):
+        gram = None if self._defect is not None else np.zeros((self.dim, self.dim))
+        start = 0
+        for block in self._source():
+            _check_unit_norm(block, start)
+            start += len(block)
+            if gram is not None:
+                gram += block.T @ block
+            yield block
+        if gram is not None:
+            self._defect = _defect(gram, self.dim, self.count)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        if self._vectors is None:
+            vectors = np.empty((self.count, self.dim))
+            start = 0
+            for block in self.blocks():
+                vectors[start:start + len(block)] = block
+                start += len(block)
+            self._vectors = vectors
+        return self._vectors
+
+    @property
+    def tightness_defect(self) -> float:
+        if self._defect is None:
+            for _ in self.blocks():  # the pass sums the Gram matrix
+                pass
+        return self._defect
+
+
+def _check_unit_norm(vectors: np.ndarray, start: int) -> None:
+    """``ValueError`` unless every row is unit norm to 1e-12; row i is frame
+    vector start + i."""
+    # written so that a NaN norm fails too
+    if not np.max(np.abs(row_norms(vectors) - 1.0)) <= _NORM_TOL:
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"frame vector {start + i} is not finite: {vectors[i]}")
+        raise ValueError("frame vectors must be unit norm to 1e-12")
+
+
+def _defect(gram: np.ndarray, d: int, N: int) -> float:
+    return float(np.linalg.norm(gram * (d / N) - np.eye(d)))
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -60,29 +132,46 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
-def uniform_sphere_points(rng, m: int, d: int) -> np.ndarray:
-    """m i.i.d. uniform points on S^{d-1}: ``rng``'s standard normals, rows normalized."""
-    v = rng.standard_normal((m, d))
-    v /= row_norms(v)[:, None]
-    return v
+def uniform_sphere_points(rng, out: np.ndarray) -> np.ndarray:
+    """Fill the m x d array ``out`` with m i.i.d. uniform points on S^{d-1}:
+    ``rng``'s standard normals, rows normalized.  Returns ``out``.  The
+    normal stream is the same however it is split, so successive fills
+    draw what one fill of all their rows would."""
+    rng.standard_normal(out=out)
+    out /= row_norms(out)[:, None]
+    return out
 
 
 def _build(vectors: np.ndarray) -> UnitNormFrame:
     vectors = np.ascontiguousarray(vectors, dtype=float)
     N, d = vectors.shape
-    with np.errstate(invalid="ignore"):  # a non-finite row is rejected in __post_init__
-        gram = (vectors.T @ vectors) * (d / N) - np.eye(d)  # no scaled N x d copy
-    return UnitNormFrame(
-        dim=d, count=N, vectors=vectors, tightness_defect=float(np.linalg.norm(gram))
-    )
+    return UnitNormFrame(d, N, vectors=vectors)
+
+
+def _spans(d: int, N: int):
+    """(start, stop) of each block of an N-row frame in R^d."""
+    step = _block_rows(d)
+    return ((start, min(start + step, N)) for start in range(0, N, step))
+
+
+def _generated(d: int, N: int, source) -> UnitNormFrame:
+    """The frame of N rows in R^d that ``source()`` yields block by block:
+    held as its one block where the rows fit in one, else as the recipe."""
+    if N <= _block_rows(d):
+        return _build(next(source()))
+    return UnitNormFrame(d, N, source=source)
 
 
 def harmonic_frame_2d(N: int) -> UnitNormFrame:
     """N equally spaced directions on the circle; exactly tight for N >= 3."""
     if N < 3:
         raise ValueError("need N >= 3")
-    ang = 2.0 * math.pi * np.arange(N) / N
-    return _build(np.column_stack([np.cos(ang), np.sin(ang)]))
+
+    def source():
+        for start, stop in _spans(2, N):
+            ang = 2.0 * math.pi * np.arange(start, stop) / N
+            yield np.column_stack([np.cos(ang), np.sin(ang)])
+    return _generated(2, N, source)
 
 
 def random_sphere_frame(d: int, N: int, seed: int) -> UnitNormFrame:
@@ -91,7 +180,12 @@ def random_sphere_frame(d: int, N: int, seed: int) -> UnitNormFrame:
         raise ValueError("need d >= 2")
     if N < d:
         raise ValueError("need N >= d")
-    return _build(uniform_sphere_points(np.random.default_rng(seed), N, d))
+
+    def source():
+        rng = np.random.default_rng(seed)
+        for start, stop in _spans(d, N):
+            yield uniform_sphere_points(rng, np.empty((stop - start, d)))
+    return _generated(d, N, source)
 
 
 def fibonacci_sphere_frame(N: int) -> UnitNormFrame:
@@ -103,11 +197,15 @@ def fibonacci_sphere_frame(N: int) -> UnitNormFrame:
     """
     if N < 3:
         raise ValueError("need N >= 3")
-    i = np.arange(N, dtype=float)
-    z = 1.0 - 2.0 * (i + 0.5) / N
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    s = np.sqrt(1.0 - z * z)
-    return _build(np.column_stack([s * np.cos(phi), s * np.sin(phi), z]))
+
+    def source():
+        for start, stop in _spans(3, N):
+            i = np.arange(start, stop, dtype=float)
+            z = 1.0 - 2.0 * (i + 0.5) / N
+            phi = i * math.pi * (3.0 - math.sqrt(5.0))
+            s = np.sqrt(1.0 - z * z)
+            yield np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    return _generated(3, N, source)
 
 
 def sphere_moment(d: int, beta) -> float:
@@ -142,7 +240,10 @@ def equidistribution_diagnostic(frame: UnitNormFrame, max_degree: int) -> float:
     monomial column is the parent's times column j of one transposed copy
     of the vectors.  That is C(d + max_degree, d) - 1 products of length N
     and as many ``sphere_moment`` calls; memory is the frame, its transposed
-    copy and max_degree - 1 columns of partial products.
+    copy and max_degree - 1 columns of partial products.  The one consumer
+    that reads ``frame.vectors``: the walk holds N x d numbers anyway, and a
+    generated frame, materialized once, is not generated again on the next
+    diagnostic of it.
     """
     if max_degree < 1:
         raise ValueError("need max_degree >= 1")
@@ -172,11 +273,13 @@ def _moment_walk(cols, partial, beta, parent, depth, first) -> float:
 # CSV layout: one unit vector per row, columns c0..c{d-1} in coordinate order.
 
 def frame_to_csv(frame: UnitNormFrame, path) -> None:
+    """Write the frame block by block: a generated frame is not materialized."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"c{i}" for i in range(frame.dim)])
-        for row in frame.vectors:
-            writer.writerow([repr(float(x)) for x in row])
+        for block in frame.blocks():
+            for row in block:
+                writer.writerow([repr(float(x)) for x in row])
 
 
 def frame_from_csv(path) -> UnitNormFrame:

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .frames import uniform_sphere_points
-from .quantization import QuantScheme, SignalSpec, quant_error
+from .quantization import QuantScheme, SignalSpec, _pcm_quantize_into
 # alternating_bessel_sum_info and gauss_legendre are not called here but stay
 # importable from this module: perfbench/tracing.py wraps this module's copies
 from .special_fn import (EPS, PrecisionExhausted, _binary64,  # noqa: F401
@@ -136,16 +136,32 @@ class ParitySplit(NamedTuple):
     def scale(self, r: float, delta: float) -> float:
         """delta^s / r^{s-1}, taken as delta (delta/r)^{s-1} where a factor
         of the direct form leaves binary64 (d = 3, r = 1e200, delta = 1e199,
-        where the scale is 1e198); ``PrecisionExhausted`` where the scale or
-        (delta/r)^{s-1} leaves it (e.g. d = 500, r/delta = 20.3)."""
+        where the scale is 1e198); ``PrecisionExhausted`` where the scale
+        leaves it (e.g. d = 500, r/delta = 20.3).
+
+        Where (delta/r)^{s-1} itself leaves binary64 but the scale may not
+        (d = 41, r = 1e36, delta = 1e20: 1e-320 against 1e-300), the power
+        is taken of the mantissa m of delta/r = m 2^e, e made even so that
+        2^{e (s-1)} is an integer power of two, and multiplied by delta's
+        mantissa before one ``ldexp`` applies all the powers of two.  Only
+        there: ``**`` is not exactly invariant under scaling by 2^k, and the
+        values the fall-back gives elsewhere stay bit for bit."""
         def message():
             return (f"scale delta^{self.s} / r^{self.s - 1.0} leaves binary64 "
                     f"(r={r}, delta={delta})")
         try:
             return _binary64(lambda: delta ** self.s / r ** (self.s - 1.0), message)
         except PrecisionExhausted:
+            pass
+        try:
             power = _binary64(lambda: (delta / r) ** (self.s - 1.0), message)
-            return _binary64(lambda: delta * power, message)
+        except PrecisionExhausted:
+            (m, e), (dm, de) = math.frexp(delta / r), math.frexp(delta)
+            if e % 2:
+                m, e = 2.0 * m, e - 1
+            exponent = de + e // 2 * round(2.0 * self.s - 2.0)
+            return _binary64(lambda: math.ldexp(dm * m ** (self.s - 1.0), exponent), message)
+        return _binary64(lambda: delta * power, message)
 
 
 def _checked_ratio(r: float, delta: float) -> float:
@@ -187,7 +203,7 @@ def angular_constant(d: int) -> float:
 _PI_NUM, _PI_DEN = 31415926535897932384626433832795028841972, 10 ** 40
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # a pair of ~0.6 d-digit integers per d: bounded, not one per d seen
 def _smooth_coef(d: int) -> tuple[int, int]:
     """G = int_0^1 (1 - u^2)^e du, e = (d - 1)/2, as an integer ratio: exactly
     4^n / ((2n + 1) C(2n, n)) at d = 2n + 1 (2/3 at d = 3), and pi C(2n, n) /
@@ -518,10 +534,13 @@ def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitE
     Uniform sphere samples from normalized Gaussians, drawn in batches of
     2^17 up to d = 16 and of 2^21 // d past it, so that a batch's memory
     does not grow with d; deterministic for a fixed seed, however the
-    draws are batched.  Each batch adds its moment sums as two products,
-    sum_s e_s z_s = e @ z and sum_s e_s^2 z_s^2 = (e*e) @ (z*z) with
-    e_s = Delta(x . z_s), squaring z in place, so a batch holds no m x d
-    array beyond z.  ``error_estimate`` propagates
+    draws are batched.  Every batch is drawn into one (batch, d) array and
+    quantized in two batch-long ones, all allocated once per call: a fresh
+    16 MB array per batch would be fresh pages to fault in each time.
+    Each batch adds its moment sums as two products, sum_s e_s z_s = e @ z
+    and sum_s e_s^2 z_s^2 = (e*e) @ (z*z) with e_s = Delta(x . z_s),
+    squaring z in place, so a batch holds no m x d array beyond z.
+    ``error_estimate`` propagates
     the per-component standard errors to the norm as sqrt(sum sigma_i^2):
     |  ||mean_hat|| - ||mean||  | <= ||error vector||, whose rms is exactly
     that, so the estimate stays valid even when the true mean sits below
@@ -535,13 +554,15 @@ def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitE
     total = np.zeros(d)
     total_sq = np.zeros(d)
     done = 0
-    batch = max(1, _MC_BATCH_ELEMENTS // max(d, 16))
+    batch = min(samples, max(1, _MC_BATCH_ELEMENTS // max(d, 16)))
+    z_buf, t_buf, e_buf = np.empty((batch, d)), np.empty(batch), np.empty(batch)
     while done < samples:
         m = min(batch, samples - done)
-        z = uniform_sphere_points(rng, m, d)
-        e = quant_error(z @ sig.x, scheme)
+        z, t, e = uniform_sphere_points(rng, z_buf[:m]), t_buf[:m], e_buf[:m]
+        np.matmul(z, sig.x, out=t)
+        np.subtract(t, _pcm_quantize_into(t, scheme.delta, e), out=e)  # Delta(x . z)
         total += e @ z
-        total_sq += (e * e) @ np.square(z, out=z)
+        total_sq += np.multiply(e, e, out=t) @ np.square(z, out=z)
         done += m
     mean = total / samples
     var = np.maximum(total_sq / samples - mean * mean, 0.0) / samples

@@ -92,7 +92,17 @@ def pcm_quantize(t, scheme: QuantScheme):
     if np.isscalar(t):
         return d * math.floor(t / d + 0.5)
     t = np.asarray(t, dtype=float)
-    return d * np.floor(t / d + 0.5)
+    return _pcm_quantize_into(t, d, np.empty_like(t))[()]  # [()]: a 0-d t gives a scalar
+
+
+def _pcm_quantize_into(t: np.ndarray, delta: float, out: np.ndarray) -> np.ndarray:
+    """``delta * floor(t/delta + 1/2)`` of the array ``t`` written into
+    ``out``, an array of t's shape other than t, with no temporary."""
+    np.divide(t, delta, out=out)
+    out += 0.5
+    np.floor(out, out=out)
+    out *= delta
+    return out
 
 
 def quant_error(t, scheme: QuantScheme):
@@ -113,7 +123,10 @@ def quantize_and_reconstruct(x, frame, scheme: QuantScheme):
     x : SignalSpec or array_like
         Signal in R^d.
     frame : UnitNormFrame
-        Frame whose dimension matches the signal.
+        Frame whose dimension matches the signal, read through
+        ``frame.blocks()``: the sum over j is accumulated block by block, so
+        the temporaries are one block's and a generated frame is never
+        held whole.
     scheme : QuantScheme
         PCM alphabet.
 
@@ -127,9 +140,10 @@ def quantize_and_reconstruct(x, frame, scheme: QuantScheme):
     vec = x.x if isinstance(x, SignalSpec) else np.asarray(x, dtype=float)
     if vec.shape != (frame.dim,):
         raise ValueError(f"signal dimension {vec.shape} does not match frame dim {frame.dim}")
-    coeffs = frame.vectors @ vec
-    q = pcm_quantize(coeffs, scheme)
-    reconstruction = (frame.dim / frame.count) * (q @ frame.vectors)
+    total = np.zeros(frame.dim)
+    for block in frame.blocks():
+        total += pcm_quantize(block @ vec, scheme) @ block
+    reconstruction = (frame.dim / frame.count) * total
     error = float(np.linalg.norm(vec - reconstruction))
     return reconstruction, error
 

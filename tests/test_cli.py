@@ -420,6 +420,54 @@ def test_simulate(tmp_path):
     assert float(rows[0]["E_delta"]) > 0
 
 
+def _materialized_simulate(kind, d, N, delta, r, seed):
+    # (E_delta, tightness defect) of simulate from the whole N x d frame
+    import numpy as np
+
+    from framepcm import fibonacci_sphere_frame, harmonic_frame_2d, random_sphere_frame
+
+    v = {"harmonic": lambda: harmonic_frame_2d(N), "fibonacci": lambda: fibonacci_sphere_frame(N),
+         "random": lambda: random_sphere_frame(d, N, seed)}[kind]().vectors
+    u = np.random.default_rng(seed).standard_normal(d)
+    x = r * (u / np.linalg.norm(u))
+    q = delta * np.floor(v @ x / delta + 0.5)
+    error = float(np.linalg.norm(x - (d / N) * (q @ v)))
+    return error, float(np.linalg.norm((d / N) * (v.T @ v) - np.eye(d)))
+
+
+@pytest.mark.parametrize("kind, d, N", [("harmonic", 2, 70_001), ("fibonacci", 3, 50_001),
+                                        ("random", 8, 40_001)])
+def test_simulate_of_a_streamed_frame_matches_the_materialized_frame(tmp_path, kind, d, N):
+    assert run(tmp_path, "simulate", "--d", str(d), "--N", str(N), "--delta", "0.25",
+               "--r", "3.26", "--seed", "3", "--frame", kind) == EXIT_OK
+    [row] = read_csv(tmp_path / "simulate.csv")
+    error, defect = _materialized_simulate(kind, d, N, 0.25, 3.26, 3)
+    # E_delta is ||x - rec||, rec a sum of N terms of size up to ||x||: the
+    # two summation orders differ by a few EPS of ||x|| (2.2e-12 of E_delta
+    # for Fibonacci, both ~1e-12 off a math.fsum of the products)
+    assert abs(float(row["E_delta"]) - error) <= 1e-12 * error + 1e-14 * 3.26
+    assert abs(float(row["tightness_defect"]) - defect) <= 1e-12 * defect + 1e-13
+
+
+@pytest.mark.parametrize("kind, d", [("random", 8), ("harmonic", 2), ("fibonacci", 3)])
+def test_simulate_holds_one_block_of_the_frame(tmp_path, kind, d):
+    # the frame of N = 2^20 is 8-64 MB; simulate holds a block of it at a
+    # time, 2^17 coordinates (1 MB), and the few block-sized arrays that
+    # generate and quantize it
+    import tracemalloc
+
+    from framepcm.frames import _BLOCK_ELEMENTS
+
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, "simulate", "--d", str(d), "--N", str(2 ** 20), "--delta", "0.5",
+                   "--r", "5.3", "--frame", kind) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * _BLOCK_ELEMENTS
+
+
 def test_exit_codes(tmp_path):
     assert run(tmp_path, "limit", "--d", "1", "--r", "5", "--delta", "1") == EXIT_CONFIG
     assert run(tmp_path, "limit", "--d", "3", "--r", "5.5", "--delta", "1",

@@ -110,6 +110,63 @@ def test_equidistribution_random_improves_with_N():
     assert med[1] < med[0]
 
 
+def _unblocked_vectors(kind, d, N, seed):
+    # each family's N x d array as it was built in one piece, before frames
+    # were generated block by block
+    if kind == "harmonic":
+        ang = 2.0 * math.pi * np.arange(N) / N
+        return np.column_stack([np.cos(ang), np.sin(ang)])
+    if kind == "fibonacci":
+        i = np.arange(N, dtype=float)
+        z = 1.0 - 2.0 * (i + 0.5) / N
+        phi = i * math.pi * (3.0 - math.sqrt(5.0))
+        s = np.sqrt(1.0 - z * z)
+        return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    v = np.random.default_rng(seed).standard_normal((N, d))
+    v /= np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
+    return v
+
+
+_BUILD = {"harmonic": lambda d, N, seed: harmonic_frame_2d(N),
+          "fibonacci": lambda d, N, seed: fibonacci_sphere_frame(N),
+          "random": random_sphere_frame}
+
+
+@pytest.mark.parametrize("kind, d", [("harmonic", 2), ("fibonacci", 3), ("random", 3),
+                                     ("random", 8)])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_blocks_equal_the_unblocked_vectors(kind, d, extra):
+    rows = frames._BLOCK_ELEMENTS // d
+    N = rows + extra
+    frame = _BUILD[kind](d, N, 4)
+    ref = _unblocked_vectors(kind, d, N, 4)
+    blocks = list(frame.blocks())
+    assert [len(b) for b in blocks] == ([N] if N <= rows else [rows, N - rows])
+    assert np.array_equal(np.concatenate(blocks), ref)  # bit for bit
+    # a second pass generates the same rows; vectors is filled from them
+    assert np.array_equal(np.concatenate(list(frame.blocks())), ref)
+    assert np.array_equal(frame.vectors, ref)
+
+
+@pytest.mark.parametrize("kind, d, N", [("harmonic", 2, 70_000), ("fibonacci", 3, 50_000),
+                                        ("random", 8, 40_000)])
+def test_generated_frame_reads_as_its_materialized_copy(kind, d, N):
+    # a frame larger than one block is held as its recipe; the defect of its
+    # first pass and its reconstruction equal those of the same rows held as
+    # an array, bit for bit, and reading vectors changes neither
+    from framepcm import QuantScheme, quantize_and_reconstruct
+
+    frame = _BUILD[kind](d, N, 7)
+    held = frames._build(_unblocked_vectors(kind, d, N, 7))
+    x, scheme = np.linspace(1.0, 2.0, d), QuantScheme(0.37)
+    rec, err = quantize_and_reconstruct(x, frame, scheme)
+    assert frame.tightness_defect == held.tightness_defect
+    held_rec, held_err = quantize_and_reconstruct(x, held, scheme)
+    assert np.array_equal(rec, held_rec) and err == held_err
+    assert np.array_equal(frame.vectors, held.vectors)
+    assert quantize_and_reconstruct(x, frame, scheme)[1] == err
+
+
 def test_frame_csv_roundtrip(tmp_path):
     f = random_sphere_frame(3, 50, seed=2)
     path = tmp_path / "frame.csv"
@@ -117,6 +174,16 @@ def test_frame_csv_roundtrip(tmp_path):
     g = frame_from_csv(path)
     assert g.dim == f.dim and g.count == f.count
     assert np.array_equal(f.vectors, g.vectors)  # repr round-trip is exact
+
+
+def test_frame_csv_of_a_generated_frame_writes_its_rows_in_order(tmp_path):
+    f = harmonic_frame_2d(frames._BLOCK_ELEMENTS // 2 + 3)
+    path = tmp_path / "frame.csv"
+    frame_to_csv(f, path)
+    lines = path.read_text().splitlines()
+    ref = _unblocked_vectors("harmonic", 2, f.count, 0)
+    assert lines[0] == "c0,c1" and len(lines) == f.count + 1
+    assert np.array_equal(frame_from_csv(path).vectors, ref)
 
 
 @pytest.mark.parametrize("row", ["nan,nan", "inf,0.0", "0.6,-inf"])

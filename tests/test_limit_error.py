@@ -15,6 +15,7 @@ from framepcm import (
     integral_odd,
     limiting_error,
     monte_carlo_limit,
+    quant_error,
 )
 from framepcm.limit_error import angular_constant, parity_split, result_csv_row
 
@@ -255,6 +256,45 @@ def test_monte_carlo_matches_per_sample_contributions(d, R, delta):
     assert res.sample_count == 300_000
     assert abs(res.value - value) <= 1e-12 * value
     assert abs(res.error_estimate - estimate) <= 1e-12 * estimate
+
+
+def _batch_loop_monte_carlo(x, scheme, samples, seed):
+    # the batch loop as it was before its arrays were allocated once per
+    # call: fresh normals, row norms and quantization per batch
+    d = len(x)
+    rng = np.random.default_rng(seed)
+    total, total_sq, done = np.zeros(d), np.zeros(d), 0
+    batch = max(1, (1 << 21) // max(d, 16))
+    while done < samples:
+        m = min(batch, samples - done)
+        z = rng.standard_normal((m, d))
+        z /= np.sqrt(np.einsum("ij,ij->i", z, z))[:, None]
+        e = quant_error(z @ x, scheme)
+        total += e @ z
+        total_sq += (e * e) @ np.square(z, out=z)
+        done += m
+    mean = total / samples
+    var = np.maximum(total_sq / samples - mean * mean, 0.0) / samples
+    return d * float(np.linalg.norm(mean)), d * math.sqrt(float(var.sum()))
+
+
+@pytest.mark.parametrize("d, R, delta, samples", [(2, 3.7, 0.1, 300_000), (3, 10.25, 1.0, 1000),
+                                                  (8, 2.3, 0.37, 270_001), (40, 7.3, 0.37, 60_000)])
+def test_monte_carlo_equals_the_batch_loop_exactly(d, R, delta, samples):
+    x = np.arange(1.0, d + 1.0)
+    x *= R * delta / np.linalg.norm(x)
+    scheme = QuantScheme(delta)
+    res = monte_carlo_limit(x, scheme, samples=samples, seed=d)
+    assert (res.value, res.error_estimate) == _batch_loop_monte_carlo(x, scheme, samples, d)
+
+
+def test_smooth_coef_cache_is_bounded():
+    from framepcm.limit_error import _smooth_coef
+
+    for d in range(2, 1002):
+        angular_constant(d)
+    assert _smooth_coef.cache_info().maxsize is not None
+    assert _smooth_coef.cache_info().currsize <= _smooth_coef.cache_info().maxsize
 
 
 def test_monte_carlo_memory_is_bounded_in_d():
@@ -815,8 +855,12 @@ def test_scale_where_only_a_factor_leaves_binary64(d, r, delta):
 def test_scale_keeps_its_direct_value_and_refuses_a_subnormal_power():
     assert parity_split(3).scale(10.3, 0.37) == 0.37 ** 2 / 10.3
     assert parity_split(40).scale(1e3, 1e-2) == 1e-2 ** 20.5 / 1e3 ** 19.5
+    # delta^21 overflows and (delta/r)^20 is 1e-320, subnormal, but the scale
+    # 1e-300 is normal: the power is taken of delta/r's mantissa (this raised)
+    split = parity_split(41)
+    assert abs(split.scale(1e36, 1e20) - 1e-300) <= 4 * math.ulp(1e-300)
     with pytest.raises(PrecisionExhausted, match="scale"):
-        parity_split(41).scale(1e36, 1e20)  # delta^21 overflows, (delta/r)^20 is 1e-320
+        split.scale(1e36, 1e19)  # the scale itself, 1e-321, is subnormal
 
 
 def test_auto_at_d_500_falls_back_to_quadrature():

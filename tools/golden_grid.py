@@ -29,7 +29,8 @@ recorded as ``raise <Type>: <message>``.  The grid:
   These are the CLI's former default eps, kept so that golden files from
   either side of that change compare; the CLI now defaults to 0.46 and
   0.31, off the zeros of the leading coefficient C_d(eps);
-* for the frames in FRAMES (harmonic, Fibonacci and random, N <= 2e4),
+* for the frames in FRAMES (harmonic, Fibonacci and random, N <= 7e4,
+  three of them larger than one block),
   ``tightness_defect``, ``equidistribution_diagnostic`` at degree 4 and
   the ``quantize_and_reconstruct`` error of a fixed signal per delta in
   DELTAS (``frames/<kind>/...``);
@@ -83,9 +84,12 @@ INT_XS = (0.0, *XS[:-1])
 EPSS = (1.0 / 6.0, 0.2, 0.25, 0.3, 1.0 / 3.0, 0.375, 0.45, 0.5)
 MC_SAMPLES = 200_000  # more than one Monte Carlo batch
 # (kind, d, N); random frames take seed 0
-FRAMES = (("harmonic", 2, 7), ("harmonic", 2, 20_000), ("fibonacci", 3, 500),
-          ("fibonacci", 3, 20_000), ("random", 2, 2_000), ("random", 4, 20_000),
-          ("random", 8, 20_000))
+# harmonic N = 70,000, Fibonacci N = 50,000 and random d = 8, N = 20,000 are
+# larger than one block of frames._BLOCK_ELEMENTS = 2^17 coordinates, so
+# they are generated block by block on each pass; the others are one block
+FRAMES = (("harmonic", 2, 7), ("harmonic", 2, 20_000), ("harmonic", 2, 70_000),
+          ("fibonacci", 3, 500), ("fibonacci", 3, 20_000), ("fibonacci", 3, 50_000),
+          ("random", 2, 2_000), ("random", 4, 20_000), ("random", 8, 20_000))
 EQUIDIST_DEGREE = 4
 ALT_SUM_TOL = 1e-10
 # (d, R): large d, where the value is far above the scale delta^s / r^(s-1)
