@@ -207,9 +207,10 @@ def lower_bound(d: int, r: float, delta: float,
 class SandwichResult:
     """Outcome of the two-sided check on a 1-D integral.
 
-    ``status`` is "ok" when the hypotheses held and the check ran;
-    otherwise it explains which hypothesis was unmet, and ``holds`` and
-    ``method`` (the route that computed ``integral_abs``) are None.
+    ``status`` is "ok" when the hypotheses held and the check ran,
+    "unresolved" (``holds`` None) when the integral's estimate is at least
+    its magnitude; otherwise it explains which hypothesis was unmet, and
+    ``holds``, ``integral_abs`` and ``method`` (the route) are None.
     """
 
     lower: float
@@ -234,7 +235,8 @@ def sandwich_check(d: int, r: float, delta: float,
     an honest claim.  ``order_matched_phase=False`` selects the paper's
     fixed-phase kernel, whose lower bound can be false.  Window or
     threshold violations return a hypothesis-unmet status instead of a
-    boolean.
+    boolean, and so does an unresolved integral (d = 165, R = 5000.3),
+    which can neither confirm nor refute the bound.
     """
     split, _, _, low_c, up_c, scale, _, unmet = _bound(d, r, delta, order_matched_phase)
     if unmet is not None:
@@ -243,7 +245,8 @@ def sandwich_check(d: int, r: float, delta: float,
     upper = up_c * scale
     (integral,) = _integrals(r, [delta], split, Method.AUTO, None)
     val = abs(integral.value)
-    return SandwichResult(lower, upper, val, bool(lower <= val <= upper), "ok", integral.method)
+    holds, status = (None, "unresolved") if integral.unresolved else (lower <= val <= upper, "ok")
+    return SandwichResult(lower, upper, val, holds, status, integral.method)
 
 
 def scaling_slope_fit(d: int, r: float, eps_fixed: float, k_range) -> float:
@@ -258,10 +261,10 @@ def scaling_slope_fit(d: int, r: float, eps_fixed: float, k_range) -> float:
     fixed cost they pay once: measured with one BLAS thread on a 2-vCPU
     VM at d = 3, 4, 8 and 12, a one-row call costs 0.053-0.054 ms and a
     nine-row call 0.081-0.092 ms.  Each point's route, value and estimate
-    are those of ``limiting_error`` at that point alone.  A point whose
-    estimate is at least its value is unresolved: ``PrecisionExhausted``
-    names it rather than fitting noise.  Requires eps_fixed inside the
-    parity window and at least 4 points.
+    are those of ``limiting_error`` at that point alone.  A point that is
+    unresolved (``LimitErrorResult.unresolved``) or not positive raises
+    ``PrecisionExhausted`` naming it rather than fitting noise.  Requires
+    eps_fixed inside the parity window and at least 4 points.
     """
     ks = [int(k) for k in k_range]
     if len(ks) < 4:
@@ -272,7 +275,7 @@ def scaling_slope_fit(d: int, r: float, eps_fixed: float, k_range) -> float:
     deltas = [r / (k + eps_fixed) for k in ks]
     results = limiting_error_grid(d, r, deltas)
     for k, res in zip(ks, results):
-        if res.error_estimate >= abs(res.value):
+        if res.unresolved or not res.value > 0:  # no logarithm to fit
             raise PrecisionExhausted(
                 f"slope point k={k} (d={d}, eps={eps_fixed}) is unresolved: the "
                 f"{res.method.value} value {res.value:.3e} has estimate "

@@ -58,6 +58,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_PRECISION = 3
+# ends the line of a limit whose estimate is at least its |value|
+_UNRESOLVED = "  (estimate >= |value|: unresolved)"
 
 OUTDIR_ENV = "FRAMEPCM_OUTDIR"
 
@@ -228,10 +230,8 @@ def _cmd_limit(args, outdir: Path) -> int:
             res = limiting_error(sig, scheme, method=method, tol=args.tol)
         results[method] = res
         rows.append(result_csv_row(sig, scheme, res))
-        # an estimate as large as the value leaves even its sign unresolved
-        unresolved = res.error_estimate >= abs(res.value) and res.error_estimate > 0
         print(f"{res.method.value:>14}: value={res.value:.12e}  err_est={res.error_estimate:.2e}"
-              + ("  (estimate >= |value|: unresolved)" if unresolved else ""))
+              + (_UNRESOLVED if res.unresolved else ""))
     _write_csv(outdir / "limit.csv", LIMIT_CSV_FIELDS, rows)
 
     failures = 0
@@ -271,12 +271,13 @@ def _cmd_bounds(args, outdir: Path) -> int:
                             order_matched_phase=not args.paper_phase)
         if sw.integral_abs is not None:
             # the sandwich ran the default route on the same integral
-            value, route = report.I_const * sw.integral_abs, sw.method
+            value, route, unresolved = (report.I_const * sw.integral_abs, sw.method,
+                                        sw.status == "unresolved")
         else:
             lim = limiting_error(np.concatenate(([args.r], np.zeros(args.d - 1))),
                                  QuantScheme(args.delta))
-            value, route = lim.value, lim.method
-        print(f"limiting error ({route.value}): {value:.6e}")
+            value, route, unresolved = lim.value, lim.method, lim.unresolved
+        print(f"limiting error ({route.value}): {value:.6e}" + (_UNRESOLVED if unresolved else ""))
         print(f"1-D sandwich: {sw}")
         failures += sw.holds is False
     if args.slope:
@@ -351,7 +352,8 @@ def _cmd_simulate(args, outdir: Path) -> int:
     }
     print(f"frame={kind} N={args.N} (tightness defect {frame.tightness_defect:.2e})")
     print(f"E_delta            = {e_delta:.6e}")
-    print(f"limiting error     = {lim.value:.6e}   (E/limit = {row['E_over_limit']:.4f})")
+    print(f"limiting error     = {lim.value:.6e}   (E/limit = {row['E_over_limit']:.4f})"
+          + (_UNRESOLVED if lim.unresolved else ""))
     print(f"WNH MSE prediction = {mse:.6e}   (rmse {math.sqrt(mse):.6e}, "
           f"E/rmse = {row['E_over_wnh_rmse']:.1f}x)")
     _write_csv(outdir / "simulate.csv", list(row.keys()), [row])

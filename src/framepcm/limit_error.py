@@ -115,6 +115,12 @@ class LimitErrorResult:
     breakpoint_count: int | None = None
     sample_count: int | None = None
 
+    @property
+    def unresolved(self) -> bool:
+        """An estimate as large as |value| leaves even its sign unresolved
+        (an exact 0 with estimate 0 is resolved)."""
+        return self.error_estimate >= abs(self.value) and self.error_estimate > 0
+
 
 LIMIT_CSV_FIELDS = ["r", "delta", "eps", "d", "method", "value", "error_estimate"]
 
@@ -134,34 +140,28 @@ class ParitySplit(NamedTuple):
     s: float
 
     def scale(self, r: float, delta: float) -> float:
-        """delta^s / r^{s-1}, taken as delta (delta/r)^{s-1} where a factor
-        of the direct form leaves binary64 (d = 3, r = 1e200, delta = 1e199,
-        where the scale is 1e198); ``PrecisionExhausted`` where the scale
-        leaves it (e.g. d = 500, r/delta = 20.3).
+        """delta^s / r^{s-1}; ``PrecisionExhausted`` where the scale leaves
+        binary64 (e.g. d = 500, r/delta = 20.3).
 
-        Where (delta/r)^{s-1} itself leaves binary64 but the scale may not
-        (d = 41, r = 1e36, delta = 1e20: 1e-320 against 1e-300), the power
-        is taken of the mantissa m of delta/r = m 2^e, e made even so that
-        2^{e (s-1)} is an integer power of two, and multiplied by delta's
-        mantissa before one ``ldexp`` applies all the powers of two.  Only
-        there: ``**`` is not exactly invariant under scaling by 2^k, and the
-        values the fall-back gives elsewhere stay bit for bit."""
+        Where a factor of that direct form leaves binary64 but the scale may
+        not (d = 3, r = 1e200, delta = 1e199: 1e198; d = 41, r = 1e36,
+        delta = 1e20: 1e-300), the power is taken of the mantissa m of
+        delta/r = m 2^e, e made even so that 2^{e (s-1)} is an integer power
+        of two, and multiplied by delta's mantissa before one ``ldexp``
+        applies all the powers of two.  Only there: ``**`` is not exactly
+        invariant under scaling by 2^k, and the values the direct form
+        gives stay bit for bit."""
         def message():
             return (f"scale delta^{self.s} / r^{self.s - 1.0} leaves binary64 "
                     f"(r={r}, delta={delta})")
         try:
             return _binary64(lambda: delta ** self.s / r ** (self.s - 1.0), message)
         except PrecisionExhausted:
-            pass
-        try:
-            power = _binary64(lambda: (delta / r) ** (self.s - 1.0), message)
-        except PrecisionExhausted:
             (m, e), (dm, de) = math.frexp(delta / r), math.frexp(delta)
             if e % 2:
                 m, e = 2.0 * m, e - 1
             exponent = de + e // 2 * round(2.0 * self.s - 2.0)
             return _binary64(lambda: math.ldexp(dm * m ** (self.s - 1.0), exponent), message)
-        return _binary64(lambda: delta * power, message)
 
 
 def _checked_ratio(r: float, delta: float) -> float:
@@ -264,8 +264,6 @@ def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
     with no ``tol`` there is no target to miss.  Returns (value, estimate,
     2K + 1), the number of pieces over [0, pi].
     """
-    if tol is not None and not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     r, delta, d = float(r), float(delta), sin_pow + 2  # as_integer_ratio below
     q, f, K, estimate = _quad_plan(r, delta, d)
     if K > _QUAD_MAX_TERMS:
@@ -314,11 +312,6 @@ def _base_coef(n: int, parity: str) -> float:
                      lambda: f"the {parity} bound coefficient at n={n} leaves binary64")
 
 
-def _series_target(r: float, delta: float, split: ParitySplit, tol: float | None) -> float:
-    """Absolute target of the series route: ``tol``, else 1e-10 of the scale."""
-    return tol if tol is not None else 1e-10 * split.scale(r, delta)
-
-
 def _series_prefactor(r: float, delta: float, split: ParitySplit) -> float:
     """-pi * _base_coef * scale * sqrt(r/delta), the factor that turns the
     alternating sum into the 1-D integral; ``PrecisionExhausted`` where it,
@@ -343,7 +336,7 @@ def _auto_route(r: float, delta: float, split: ParitySplit, tol: float | None) -
     if r / delta < _AUTO_QUAD_MAX_R:
         estimate = _quad_plan(r, delta, split.sin_pow + 2)[3]
         try:
-            if estimate <= _series_target(r, delta, split, tol):
+            if estimate <= (tol if tol is not None else 1e-10 * split.scale(r, delta)):
                 return Method.QUADRATURE
         except PrecisionExhausted:  # the series' target leaves binary64
             return Method.QUADRATURE
@@ -352,15 +345,14 @@ def _auto_route(r: float, delta: float, split: ParitySplit, tol: float | None) -
 
 def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | None) -> list:
     """The series route at every delta of ``deltas``, in one
-    :func:`alternating_bessel_sums` call.
+    :func:`alternating_bessel_sums` call with no target, whose rows one
+    rule then accepts.
 
     An explicit ``tol`` is the absolute target of each integral.  Under the
-    default target a row is accepted where its bound meets
-    :func:`_series_target` or 1e-10 of the value, whichever is larger: at
-    large d the scale-based target alone asks for less than the sum's own
-    rounding (d = 40, R = 100.375: 1.8e-18 of a sum of 9.9e-3, bounded to
-    1.6e-15), so the sum runs with no target and the rule is applied to its
-    result.
+    default target a row is accepted where its bound meets 1e-10 of the
+    scale or 1e-10 of the value, whichever is larger: at large d the scale
+    alone asks for less than the sum's own rounding (d = 40, R = 100.375:
+    1.8e-18 of a sum of 9.9e-3, bounded to 1.6e-15).
     Returns per delta a :class:`LimitErrorResult` of the signed integral, or
     the ``PrecisionExhausted`` that delta raised (returned, not raised).
     """
@@ -371,22 +363,22 @@ def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | N
             prefac = _series_prefactor(r, delta, split)
             # frac(r/delta) = fmod(r, delta)/delta exactly: fmod is exact
             rows.append((i, prefac, r / delta,
-                         _series_target(r, delta, split, tol) / abs(prefac),
+                         (tol if tol is not None else 1e-10 * split.scale(r, delta)) / abs(prefac),
                          (math.fmod(r, delta), delta)))
         except PrecisionExhausted as exc:
             out[i] = exc
-    sums = alternating_bessel_sums(split.order, [row[2] for row in rows],
-                                   [math.inf if tol is None else row[3] for row in rows],
+    sums = alternating_bessel_sums(split.order, [row[2] for row in rows], [math.inf] * len(rows),
                                    [row[4] for row in rows])
     for (i, prefac, R, target, _), res in zip(rows, sums):
         if not isinstance(res, PrecisionExhausted):
             ev = res[0]
-            bound, accept = ev.abs_error_bound, max(target, 1e-10 * abs(ev.value))
-            if tol is None and not bound <= accept:
-                res = PrecisionExhausted(
-                    f"alternating Bessel sum (order={split.order}, R={R}) reached bound "
-                    f"{bound:.3e} > {accept:.3e}, the larger of its target and 1e-10 of its "
-                    f"value", achieved=bound)
+            bound = ev.abs_error_bound
+            accept = target if tol is not None else max(target, 1e-10 * abs(ev.value))
+            if not bound <= accept or bound == math.inf:  # an infinite bound certifies nothing
+                rule = (f"tol {accept:.3e}" if tol is not None else
+                        f"{accept:.3e}, the larger of its target and 1e-10 of its value")
+                res = PrecisionExhausted(f"alternating Bessel sum (order={split.order}, R={R}) "
+                                         f"reached bound {bound:.3e} > {rule}", achieved=bound)
             else:
                 res = LimitErrorResult(prefac * ev.value, Method.BESSEL_SERIES,
                                        abs(prefac) * bound)
@@ -411,6 +403,8 @@ def _integrals(r: float, deltas: list, split: ParitySplit, method, tol: float | 
     """
     for delta in deltas:
         _checked_ratio(r, delta)
+    if tol is not None and not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     method = _as_method(method)
     if method not in (Method.AUTO, Method.QUADRATURE, Method.BESSEL_SERIES):
         raise ValueError(f"method {method} not available for the 1-D integrals")
@@ -545,11 +539,18 @@ def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitE
     |  ||mean_hat|| - ||mean||  | <= ||error vector||, whose rms is exactly
     that, so the estimate stays valid even when the true mean sits below
     the noise floor (where a delta-method estimate would undershoot).
+
+    It runs on (2^-k x, 2^-k delta), 2^k near min(r, delta) (delta at most
+    2^1020 there), and scales back: every step is homogeneous, so that the
+    result scales exactly with (x, delta) and is the unscaled one bit for
+    bit where no square leaves binary64; ``PrecisionExhausted`` on overflow.
     """
     if samples < 1000:
         raise ValueError("need samples >= 1000")
     sig = _as_signal(x, scheme)
     d = sig.dim
+    k = max(math.frexp(min(sig.r, scheme.delta))[1], math.frexp(scheme.delta)[1] - 1020)
+    x, delta = np.ldexp(sig.x, -k), math.ldexp(scheme.delta, -k)
     rng = np.random.default_rng(seed)
     total = np.zeros(d)
     total_sq = np.zeros(d)
@@ -559,21 +560,20 @@ def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitE
     while done < samples:
         m = min(batch, samples - done)
         z, t, e = uniform_sphere_points(rng, z_buf[:m]), t_buf[:m], e_buf[:m]
-        np.matmul(z, sig.x, out=t)
-        np.subtract(t, _pcm_quantize_into(t, scheme.delta, e), out=e)  # Delta(x . z)
+        np.matmul(z, x, out=t)
+        np.subtract(t, _pcm_quantize_into(t, delta, e), out=e)  # Delta(x . z)
         total += e @ z
         total_sq += np.multiply(e, e, out=t) @ np.square(z, out=z)
         done += m
     mean = total / samples
     var = np.maximum(total_sq / samples - mean * mean, 0.0) / samples
-    norm = float(np.linalg.norm(mean))
-    sigma = math.sqrt(float(var.sum()))
-    return LimitErrorResult(
-        value=d * norm,
-        method=Method.MONTE_CARLO,
-        error_estimate=d * sigma,
-        sample_count=samples,
-    )
+    try:
+        value = math.ldexp(d * float(np.linalg.norm(mean)), k)
+        estimate = math.ldexp(d * math.sqrt(float(var.sum())), k)
+    except OverflowError:
+        raise PrecisionExhausted(f"the Monte Carlo value overflows (r={sig.r}, "
+                                 f"delta={scheme.delta})") from None
+    return LimitErrorResult(value, Method.MONTE_CARLO, estimate, sample_count=samples)
 
 
 def result_csv_row(sig: SignalSpec, scheme: QuantScheme, res: LimitErrorResult) -> dict:

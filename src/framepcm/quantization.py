@@ -46,9 +46,9 @@ class QuantScheme:
 class SignalSpec:
     """A signal paired with the quantities the error analysis runs on.
 
-    ``r`` is the Euclidean norm, ``R = r/delta`` the norm in alphabet
-    steps, and ``eps = fmod(r, delta)/delta`` its fractional part in
-    ``[0, 1)``, rounded once.
+    ``r`` is the Euclidean norm (:func:`_norm`), ``R = r/delta`` the norm
+    in alphabet steps, and ``eps = fmod(r, delta)/delta`` its fractional
+    part in ``[0, 1)``, rounded once.
     """
 
     x: np.ndarray
@@ -65,11 +65,7 @@ class SignalSpec:
         if bad.size:
             raise ValueError("signal entries must be finite, got "
                              + ", ".join(f"x[{i}] = {x[i]}" for i in bad[:8]))
-        with np.errstate(over="ignore"):
-            r = float(np.linalg.norm(x))
-        if r == math.inf:  # the squares overflow: scale by a power of 2 near max |x_i|
-            scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(x))))[1])
-            r = float(np.linalg.norm(x * scale)) / scale
+        r = _norm(x)
         R = r / scheme.delta
         if not math.isfinite(R):
             raise ValueError(f"signal norm / delta overflows ({r} / {scheme.delta})")
@@ -80,6 +76,16 @@ class SignalSpec:
     @property
     def dim(self) -> int:
         return self.x.shape[0]
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of the 1-D array ``v``, taken of 2^-e |v|, 2^e near
+    max |v_i|, and scaled back exactly: ``np.linalg.norm(v)`` bit for bit
+    where no square of v leaves binary64, and ``inf`` only where the norm does."""
+    a = abs(v)
+    e = math.frexp(a.max(initial=0.0))[1] - 1  # 2^e <= max |v_i| < 2^(e+1)
+    np.ldexp(a, -e, out=a)
+    return math.sqrt(a.dot(a)) * 2.0 ** e
 
 
 def pcm_quantize(t, scheme: QuantScheme):
@@ -135,7 +141,8 @@ def quantize_and_reconstruct(x, frame, scheme: QuantScheme):
     reconstruction : ndarray
         ``(d/N) * sum_j Q(<x, e_j>) e_j``.
     error : float
-        Euclidean norm ``||x - reconstruction||``.
+        Euclidean norm ``||x - reconstruction||``, by :func:`_norm`, so
+        that it scales exactly with (x, delta) by a power of two.
     """
     vec = x.x if isinstance(x, SignalSpec) else np.asarray(x, dtype=float)
     if vec.shape != (frame.dim,):
@@ -144,8 +151,7 @@ def quantize_and_reconstruct(x, frame, scheme: QuantScheme):
     for block in frame.blocks():
         total += pcm_quantize(block @ vec, scheme) @ block
     reconstruction = (frame.dim / frame.count) * total
-    error = float(np.linalg.norm(vec - reconstruction))
-    return reconstruction, error
+    return reconstruction, _norm(vec - reconstruction)
 
 
 def wnh_mse(d: int, N: int, scheme: QuantScheme) -> float:

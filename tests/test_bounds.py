@@ -263,6 +263,15 @@ def test_slope_fit_refuses_an_unresolved_point():
         scaling_slope_fit(165, 1.0, 0.3, [100, 200, 400, 800])
 
 
+def test_sandwich_neither_holds_nor_fails_on_an_unresolved_integral():
+    # d = 165, R = 5000.3: the quadrature fall-back's 1.35e-16 has a larger
+    # estimate; the true integral, ~1.4e-224, lies inside the sandwich, which
+    # returned holds=False on the unresolved value
+    out = sandwich_check(165, 5000.3, 1.0)
+    assert (out.holds, out.status, out.method) == (None, "unresolved", Method.QUADRATURE)
+    assert out.lower <= 1.4e-224 <= out.upper and out.integral_abs > out.upper
+
+
 def test_the_phase_is_the_exact_fractional_part_rounded_once():
     # eps = fmod(r, delta)/delta: fmod is exact, so eps is frac(r/delta)
     # rounded once.  R - floor(R) carried the rounding of R = r/delta, up

@@ -832,3 +832,51 @@ def test_quadrature_at_d_1000_below_the_first_jump_exits_0(tmp_path, capsys):
                "--methods", "quadrature") == EXIT_OK
     [row] = read_csv(tmp_path / "limit.csv")
     assert abs(float(row["value"]) - 0.3) <= float(row["error_estimate"])
+
+
+def test_a_signal_whose_squares_underflow_has_its_norm(tmp_path, capsys):
+    # the squares of 1e-160 underflow: the norm read 9.999944e-161, and so did
+    # the limit and E_delta
+    assert run(tmp_path, "limit", "--d", "3", "--r", "1e-160", "--delta", "1",
+               "--methods", "quadrature") == EXIT_OK
+    assert "value=1.000000000000e-160" in capsys.readouterr().out
+    assert run(tmp_path, "simulate", "--d", "3", "--N", "1000", "--delta", "1",
+               "--r", "1e-160") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "E_delta            = 1.000000e-160" in out
+    assert "limiting error     = 1.000000e-160" in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r, delta", [("1e200", "1e199"), ("1e-160", "1e-161")])
+def test_monte_carlo_at_the_ends_of_binary64(tmp_path, capsys, r, delta):
+    # the Monte Carlo route runs at a power-of-two scale: it read inf +- nan
+    # with overflow warnings at 1e200 and 0 +- 0 at 1e-160, and both FAILed
+    assert run(tmp_path, "limit", "--d", "3", "--r", r, "--delta", delta,
+               "--methods", "quadrature,monte_carlo", "--samples", "20000") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "quadrature vs Monte Carlo agreement" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("method", ["bessel_series", "auto"])
+def test_a_tol_below_the_series_prefactor_exhausts_precision(tmp_path, capsys, method):
+    # tol / |prefactor| underflows to 0 here: this exited 2 with "tol must be
+    # positive, one per R" from the alternating sum
+    assert run(tmp_path, "limit", "--d", "3", "--r", "6e9", "--delta", "1e10",
+               "--methods", method, "--tol", "1e-320") == EXIT_PRECISION
+    assert json.loads(capsys.readouterr().err)["error"] == "precision-exhausted"
+
+
+def test_bounds_and_simulate_flag_an_unresolved_limit(tmp_path, capsys):
+    # d = 165, R = 5000.3: AUTO's quadrature fall-back reads 1.14e-13 +-
+    # 1.1e-10 for a limit of 1.17e-221.  The sandwich FAILed on it (exit 1),
+    # and simulate printed E/limit = 6.7e15 with no flag
+    marker = "(estimate >= |value|: unresolved)"
+    assert run(tmp_path, "bounds", "--d", "165", "--r", "5000.3") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "holds=None, status='unresolved'" in out
+    assert f"limiting error (quadrature): 1.139948e-13  {marker}" in out
+    assert run(tmp_path, "simulate", "--d", "165", "--N", "2000", "--delta", "1",
+               "--r", "5000.3", "--frame", "random") == EXIT_OK
+    [line] = [ln for ln in capsys.readouterr().out.splitlines() if "limiting error" in ln]
+    assert line.endswith(marker)

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 
 from framepcm import (
+    LimitErrorResult,
     Method,
     PrecisionExhausted,
     QuantScheme,
     SignalSpec,
+    fibonacci_sphere_frame,
     integral_even,
     integral_odd,
     limiting_error,
     monte_carlo_limit,
     quant_error,
+    quantize_and_reconstruct,
 )
 from framepcm.limit_error import angular_constant, parity_split, result_csv_row
 
@@ -163,13 +166,38 @@ def test_scale_invariance():
         b = limiting_error(_x(3, s * 7.3), QuantScheme(s))
         assert b.value == pytest.approx(s * a.value, rel=1e-11)
     # at a power of two every route scales exactly: the quadrature's default
-    # target scales with delta (at delta = 2^100, d = 4, R = 0.3 it raised)
+    # target scales with delta (at delta = 2^100, d = 4, R = 0.3 it raised).
+    # From 2^600 on the squares of r and delta leave binary64 (every route
+    # read 0 or raised at 2^-600 and 2^-900); the series may move by 2 ulps
+    # there, where the scale takes its mantissa fall-back (1 at d = 4, R = 7.3)
+    ks = (100, -100, 300, -300, 600, -600, 900, -900)
     for d, R, method in itertools.product((3, 4), (0.3, 2.3, 7.3), (
             Method.AUTO, Method.QUADRATURE, Method.BESSEL_SERIES)):
         ref = _per_delta(d, R, 1.0, method)
         assert ref is not None or (d, R, method) == (4, 0.3, Method.BESSEL_SERIES)
-        for k in (100, -100, 300, -300):
-            assert _per_delta(d, R, 2.0 ** k, method) == ref, (d, R, method, k)
+        for k in ks:
+            got = _per_delta(d, R, 2.0 ** k, method)
+            if method == Method.BESSEL_SERIES and abs(k) > 300 and ref is not None:
+                assert got[0] == ref[0], (d, R, k)
+                for a, b in zip(got[1:], ref[1:]):
+                    assert abs(a - b) <= 2 * math.ulp(b), (d, R, k)
+            else:
+                assert got == ref, (d, R, method, k)
+    # the Monte Carlo route and the finite-frame error E_N scale exactly too
+    # (both read 0, inf or nan at every k from 600 on)
+    frame = fibonacci_sphere_frame(500)
+    direction = np.arange(1.0, 4.0) / math.sqrt(14.0)
+    for d, R in itertools.product((3, 4), (0.3, 2.3, 7.3)):
+        mc = monte_carlo_limit(_x(d, R), UNIT, 2000, seed=3)
+        for k in ks:
+            got = monte_carlo_limit(_x(d, R * 2.0 ** k), QuantScheme(2.0 ** k), 2000, seed=3)
+            assert (got.value, got.error_estimate) == (math.ldexp(mc.value, k),
+                                                       math.ldexp(mc.error_estimate, k)), (d, R, k)
+    for R in (0.3, 2.3, 7.3):
+        e_n = quantize_and_reconstruct(R * direction, frame, UNIT)[1]
+        for k in ks:
+            scaled = quantize_and_reconstruct(2.0 ** k * R * direction, frame, QuantScheme(2.0 ** k))
+            assert scaled[1] == math.ldexp(e_n, k), (R, k)
 
 
 def test_nearby_radius_periodicity_trend():
@@ -742,6 +770,13 @@ def test_auto_route_table(d, R, route):
     assert (res.value, res.error_estimate) == (ran.value, ran.error_estimate)
 
 
+def test_unresolved_is_an_estimate_at_least_the_value_except_an_exact_zero():
+    assert LimitErrorResult(1e-13, Method.QUADRATURE, 1.1e-10).unresolved
+    assert LimitErrorResult(-2.0, Method.QUADRATURE, 2.0).unresolved
+    assert not LimitErrorResult(0.0, Method.QUADRATURE, 0.0).unresolved
+    assert not LimitErrorResult(1.0, Method.BESSEL_SERIES, 0.5).unresolved
+
+
 def test_auto_falls_back_to_quadrature_with_an_honest_estimate():
     # the order-82.5 polylogarithms run past their table's depth at d = 165;
     # the quadrature's estimate exceeds its value there, but covers its error
@@ -773,6 +808,14 @@ def test_auto_takes_the_series_under_the_relative_default_target(d, R):
         pytest.importorskip("mpmath")
         ref = _benchmark_oracle().limit_oracle(d, R, 1.0)
         assert abs(res.value - ref) <= res.error_estimate, (res, ref)
+
+
+def test_series_refuses_an_infinite_bound():
+    # at R = 1e-300 Hankel's expansion at 2 pi R overflows, and the
+    # alternating sum returns inf with an infinite bound, which "1e-10 of
+    # the value" accepted: inf +- inf, once the norm of 1e-300 stopped reading 0
+    with pytest.raises(PrecisionExhausted, match="reached bound inf"):
+        limiting_error(_x(3, 1e-300), UNIT, Method.BESSEL_SERIES)
 
 
 def test_an_explicit_tol_keeps_its_absolute_meaning():

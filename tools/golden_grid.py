@@ -34,6 +34,12 @@ recorded as ``raise <Type>: <message>``.  The grid:
   ``tightness_defect``, ``equidistribution_diagnostic`` at degree 4 and
   the ``quantize_and_reconstruct`` error of a fixed signal per delta in
   DELTAS (``frames/<kind>/...``);
+* the ends of binary64 (``edge/...``): ``limiting_error`` by its default
+  route and ``monte_carlo_limit`` at the EDGE_POINTS (d, R) and delta in
+  EDGE_DELTAS, 2^-900 and 2^900, where the squares of r and delta leave
+  binary64, and the ``quantize_and_reconstruct`` error of the Fibonacci
+  frame of N = 500 at those delta.  Each is 2^+-900 times its value at
+  delta = 1 (to 2 ulps for the series);
 * the exact layer (``combinatorics/...``) at indices up to COMB_MAX:
   ``L_closed``, ``D_closed``, ``weighted_sum_A`` and ``gosper_g`` as exact
   ``Fraction`` and integer reprs, and the result of each of the six identity
@@ -95,6 +101,9 @@ ALT_SUM_TOL = 1e-10
 # (d, R): large d, where the value is far above the scale delta^s / r^(s-1)
 LARGE_D = ((40, 100.375), (40, 1000.3), (40, 10000.3), (41, 1e6 + 0.3), (41, 1e9 + 0.3),
            (63, 1e9 + 0.3), (21, 1e12 + 0.3))
+# (d, R) at delta = 2^-900 and 2^900
+EDGE_POINTS = ((3, 0.3), (3, 7.3), (4, 0.3), (4, 7.3))
+EDGE_DELTAS = (2.0 ** -900, 2.0 ** 900)
 COMB_MAX = 24  # the top of the benchmark's verify --max range
 # the k of framepcm bounds --slope at its defaults --kmin 100 --kmax 1000 --points 9
 SLOPE_KS = np.unique(np.round(np.logspace(2, 3, 9)).astype(int))
@@ -170,6 +179,7 @@ def golden() -> dict:
         x[0] = R
         _record(out, f"limit/default/d={d}/R={R!r}/delta=1.0",
                 lambda: limiting_error(x, QuantScheme(1.0)))
+    _edge(out)
     for order in ORDERS:
         for x in XS:
             _record(out, f"bessel_large_x/order={order!r}/x={x!r}",
@@ -205,14 +215,36 @@ def golden() -> dict:
         out[f"{at}/tightness_defect"] = repr(frame.tightness_defect)
         _record(out, f"{at}/equidistribution_diagnostic/degree={EQUIDIST_DEGREE}",
                 lambda: equidistribution_diagnostic(frame, EQUIDIST_DEGREE))
-        direction = np.arange(1.0, d + 1.0) / math.sqrt(d * (d + 1) * (2 * d + 1) / 6)
         for delta in DELTAS:
             _record(out, f"{at}/quantize_error/delta={delta!r}",
-                    lambda: quantize_and_reconstruct(3.7 * delta * direction, frame,
+                    lambda: quantize_and_reconstruct(3.7 * delta * _direction(d), frame,
                                                      QuantScheme(delta))[1])
     _exact_layer(out)
     _verify_suites(out)
     return out
+
+
+def _direction(d: int) -> np.ndarray:
+    """The unit vector along (1, 2, ..., d) that the frame keys quantize."""
+    return np.arange(1.0, d + 1.0) / math.sqrt(d * (d + 1) * (2 * d + 1) / 6)
+
+
+def _edge(out: dict) -> None:
+    from framepcm import (QuantScheme, fibonacci_sphere_frame, limiting_error,
+                          monte_carlo_limit, quantize_and_reconstruct)
+
+    frame = fibonacci_sphere_frame(500)
+    for delta in EDGE_DELTAS:
+        scheme = QuantScheme(delta)
+        for d, R in EDGE_POINTS:
+            x = np.zeros(d)
+            x[0] = R * delta
+            at = f"d={d}/R={R!r}/delta={delta!r}"
+            _record(out, f"edge/limit/default/{at}", lambda: limiting_error(x, scheme))
+            _record(out, f"edge/limit/monte_carlo/{at}",
+                    lambda: monte_carlo_limit(x, scheme, samples=MC_SAMPLES, seed=0))
+        _record(out, f"edge/frames/fibonacci/d=3/N=500/quantize_error/delta={delta!r}",
+                lambda: quantize_and_reconstruct(3.7 * delta * _direction(3), frame, scheme)[1])
 
 
 def _exact_layer(out: dict) -> None:
