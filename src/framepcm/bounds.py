@@ -259,8 +259,8 @@ def scaling_slope_fit(d: int, r: float, eps_fixed: float, k_range) -> float:
     the quadrature, whose own estimate exceeds its value there at d >= 8.
     The series points share one batched alternating Bessel sum, whose
     fixed cost they pay once: measured with one BLAS thread on a 2-vCPU
-    VM at d = 3, 4, 8 and 12, a one-row call costs 0.053-0.054 ms and a
-    nine-row call 0.081-0.092 ms.  Each point's route, value and estimate
+    VM at d = 3, 4, 8 and 12, a one-row call costs 0.045-0.050 ms and a
+    nine-row call 0.080-0.094 ms.  Each point's route, value and estimate
     are those of ``limiting_error`` at that point alone.  A point that is
     unresolved (``LimitErrorResult.unresolved``) or not positive raises
     ``PrecisionExhausted`` naming it rather than fitting noise.  Requires

@@ -86,7 +86,8 @@ class RunConfig:
 
 def _outdir(args) -> Path:
     out = Path(args.outdir or os.environ.get(OUTDIR_ENV, "framepcm_out"))
-    out.mkdir(parents=True, exist_ok=True)
+    if not out.is_dir():  # one stat, where mkdir of an existing directory raises and catches
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -341,21 +342,27 @@ def _cmd_simulate(args, outdir: Path) -> int:
     sig = SignalSpec.from_vector(x, scheme)
     _, e_delta = quantize_and_reconstruct(sig, frame, scheme)
     lim = limiting_error(sig, scheme)
-    mse = wnh_mse(args.d, args.N, scheme)
+    try:
+        mse = wnh_mse(args.d, args.N, scheme)
+        rmse = math.sqrt(mse)
+    except sf.PrecisionExhausted:  # delta^2 leaves binary64; d delta / sqrt(12 N) need not
+        mse, rmse = None, sf._binary64(  # None: an empty cell
+            lambda: args.d * args.delta / math.sqrt(12.0 * args.N),
+            lambda: f"the WNH RMSE leaves binary64 (d={args.d}, N={args.N}, delta={args.delta})")
     row = {
         "d": args.d, "N": args.N, "delta": args.delta, "r": sig.r, "eps": sig.eps,
         "frame": kind, "seed": args.seed, "tightness_defect": frame.tightness_defect,
         "E_delta": e_delta, "limit_value": lim.value, "wnh_mse": mse,
-        "wnh_rmse": math.sqrt(mse),
+        "wnh_rmse": rmse,
         "E_over_limit": e_delta / lim.value if lim.value else math.inf,
-        "E_over_wnh_rmse": e_delta / math.sqrt(mse),
+        "E_over_wnh_rmse": e_delta / rmse,
     }
     print(f"frame={kind} N={args.N} (tightness defect {frame.tightness_defect:.2e})")
     print(f"E_delta            = {e_delta:.6e}")
     print(f"limiting error     = {lim.value:.6e}   (E/limit = {row['E_over_limit']:.4f})"
           + (_UNRESOLVED if lim.unresolved else ""))
-    print(f"WNH MSE prediction = {mse:.6e}   (rmse {math.sqrt(mse):.6e}, "
-          f"E/rmse = {row['E_over_wnh_rmse']:.1f}x)")
+    print(f"WNH MSE prediction = {'leaves binary64' if mse is None else f'{mse:.6e}'}   "
+          f"(rmse {rmse:.6e}, E/rmse = {row['E_over_wnh_rmse']:.1f}x)")
     _write_csv(outdir / "simulate.csv", list(row.keys()), [row])
     return EXIT_OK
 

@@ -44,7 +44,7 @@ coarse referee for both, and the only route that reads x beyond ||x||.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
@@ -83,10 +83,10 @@ _QUAD_CHUNK = 4096
 # 0.35-0.39 s at d = 3, 4 and 41 on a 2-vCPU VM with one BLAS thread
 _QUAD_MAX_TERMS = 1 << 24
 # AUTO takes the quadrature only below this R = r/delta.  Measured per call
-# at d = 2..12 with one BLAS thread on a 2-vCPU VM, the quadrature costs
-# 0.017 ms against the series' 0.072 ms at R = 80.3 and 0.035 ms against
-# 0.072 ms at R = 1000.3; the two cost the same near R = 3000, but moving
-# the crossover would move default values
+# at d = 2..12 with one BLAS thread on a 2-vCPU VM (median over d), the
+# quadrature costs 0.018 ms against the series' 0.069 ms at R = 80.3 and
+# 0.045 ms against 0.069 ms at R = 1000.3; the two cost the same near
+# R = 2000, but moving the crossover would move default values
 _AUTO_QUAD_MAX_R = 100.0
 
 
@@ -173,6 +173,7 @@ def _checked_ratio(r: float, delta: float) -> float:
     return r / delta
 
 
+@lru_cache(maxsize=64, typed=True)  # one small tuple per d; typed: a numpy d keeps its own
 def parity_split(d: int) -> ParitySplit:
     """The :class:`ParitySplit` of dimension d: (n, "even", 2n-2, n, n+1/2) for
     d = 2n, (n, "odd", 2n-1, n+1/2, n+1) for d = 2n+1."""
@@ -312,14 +313,19 @@ def _base_coef(n: int, parity: str) -> float:
                      lambda: f"the {parity} bound coefficient at n={n} leaves binary64")
 
 
-def _series_prefactor(r: float, delta: float, split: ParitySplit) -> float:
-    """-pi * _base_coef * scale * sqrt(r/delta), the factor that turns the
-    alternating sum into the 1-D integral; ``PrecisionExhausted`` where it,
-    the coefficient (d >= 441) or the scale leaves binary64."""
-    return _binary64(lambda: -_base_coef(split.n, split.parity) * split.scale(r, delta)
+def _series_prefactor(r: float, delta: float, split: ParitySplit) -> tuple[float, float]:
+    """(-pi * _base_coef * scale * sqrt(r/delta), scale): the factor that
+    turns the alternating sum into the 1-D integral, and the scale it took;
+    ``PrecisionExhausted`` where the factor, the coefficient (d >= 441) or
+    the scale leaves binary64."""
+    try:
+        scale = split.scale(r, delta)
+    except PrecisionExhausted:  # so does the factor, which says so
+        scale = math.nan
+    return _binary64(lambda: -_base_coef(split.n, split.parity) * scale
                      * math.pi * math.sqrt(r / delta),
                      lambda: f"the order-{split.order:g} series prefactor leaves binary64 "
-                             f"(r={r}, delta={delta})")
+                             f"(r={r}, delta={delta})"), scale
 
 
 def _auto_route(r: float, delta: float, split: ParitySplit, tol: float | None) -> Method:
@@ -360,10 +366,10 @@ def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | N
     rows = []  # (point, prefactor, R, target of the alternating sum, phase of R)
     for i, delta in enumerate(deltas):
         try:
-            prefac = _series_prefactor(r, delta, split)
+            prefac, scale = _series_prefactor(r, delta, split)
             # frac(r/delta) = fmod(r, delta)/delta exactly: fmod is exact
             rows.append((i, prefac, r / delta,
-                         (tol if tol is not None else 1e-10 * split.scale(r, delta)) / abs(prefac),
+                         (tol if tol is not None else 1e-10 * scale) / abs(prefac),
                          (math.fmod(r, delta), delta)))
         except PrecisionExhausted as exc:
             out[i] = exc
@@ -500,7 +506,8 @@ def _lifted(dcd: float, res: LimitErrorResult) -> LimitErrorResult:
     1000, 5000, 1e4 and 1e5), d c_d within 0.84 EPS, and the product adds
     one more rounding."""
     value = dcd * abs(res.value)
-    return replace(res, value=value, error_estimate=dcd * res.error_estimate + 4 * EPS * value)
+    return LimitErrorResult(value, res.method, dcd * res.error_estimate + 4 * EPS * value,
+                            res.breakpoint_count, res.sample_count)
 
 
 def limiting_error_grid(d: int, r: float, deltas, tol: float | None = None) -> list:

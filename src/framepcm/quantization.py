@@ -61,10 +61,9 @@ class SignalSpec:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ValueError("signal must be a 1-D vector")
-        bad = np.flatnonzero(~np.isfinite(x))
-        if bad.size:
-            raise ValueError("signal entries must be finite, got "
-                             + ", ".join(f"x[{i}] = {x[i]}" for i in bad[:8]))
+        if not np.isfinite(x).all():
+            raise ValueError("signal entries must be finite, got " + ", ".join(
+                f"x[{i}] = {x[i]}" for i in np.flatnonzero(~np.isfinite(x))[:8]))
         r = _norm(x)
         R = r / scheme.delta
         if not math.isfinite(R):

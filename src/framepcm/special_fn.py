@@ -378,48 +378,55 @@ def asymptotic_estimate(order: float, x: float) -> AsymptoticEnvelope:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def _hankel_ratios(order: float, jmax: int) -> np.ndarray:
-    """a_j / a_{j-1} = (4 order^2 - (2j-1)^2) / (8j) for j = 1..jmax."""
+def _hankel_layout(order: float, spare: int):
+    """The part of :func:`_hankel_plan` fixed by (order, spare): jmax, the
+    ratios a_j / a_{j-1} = (4 order^2 - (2j-1)^2) / (8j), j = 1..jmax, the
+    first column of the windows of P and Q, and per column its parity and
+    (column - its parity's window start) // 2, exact, as the two share a parity."""
+    p0 = 2 * max(1, math.ceil((order - 0.5) / 2.0))
+    q0 = 2 * max(1, math.ceil((order - 1.5) / 2.0)) + 1
+    jmax = max(p0, q0 - 1) + spare
     j = np.arange(1, jmax + 1)
     ratios = (4.0 * order * order - (2 * j - 1) ** 2) / (8.0 * j)
-    ratios.setflags(write=False)  # shared by every caller through the cache
-    return ratios
+    col = np.arange(jmax + 1)
+    odd = col % 2 == 1
+    half = (col - np.where(odd, q0, p0)) // 2
+    for arr in (ratios, odd, half):  # shared by every caller through the cache
+        arr.setflags(write=False)
+    return jmax, ratios, p0, q0, odd, half
 
 
 def _hankel_plan(order: float, x, spare: int):
     """Terms and cut of the Hankel sums P, Q.
 
-    ``x`` is an argument or a 1-D array of them.  Returns (terms, kept,
+    ``x`` is an argument or a 1-D array of them.  Returns (terms, mag, kept,
     omitted): ``terms[i, j] = a_j / x_i^j``, j = 0..jmax, with a_j =
     prod_{i<=j} (4 order^2 - (2i-1)^2) / (8^j j!), built as running ratios
     (a power of x is never formed, so large x underflows the terms instead
-    of overflowing), and boolean masks of the same shape: the columns each
-    argument retains, P the even ones, Q the odd ones, and its first
-    omitted column of each parity.  For real order >= 0 and x > 0 the
-    remainder after the retained terms is bounded by the first omitted term
-    provided that column j satisfies j >= order - 1/2 (DLMF 10.17(iii)).
+    of overflowing), mag = |terms|, and boolean masks of the same shape:
+    the columns each argument retains, P the even ones, Q the odd ones, and
+    its first omitted column of each parity.  For real order >= 0 and x > 0
+    the remainder after the retained terms is bounded by the first omitted
+    term provided that column j satisfies j >= order - 1/2 (DLMF 10.17(iii)).
     There the same-parity ratio |t_{j+2}/t_j| = ((2j+1)^2 - 4 order^2)
     ((2j+3)^2 - 4 order^2) / (64 (j+1) (j+2) x^2) never decreases in j, so
     the magnitudes fall and then rise: each parity is cut at its smallest
     term among the columns that satisfy the condition, from column 2 (P)
     or 3 (Q) on, up to ``spare`` columns past the later of the two least
-    such columns.
+    such columns (a layout cached per (order, spare), :func:`_hankel_layout`).
     """
-    lp_min = max(1, math.ceil((order - 0.5) / 2.0))
-    lq_min = max(1, math.ceil((order - 1.5) / 2.0))
-    jmax = 2 * max(lp_min, lq_min) + spare
-    x = np.atleast_1d(x)
-    terms = np.empty((x.size, jmax + 1))
+    jmax, ratios, p0, q0, odd, half = _hankel_layout(order, spare)
+    x = np.asarray(x, dtype=float).reshape(-1, 1)
+    terms = np.empty((x.shape[0], jmax + 1))
     terms[:, 0] = 1.0
-    np.divide(_hankel_ratios(order, jmax), x[:, None], out=terms[:, 1:])
-    np.cumprod(terms, axis=1, out=terms)
-    mag = np.abs(terms)
-    # the first omitted column of P (even) and of Q (odd), per argument
-    cut_p = 2 * (lp_min + mag[:, 2 * lp_min::2].argmin(axis=1))
-    cut_q = 2 * (lq_min + mag[:, 2 * lq_min + 1::2].argmin(axis=1)) + 1
-    col = np.arange(jmax + 1)
-    at = np.where(col % 2, cut_q[:, None], cut_p[:, None])
-    return terms, col < at, col == at
+    np.divide(ratios, x, out=terms[:, 1:])
+    terms.cumprod(axis=1, out=terms)
+    mag = abs(terms)
+    # per argument and column, the first omitted column of its parity, in
+    # steps of two from the window's start
+    at = np.where(odd, mag[:, q0::2].argmin(axis=1, keepdims=True),
+                  mag[:, p0::2].argmin(axis=1, keepdims=True))
+    return terms, mag, half < at, half == at
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing terms come out (0, inf)
@@ -439,7 +446,7 @@ def bessel_large_x(order: float, x: float) -> BesselEval:
     _require_half_integer(order)
     omega = math.pi * order / 2.0 + math.pi / 4.0
     chi = x - omega
-    (terms,), (kept,), (omitted,) = _hankel_plan(order, x, 26)
+    (terms,), _, (kept,), (omitted,) = _hankel_plan(order, x, 26)
     # P = a_0 - a_2/x^2 + ..., Q = a_1/x - a_3/x^3 + ...; the last column,
     # even, is never retained
     signed = np.where(kept, terms, 0.0) * (1.0 - 2.0 * (np.arange(terms.size) // 2 % 2))
@@ -519,9 +526,9 @@ class _PhaseTable:
     ``series`` has one row per j = 0..depth and three blocks of top + 1
     columns: the real and imaginary parts of the series' coefficients
     zeta(q_i - j) i^j, and their bound weights.  ``integer`` tells whether
-    every q is an integer (the harmonic/log form); ``sing`` holds three
-    blocks of per-i factors of the rest of the singular term.  ``q`` serves
-    the callers.
+    every q is an integer (the harmonic/log form); ``sing`` holds the per-i
+    factors of the rest of the singular term, a row per block (3 x 3 x (top
+    + 1) at integer q: for 1, ln(2 pi b), |ln(2 pi b)|).  ``q`` serves the callers.
     """
 
     depth: int
@@ -580,13 +587,13 @@ def _phase_table(order: float, top: int) -> _PhaseTable:
         harmonic = np.array([math.fsum(1.0 / np.arange(1.0, v)) for v in q])
         i_n, zero = _I_POW[n % 4], np.zeros(q.size)
         const = i_n * (harmonic + 0.5j * math.pi)
-        sing = np.array([[*const.real, *const.imag,
-                          *(EPS * ((2 * n + 4) * (harmonic + 0.5 * math.pi) + harmonic + 2))],
-                         [*-i_n.real, *-i_n.imag, *zero], [*zero, *zero, *(EPS * (2 * n + 5.0))]])
+        sing = np.array([[const.real, const.imag,
+                          EPS * ((2 * n + 4) * (harmonic + 0.5 * math.pi) + harmonic + 2)],
+                         [-i_n.real, -i_n.imag, zero], [zero, zero, EPS * (2 * n + 5.0)]])
     else:
         gamma = np.array([math.gamma(1.0 - v) for v in q])
-        sing = np.concatenate((gamma * _cos_half_pi(q - 1.0), -gamma * _cos_half_pi(q - 2.0),
-                               EPS * np.abs(gamma) * (np.abs(q - 1.0) + 26)))
+        sing = np.array([gamma * _cos_half_pi(q - 1.0), -gamma * _cos_half_pi(q - 2.0),
+                         EPS * np.abs(gamma) * (np.abs(q - 1.0) + 26)])
     size = np.abs(coef.real) + np.abs(coef.imag)
     weight = err + EPS * size * (2 * j + 3 + np.where(j, 0.5 * depth + 1, 0))
     # the remainder past depth, rem b^{depth+1} / (1 - b) with log rem =
@@ -609,7 +616,8 @@ def _phase_table(order: float, top: int) -> _PhaseTable:
 def _polylogs(tab: _PhaseTable, b: np.ndarray):
     """Li_q(e^{2 pi i b}) at every q of ``tab``, one b in (0, 1/2] per row;
     Li_q(e^{-2 pi i b}) is its conjugate.  Returns (re, im, bounds), each
-    rows x (top + 1).
+    rows x (top + 1), the three blocks of one rows x 3 x (top + 1) array, to
+    which the singular term is added through ``tab.sing``.
 
     With w = 2 pi i b, |w| <= pi < 2 pi, the expansion (DLMF 25.12.12)
 
@@ -630,8 +638,9 @@ def _polylogs(tab: _PhaseTable, b: np.ndarray):
     top = tab.q.size
     a = 2.0 * math.pi * b
     # c_1..c_depth, (2 pi b)^j / j! within 2j EPS
-    c = np.cumprod(np.divide.outer(a, _J[1:tab.depth + 1]), axis=1)
+    c = (a[:, None] / _J[1:tab.depth + 1]).cumprod(axis=1)
     series = (c[:, None, :] @ tab.series[1:])[:, 0] + tab.series[0]
+    blocks = series.reshape(b.size, 3, top)  # re, im, bounds: a view of series
     if tab.integer:
         n = int(tab.q[0]) - 1
         cn = (c[:, n - 1:n - 1 + top] if n else  # c_0 = 1
@@ -640,13 +649,11 @@ def _polylogs(tab: _PhaseTable, b: np.ndarray):
             # c_j past the depth (half-integer orders from 81.5) is left 0: those
             # q exceed the depth, so their remainder bound is already infinite
             cn = np.pad(cn, ((0, 0), (0, top - cn.shape[1])))
-        lw = np.log(a)[:, None]
-        series += np.concatenate((cn, cn, cn), axis=1) * (
-            tab.sing[0] + lw * tab.sing[1] + np.abs(lw) * tab.sing[2])
+        lw = np.log(a)[:, None, None]
+        blocks += cn[:, None, :] * (tab.sing[0] + lw * tab.sing[1] + abs(lw) * tab.sing[2])
     else:
-        power = a[:, None] ** (tab.q - 1.0)
-        series += np.concatenate((power, power, power), axis=1) * tab.sing
-    return series[:, :top], series[:, top:2 * top], series[:, 2 * top:]
+        blocks += a[:, None, None] ** (tab.q - 1.0) * tab.sing
+    return blocks[:, 0], blocks[:, 1], blocks[:, 2]
 
 
 def _phase_tails(order: float, top: int, beta):
@@ -661,11 +668,11 @@ def _phase_tails(order: float, top: int, beta):
     """
     tab = _phase_table(order, top)
     beta = np.asarray(beta, dtype=float).reshape(-1)
-    b = np.abs(beta)
-    phase = b > 0.0
-    if phase.all():
+    b = abs(beta)
+    if b.all():
         re, im, bounds = _polylogs(tab, b)
     else:
+        phase = b > 0.0
         re, im, bounds = (np.zeros((b.size, top + 1)) for _ in range(3))
         if phase.any():
             re[phase], im[phase], bounds[phase] = _polylogs(tab, b[phase])
@@ -703,34 +710,36 @@ def _alt_sum_tail(order: float, R, beta):
 
     ``R`` and ``beta`` are 1-D arrays, one row each, with beta = frac(R) -
     1/2: (-1)^k e^{2 pi i k frac(R)} = e^{2 pi i beta k}.  Returns (values,
-    bounds) as arrays over the rows.  Each row's Hankel expansion is cut
+    bounds) as lists over the rows.  Each row's Hankel expansion is cut
     where its first term k = 1, at x = 2 pi R, needs it
     (:func:`_hankel_plan`, whose masks give the retained and the first
     omitted columns), and its term i, a_i (2 pi R)^-i i^i, multiplies the
     phase sum at q = order + 1/2 + i; the phase sums of all rows are one
     call (:func:`_phase_tails`), over the q of every term the plan may
     retain (:func:`_tail_columns`).  Every sum runs over a width fixed by
-    the order, so a row does not depend on the other rows.
+    the order, so a row does not depend on the other rows; the rows are
+    scaled by 1/(pi sqrt(R)) one at a time, in Python floats.
     """
-    twopiR = 2.0 * math.pi * R
-    coef, kept, omitted = _hankel_plan(order, twopiR, 18)
+    coef, mag, kept, omitted = _hankel_plan(order, 2.0 * math.pi * R, 18)
     top, majorant, rot_re, rot_im = _tail_columns(order, coef.shape[1])
-    # Hankel remainder summed over k (integral-test zeta bounds)
-    hankel = (np.abs(np.where(omitted, coef, 0.0)) * majorant).sum(axis=1)
-    scale = (1.0 / math.pi) / np.sqrt(R)
+    # Hankel remainder summed over k (integral-test zeta bounds), the two
+    # first omitted terms of each row
+    hankel = np.where(omitted, mag * majorant, 0.0).sum(1)
     re, im, tb = _phase_tails(order, top, beta)
     kept = kept[:, :top + 1]
-    coef = np.where(kept, coef[:, :top + 1], 0.0)
-    terms = coef * (rot_re * re - rot_im * im)
-    # Hankel terms that overflow (large orders at small R) leave a row (0, inf):
-    # its remainder, a term past every retained one, is then not finite
-    finite = np.isfinite(hankel)
-    tails = scale * np.array([math.fsum(row) if ok else 0.0
-                              for row, ok in zip(terms.tolist(), finite.tolist())])
-    bounds = scale * ((np.abs(coef) * np.where(kept, tb, 0.0)).sum(axis=1) + hankel)
-    # a retained term that underflowed to 0 (large orders at large R) beside a
-    # phase sum of infinite bound makes the bound 0 inf = nan: it is inf
-    return tails, np.where(finite & ~np.isnan(bounds), bounds, math.inf)
+    terms = np.where(kept, coef[:, :top + 1], 0.0) * (rot_re * re - rot_im * im)
+    retained = np.where(kept, mag[:, :top + 1] * tb, 0.0).sum(1)
+    tails, bounds = [], []
+    for r, row, rem, size in zip(R.tolist(), terms.tolist(), hankel.tolist(), retained.tolist()):
+        # Hankel terms that overflow (large orders at small R) leave a row (0,
+        # inf): its remainder, past every retained term, is not finite.  A
+        # retained term that underflowed to 0 (large orders at large R) beside
+        # a phase sum of infinite bound makes the bound 0 inf = nan: it is inf
+        scale = (1.0 / math.pi) / math.sqrt(r)
+        tails.append(scale * math.fsum(row) if math.isfinite(rem) else 0.0)
+        bound = scale * (size + rem)
+        bounds.append(math.inf if math.isnan(bound) else bound)
+    return tails, bounds
 
 
 def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
@@ -768,20 +777,22 @@ def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
              else [(float(f), float(q)) for f, q in phase])
     if len(pairs) != len(Rs) or any(not 0.0 <= f < q for f, q in pairs):
         raise ValueError("phase must be one pair (f, q) with 0 <= f < q per R")
-    beta = [(f - 0.5 * q) / q for f, q in pairs]
     out: list = [None] * len(Rs)
-    for row, ((f, _), b) in enumerate(zip(pairs, beta)):
+    live = []  # (row, R, beta) of the rows the whole sum serves
+    for row, (r, (f, q)) in enumerate(zip(Rs, pairs)):
+        b = (f - 0.5 * q) / q
         if order == 0.5 and f == 0.0:
             # every term is sqrt(2/(pi x)) sin(2 pi k R) = 0 exactly
-            out[row] = BesselEval(order, 2.0 * math.pi * Rs[row], 0.0, 0.0), 0
+            out[row] = BesselEval(order, 2.0 * math.pi * r, 0.0, 0.0), 0
         elif order <= 0.5 and b == 0.0:
             out[row] = PrecisionExhausted(
                 f"sum with p={order} at eps=1/2 reduces to a divergent zeta series")
-    live = [row for row, res in enumerate(out) if res is None]
+        else:
+            live.append((row, r, b))
     if live:
-        tails, bounds = _alt_sum_tail(order, np.array([Rs[row] for row in live]),
-                                      np.array([beta[row] for row in live]))
-        for row, value, bound in zip(live, tails.tolist(), bounds.tolist()):
+        rows, live_R, live_beta = zip(*live)
+        tails, bounds = _alt_sum_tail(order, np.array(live_R), np.array(live_beta))
+        for row, value, bound in zip(rows, tails, bounds):
             out[row] = ((BesselEval(order, 2.0 * math.pi * Rs[row], value, bound), 0)
                         if bound <= tols[row] else
                         PrecisionExhausted(f"alternating Bessel sum (order={order}, R={Rs[row]}) "

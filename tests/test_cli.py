@@ -520,8 +520,9 @@ def test_flags_that_would_check_nothing_are_config_errors(tmp_path, capsys, argv
     # R = 10, where the squares of the entries overflow: this exited 2
     (("limit", "--d", "3", "--r", "1e200", "--delta", "1e199", "--methods", "quadrature"),
      EXIT_OK),
-    # delta ** 2 of the WNH figure overflows, which raised a raw OverflowError
-    (("simulate", "--d", "3", "--N", "10", "--delta", "1e160", "--r", "1e150"), EXIT_PRECISION),
+    # delta ** 2 of the WNH figure overflows, which raised a raw OverflowError,
+    # then exited 3: the RMSE d delta / sqrt(12 N) is representable
+    (("simulate", "--d", "3", "--N", "10", "--delta", "1e160", "--r", "1e150"), EXIT_OK),
 ])
 def test_extreme_inputs_exit_without_a_traceback(tmp_path, capsys, argv, code):
     assert run(tmp_path, *argv) == code
@@ -845,6 +846,29 @@ def test_a_signal_whose_squares_underflow_has_its_norm(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "E_delta            = 1.000000e-160" in out
     assert "limiting error     = 1.000000e-160" in out
+
+
+@pytest.mark.parametrize("delta, r, rmse", [("1e-161", "1e-160", "2.738613e-163"),
+                                            ("1e160", "1e150", "2.738613e+158")])
+def test_simulate_takes_the_wnh_rmse_where_the_mse_leaves_binary64(tmp_path, capsys, delta, r,
+                                                                    rmse):
+    # delta^2 leaves binary64 here, and simulate exited 3 with "the WNH MSE
+    # leaves binary64"; E_delta, the limit and 3 delta / sqrt(12000) do not
+    assert run(tmp_path, "simulate", "--d", "3", "--N", "1000", "--delta", delta,
+               "--r", r) == EXIT_OK
+    assert f"WNH MSE prediction = leaves binary64   (rmse {rmse}," in capsys.readouterr().out
+    [row] = read_csv(tmp_path / "simulate.csv")
+    assert row["wnh_mse"] == ""
+    assert float(row["wnh_rmse"]) == 3 * float(delta) / math.sqrt(12000.0)
+    assert float(row["E_over_wnh_rmse"]) == float(row["E_delta"]) / float(row["wnh_rmse"])
+
+
+def test_simulate_keeps_its_wnh_figures_where_the_mse_is_a_normal_double(tmp_path):
+    assert run(tmp_path, "simulate", "--d", "3", "--N", "1000", "--delta", "0.5",
+               "--r", "3.26") == EXIT_OK
+    [row] = read_csv(tmp_path / "simulate.csv")
+    mse = 9 * 0.5 ** 2 / 12000.0
+    assert (float(row["wnh_mse"]), float(row["wnh_rmse"])) == (mse, math.sqrt(mse))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -325,6 +325,15 @@ def test_smooth_coef_cache_is_bounded():
     assert _smooth_coef.cache_info().currsize <= _smooth_coef.cache_info().maxsize
 
 
+def test_parity_split_cache_is_bounded():
+    for d in range(2, 1002):
+        parity_split(d)
+    assert parity_split.cache_info().maxsize is not None
+    assert parity_split.cache_info().currsize <= parity_split.cache_info().maxsize
+    # a numpy d keeps its own entry, as it did uncached: n stays a numpy int
+    assert type(parity_split(np.int64(6)).n) is np.int64 and type(parity_split(6).n) is int
+
+
 def test_monte_carlo_memory_is_bounded_in_d():
     # a batch held 2^17 x d coordinates, 132 MB of allocations here and
     # 1.05 GB per array at d = 1000; now at most 2^21, twice over (the
@@ -862,7 +871,7 @@ def test_series_prefactor_against_mpmath(r, delta):
                 ref = -mpmath.factorial(n - 1) / mpmath.pi ** n * dm ** (n + 0.5) / rm ** (n - 0.5)
             scale = dm ** split.s / rm ** (split.s - 1)
             if normal(ref) and normal(scale):
-                got = _series_prefactor(r, delta, split)
+                got, _ = _series_prefactor(r, delta, split)
                 assert abs(got / ref - 1) <= 1e-14, d
             else:
                 with pytest.raises(PrecisionExhausted, match="prefactor leaves binary64"):

@@ -719,7 +719,7 @@ def test_each_hankel_cut_omits_the_smallest_term_of_its_window():
     for spare in (26, 18):
         for order in np.arange(200) / 2:
             x = 10 ** rng.uniform(math.log10(0.5), 7.0, size=100)
-            terms, kept, omitted = _hankel_plan(order, x, spare)
+            terms, _, kept, omitted = _hankel_plan(order, x, spare)
             mag = np.abs(terms)
             for parity, floor in ((0, 2), (1, 3)):
                 first = max(floor, math.ceil(order - 0.5))
@@ -737,6 +737,17 @@ def test_each_hankel_cut_omits_the_smallest_term_of_its_window():
                 assert (falls | (np.arange(falls.shape[1]) >= cut[:, None])).all()
                 rows += cut.size
     assert rows >= 70_000
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # terms overflow at large orders
+def test_hankel_layout_cache_is_bounded():
+    from framepcm.special_fn import _hankel_layout, _hankel_plan
+
+    for order in np.arange(400) / 2:
+        for spare in (18, 26):
+            _hankel_plan(order, 10.0, spare)
+    assert _hankel_layout.cache_info().maxsize is not None
+    assert _hankel_layout.cache_info().currsize <= _hankel_layout.cache_info().maxsize
 
 
 def test_k0_sums_against_mpmath_one_row_and_batched():
@@ -768,7 +779,7 @@ def test_k0_sums_against_mpmath_one_row_and_batched():
             assert (one[0][0], one[1][0]) == (values[row], bounds[row]), (order, R, beta)
             if not bounds[row] < 1e-6 * max(abs(values[row]), 1e-3):
                 continue  # an uninformative bound (small R at integer orders)
-            _, _, (omitted,) = _hankel_plan(order, 2 * math.pi * R, 18)
+            _, _, _, (omitted,) = _hankel_plan(order, 2 * math.pi * R, 18)
             lp, lq = (int(np.argmax(omitted[parity::2])) for parity in (0, 1))
             ref, rem = _k0_reference(mpmath, order, R, beta, lp, lq,
                                      1e-6 * bounds[row] * math.pi * math.sqrt(R))
