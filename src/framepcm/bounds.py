@@ -86,7 +86,7 @@ def _in_window(eps: float, window) -> bool:
     return window[0] - _WINDOW_SLACK <= eps <= window[1] + _WINDOW_SLACK
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # one p per d of the bounds, 439 below d = 441: bounded, not one per p seen
 def zeta_tail(p: float) -> float:
     """sum_{k>=2} k^{-p} = zeta(p) - 1 by Euler-Maclaurin (15 terms and
     B_2 .. B_16 corrections), with a certified bound of a few ulps; for

@@ -498,18 +498,14 @@ def _parse_config(path: Path, children) -> argparse.Namespace:
 def main(argv=None) -> int:
     parser, children = _build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            rebuilt = _parse_config(Path(args.config), children)
-        except (ValueError, OSError) as exc:
-            print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
-            return EXIT_CONFIG
-        rebuilt.outdir, rebuilt.config = args.outdir, None
-        args = rebuilt
-    if args.subcommand is None:
-        parser.print_help()
-        return EXIT_CONFIG
     try:
+        if args.config:
+            rebuilt = _parse_config(Path(args.config), children)
+            rebuilt.outdir, rebuilt.config = args.outdir, None
+            args = rebuilt
+        if args.subcommand is None:
+            parser.print_help()
+            return EXIT_CONFIG
         outdir = _outdir(args)
         _args_to_config(args).save(outdir / f"run_config_{args.subcommand}.json")
         return _COMMANDS[args.subcommand](args, outdir)

@@ -17,9 +17,9 @@ to (4mx+2)! and the sign weights once, shares them across every check of
 the run and drops them when it returns.  A public one-point check builds
 the rows its point reads and calls the same helper.
 
-Only closed-form tables are cached: L_closed and D_closed per (n, m), and
-per n a row of their cleared numerators, grown in blocks of _ROW_BLOCK up
-to the largest h requested.  No sum and no check result is cached.
+Only closed-form tables are cached: per n a row of the cleared numerators
+of L_closed and D_closed, grown in blocks of _ROW_BLOCK up to the largest
+h requested.  No value, sum or check result is cached.
 """
 
 from __future__ import annotations
@@ -218,7 +218,6 @@ def check_gould(n: int, h: int) -> bool:
     return _gould(_pascal_row(n + h), h, _sign_weights(h + 1)[0])
 
 
-@lru_cache(maxsize=None)
 def L_closed(n: int, m: int) -> Fraction:
     """The rational L/pi, L = int_{-pi}^{pi} cos((2m+1)t) cos(t) sin^{2n-2}(t) dt.
 
@@ -232,7 +231,6 @@ def L_closed(n: int, m: int) -> Fraction:
                     2 ** (2 * n - 2) * (n + m))
 
 
-@lru_cache(maxsize=None)
 def D_closed(n: int, m: int) -> Fraction:
     """Closed form of int_0^{pi} cos((2m+1)t) cos(t) sin^{2n-1}(t) dt.
 
@@ -253,7 +251,7 @@ def D_closed(n: int, m: int) -> Fraction:
 _ROW_BLOCK = 32  # a row grows by this many m at a time and serves every h below
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # two rows per n: 60 for verify --max 30
 def _cleared_row(odd: bool, n: int, size: int) -> tuple[int, tuple[int, ...]]:
     """(den, a) with a[m] / den == D_closed(n, m) (odd) or L_closed(n, m)
     (even) for m < size: one row of a closed-form table over one common

@@ -6,13 +6,7 @@ expectation, O(sqrt(d/N)) defect), and the spherical Fibonacci lattice on
 S^2 (low-discrepancy, defect O(1/N) empirically).  Tightness is measured
 by the Frobenius defect ||(d/N) sum e_j e_j^T - I||_F and equidistribution
 by comparing empirical monomial moments against the exact sphere moments.
-
-Frames are read in blocks of rows, at most _BLOCK_ELEMENTS coordinates
-each (:meth:`UnitNormFrame.blocks`).  Each family defines its rows once,
-block by block; a generated frame larger than one block holds only that
-recipe, so quantizing it, taking its tightness defect or saving it holds
-one block at a time, at any N.  Its N x d array exists only once
-``vectors`` is read, as the moment diagnostic does.
+Every frame is read in blocks of rows (:class:`UnitNormFrame`).
 
 Row norms are one fused pass (:func:`row_norms`), shared by the uniform
 sphere sampler, the unit-norm check of every block (which also rejects
@@ -40,10 +34,7 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
-# the coordinates of one block of frame rows: bounds what a pass over a
-# generated frame holds at any N.  A frame of up to 2^17 coordinates is one
-# block, held as an array from construction
-_BLOCK_ELEMENTS = 1 << 17
+_BLOCK_ELEMENTS = 1 << 17  # the coordinates of one block of frame rows
 
 
 def _block_rows(d: int) -> int:
@@ -53,41 +44,49 @@ def _block_rows(d: int) -> int:
 class UnitNormFrame:
     """N unit vectors in R^d, the rows of an N x d frame, read block by block.
 
-    A frame built from an array (:func:`frame_from_csv`), or generated and
-    no larger than one block, holds its rows as the array ``vectors``.  A
-    larger generated frame holds only ``source``, a callable that returns a
-    fresh iterator over its rows, one block after another; :meth:`blocks`
-    generates them anew on each pass and checks each block for unit norm.
-    ``vectors`` is filled from the blocks on its first read and then kept.
-    ``tightness_defect`` is the Frobenius norm of (d/N) sum e e^T - I, the
-    Gram matrix summed block by block; a generated frame sums it on its
-    first full pass, whichever consumer makes it.
+    :meth:`blocks` yields the rows in blocks of at most _BLOCK_ELEMENTS =
+    2^17 coordinates, which bounds what a pass over a generated frame holds
+    at any N.  A frame built from an array (:func:`frame_from_csv`), or
+    generated and no larger than one block, holds its rows as the array
+    ``vectors``, and its blocks are row views of it.  Each family defines
+    its rows once, block by block, as ``source``: a callable that returns a
+    fresh iterator over them.  A larger generated frame holds only that
+    recipe, generated anew on each pass, so quantizing it, taking its
+    tightness defect or saving it holds one block at a time.  Its N x d
+    array exists only once ``vectors`` is read, as the moment diagnostic
+    does; it is filled from the blocks then and kept, so the next
+    diagnostic does not generate it again.  A small frame is held from
+    construction, so that the diagnostic allocates no copy of its rows
+    beside its own transposed one.
+
+    Every generated block, and every block of the first full pass, is
+    checked for unit norm.  ``tightness_defect`` is the Frobenius norm of
+    (d/N) sum e e^T - I, the Gram matrix summed block by block on the
+    first full pass, whichever consumer makes it; a held frame makes that
+    pass on construction.
     """
 
     def __init__(self, dim: int, count: int, *, vectors=None, source=None):
+        if count < 1:
+            raise ValueError("a frame needs at least one vector")
         self.dim, self.count = dim, count
         self._vectors, self._source, self._defect = vectors, source, None
         if vectors is not None:
-            _check_unit_norm(vectors, 0)
-            self._defect = _defect(sum(b.T @ b for b in self.blocks()), dim, count)
+            self.tightness_defect  # the first pass: checks the rows, sums the Gram matrix
 
     def blocks(self):
-        """The rows in order, in blocks of at most _BLOCK_ELEMENTS
-        coordinates: row views of ``vectors`` where it is held, else blocks
-        generated from ``source``."""
-        if self._vectors is not None:
-            step = _block_rows(self.dim)
-            return (self._vectors[i:i + step] for i in range(0, self.count, step))
-        return self._generate()
-
-    def _generate(self):
+        """The rows in order, block by block."""
+        held = self._vectors
         gram = None if self._defect is not None else np.zeros((self.dim, self.dim))
+        step = _block_rows(self.dim)
         start = 0
-        for block in self._source():
-            _check_unit_norm(block, start)
-            start += len(block)
+        for block in (self._source() if held is None else
+                      (held[i:i + step] for i in range(0, self.count, step))):
+            if held is None or gram is not None:
+                _check_unit_norm(block, start)
             if gram is not None:
                 gram += block.T @ block
+            start += len(block)
             yield block
         if gram is not None:
             self._defect = _defect(gram, self.dim, self.count)
@@ -155,8 +154,7 @@ def _spans(d: int, N: int):
 
 
 def _generated(d: int, N: int, source) -> UnitNormFrame:
-    """The frame of N rows in R^d that ``source()`` yields block by block:
-    held as its one block where the rows fit in one, else as the recipe."""
+    """The frame of N rows in R^d that ``source()`` yields block by block."""
     if N <= _block_rows(d):
         return _build(next(source()))
     return UnitNormFrame(d, N, source=source)
@@ -241,9 +239,7 @@ def equidistribution_diagnostic(frame: UnitNormFrame, max_degree: int) -> float:
     of the vectors.  That is C(d + max_degree, d) - 1 products of length N
     and as many ``sphere_moment`` calls; memory is the frame, its transposed
     copy and max_degree - 1 columns of partial products.  The one consumer
-    that reads ``frame.vectors``: the walk holds N x d numbers anyway, and a
-    generated frame, materialized once, is not generated again on the next
-    diagnostic of it.
+    that reads ``frame.vectors``: the walk holds N x d numbers anyway.
     """
     if max_degree < 1:
         raise ValueError("need max_degree >= 1")

@@ -255,7 +255,8 @@ def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
 
         I = (delta/e) (R G - sum_{k<K} (1 - u_k^2)^e),  R = r/delta,
 
-    G = :func:`_smooth_coef`, R G rounded once from the exact ratio.  1 - u_k
+    G = :func:`_smooth_coef`, R G rounded once from the exact ratio (scaled
+    by a power of two where it is below binary64's normal range).  1 - u_k
     is (f + delta (q - k - 1/2))/r from r = q delta + f (:func:`_quad_plan`),
     so each term keeps its relative accuracy up to u_k = 1.  The terms are
     generated _QUAD_CHUNK at a time and summed, with R G, by one
@@ -284,9 +285,15 @@ def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
 
     (r_num, r_den), (d_num, d_den), (g_num, g_den) = (
         r.as_integer_ratio(), delta.as_integer_ratio(), _smooth_coef(d))
-    smooth = r_num * d_den * g_num / (r_den * d_num * g_den)
-    total = math.fsum(chain((-smooth,), chain.from_iterable(terms())))
-    return -delta / e * total, estimate, 2 * K + 1
+    num, den = r_num * d_den * g_num, r_den * d_num * g_den
+    # below 2^-1022 R G would round to a subnormal and keep few bits: round
+    # 2^k R G, in (2^-1021, 2^-1019), and scale back at the end.  R G lies
+    # in (2^(-1-shift), 2^(1-shift)): normal wherever shift <= 1021, where
+    # k = 0; else R < 1/2, so K = 0 and no term is scaled
+    shift = den.bit_length() - num.bit_length()
+    k = shift - 1020 if shift > 1021 else 0
+    total = math.fsum(chain((-((num << k) / den),), chain.from_iterable(terms())))
+    return math.ldexp(-delta / e * total, -k), estimate, 2 * K + 1
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +380,18 @@ def _series_integrals(r: float, deltas: list, split: ParitySplit, tol: float | N
                          (math.fmod(r, delta), delta)))
         except PrecisionExhausted as exc:
             out[i] = exc
-    sums = alternating_bessel_sums(split.order, [row[2] for row in rows], [math.inf] * len(rows),
-                                   [row[4] for row in rows])
-    for (i, prefac, R, target, _), res in zip(rows, sums):
-        if not isinstance(res, PrecisionExhausted):
-            ev = res[0]
-            bound = ev.abs_error_bound
-            accept = target if tol is not None else max(target, 1e-10 * abs(ev.value))
-            if not bound <= accept or bound == math.inf:  # an infinite bound certifies nothing
-                rule = (f"tol {accept:.3e}" if tol is not None else
-                        f"{accept:.3e}, the larger of its target and 1e-10 of its value")
-                res = PrecisionExhausted(f"alternating Bessel sum (order={split.order}, R={R}) "
-                                         f"reached bound {bound:.3e} > {rule}", achieved=bound)
-            else:
-                res = LimitErrorResult(prefac * ev.value, Method.BESSEL_SERIES,
-                                       abs(prefac) * bound)
-        out[i] = res
+    # every order here is at least 1 (d >= 2): no row is a divergent sum
+    sums = alternating_bessel_sums(split.order, [row[2] for row in rows], [row[4] for row in rows])
+    for (i, prefac, R, target, _), ev in zip(rows, sums):
+        bound = ev.abs_error_bound
+        accept = target if tol is not None else max(target, 1e-10 * abs(ev.value))
+        if not bound <= accept or bound == math.inf:  # an infinite bound certifies nothing
+            rule = (f"tol {accept:.3e}" if tol is not None else
+                    f"{accept:.3e}, the larger of its target and 1e-10 of its value")
+            out[i] = PrecisionExhausted(f"alternating Bessel sum (order={split.order}, R={R}) "
+                                        f"reached bound {bound:.3e} > {rule}", achieved=bound)
+        else:
+            out[i] = LimitErrorResult(prefac * ev.value, Method.BESSEL_SERIES, abs(prefac) * bound)
     return out
 
 

@@ -26,16 +26,16 @@ On top of these, ``alternating_bessel_sums`` evaluates
 
     S = sum_{k>=1} (-1)^k k^{-alpha} J_alpha(2 pi k R)
 
-with a certified bound at many R for one alpha at once.
-``alternating_bessel_sum_info`` is its one-row case, and returns the
-truncation index K = 0 beside the value.  No term is summed directly (the
+with a certified bound at many R for one alpha at once; it only computes,
+and each caller judges the bounds.  ``alternating_bessel_sum_info`` is its
+one-row case judged against a tolerance (``PrecisionExhausted`` with the
+bound it reached where that is missed).  No term is summed directly (the
 certified tail of a direct sum decays only like K^{-alpha+1/2}): the whole
 sum is *computed*, in one batched call over the rows.  Hankel's expansion,
 cut at the smallest argument 2 pi R, turns it into a handful of phase sums
-sum_{k>=1} z^k k^{-q} with |z| = 1, all at q = alpha + 1/2 + integer.  That
-serves every R where the expansion's remainder there meets the target
-(every R for half-integer alpha, where it terminates); a row it does not
-serve raises ``PrecisionExhausted`` with the bound it reached.  For
+sum_{k>=1} z^k k^{-q} with |z| = 1, all at q = alpha + 1/2 + integer.  Its
+remainder there bounds the row: small at large R, and nothing but rounding
+for half-integer alpha, where the expansion terminates.  For
 z = e^{2 pi i beta} != 1 each phase sum is the polylogarithm Li_q(z), from
 its expansion in w = 2 pi i beta (DLMF 25.12.12; the harmonic/log form at
 integer q), which converges for every phase once beta is reduced to
@@ -322,20 +322,20 @@ def bessel_half_order(n: int, x: float) -> BesselEval:
         return _series_eval(order, x)
 
     scale = math.sqrt(2.0 * x / math.pi)
-    j0 = math.sin(x) / x
-    b0 = 8 * EPS / x
-    if n == 0:
-        v = scale * j0
-        return BesselEval(order, x, v, scale * b0 + 4 * EPS * (abs(v) + 1.0 / scale))
-    j1 = math.sin(x) / (x * x) - math.cos(x) / x
-    b1 = 8 * EPS * (1.0 / (x * x) + 1.0 / x)
+    j = math.sin(x) / x  # j_m and its bound, from m = 0 up to n
+    b = 8 * EPS / x
+    if n:
+        j0 = j
+        b0 = b
+        j = math.sin(x) / (x * x) - math.cos(x) / x
+        b = 8 * EPS * (1.0 / (x * x) + 1.0 / x)
     for m in range(1, n):
         fac = (2 * m + 1) / x
-        j2 = fac * j1 - j0
-        b2 = fac * b1 + b0 + 4 * EPS * (abs(fac * j1) + abs(j0))
-        j0, b0, j1, b1 = j1, b1, j2, b2
-    v = scale * j1
-    return BesselEval(order, x, v, scale * b1 + 4 * EPS * (abs(v) + 1.0 / scale))
+        j2 = fac * j - j0
+        b2 = fac * b + b0 + 4 * EPS * (abs(fac * j) + abs(j0))
+        j0, b0, j, b = j, b, j2, b2
+    v = scale * j
+    return BesselEval(order, x, v, scale * b + 4 * EPS * (abs(v) + 1.0 / scale))
 
 
 # ---------------------------------------------------------------------------
@@ -742,37 +742,36 @@ def _alt_sum_tail(order: float, R, beta):
     return tails, bounds
 
 
-def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
-    """:func:`alternating_bessel_sum_info` at every R of an array, for one
-    order.
+def alternating_bessel_sums(order: float, R, phase=None) -> list:
+    """sum_{k>=1} (-1)^k k^{-order} J_order(2 pi k R) at every R of a
+    sequence, for one order, each with the certified bound it reached.
 
-    ``R`` and ``tol`` are sequences, one tol per R.  ``phase``, where the
-    caller knows frac(R) better than R - floor(R), is one pair (f, q) per
-    R, 0 <= f < q, whose exact quotient f/q is frac(R): for R = r/delta,
-    (fmod(r, delta), delta), as fmod is exact.  The rounding of R itself,
-    up to ulp(R)/2, would move the phases 2 pi k frac(R) far past the
-    certified bound at large R; the amplitudes take R.  From the pair,
-    frac(R) = f/q and beta = frac(R) - 1/2 = (f - q/2)/q each carry one
-    rounding (f - q/2 is exact wherever beta is small), so that beta keeps
-    its relative accuracy near frac(R) = 1/2, where the polylogarithms'
-    |beta|^(order - 1/2) terms are steep for orders up to 3/2.  f/q never
-    rounds up to 1: below q the largest double is at most q (1 - 2^-53).
-    Returns one entry per R: ``(BesselEval, 0)``, or the
-    ``PrecisionExhausted`` that the point raised (returned, not raised).
-    Every row is one batched :func:`_alt_sum_tail` call: the whole sum is
-    Hankel's expansion cut at x = 2 pi R times polylogarithms.
-    Half-integer orders, whose expansion terminates, resolve at every R
-    where rounding allows.  A row whose bound misses its tol gives
-    ``PrecisionExhausted`` with that bound as ``achieved``.  A row's value
-    and bound do not depend on the other rows.
+    Returns one entry per R: the ``BesselEval`` at argument 2 pi R, or the
+    ``PrecisionExhausted`` of a divergent sum (order <= 1/2 at frac(R) =
+    1/2), returned, not raised.  No row is judged against a target: each
+    caller accepts or rejects the bounds, which are inf where the expansion
+    bounds nothing.  Every row is one batched :func:`_alt_sum_tail` call:
+    the whole sum is Hankel's expansion cut at x = 2 pi R times
+    polylogarithms.  Half-integer orders, whose expansion terminates,
+    resolve at every R where rounding allows.  A row's value and bound do
+    not depend on the other rows.
+
+    ``phase``, where the caller knows frac(R) better than R - floor(R), is
+    one pair (f, q) per R, 0 <= f < q, whose exact quotient f/q is
+    frac(R): for R = r/delta, (fmod(r, delta), delta), as fmod is exact.
+    The rounding of R itself, up to ulp(R)/2, would move the phases
+    2 pi k frac(R) far past the certified bound at large R; the amplitudes
+    take R.  From the pair, frac(R) = f/q and beta = frac(R) - 1/2 =
+    (f - q/2)/q each carry one rounding (f - q/2 is exact wherever beta is
+    small), so that beta keeps its relative accuracy near frac(R) = 1/2,
+    where the polylogarithms' |beta|^(order - 1/2) terms are steep for
+    orders up to 3/2.  f/q never rounds up to 1: below q the largest double
+    is at most q (1 - 2^-53).
     """
     _require_half_integer(order)
     Rs = [float(r) for r in R]
-    tols = [float(t) for t in tol]
     if not all(r > 0 for r in Rs):
         raise ValueError("need R > 0")
-    if len(tols) != len(Rs) or any(not t > 0 for t in tols):
-        raise ValueError("tol must be positive, one per R")
     pairs = ([(r - math.floor(r), 1.0) for r in Rs] if phase is None
              else [(float(f), float(q)) for f, q in phase])
     if len(pairs) != len(Rs) or any(not 0.0 <= f < q for f, q in pairs):
@@ -783,7 +782,7 @@ def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
         b = (f - 0.5 * q) / q
         if order == 0.5 and f == 0.0:
             # every term is sqrt(2/(pi x)) sin(2 pi k R) = 0 exactly
-            out[row] = BesselEval(order, 2.0 * math.pi * r, 0.0, 0.0), 0
+            out[row] = BesselEval(order, 2.0 * math.pi * r, 0.0, 0.0)
         elif order <= 0.5 and b == 0.0:
             out[row] = PrecisionExhausted(
                 f"sum with p={order} at eps=1/2 reduces to a divergent zeta series")
@@ -793,21 +792,25 @@ def alternating_bessel_sums(order: float, R, tol, phase=None) -> list:
         rows, live_R, live_beta = zip(*live)
         tails, bounds = _alt_sum_tail(order, np.array(live_R), np.array(live_beta))
         for row, value, bound in zip(rows, tails, bounds):
-            out[row] = ((BesselEval(order, 2.0 * math.pi * Rs[row], value, bound), 0)
-                        if bound <= tols[row] else
-                        PrecisionExhausted(f"alternating Bessel sum (order={order}, R={Rs[row]}) "
-                                           f"reached bound {bound:.3e} > tol {tols[row]:.3e}",
-                                           achieved=bound))
+            out[row] = BesselEval(order, 2.0 * math.pi * Rs[row], value, bound)
     return out
 
 
 def alternating_bessel_sum_info(order: float, R: float, tol: float):
     """Certified sum_{k>=1} (-1)^k k^{-order} J_order(2 pi k R) as ``(BesselEval,
-    K)``, the BesselEval at argument 2 pi R and K = 0, the number of terms
-    summed directly: the whole sum comes analytically from the Hankel
-    expansion as unit-modulus phase sums (else ``PrecisionExhausted`` with
-    the bound reached).  One row of :func:`alternating_bessel_sums`."""
-    (res,) = alternating_bessel_sums(order, [R], [tol])
-    if isinstance(res, PrecisionExhausted):
-        raise res
-    return res
+    0)``: the one row of :func:`alternating_bessel_sums` at R, judged against
+    ``tol``, else ``PrecisionExhausted`` with the bound reached.  The 0, the
+    number of terms summed directly, is kept for the span counts of
+    ``perfbench/tracing.py``, which read it; the whole sum comes analytically
+    from the Hankel expansion as unit-modulus phase sums."""
+    tol = float(tol)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    (ev,) = alternating_bessel_sums(order, [R])
+    if isinstance(ev, PrecisionExhausted):
+        raise ev
+    if not ev.abs_error_bound <= tol:
+        raise PrecisionExhausted(f"alternating Bessel sum (order={order}, R={float(R)}) "
+                                 f"reached bound {ev.abs_error_bound:.3e} > tol {tol:.3e}",
+                                 achieved=ev.abs_error_bound)
+    return ev, 0

@@ -35,6 +35,21 @@ def test_zeta_tails_against_known_values():
         assert err <= 2 * math.ulp(float(exact)), (t / 2, float(err))
 
 
+def test_zeta_tail_cache_is_bounded():
+    # it holds the one p per d that the bounds take below d = 441, and no
+    # more than its maxsize of the floats a caller may pass
+    from framepcm.limit_error import parity_split
+
+    zeta_tail.cache_clear()
+    for d in range(2, 441):
+        zeta_tail(parity_split(d).s)
+    info = zeta_tail.cache_info()
+    assert info.maxsize is not None and info.currsize == 439 <= info.maxsize
+    for k in range(1000):
+        zeta_tail(1.5 + k / 7)
+    assert zeta_tail.cache_info().currsize <= zeta_tail.cache_info().maxsize
+
+
 def test_M1_values():
     assert M1_constant(3.0 / 8.0, 2) == pytest.approx(0.3731409284, abs=1e-9)
     assert M1_constant(0.25, 2) == pytest.approx(0.1388263534, abs=1e-9)

@@ -332,6 +332,20 @@ def test_identity_suites_equal_the_public_checks(mx):
     assert identity_suites(mx) == list(zip(SUITES, expected))
 
 
+def test_cleared_row_cache_is_bounded():
+    # it holds the 60 rows framepcm verify --max 30 reads, two per n <= 30,
+    # and no more than its maxsize of the rows a caller may ask for
+    cached = comb_module._cleared_row
+    cached.cache_clear()
+    identity_suites(30)
+    info = cached.cache_info()
+    assert info.maxsize is not None and info.currsize == 60 <= info.maxsize
+    for odd in (False, True):
+        for n in range(1, 101):
+            cached(odd, n, 32)
+    assert cached.cache_info().currsize <= cached.cache_info().maxsize
+
+
 def test_identity_suites_reject_an_empty_range():
     with pytest.raises(ValueError):
         identity_suites(0)

@@ -194,6 +194,11 @@ def test_frame_csv_rejects_non_finite_vectors(tmp_path, row):
         frame_from_csv(path)
 
 
+def test_a_frame_of_no_vectors_is_rejected():
+    with pytest.raises(ValueError, match="at least one vector"):
+        frames.UnitNormFrame(3, 0, vectors=np.empty((0, 3)))
+
+
 def test_frame_csv_rejects_an_empty_file(tmp_path):
     path = tmp_path / "frame.csv"
     path.write_text("")

@@ -93,8 +93,12 @@ def test_below_threshold_closed_forms():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_limit_equals_r_below_threshold(d):
-    res = limiting_error(_x(d, 0.37), UNIT)
-    assert res.value == pytest.approx(0.37, abs=1e-10)
+    # past the first R G is subnormal: rounded as it stands, it kept few
+    # bits.  At (1e-300, 3.53e7), R G is in (2^-1023, 2^-1022) for d <= 5
+    for r, delta in ((0.37, 1.0), (1e-10, 1e300), (1e-300, 1e10), (1e-300, 3.53e7)):
+        res = limiting_error(_x(d, r), QuantScheme(delta))
+        assert res.value == pytest.approx(r, rel=1e-10)
+        assert abs(res.value - r) <= res.error_estimate, (r, delta)
 
 
 def test_zero_signal():

@@ -272,8 +272,8 @@ def test_alternating_sum_caches_are_pure():
                             capture_output=True, text=True, check=True).stdout.strip()
              for order, R in _PURITY_CASES]
     for order in (0.5, 3.0, 6.0, 9.5):
-        # returned, not raised, where R = 1.3 is past the reach of the expansion
-        alternating_bessel_sums(order, [1.3, 100.375, 3000.4993], [1e-10] * 3)
+        # R = 1.3 is past the reach of the expansion: a loose bound, not a raise
+        alternating_bessel_sums(order, [1.3, 100.375, 3000.4993])
     for (order, R), first in zip(_PURITY_CASES, fresh):
         assert repr(alternating_bessel_sum_info(order, R, 1e-10)) == first
 
@@ -418,28 +418,28 @@ def test_alternating_sums_take_the_phase_as_an_exact_quotient():
 
     # (f, 1.0) with f = R - floor(R) is the phase taken when none is given
     for R in (3.7, 10.5, 100.375):
-        assert (alternating_bessel_sums(1.5, [R], [1e-10], [(R - math.floor(R), 1.0)])
-                == alternating_bessel_sums(1.5, [R], [1e-10]))
+        assert (alternating_bessel_sums(1.5, [R], [(R - math.floor(R), 1.0)])
+                == alternating_bessel_sums(1.5, [R]))
     # just below an integer: f/q stays below 1, and the sum meets the one at
     # the integer, from which it differs by ~2^-53 in R
     for q in (0.37, 0.5, 1.0, 3.0):
         f = math.nextafter(q, 0.0)
         assert f / q < 1.0
-        [(below, _)], [(at, _)] = (alternating_bessel_sums(2.0, [10.0], [1e-12], [phase])
-                                   for phase in ((f, q), (0.0, q)))
+        [below], [at] = (alternating_bessel_sums(2.0, [10.0], [phase])
+                         for phase in ((f, q), (0.0, q)))
+        assert max(below.abs_error_bound, at.abs_error_bound) <= 1e-12
         assert abs(below.value - at.value) <= below.abs_error_bound + at.abs_error_bound
     for phase in ([(1.0, 1.0)], [(0.5, 0.37)], [(-0.1, 1.0)], [(math.nan, 1.0)], []):
         with pytest.raises(ValueError, match="phase"):
-            alternating_bessel_sums(1.5, [10.3], [1e-10], phase)
+            alternating_bessel_sums(1.5, [10.3], phase)
 
 
 def test_alternating_sums_reject_a_nan_tol():
-    # NaN passed a `t <= 0` check and climbed the whole K ladder
-    from framepcm.special_fn import alternating_bessel_sums
-
+    # NaN passed a `t <= 0` check and climbed the whole K ladder; the batch
+    # takes no tol, its one-row form judges its row
     for tol in (0.0, -1e-9, math.nan):
         with pytest.raises(ValueError, match="tol must be positive"):
-            alternating_bessel_sums(1.5, [10.3], [tol])
+            alternating_bessel_sum_info(1.5, 10.3, tol)
 
 
 def test_bessel_integral_int_order_against_oracle():
@@ -554,7 +554,8 @@ def test_alternating_sums_rows_equal_their_one_row_calls(order):
     # seeded R over 1e-1.5..1e4, eps = 1/2 exactly (the zeta path), eps
     # within 1e-4 of 1/2, integer R (order 1/2 at eps = 0 is exactly 0),
     # R near 1/2 past the reach of the expansion at order 4, and tolerances
-    # from easy to unreachable, so that some rows resolve and some raise
+    # from easy to unreachable, so that some one-row calls resolve and some
+    # raise: a resolved call is its row, a missed one reports the row's bound
     from framepcm.special_fn import alternating_bessel_sums
 
     rng = np.random.default_rng(int(2 * order) + 7)
@@ -562,41 +563,47 @@ def test_alternating_sums_rows_equal_their_one_row_calls(order):
           + [10.5, 100.5, 1000.49993, 20.50004, 0.49997, 0.50002, 3.0, 57.0])
     tols = [float(t) for t in 10 ** rng.uniform(-14, -8, len(Rs))]
     tols[-4:-2] = [1e-13, 1e-13]
-    rows = alternating_bessel_sums(order, Rs, tols)
+    rows = alternating_bessel_sums(order, Rs)
+    resolved = 0
     for R, tol, row in zip(Rs, tols, rows):
         one = _one_row(order, R, tol)
-        assert type(row) is type(one) and repr(row) == repr(one) and str(row) == str(one)
-    resolved = [row for row in rows if not isinstance(row, PrecisionExhausted)]
-    assert {row[1] for row in resolved} <= {0}
+        if isinstance(row, PrecisionExhausted):  # a divergent sum raises alike
+            assert type(one) is PrecisionExhausted and str(row) == str(one)
+        elif isinstance(one, PrecisionExhausted):
+            assert row.abs_error_bound == one.achieved and not row.abs_error_bound <= tol
+        else:
+            assert repr(row) == repr(one[0]) and row.abs_error_bound <= tol
+            resolved += 1
     if order == 4.0:
-        assert 0 < len(resolved) < len(rows)
+        assert 0 < resolved < len(rows)
     if order == 0.5:
-        assert rows[-2] == (framepcm.BesselEval(0.5, 2 * math.pi * 3.0, 0.0, 0.0), 0)
+        assert rows[-2] == framepcm.BesselEval(0.5, 2 * math.pi * 3.0, 0.0, 0.0)
 
 
 def test_alternating_sums_row_does_not_depend_on_its_neighbours():
     # the same rows in batches of different sizes and company, at a
     # half-integer and an integer order: eps within 1e-4 of 1/2, eps = 1/2
     # exactly (the zeta values), R < 1 (past the reach of the expansion at
-    # order 4) and a row at a tol far below its bound
+    # order 4) and a row whose bound is far above its tol
     from framepcm.special_fn import alternating_bessel_sums
 
     Rs, tols = [300.4999, 1000.50008, 57.5, 0.83, 2.2], [1e-10, 1e-12, 1e-11, 1e-9, 1e-14]
     for order in (2.5, 4.0):
-        alone = [alternating_bessel_sums(order, [R], [tol])[0] for R, tol in zip(Rs, tols)]
-        assert [row[1] for row in alone if not isinstance(row, PrecisionExhausted)][:3] == [0] * 3
+        alone = [alternating_bessel_sums(order, [R])[0] for R in Rs]
+        meets = [row.abs_error_bound <= tol for row, tol in zip(alone, tols)]
+        assert meets[:3] == [True] * 3 and not meets[4]
         for company in ([1.3], [0.07, 5000.25, 12.5], list(np.linspace(100.1, 900.9, 19))):
-            rows = alternating_bessel_sums(order, company + Rs, [1e-10] * len(company) + tols)
+            rows = alternating_bessel_sums(order, company + Rs)
             assert [repr(row) for row in rows[len(company):]] == [repr(row) for row in alone]
-            rows = alternating_bessel_sums(order, Rs + company, tols + [1e-10] * len(company))
+            rows = alternating_bessel_sums(order, Rs + company)
             assert [repr(row) for row in rows[:len(Rs)]] == [repr(row) for row in alone]
-    assert isinstance(alone[3], PrecisionExhausted)
+    assert not alone[3].abs_error_bound <= tols[3]
 
 
 def test_alternating_sums_return_python_floats():
-    # numpy inputs, rows that resolve in the batch (eps = 1/2 exactly among
-    # them) and a row past the reach of the expansion (order 4 at R = 0.3):
-    # every value, bound, argument and achieved bound is a float, which
+    # numpy inputs, rows that resolve (eps = 1/2 exactly among them) and a
+    # row past the reach of the expansion (order 4 at R = 0.3): every value,
+    # bound, argument and achieved bound is a float, which
     # tools/golden_grid.py writes by repr
     from framepcm.special_fn import alternating_bessel_sums
 
@@ -604,23 +611,22 @@ def test_alternating_sums_return_python_floats():
     phase = [(np.float64(R % 1.0), np.float64(1.0)) for R in Rs]
     # order 1/2 at eps = 0 is exactly 0; at eps = 1/2 it has no sum
     for order, at in ((4.0, Rs), (2.5, Rs), (0.5, Rs[[0, 1, 3]])):
-        rows = alternating_bessel_sums(order, at, np.full(at.size, 1e-10),
-                                       phase if order == 2.5 else None)
-        if order == 4.0:
-            assert type(rows[0].achieved) is float
-            rows = rows[1:]
-        for ev, K in rows:
-            assert type(K) is int
+        for ev in alternating_bessel_sums(order, at, phase if order == 2.5 else None):
             assert all(type(v) is float for v in (ev.order, ev.argument, ev.value,
                                                   ev.abs_error_bound)), (order, ev)
+    with pytest.raises(PrecisionExhausted) as info:
+        alternating_bessel_sum_info(4.0, Rs[0], np.float64(1e-10))
+    assert type(info.value.achieved) is float
 
 
 def test_a_row_past_its_tol_raises_with_the_bound_it_reached():
-    # no direct part and no climb: the bound at K = 0 is the one reported
-    [(ev, K)] = alternating_bessel_sums(1, [5.5], [math.inf])
+    # no direct part and no climb: the row's bound is the one reported
+    [ev] = alternating_bessel_sums(1, [5.5])
     with pytest.raises(PrecisionExhausted, match="reached bound") as info:
         alternating_bessel_sum_info(1, 5.5, 1e-30)
-    assert K == 0 and info.value.achieved == ev.abs_error_bound > 1e-30
+    assert info.value.achieved == ev.abs_error_bound > 1e-30
+    assert (f"(order=1, R=5.5) reached bound {ev.abs_error_bound:.3e} > tol 1.000e-30"
+            in str(info.value))
 
 
 # ---------------------------------------------------------------------------
@@ -640,16 +646,15 @@ def test_order_half_sum_against_its_closed_form():
     rng = np.random.default_rng(1912)
     Rs = [float(R) for R in np.exp(rng.uniform(math.log(0.05), math.log(1e6), 120))]
     assert sum(R < 1 for R in Rs) >= 10
-    rows = special_fn.alternating_bessel_sums(0.5, Rs, [1e-12] * len(Rs))
-    for R, row in zip(Rs, rows):
-        assert not isinstance(row, PrecisionExhausted), R
-        ev, K = row
+    rows = special_fn.alternating_bessel_sums(0.5, Rs)
+    for R, ev in zip(Rs, rows):
+        assert not isinstance(ev, PrecisionExhausted), R
+        assert ev.abs_error_bound <= 1e-12, R
         shifted = Fraction(R) + Fraction(1, 2)
         saw = Fraction(1, 2) - (shifted - math.floor(shifted))
         with mpmath.workdps(30):
             exact = mpmath.mpf(saw.numerator) / saw.denominator / mpmath.sqrt(R)
             assert abs(ev.value - exact) <= ev.abs_error_bound, R
-        assert K == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -792,17 +797,21 @@ def test_k0_sums_against_mpmath_one_row_and_batched():
 def test_alternating_sums_at_large_orders_give_a_value_or_precision_exhausted(order):
     # the polylogarithm table's depth is capped at 160, below q from order
     # 81.5 on (a broadcast ValueError at half-integer orders), and the Hankel
-    # terms overflow at small R (a RuntimeWarning, an error here)
+    # terms overflow at small R (a RuntimeWarning, an error here): each row
+    # is a value or a bound that says it is none, which the one-row call
+    # at 1e-10 turns into PrecisionExhausted
     import warnings
 
     Rs = [0.05, 0.3, 0.5, 1.0, 2.3, 20.3, 200.3]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = alternating_bessel_sums(order, Rs, [1e-10] * len(Rs))
-    for R, res in zip(Rs, rows):
-        if not isinstance(res, PrecisionExhausted):
-            ev, _ = res
-            assert math.isfinite(ev.value) and ev.abs_error_bound <= 1e-10, (order, R, res)
+        rows = alternating_bessel_sums(order, Rs)
+    for R, ev in zip(Rs, rows):
+        assert not math.isnan(ev.abs_error_bound), (order, R, ev)
+        if ev.abs_error_bound <= 1e-10:
+            assert math.isfinite(ev.value), (order, R, ev)
+        else:
+            assert isinstance(_one_row(order, R, 1e-10), PrecisionExhausted), (order, R, ev)
 
 
 @pytest.mark.parametrize("order", [81.5, 82.0])
@@ -810,6 +819,9 @@ def test_a_term_that_underflows_beside_an_unbounded_phase_sum_gives_bound_inf(or
     # at R = 1e6 + 0.3 the retained Hankel terms past q = 160 underflow to 0
     # where their polylogarithms, past the table's depth, have infinite
     # bounds: 0 inf made the bound nan
-    (res,) = alternating_bessel_sums(order, [1e6 + 0.3], [1e-10])
-    assert isinstance(res, PrecisionExhausted) and res.achieved == math.inf
-    assert f"(order={order}, R=1000000.3) reached bound inf > tol 1.000e-10" in str(res)
+    (ev,) = alternating_bessel_sums(order, [1e6 + 0.3])
+    assert ev.abs_error_bound == math.inf
+    with pytest.raises(PrecisionExhausted) as info:
+        alternating_bessel_sum_info(order, 1e6 + 0.3, 1e-10)
+    assert info.value.achieved == math.inf
+    assert f"(order={order}, R=1000000.3) reached bound inf > tol 1.000e-10" in str(info.value)

@@ -39,7 +39,10 @@ recorded as ``raise <Type>: <message>``.  The grid:
   EDGE_DELTAS, 2^-900 and 2^900, where the squares of r and delta leave
   binary64, and the ``quantize_and_reconstruct`` error of the Fibonacci
   frame of N = 500 at those delta.  Each is 2^+-900 times its value at
-  delta = 1 (to 2 ulps for the series);
+  delta = 1 (to 2 ulps for the series).  Besides, ``limiting_error`` by
+  its default route at d = 3 and 4 and the (r, delta) of EDGE_SUBNORMAL_R
+  (``edge/limit/default/d=<d>/r=<r>/delta=<delta>``), where R G is
+  subnormal and the limit is r;
 * the exact layer (``combinatorics/...``) at indices up to COMB_MAX:
   ``L_closed``, ``D_closed``, ``weighted_sum_A`` and ``gosper_g`` as exact
   ``Fraction`` and integer reprs, and the result of each of the six identity
@@ -104,6 +107,8 @@ LARGE_D = ((40, 100.375), (40, 1000.3), (40, 10000.3), (41, 1e6 + 0.3), (41, 1e9
 # (d, R) at delta = 2^-900 and 2^900
 EDGE_POINTS = ((3, 0.3), (3, 7.3), (4, 0.3), (4, 7.3))
 EDGE_DELTAS = (2.0 ** -900, 2.0 ** 900)
+# (r, delta) where R G falls below binary64's normal range, and the limit is r
+EDGE_SUBNORMAL_R = ((1e-10, 1e300), (1e-300, 1e10))
 COMB_MAX = 24  # the top of the benchmark's verify --max range
 # the k of framepcm bounds --slope at its defaults --kmin 100 --kmax 1000 --points 9
 SLOPE_KS = np.unique(np.round(np.logspace(2, 3, 9)).astype(int))
@@ -129,17 +134,22 @@ def _record(out: dict, key: str, call) -> None:
 def _batch_equals_rows(order: float) -> bool:
     """Whether one ``alternating_bessel_sums`` batch over RS equals its
     one-row ``alternating_bessel_sum_info`` calls: per R the same
-    ``(BesselEval, K)``, or a ``PrecisionExhausted`` with the same message."""
+    ``BesselEval``, the row's bound as the ``achieved`` of a call that misses
+    ALT_SUM_TOL, or a ``PrecisionExhausted`` with the same message."""
     from framepcm.special_fn import (PrecisionExhausted, alternating_bessel_sum_info,
                                      alternating_bessel_sums)
 
-    rows = alternating_bessel_sums(order, RS, [ALT_SUM_TOL] * len(RS))
+    rows = alternating_bessel_sums(order, RS)
     for R, row in zip(RS, rows):
         try:
-            one = alternating_bessel_sum_info(order, R, ALT_SUM_TOL)
+            one = alternating_bessel_sum_info(order, R, ALT_SUM_TOL)[0]
         except PrecisionExhausted as exc:
             one = exc
-        if repr(row) != repr(one):
+        if isinstance(row, PrecisionExhausted) or not isinstance(one, PrecisionExhausted):
+            same = repr(row) == repr(one)
+        else:
+            same = repr(row.abs_error_bound) == repr(one.achieved)
+        if not same:
             return False
     return True
 
@@ -245,6 +255,12 @@ def _edge(out: dict) -> None:
                     lambda: monte_carlo_limit(x, scheme, samples=MC_SAMPLES, seed=0))
         _record(out, f"edge/frames/fibonacci/d=3/N=500/quantize_error/delta={delta!r}",
                 lambda: quantize_and_reconstruct(3.7 * delta * _direction(3), frame, scheme)[1])
+    for d in (3, 4):
+        for r, delta in EDGE_SUBNORMAL_R:
+            x = np.zeros(d)
+            x[0] = r
+            _record(out, f"edge/limit/default/d={d}/r={r!r}/delta={delta!r}",
+                    lambda: limiting_error(x, QuantScheme(delta)))
 
 
 def _exact_layer(out: dict) -> None:
