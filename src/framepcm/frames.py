@@ -59,11 +59,12 @@ class UnitNormFrame:
     construction, so that the diagnostic allocates no copy of its rows
     beside its own transposed one.
 
-    Every generated block, and every block of the first full pass, is
-    checked for unit norm.  ``tightness_defect`` is the Frobenius norm of
-    (d/N) sum e e^T - I, the Gram matrix summed block by block on the
-    first full pass, whichever consumer makes it; a held frame makes that
-    pass on construction.
+    Every frame, held or generated, is checked once: its first full pass,
+    whichever consumer makes it, checks every block for unit norm and sums
+    the Gram matrix block by block for ``tightness_defect``, the Frobenius
+    norm of (d/N) sum e e^T - I; a held frame makes that pass on
+    construction.  Generated rows are the same on every pass, so later
+    passes check nothing.
     """
 
     def __init__(self, dim: int, count: int, *, vectors=None, source=None):
@@ -82,14 +83,13 @@ class UnitNormFrame:
         start = 0
         for block in (self._source() if held is None else
                       (held[i:i + step] for i in range(0, self.count, step))):
-            if held is None or gram is not None:
-                _check_unit_norm(block, start)
             if gram is not None:
+                _check_unit_norm(block, start)
                 gram += block.T @ block
             start += len(block)
             yield block
         if gram is not None:
-            self._defect = _defect(gram, self.dim, self.count)
+            self._defect = float(np.linalg.norm(gram * (self.dim / self.count) - np.eye(self.dim)))
 
     @property
     def vectors(self) -> np.ndarray:
@@ -120,10 +120,6 @@ def _check_unit_norm(vectors: np.ndarray, start: int) -> None:
             i = int(np.argmin(finite))
             raise ValueError(f"frame vector {start + i} is not finite: {vectors[i]}")
         raise ValueError("frame vectors must be unit norm to 1e-12")
-
-
-def _defect(gram: np.ndarray, d: int, N: int) -> float:
-    return float(np.linalg.norm(gram * (d / N) - np.eye(d)))
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:

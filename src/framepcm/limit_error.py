@@ -507,10 +507,14 @@ def _lifted(dcd: float, res: LimitErrorResult) -> LimitErrorResult:
     The estimate adds 4 EPS of the value for the lift: c_d is an exact ratio
     rounded once (within 0.48 EPS of 50-digit mpmath at d = 2..399, 500,
     1000, 5000, 1e4 and 1e5), d c_d within 0.84 EPS, and the product adds
-    one more rounding."""
+    one more rounding.  Where the value or the integral is below 2^-1022,
+    a rounding to a subnormal errs by up to 2^-1075 absolute and relative
+    estimates underflow: the estimate adds (2 d c_d + 2) 2^-1074 there."""
     value = dcd * abs(res.value)
-    return LimitErrorResult(value, res.method, dcd * res.error_estimate + 4 * EPS * value,
-                            res.breakpoint_count, res.sample_count)
+    estimate = dcd * res.error_estimate + 4 * EPS * value
+    if min(value, abs(res.value)) < 2.0 ** -1022:
+        estimate += math.ceil(2 * dcd + 2) * 2.0 ** -1074
+    return LimitErrorResult(value, res.method, estimate, res.breakpoint_count, res.sample_count)
 
 
 def limiting_error_grid(d: int, r: float, deltas, tol: float | None = None) -> list:

@@ -42,7 +42,7 @@ integer q), which converges for every phase once beta is reduced to
 (-1/2, 1/2].  All q of a row share beta, so each row forms the powers
 c_j = (2 pi |beta|)^j / j! once, and its polylogarithms at every q, with
 their bounds, are one product of c with a Toeplitz table of
-zeta(q_i - j) i^j and its bound weights, cached per (alpha, number of q)
+zeta(q_i - j) i^j and its bound weights, built once per alpha
 (Euler-Maclaurin for positive arguments, the functional equation DLMF
 25.4.1 for negative ones); the omitted terms are bounded through DLMF
 25.4.2.  At z = 1 the phase sum is zeta(q) from the same Euler-Maclaurin
@@ -80,12 +80,6 @@ EPS = float(np.finfo(float).eps)
 
 # ``bessel_integral_int_order``: the largest rule it may take (x up to ~1.2e4)
 _TRAPEZOID_BUDGET = 16384
-
-
-def _series_domain_max(order: float) -> float:
-    # beyond this the alternating series cannot reach interesting
-    # tolerances in binary64 anyway; the hard precondition mirrors that
-    return 2.0 * max(30.0, order * order)
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -173,7 +167,7 @@ def _gamma_order_plus_1(order: float, twice: int) -> float:
 def _series_eval(order: float, x: float) -> BesselEval:
     """Best-effort series evaluation with a certified bound (no tol gate)."""
     twice = _require_half_integer(order)
-    if x < 0:
+    if not x >= 0:  # nan too
         raise ValueError("argument must be nonnegative")
     if x == 0.0:
         return BesselEval(order, x, 1.0 if order == 0 else 0.0, 0.0)
@@ -232,12 +226,13 @@ def bessel_series(order: float, x: float, tol: float) -> BesselEval:
     certified bound still exceeds ``tol`` raises PrecisionExhausted rather
     than returning a wrong value.
     """
-    if tol <= 0:
+    if not tol > 0:  # nan too
         raise ValueError("tol must be positive")
-    if x > _series_domain_max(order):
-        raise ValueError(
-            f"x={x} outside the series evaluation domain x <= {_series_domain_max(order)}"
-        )
+    # beyond this the alternating series cannot reach interesting
+    # tolerances in binary64 anyway; the hard precondition mirrors that
+    domain = 2.0 * max(30.0, order * order)
+    if x > domain:
+        raise ValueError(f"x={x} outside the series evaluation domain x <= {domain}")
     out = _series_eval(order, x)
     if out.abs_error_bound > tol:
         raise PrecisionExhausted(
@@ -538,9 +533,9 @@ class _PhaseTable:
     q: np.ndarray
 
 
-@lru_cache(maxsize=32)
 def _phase_table(order: float, top: int) -> _PhaseTable:
-    """The phase-independent part of :func:`_polylogs`, cached per (order, top).
+    """The phase-independent part of :func:`_polylogs` at (order, top), built
+    once per order through :func:`_tail_layout`.
 
     zeta(s) comes from :func:`_zeta_em` for s > 0, from the functional
     equation zeta(s) = 2 (2 pi)^{s-1} cos(pi (1-s)/2) Gamma(1-s) zeta(1-s)
@@ -565,16 +560,15 @@ def _phase_table(order: float, top: int) -> _PhaseTable:
     zeta[pos], err[pos] = _zeta_em(s[pos], 1)
     zeta[s == 0.0] = -0.5
     neg = s < 0
-    if neg.any():
-        s1 = 1.0 - s[neg]
-        z1, e1 = _zeta_em(s1, 1)
-        # Gamma within 10 ulps and (2 pi)^-s1 within (s1/2 + 1) EPS; the
-        # cosine is exact at integer s1, else within 4 EPS absolute
-        mag = 2.0 * (2 * math.pi) ** -s1 * np.array([math.gamma(v) for v in s1]) * z1
-        cos = _cos_half_pi(s1)
-        zeta[neg] = mag * cos
-        err[neg] = mag * (np.abs(cos) * (e1 / z1 + (s1 / 2 + 16) * EPS)
-                          + np.where(s1 == np.floor(s1), 0.0, 4 * EPS))
+    s1 = 1.0 - s[neg]
+    z1, e1 = _zeta_em(s1, 1)
+    # Gamma within 10 ulps and (2 pi)^-s1 within (s1/2 + 1) EPS; the
+    # cosine is exact at integer s1, else within 4 EPS absolute
+    mag = 2.0 * (2 * math.pi) ** -s1 * np.array([math.gamma(v) for v in s1]) * z1
+    cos = _cos_half_pi(s1)
+    zeta[neg] = mag * cos
+    err[neg] = mag * (np.abs(cos) * (e1 / z1 + (s1 / 2 + 16) * EPS)
+                      + np.where(s1 == np.floor(s1), 0.0, 4 * EPS))
     i, j = np.arange(top + 1), _J[:depth + 1, None]
     at = depth + i - j  # zeta(q_i - j)
     coef = zeta[at] * _I_POW[j % 4]
@@ -608,7 +602,7 @@ def _phase_table(order: float, top: int) -> _PhaseTable:
     weight[depth] += np.where(np.isfinite(rem), rem, 0.0)
     weight[0] += rem * ((depth + 1) * 2.0 ** -1074)
     series = np.concatenate((coef.real, coef.imag, weight), axis=1)
-    for arr in (series, sing, q):  # shared by every caller through the cache
+    for arr in (series, sing, q):  # shared through the cache of _tail_layout
         arr.setflags(write=False)
     return _PhaseTable(depth, series, integer, sing, q)
 
@@ -656,24 +650,23 @@ def _polylogs(tab: _PhaseTable, b: np.ndarray):
     return blocks[:, 0], blocks[:, 1], blocks[:, 2]
 
 
-def _phase_tails(order: float, top: int, beta):
+def _phase_tails(tab: _PhaseTable, beta):
     """sum_{k>=1} e^{2 pi i beta k} k^{-q} at every q = order + 1/2 + i,
-    i = 0..top, with certified absolute bounds; ``beta`` is one phase per
-    row, in [-1/2, 1/2], and 0 only where every q > 1.  Returns (re, im,
-    bounds), each rows x (top + 1).
+    i = 0..top, of the table ``tab`` (:func:`_phase_table`), with certified
+    absolute bounds; ``beta`` is one phase per row, in [-1/2, 1/2], and 0
+    only where every q > 1.  Returns (re, im, bounds), each rows x (top + 1).
 
     At beta != 0 the sum is the polylogarithm Li_q(z) (:func:`_polylogs`),
     at beta = 0 it is zeta(q) (:func:`_zeta_em`).  Every entry's sums run
     over widths of its own, so a row does not depend on the other rows.
     """
-    tab = _phase_table(order, top)
     beta = np.asarray(beta, dtype=float).reshape(-1)
     b = abs(beta)
     if b.all():
         re, im, bounds = _polylogs(tab, b)
     else:
         phase = b > 0.0
-        re, im, bounds = (np.zeros((b.size, top + 1)) for _ in range(3))
+        re, im, bounds = (np.zeros((b.size, tab.q.size)) for _ in range(3))
         if phase.any():
             re[phase], im[phase], bounds[phase] = _polylogs(tab, b[phase])
         re[~phase], bounds[~phase] = _zeta_em(tab.q, 1)
@@ -685,15 +678,19 @@ def _phase_tails(order: float, top: int, beta):
 # the alternating Bessel sum
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _tail_columns(order: float, width: int):
-    """Per column i < ``width`` of the Hankel terms of :func:`_alt_sum_tail`:
+@lru_cache(maxsize=32)
+def _tail_layout(order: float):
+    """What :func:`_alt_sum_tail` takes of the order alone, built once per
+    order: (top, majorant, rot_re, rot_im, table).  Per column i < width of
+    its Hankel terms (width = jmax + 1 of ``_hankel_layout(order, 18)``),
     the majorant sum_{k>=1} k^-q <= q/(q - 1) at q = order + 1/2 + i (0 in
-    columns 0 and 1, never a first omitted term); and top, the last column
-    a retained term can take (width - 2, as the last column can only be
+    columns 0 and 1, never a first omitted term); top, the last column a
+    retained term can take (width - 2, as the last column can only be
     omitted, or the last nonzero a_i, i = order - 1/2, at half-integer
     orders, where the expansion terminates), with the real and imaginary
-    parts of e^{-i omega} i^i at i = 0..top."""
+    parts of e^{-i omega} i^i at i = 0..top; and the phase sums' table
+    (:func:`_phase_table`) at q = order + 1/2 + i, i = 0..top."""
+    width = _hankel_layout(order, 18)[0] + 1
     i = np.arange(width)
     q = order + 0.5 + np.maximum(i, 2)
     top = width - 2 if order % 1 == 0 else int(order - 0.5)
@@ -701,7 +698,7 @@ def _tail_columns(order: float, width: int):
     arrays = (np.where(i < 2, 0.0, q / (q - 1.0)), rot.real, rot.imag)
     for arr in arrays:  # shared by every caller through the cache
         arr.setflags(write=False)
-    return (top, *arrays)
+    return (top, *arrays, _phase_table(order, top))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing rows come out (0, inf)
@@ -716,16 +713,16 @@ def _alt_sum_tail(order: float, R, beta):
     omitted columns), and its term i, a_i (2 pi R)^-i i^i, multiplies the
     phase sum at q = order + 1/2 + i; the phase sums of all rows are one
     call (:func:`_phase_tails`), over the q of every term the plan may
-    retain (:func:`_tail_columns`).  Every sum runs over a width fixed by
+    retain (:func:`_tail_layout`).  Every sum runs over a width fixed by
     the order, so a row does not depend on the other rows; the rows are
     scaled by 1/(pi sqrt(R)) one at a time, in Python floats.
     """
     coef, mag, kept, omitted = _hankel_plan(order, 2.0 * math.pi * R, 18)
-    top, majorant, rot_re, rot_im = _tail_columns(order, coef.shape[1])
+    top, majorant, rot_re, rot_im, tab = _tail_layout(order)
     # Hankel remainder summed over k (integral-test zeta bounds), the two
     # first omitted terms of each row
     hankel = np.where(omitted, mag * majorant, 0.0).sum(1)
-    re, im, tb = _phase_tails(order, top, beta)
+    re, im, tb = _phase_tails(tab, beta)
     kept = kept[:, :top + 1]
     terms = np.where(kept, coef[:, :top + 1], 0.0) * (rot_re * re - rot_im * im)
     retained = np.where(kept, mag[:, :top + 1] * tb, 0.0).sum(1)

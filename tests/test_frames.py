@@ -167,6 +167,20 @@ def test_generated_frame_reads_as_its_materialized_copy(kind, d, N):
     assert quantize_and_reconstruct(x, frame, scheme)[1] == err
 
 
+def test_only_the_first_full_pass_checks_the_rows(monkeypatch):
+    # generated rows are the same on every pass: later passes, of a held or
+    # a generated frame, check no block again
+    checked = []
+    monkeypatch.setattr(frames, "_check_unit_norm", lambda block, start: checked.append(start))
+    rows = frames._BLOCK_ELEMENTS // 2
+    generated, held = harmonic_frame_2d(rows + 5), harmonic_frame_2d(rows)
+    assert checked == [0]  # the held frame's pass, on construction
+    for _ in range(2):
+        list(generated.blocks())
+        list(held.blocks())
+    assert checked == [0, 0, rows]
+
+
 def test_frame_csv_roundtrip(tmp_path):
     f = random_sphere_frame(3, 50, seed=2)
     path = tmp_path / "frame.csv"

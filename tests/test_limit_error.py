@@ -101,6 +101,16 @@ def test_limit_equals_r_below_threshold(d):
         assert abs(res.value - r) <= res.error_estimate, (r, delta)
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_limit_equals_r_within_its_estimate_where_r_is_subnormal(d):
+    # the value is r exactly; a subnormal rounding errs absolutely, which no
+    # relative term of the estimate covered: the estimate was 0.0, and the
+    # value 1e-323 at (d, r) = (3, 5e-324), 0.0 at d = 4 and 5
+    for r in (5e-324, 1e-323, 1e-320, 3e-315, 1e-310, 2.2e-308):
+        res = limiting_error(_x(d, r), UNIT)
+        assert abs(res.value - r) <= res.error_estimate, r
+
+
 def test_zero_signal():
     res = limiting_error(np.zeros(3), UNIT)
     assert res.value == 0.0
@@ -336,6 +346,15 @@ def test_parity_split_cache_is_bounded():
     assert parity_split.cache_info().currsize <= parity_split.cache_info().maxsize
     # a numpy d keeps its own entry, as it did uncached: n stays a numpy int
     assert type(parity_split(np.int64(6)).n) is np.int64 and type(parity_split(6).n) is int
+
+
+def test_monte_carlo_refuses_a_value_that_overflows():
+    # the estimate of these 1,000 samples reads 1.42 r, past binary64's
+    # largest double at r = 1.7e308, although every batch ran at a
+    # normalized scale
+    r = 1.7e308
+    with pytest.raises(PrecisionExhausted, match="the Monte Carlo value overflows"):
+        monte_carlo_limit(_x(1000, r), QuantScheme(r / 1.3), samples=1000, seed=0)
 
 
 def test_monte_carlo_memory_is_bounded_in_d():

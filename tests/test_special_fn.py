@@ -48,6 +48,21 @@ def test_series_rejects_bad_inputs():
         bessel_series(1, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("x, tol", [(1.0, math.nan), (math.nan, 1e-10)])
+def test_series_rejects_a_nan_argument_or_tol(x, tol):
+    # a nan tol judged nothing, and a nan argument ran 600 terms before
+    # it raised PrecisionExhausted
+    with pytest.raises(ValueError, match="tol must be positive" if x == 1.0 else "nonnegative"):
+        bessel_series(0, x, tol)
+
+
+def test_series_refuses_terms_still_growing_after_600():
+    # x = 2e4 is inside order 100's domain 2 order^2, but the terms'
+    # ratio (x/2)^2 / ((k + 1)(k + 101)) is still above 1 at k = 600
+    with pytest.raises(PrecisionExhausted, match="still growing after 600 terms"):
+        bessel_series(100.0, 2e4, 1e-10)
+
+
 def test_series_precision_exhausted_is_explicit():
     with pytest.raises(PrecisionExhausted) as info:
         bessel_series(0, 55.0, 1e-12)  # cancellation makes this unreachable
@@ -300,7 +315,7 @@ def test_phase_tails_against_polylog():
     # polylogarithms, at p in 1/2 N (half-integer q, and integer q by the
     # harmonic/log form)
     mpmath = pytest.importorskip("mpmath")
-    from framepcm.special_fn import _phase_tails
+    from framepcm.special_fn import _phase_table, _phase_tails
 
     for p in (0.5, 1.0, 1.5, 2.0, 3.5, 4.0, 4.5, 6.0):
         rows = _tail_rows(p)
@@ -311,7 +326,7 @@ def test_phase_tails_against_polylog():
                 exact = _polylog(mpmath, q, beta)
                 # Li_q(conj z) = conj Li_q(z) gives -beta without a second reference
                 for sign in (1.0, -1.0) if beta < 1e-6 else (1.0,):
-                    re, im, bounds = _phase_tails(p, top, [sign * beta])
+                    re, im, bounds = _phase_tails(_phase_table(p, top), [sign * beta])
                     ref = exact if sign > 0 else exact.conjugate()
                     assert abs(complex(re[0, i], im[0, i]) - ref) <= bounds[0, i], (
                         p, q, sign * beta)
@@ -663,11 +678,11 @@ def test_phase_tails_at_k0_are_polylogarithms_with_q_at_most_one():
     # converges only conditionally: the phase sum is Li_q(z) from its
     # expansion
     mpmath = pytest.importorskip("mpmath")
-    from framepcm.special_fn import _phase_tails
+    from framepcm.special_fn import _phase_table, _phase_tails
 
     for order in (0.0, 0.5):
         for beta in (1e-7, 0.01, 0.3, 0.5):
-            re, im, bounds = _phase_tails(order, 2, [beta])
+            re, im, bounds = _phase_tails(_phase_table(order, 2), [beta])
             values, bounds = re[0] + 1j * im[0], bounds[0]
             for i, value, bound in zip(range(3), values, bounds):
                 with mpmath.workdps(30):
@@ -676,7 +691,7 @@ def test_phase_tails_at_k0_are_polylogarithms_with_q_at_most_one():
                 assert abs(value - exact) <= bound, (order, i, beta)
                 assert bound < 1e-12 * max(1.0, abs(exact)), (order, i, beta)
             # Li_q(conj z) = conj Li_q(z)
-            mirror_re, mirror_im, mirror_bounds = _phase_tails(order, 2, [-beta])
+            mirror_re, mirror_im, mirror_bounds = _phase_tails(_phase_table(order, 2), [-beta])
             mirror = mirror_re[0] + 1j * mirror_im[0]
             assert np.array_equal(mirror, values.conjugate()) or beta == 0.5
             assert np.array_equal(mirror_bounds[0], bounds)

@@ -107,8 +107,9 @@ LARGE_D = ((40, 100.375), (40, 1000.3), (40, 10000.3), (41, 1e6 + 0.3), (41, 1e9
 # (d, R) at delta = 2^-900 and 2^900
 EDGE_POINTS = ((3, 0.3), (3, 7.3), (4, 0.3), (4, 7.3))
 EDGE_DELTAS = (2.0 ** -900, 2.0 ** 900)
-# (r, delta) where R G falls below binary64's normal range, and the limit is r
-EDGE_SUBNORMAL_R = ((1e-10, 1e300), (1e-300, 1e10))
+# (r, delta) where R G falls below binary64's normal range, and the limit is
+# r; in the last two r itself is subnormal
+EDGE_SUBNORMAL_R = ((1e-10, 1e300), (1e-300, 1e10), (5e-324, 1.0), (1e-310, 1.0))
 COMB_MAX = 24  # the top of the benchmark's verify --max range
 # the k of framepcm bounds --slope at its defaults --kmin 100 --kmax 1000 --points 9
 SLOPE_KS = np.unique(np.round(np.logspace(2, 3, 9)).astype(int))
