@@ -48,9 +48,8 @@ import numpy as np
 
 # limiting_error is not called here but stays importable from this module:
 # perfbench/tracing.py wraps framepcm.bounds.limiting_error
-from .limit_error import (Method, ParitySplit, _base_coef, _checked_ratio,  # noqa: F401
-                          _integrals, angular_constant, limiting_error,
-                          limiting_error_grid, parity_split)
+from .limit_error import (Method, ParitySplit, _checked_ratio, _integrals,  # noqa: F401
+                          angular_constant, limiting_error, limiting_error_grid, parity_split)
 from .special_fn import PrecisionExhausted, _zeta_em
 
 __all__ = [
@@ -165,13 +164,13 @@ def _bound(d: int, r: float, delta: float, order_matched_phase: bool):
     lower and upper coefficients, scale, window_ok, unmet), unmet naming
     the first unmet hypothesis (eps outside the parity window, then
     R = r/delta below DEFAULT_R_MIN) or None when both hold."""
-    if d < 3:
+    split = parity_split(d)
+    if split.d < 3:
         raise ValueError("need d >= 3")
     R = _checked_ratio(r, delta)
     eps = math.fmod(r, delta) / delta  # frac(r/delta), rounded once: fmod is exact
-    split = parity_split(d)
     M = _kernel(eps, split, order_matched_phase)
-    base = _base_coef(split.n, split.parity)
+    base = split.base
     window = _WINDOWS[split.parity]
     window_ok = _in_window(eps, window)
     if not window_ok:

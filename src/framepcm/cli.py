@@ -223,12 +223,16 @@ def _cmd_limit(args, outdir: Path) -> int:
     methods = ([Method.QUADRATURE, Method.BESSEL_SERIES, Method.MONTE_CARLO]
                if args.methods == "all" else
                [Method(m.strip()) for m in args.methods.split(",")])
-    rows, results = [], {}
+    rows, results, refusals = [], {}, []
     for method in methods:
-        if method == Method.MONTE_CARLO:
-            res = monte_carlo_limit(sig, scheme, samples=args.samples, seed=args.seed)
-        else:
-            res = limiting_error(sig, scheme, method=method, tol=args.tol)
+        try:
+            res = (monte_carlo_limit(sig, scheme, samples=args.samples, seed=args.seed)
+                   if method == Method.MONTE_CARLO else
+                   limiting_error(sig, scheme, method=method, tol=args.tol))
+        except sf.PrecisionExhausted as exc:  # this route refuses; the others still run
+            refusals.append(str(exc))
+            print(f"{method.value:>14}: precision exhausted: {exc}")
+            continue
         results[method] = res
         rows.append(result_csv_row(sig, scheme, res))
         print(f"{res.method.value:>14}: value={res.value:.12e}  err_est={res.error_estimate:.2e}"
@@ -236,19 +240,21 @@ def _cmd_limit(args, outdir: Path) -> int:
     _write_csv(outdir / "limit.csv", LIMIT_CSV_FIELDS, rows)
 
     failures = 0
-    # each other route against the quadrature; the Monte Carlo estimate is
-    # one sigma, and its line takes 3 sigma
+    try:
+        scale = parity_split(args.d).scale(args.r, scheme.delta)
+    except sf.PrecisionExhausted:  # e.g. d = 500, R = 20.3: the value alone sets the size
+        scale = 0.0
+    # each other route that ran against the quadrature; the Monte Carlo
+    # estimate is one sigma, and its line takes 3 sigma
     quad = results.get(Method.QUADRATURE)
     for method, label, widen in ((Method.BESSEL_SERIES, "series", 1.0),
                                  (Method.MONTE_CARLO, "Monte Carlo", 3.0)):
         if quad is not None and method in results:
-            try:
-                scale = parity_split(args.d).scale(args.r, scheme.delta)
-            except sf.PrecisionExhausted:  # e.g. d = 500, R = 20.3: the value alone sets the size
-                scale = 0.0
             other = results[method]
             failures += _verdict(f"quadrature vs {label}", quad, other.value,
                                  widen * other.error_estimate, scale, args.agree_rtol)
+    if refusals:
+        raise sf.PrecisionExhausted("; ".join(refusals))
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 

@@ -44,16 +44,16 @@ coarse referee for both, and the only route that reads x beyond ||x||.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
 from .frames import uniform_sphere_points
-from .quantization import QuantScheme, SignalSpec, _pcm_quantize_into
+from .quantization import QuantScheme, SignalSpec, _as_signal, _pcm_quantize_into
 # alternating_bessel_sum_info and gauss_legendre are not called here but stay
 # importable from this module: perfbench/tracing.py wraps this module's copies
 from .special_fn import (EPS, PrecisionExhausted, _binary64,  # noqa: F401
@@ -125,19 +125,50 @@ class LimitErrorResult:
 LIMIT_CSV_FIELDS = ["r", "delta", "eps", "d", "method", "value", "error_estimate"]
 
 
-class ParitySplit(NamedTuple):
-    """How the dimension d = 2n (even) or 2n+1 (odd) enters the 1-D integral.
+@dataclass(frozen=True)
+class ParitySplit:
+    """What the limit reads of the dimension d = 2n (even) or 2n + 1 (odd),
+    built once per d by :func:`parity_split`.
 
-    The integrand is Delta(r cos t) cos t sin^{sin_pow} t, its closed form
+    The integrand is Delta(r cos t) cos t sin^{d-2} t, its closed form
     goes through J_order, and its size is ``scale(r, delta)`` =
-    delta^s / r^{s-1}.
+    delta^s / r^{s-1}.  ``g`` is G(d) = int_0^1 (1 - u^2)^{(d-1)/2} du as an
+    integer ratio: exactly 4^n / ((2n + 1) C(2n, n)) at odd d (2/3 at
+    d = 3), and pi C(2n, n) / (2 4^n) at even d (pi/4 at d = 2) with pi to
+    40 digits.  c_d int_0^pi sin^{d-2} = 1 and, with u = cos t, that
+    integral is 2 G(d - 2) = 2 G(d) d/(d - 1): so ``c_d`` = (d - 1)/(2 d G)
+    is one integer ratio rounded once.  ``base`` is the leading coefficient
+    of the series prefactor and of the bounds.  The exact per-d constants
+    of an exact odd-d route and of the sharp constant C_d(eps) belong here
+    too, as fields or cached properties.
     """
 
+    d: int
     n: int
     parity: str
-    sin_pow: int
     order: float
     s: float
+    g: tuple[int, int] = field(repr=False)
+    c_d: float
+
+    @cached_property  # a raise is not cached: every use past d = 440 raises
+    def base(self) -> float:
+        """(n-1)! C(2n-2, n-1) / (2^{2n-2} pi^n) (even) or (n-1)! / pi^{n+1}
+        (odd), pi being math.pi, within 2 ulps.  ``PrecisionExhausted`` where
+        it leaves binary64 (from n = 221 even, n = 220 odd: d >= 441).
+
+        The integer ratio is divided first, as Python's int / int is
+        correctly rounded; a power of two taken out of it beforehand, and
+        put back after the division by pi^n, keeps it below overflow.
+        """
+        n, parity = self.n, self.parity
+        if parity == "even":
+            num, den, power = math.factorial(n - 1) * math.comb(2 * n - 2, n - 1), 4 ** (n - 1), n
+        else:
+            num, den, power = math.factorial(n - 1), 1, n + 1
+        shift = max(0, num.bit_length() - den.bit_length() - 1000)
+        return _binary64(lambda: math.ldexp(num / (den << shift) / math.pi ** power, shift),
+                         lambda: f"the {parity} bound coefficient at n={n} leaves binary64")
 
     def scale(self, r: float, delta: float) -> float:
         """delta^s / r^{s-1}; ``PrecisionExhausted`` where the scale leaves
@@ -157,6 +188,8 @@ class ParitySplit(NamedTuple):
         try:
             return _binary64(lambda: delta ** self.s / r ** (self.s - 1.0), message)
         except PrecisionExhausted:
+            if r == 0:  # delta / r: the scale is infinite
+                raise
             (m, e), (dm, de) = math.frexp(delta / r), math.frexp(delta)
             if e % 2:
                 m, e = 2.0 * m, e - 1
@@ -173,47 +206,39 @@ def _checked_ratio(r: float, delta: float) -> float:
     return r / delta
 
 
-@lru_cache(maxsize=64, typed=True)  # one small tuple per d; typed: a numpy d keeps its own
 def parity_split(d: int) -> ParitySplit:
-    """The :class:`ParitySplit` of dimension d: (n, "even", 2n-2, n, n+1/2) for
-    d = 2n, (n, "odd", 2n-1, n+1/2, n+1) for d = 2n+1."""
-    n = d // 2
-    if d % 2 == 0:
-        return ParitySplit(n, "even", 2 * n - 2, float(n), n + 0.5)
-    return ParitySplit(n, "odd", 2 * n - 1, n + 0.5, n + 1.0)
+    """The :class:`ParitySplit` of d, order n and s = n + 1/2 at d = 2n, order
+    n + 1/2 and s = n + 1 at d = 2n + 1.  ``ValueError`` unless d is an
+    integer >= 2 (a numpy int is the int it equals), checked before the
+    cache, which would hand 4.0 the record of a numpy 4 it holds."""
+    if type(d) is not int and (isinstance(d, bool) or not isinstance(d, numbers.Integral)) or d < 2:
+        raise ValueError(f"need an integer dimension d >= 2, got {d!r}")
+    return _dimension(int(d))
 
-
-def angular_constant(d: int) -> float:
-    """c_d = (surface of S^{d-2}) / (surface of S^{d-1}); satisfies
-    c_d * int_0^pi sin^{d-2} = 1.  With u = cos theta the integral is 2 G at
-    d - 2, G(d) = int_0^1 (1 - u^2)^{(d-1)/2} du of :func:`_smooth_coef`, and
-    G(d) = G(d - 2) (d - 1)/d, so c_d = (d - 1) / (2 d G(d)) is one integer
-    ratio rounded once; G(d) is the one the quadrature at d takes."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    d = int(d)  # a numpy int would overflow 4^n
-    num, den = _smooth_coef(d)
-    return (d - 1) * den / (2 * d * num)
-
-
-# ---------------------------------------------------------------------------
-# breakpoint-sum route (QUADRATURE)
-# ---------------------------------------------------------------------------
 
 # pi to 40 digits, as an integer ratio
 _PI_NUM, _PI_DEN = 31415926535897932384626433832795028841972, 10 ** 40
 
 
-@lru_cache(maxsize=128)  # a pair of ~0.6 d-digit integers per d: bounded, not one per d seen
-def _smooth_coef(d: int) -> tuple[int, int]:
-    """G = int_0^1 (1 - u^2)^e du, e = (d - 1)/2, as an integer ratio: exactly
-    4^n / ((2n + 1) C(2n, n)) at d = 2n + 1 (2/3 at d = 3), and pi C(2n, n) /
-    (2 4^n) at d = 2n (pi/4 at d = 2) with pi to 40 digits."""
+@lru_cache(maxsize=128)  # one record of ~0.6 d-digit integers per d: bounded, not one per d seen
+def _dimension(d: int) -> ParitySplit:
     n = d // 2
     if d % 2:
-        return 4 ** n, (2 * n + 1) * math.comb(2 * n, n)
-    return _PI_NUM * math.comb(2 * n, n), _PI_DEN * 2 * 4 ** n
+        g = 4 ** n, (2 * n + 1) * math.comb(2 * n, n)
+        return ParitySplit(d, n, "odd", n + 0.5, n + 1.0, g, (d - 1) * g[1] / (2 * d * g[0]))
+    g = _PI_NUM * math.comb(2 * n, n), _PI_DEN * 2 * 4 ** n
+    return ParitySplit(d, n, "even", float(n), n + 0.5, g, (d - 1) * g[1] / (2 * d * g[0]))
 
+
+def angular_constant(d: int) -> float:
+    """c_d = (surface of S^{d-2}) / (surface of S^{d-1}), the ``c_d`` of
+    :class:`ParitySplit`, from the G that the quadrature at d takes."""
+    return parity_split(d).c_d
+
+
+# ---------------------------------------------------------------------------
+# breakpoint-sum route (QUADRATURE)
+# ---------------------------------------------------------------------------
 
 def _quad_plan(r: float, delta: float, d: int):
     """(q, f, K, estimate) of :func:`_quad_integral` at (r, delta, d).
@@ -237,7 +262,7 @@ def _quad_plan(r: float, delta: float, d: int):
     q, f = divmod(r, delta)
     K = int(q) + (f > 0.5 * delta)
     e = (d - 1) / 2
-    num, den = _smooth_coef(d)
+    num, den = parity_split(d).g
     G, R = num / den, r / delta
     P = 0.0 if e == 1 else 1.0 if e in (0.5, 2) else 8.0
     t_sum, h_sum = min(K, R * G + 1.0), min(K, R * (1.0 - G) / e + 1.0)
@@ -255,7 +280,7 @@ def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
 
         I = (delta/e) (R G - sum_{k<K} (1 - u_k^2)^e),  R = r/delta,
 
-    G = :func:`_smooth_coef`, R G rounded once from the exact ratio (scaled
+    G = ``parity_split(d).g``, R G rounded once from the exact ratio (scaled
     by a power of two where it is below binary64's normal range).  1 - u_k
     is (f + delta (q - k - 1/2))/r from r = q delta + f (:func:`_quad_plan`),
     so each term keeps its relative accuracy up to u_k = 1.  The terms are
@@ -284,7 +309,7 @@ def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
             yield memoryview((x * (2.0 - x)) ** e)
 
     (r_num, r_den), (d_num, d_den), (g_num, g_den) = (
-        r.as_integer_ratio(), delta.as_integer_ratio(), _smooth_coef(d))
+        r.as_integer_ratio(), delta.as_integer_ratio(), parity_split(d).g)
     num, den = r_num * d_den * g_num, r_den * d_num * g_den
     # below 2^-1022 R G would round to a subnormal and keep few bits: round
     # 2^k R G, in (2^-1021, 2^-1019), and scale back at the end.  R G lies
@@ -300,28 +325,8 @@ def _quad_integral(r: float, delta: float, sin_pow: int, tol: float | None):
 # Bessel-series route
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)  # one float per (n, parity) below d = 441; a raise is not cached
-def _base_coef(n: int, parity: str) -> float:
-    """(n-1)! C(2n-2, n-1) / (2^{2n-2} pi^n) (even) or (n-1)! / pi^{n+1}
-    (odd), pi being math.pi, within 2 ulps: the leading coefficient of the
-    series prefactor and of the bounds.  ``PrecisionExhausted`` where it
-    leaves binary64 (from n = 221 even, n = 220 odd: d >= 441).
-
-    The integer ratio is divided first, as Python's int / int is correctly
-    rounded; a power of two taken out of it beforehand, and put back
-    after the division by pi^n, keeps it below overflow.
-    """
-    if parity == "even":
-        num, den, power = math.factorial(n - 1) * math.comb(2 * n - 2, n - 1), 4 ** (n - 1), n
-    else:
-        num, den, power = math.factorial(n - 1), 1, n + 1
-    shift = max(0, num.bit_length() - den.bit_length() - 1000)
-    return _binary64(lambda: math.ldexp(num / (den << shift) / math.pi ** power, shift),
-                     lambda: f"the {parity} bound coefficient at n={n} leaves binary64")
-
-
 def _series_prefactor(r: float, delta: float, split: ParitySplit) -> tuple[float, float]:
-    """(-pi * _base_coef * scale * sqrt(r/delta), scale): the factor that
+    """(-pi * base * scale * sqrt(r/delta), scale): the factor that
     turns the alternating sum into the 1-D integral, and the scale it took;
     ``PrecisionExhausted`` where the factor, the coefficient (d >= 441) or
     the scale leaves binary64."""
@@ -329,8 +334,7 @@ def _series_prefactor(r: float, delta: float, split: ParitySplit) -> tuple[float
         scale = split.scale(r, delta)
     except PrecisionExhausted:  # so does the factor, which says so
         scale = math.nan
-    return _binary64(lambda: -_base_coef(split.n, split.parity) * scale
-                     * math.pi * math.sqrt(r / delta),
+    return _binary64(lambda: -split.base * scale * math.pi * math.sqrt(r / delta),
                      lambda: f"the order-{split.order:g} series prefactor leaves binary64 "
                              f"(r={r}, delta={delta})"), scale
 
@@ -347,7 +351,7 @@ def _auto_route(r: float, delta: float, split: ParitySplit, tol: float | None) -
     quadrature out at d = 8, R = 20.3 and at d = 12 beyond R ~ 7.1.
     """
     if r / delta < _AUTO_QUAD_MAX_R:
-        estimate = _quad_plan(r, delta, split.sin_pow + 2)[3]
+        estimate = _quad_plan(r, delta, split.d)[3]
         try:
             if estimate <= (tol if tol is not None else 1e-10 * split.scale(r, delta)):
                 return Method.QUADRATURE
@@ -405,10 +409,9 @@ def _integrals(r: float, deltas: list, split: ParitySplit, method, tol: float | 
     delta takes the quadrature, and so does an AUTO delta where the series
     raises ``PrecisionExhausted`` (e.g. d = 165, R = 5000.3, where the
     order-82.5 polylogarithms run past their table's depth, or d = 500,
-    R = 20.3, where the scale and the prefactor leave binary64).  Where
-    that fall-back raises too, its ``PrecisionExhausted`` carries the
-    series' reason first.  A delta's route, value and estimate do not
-    depend on the other deltas.
+    R = 20.3, where the scale and the prefactor leave binary64), naming
+    both causes, the series' first, if that raises too.  A delta's route,
+    value and estimate do not depend on the other deltas.
     """
     for delta in deltas:
         _checked_ratio(r, delta)
@@ -429,7 +432,7 @@ def _integrals(r: float, deltas: list, split: ParitySplit, method, tol: float | 
             raise res
         if not isinstance(res, LimitErrorResult):
             try:
-                value, estimate, pieces = _quad_integral(r, delta, split.sin_pow, tol)
+                value, estimate, pieces = _quad_integral(r, delta, split.d - 2, tol)
             except PrecisionExhausted as exc:
                 if res is None:
                     raise
@@ -439,77 +442,58 @@ def _integrals(r: float, deltas: list, split: ParitySplit, method, tol: float | 
     return out
 
 
-def _checked_n(n) -> int:
-    if n < 1 or n != int(n):
-        raise ValueError("need integer n >= 1")
-    return int(n)
-
-
 def integral_even(r: float, delta: float, n: int, method=Method.AUTO,
                   tol: float | None = None) -> float:
     """int_0^pi Delta(r cos t) cos t sin^{2n-2} t dt by the chosen route
-    (default AUTO: see the module docstring).
-
-    With r/delta < 1/2 the quantizer is the identity and the single smooth
-    piece gives the closed Beta-type value; QUADRATURE handles that case
-    naturally.
-    """
-    return _integrals(r, [delta], parity_split(2 * _checked_n(n)), method, tol)[0].value
+    (default AUTO: see the module docstring); :func:`parity_split` checks n
+    as d = 2n (as d = 2n + 1 in :func:`integral_odd`)."""
+    return _integrals(r, [delta], parity_split(2 * n), method, tol)[0].value
 
 
 def integral_odd(r: float, delta: float, n: int, method=Method.AUTO,
                  tol: float | None = None) -> float:
     """int_0^pi Delta(r cos t) cos t sin^{2n-1} t dt by the chosen route
     (default AUTO)."""
-    return _integrals(r, [delta], parity_split(2 * _checked_n(n) + 1), method, tol)[0].value
+    return _integrals(r, [delta], parity_split(2 * n + 1), method, tol)[0].value
 
 
 # ---------------------------------------------------------------------------
 # the limiting error
 # ---------------------------------------------------------------------------
 
-def _as_signal(x, scheme: QuantScheme) -> SignalSpec:
-    if isinstance(x, SignalSpec):
-        return x
-    return SignalSpec.from_vector(x, scheme)
-
-
 def limiting_error(x, scheme: QuantScheme, method=Method.AUTO,
                    tol: float | None = None) -> LimitErrorResult:
     """lim_{N->inf} reconstruction error for signal x and step delta.
 
     Reduces to d * c_d * |1-D integral| through the sphere-coordinate
-    rotation; only ||x|| enters.  ``method`` selects the integral route:
-    AUTO (the default) takes the quadrature below R = r/delta = 100 where
-    its rounding floor meets the series' target, and the certified Bessel
-    series otherwise, falling back to the quadrature if the series raises
-    ``PrecisionExhausted``.  The result's ``method`` is the route that ran,
-    never AUTO (QUADRATURE for x = 0, where nothing is integrated).
+    rotation; only ||x|| enters.  ``method`` selects the integral route
+    (AUTO by default: see the module docstring).  The result's ``method``
+    is the route that ran, never AUTO (QUADRATURE for x = 0, where nothing
+    is integrated).
     MONTE_CARLO raises ``ValueError``: its estimate needs a sample count
     and a seed, which :func:`monte_carlo_limit` takes.
     """
     sig = _as_signal(x, scheme)
-    d = sig.dim
-    if d < 2:
-        raise ValueError("need dimension >= 2")
+    split = parity_split(sig.dim)
     method = _as_method(method)
     if method == Method.MONTE_CARLO:
         raise ValueError("limiting_error has no Monte Carlo route: call "
                          "monte_carlo_limit(x, scheme, samples, seed)")
     if sig.r == 0.0:
         return LimitErrorResult(0.0, Method.QUADRATURE if method == Method.AUTO else method, 0.0)
-    (res,) = _integrals(sig.r, [scheme.delta], parity_split(d), method, tol)
-    return _lifted(d * angular_constant(d), res)
+    (res,) = _integrals(sig.r, [scheme.delta], split, method, tol)
+    return _lifted(split, res)
 
 
-def _lifted(dcd: float, res: LimitErrorResult) -> LimitErrorResult:
-    """The limiting error d c_d |integral| of a 1-D integral; dcd = d c_d.
+def _lifted(split: ParitySplit, res: LimitErrorResult) -> LimitErrorResult:
+    """The limiting error d c_d |integral| of a 1-D integral at ``split.d``.
     The estimate adds 4 EPS of the value for the lift: c_d is an exact ratio
     rounded once (within 0.48 EPS of 50-digit mpmath at d = 2..399, 500,
     1000, 5000, 1e4 and 1e5), d c_d within 0.84 EPS, and the product adds
     one more rounding.  Where the value or the integral is below 2^-1022,
     a rounding to a subnormal errs by up to 2^-1075 absolute and relative
     estimates underflow: the estimate adds (2 d c_d + 2) 2^-1074 there."""
+    dcd = split.d * split.c_d
     value = dcd * abs(res.value)
     estimate = dcd * res.error_estimate + 4 * EPS * value
     if min(value, abs(res.value)) < 2.0 ** -1022:
@@ -520,20 +504,15 @@ def _lifted(dcd: float, res: LimitErrorResult) -> LimitErrorResult:
 def limiting_error_grid(d: int, r: float, deltas, tol: float | None = None) -> list:
     """:func:`limiting_error` by AUTO at ||x|| = r and every delta of ``deltas``.
 
-    Returns one :class:`LimitErrorResult` per delta.  Each point takes the
-    route ``_auto_route`` gives it.  The quadrature points run one at a
-    time; the series points share one :func:`alternating_bessel_sums`
-    call, so the series' fixed cost is paid once per grid, not per point.
-    A series point that raises ``PrecisionExhausted`` falls back to the
-    quadrature on its own, as AUTO does.  A point's route, value and
+    Returns one :class:`LimitErrorResult` per delta.  The series points
+    share one :func:`alternating_bessel_sums` call, so the series' fixed
+    cost is paid once per grid, not per point.  A point's route, value and
     estimate do not depend on the other deltas: each equals
     ``limiting_error(x, QuantScheme(delta))`` for any x with ||x|| = r.
     """
-    if d < 2:
-        raise ValueError("need dimension >= 2")
-    results = _integrals(r, [float(delta) for delta in deltas], parity_split(d), Method.AUTO, tol)
-    dcd = d * angular_constant(d)
-    return [_lifted(dcd, res) for res in results]
+    split = parity_split(d)
+    results = _integrals(r, [float(delta) for delta in deltas], split, Method.AUTO, tol)
+    return [_lifted(split, res) for res in results]
 
 
 def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitErrorResult:
@@ -548,8 +527,8 @@ def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitE
     Each batch adds its moment sums as two products, sum_s e_s z_s = e @ z
     and sum_s e_s^2 z_s^2 = (e*e) @ (z*z) with e_s = Delta(x . z_s),
     squaring z in place, so a batch holds no m x d array beyond z.
-    ``error_estimate`` propagates
-    the per-component standard errors to the norm as sqrt(sum sigma_i^2):
+    ``error_estimate`` propagates the per-component standard errors to the
+    norm as sqrt(sum sigma_i^2):
     |  ||mean_hat|| - ||mean||  | <= ||error vector||, whose rms is exactly
     that, so the estimate stays valid even when the true mean sits below
     the noise floor (where a delta-method estimate would undershoot).
@@ -562,7 +541,7 @@ def monte_carlo_limit(x, scheme: QuantScheme, samples: int, seed: int) -> LimitE
     if samples < 1000:
         raise ValueError("need samples >= 1000")
     sig = _as_signal(x, scheme)
-    d = sig.dim
+    d = parity_split(sig.dim).d
     k = max(math.frexp(min(sig.r, scheme.delta))[1], math.frexp(scheme.delta)[1] - 1020)
     x, delta = np.ldexp(sig.x, -k), math.ldexp(scheme.delta, -k)
     rng = np.random.default_rng(seed)

@@ -10,6 +10,9 @@ per-coefficient error ``t - Q(t)`` is a delta-periodic sawtooth with range
 ``[-delta/2, delta/2)``.  Quantizing every frame coefficient and
 reconstructing linearly gives the reconstruction error studied by the rest
 of the package.
+
+One path, ``_pcm_quantize_into``, quantizes scalars and arrays alike; input
+is checked at the entry points (``pcm_quantize``, ``SignalSpec``), not per block.
 """
 
 from __future__ import annotations
@@ -87,22 +90,33 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(a.dot(a)) * 2.0 ** e
 
 
+def _as_signal(x, scheme: QuantScheme) -> SignalSpec:
+    """``x`` if it is a :class:`SignalSpec`, else the checked one it makes."""
+    if isinstance(x, SignalSpec):
+        return x
+    return SignalSpec.from_vector(x, scheme)
+
+
 def pcm_quantize(t, scheme: QuantScheme):
     """Round ``t`` to the nearest alphabet point ``delta * floor(t/delta + 1/2)``.
 
-    Works elementwise on arrays.  Half-grid points round up, e.g.
-    ``pcm_quantize(0.5, QuantScheme(1.0)) == 1.0``.
+    Elementwise on arrays; a scalar gives a scalar.  Half-grid points round
+    up, e.g. ``pcm_quantize(0.5, QuantScheme(1.0)) == 1.0``.  ``ValueError``
+    where t/delta or the point is not finite (t = inf, nan or 1e300 at
+    delta = 1e-10), in a scalar and an array alike.
     """
-    d = scheme.delta
-    if np.isscalar(t):
-        return d * math.floor(t / d + 0.5)
     t = np.asarray(t, dtype=float)
-    return _pcm_quantize_into(t, d, np.empty_like(t))[()]  # [()]: a 0-d t gives a scalar
+    with np.errstate(over="ignore"):  # t/delta overflows: raised below
+        q = _pcm_quantize_into(t, scheme.delta, np.empty_like(t))
+    if not np.isfinite(q).all():
+        raise ValueError(f"t/delta must be finite, got t={t[~np.isfinite(q)].flat[0]}, "
+                         f"delta={scheme.delta}")
+    return q[()]  # [()]: a 0-d t gives a scalar
 
 
 def _pcm_quantize_into(t: np.ndarray, delta: float, out: np.ndarray) -> np.ndarray:
     """``delta * floor(t/delta + 1/2)`` of the array ``t`` written into
-    ``out``, an array of t's shape other than t, with no temporary."""
+    ``out``, an array of t's shape (t itself too), with no temporary."""
     np.divide(t, delta, out=out)
     out += 0.5
     np.floor(out, out=out)
@@ -126,7 +140,8 @@ def quantize_and_reconstruct(x, frame, scheme: QuantScheme):
     Parameters
     ----------
     x : SignalSpec or array_like
-        Signal in R^d.
+        Signal in R^d.  An array is checked once as a :class:`SignalSpec`
+        (``ValueError`` for an entry or an r/delta that is not finite).
     frame : UnitNormFrame
         Frame whose dimension matches the signal, read through
         ``frame.blocks()``: the sum over j is accumulated block by block, so
@@ -143,12 +158,13 @@ def quantize_and_reconstruct(x, frame, scheme: QuantScheme):
         Euclidean norm ``||x - reconstruction||``, by :func:`_norm`, so
         that it scales exactly with (x, delta) by a power of two.
     """
-    vec = x.x if isinstance(x, SignalSpec) else np.asarray(x, dtype=float)
+    vec = _as_signal(x, scheme).x
     if vec.shape != (frame.dim,):
         raise ValueError(f"signal dimension {vec.shape} does not match frame dim {frame.dim}")
     total = np.zeros(frame.dim)
     for block in frame.blocks():
-        total += pcm_quantize(block @ vec, scheme) @ block
+        t = block @ vec
+        total += _pcm_quantize_into(t, scheme.delta, t) @ block
     reconstruction = (frame.dim / frame.count) * total
     return reconstruction, _norm(vec - reconstruction)
 

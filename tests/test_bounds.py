@@ -243,7 +243,7 @@ def test_base_coefficient_within_2_ulp_of_the_exact_ratio(parity):
     # as exact fractions; n = 171..200 put the integer ratio past binary64
     from fractions import Fraction
 
-    from framepcm.bounds import _base_coef
+    from framepcm.limit_error import parity_split
 
     pi = Fraction(math.pi)
     for n in [*range(2, 61), 171, 185, 200]:
@@ -252,19 +252,19 @@ def test_base_coefficient_within_2_ulp_of_the_exact_ratio(parity):
                              4 ** (n - 1)) / pi ** n
         else:
             exact = Fraction(math.factorial(n - 1)) / pi ** (n + 1)
-        got = _base_coef(n, parity)
+        got = parity_split(2 * n if parity == "even" else 2 * n + 1).base
         assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(float(exact))), n
 
 
 def test_base_coefficient_past_binary64_raises_precision_exhausted():
     from framepcm import PrecisionExhausted
-    from framepcm.bounds import _base_coef
+    from framepcm.limit_error import parity_split
 
-    for _ in range(2):  # the cache keeps no value for a raise: every call raises
+    for _ in range(2):  # the record keeps no value for a raise: every use raises
         with pytest.raises(PrecisionExhausted, match="n=250"):
-            _base_coef(250, "even")  # d = 500; this was a raw OverflowError
+            parity_split(500).base  # this was a raw OverflowError
         with pytest.raises(PrecisionExhausted):
-            _base_coef(700, "odd")  # pi^701 itself overflows
+            parity_split(1401).base  # n = 700: pi^701 itself overflows
 
 
 def test_slope_fit_refuses_an_unresolved_point():

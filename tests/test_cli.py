@@ -904,3 +904,45 @@ def test_bounds_and_simulate_flag_an_unresolved_limit(tmp_path, capsys):
                "--r", "5000.3", "--frame", "random") == EXIT_OK
     [line] = [ln for ln in capsys.readouterr().out.splitlines() if "limiting error" in ln]
     assert line.endswith(marker)
+
+
+def test_limit_all_runs_the_other_routes_past_one_refusal(tmp_path, capsys):
+    # the quadrature refuses R = 3e7 at its node cap, the series resolves it;
+    # this printed the refusal alone
+    code = run(tmp_path, "limit", "--d", "4", "--r", "3e7", "--delta", "1", "--samples", "1000")
+    assert code == EXIT_PRECISION
+    out, err = capsys.readouterr()
+    refusal = "piecewise quadrature needs more than 16777216 nodes (r=30000000.0, delta=1.0)"
+    lines = out.splitlines()
+    assert lines[0] == f"    quadrature: precision exhausted: {refusal}"
+    assert lines[1].startswith(" bessel_series: value=4.8142951446") and len(lines) == 3
+    assert json.loads(err) == {"error": "precision-exhausted", "detail": refusal}
+    rows = read_csv(tmp_path / "limit.csv")
+    assert [row["method"] for row in rows] == ["bessel_series", "monte_carlo"]
+    # the series refuses d = 165 at R = 5000.3: the Monte Carlo line and its
+    # verdict against the quadrature still print
+    code = run(tmp_path, "limit", "--d", "165", "--r", "5000.3", "--delta", "1",
+               "--samples", "1000")
+    assert code == EXIT_PRECISION
+    out = capsys.readouterr().out
+    assert " bessel_series: precision exhausted: alternating Bessel sum (order=82.5" in out
+    assert "quadrature vs Monte Carlo agreement:" in out and "vs series" not in out
+    assert [row["method"] for row in read_csv(tmp_path / "limit.csv")] == ["quadrature",
+                                                                          "monte_carlo"]
+    # two refusals: the detail joins them
+    code = run(tmp_path, "limit", "--d", "500", "--r", "1e9", "--delta", "1",
+               "--methods", "quadrature,bessel_series")
+    assert code == EXIT_PRECISION
+    assert json.loads(capsys.readouterr().err)["detail"] == (
+        "piecewise quadrature needs more than 16777216 nodes (r=1000000000.0, delta=1.0); "
+        "the order-250 series prefactor leaves binary64 (r=1000000000.0, delta=1.0)")
+    assert read_csv(tmp_path / "limit.csv") == []
+
+
+def test_limit_at_r_0_prints_its_verdicts(tmp_path, capsys):
+    # the verdicts' scale delta^s / r^(s-1) divided by r = 0: a ZeroDivisionError traceback
+    code = run(tmp_path, "limit", "--d", "3", "--r", "0", "--delta", "1", "--samples", "1000")
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "quadrature vs series agreement: PASS" in out
+    assert "quadrature vs Monte Carlo agreement: PASS" in out

@@ -81,7 +81,7 @@ PARITY_TABLE = {
 @pytest.mark.parametrize("d", sorted(PARITY_TABLE))
 def test_parity_split_table(d):
     split = parity_split(d)
-    assert tuple(split) == PARITY_TABLE[d]
+    assert (split.n, split.parity, split.d - 2, split.order, split.s) == PARITY_TABLE[d]
     assert split.scale(3.0, 0.5) == 0.5 ** split.s / 3.0 ** (split.s - 1)
 
 
@@ -330,22 +330,16 @@ def test_monte_carlo_equals_the_batch_loop_exactly(d, R, delta, samples):
     assert (res.value, res.error_estimate) == _batch_loop_monte_carlo(x, scheme, samples, d)
 
 
-def test_smooth_coef_cache_is_bounded():
-    from framepcm.limit_error import _smooth_coef
-
-    for d in range(2, 1002):
-        angular_constant(d)
-    assert _smooth_coef.cache_info().maxsize is not None
-    assert _smooth_coef.cache_info().currsize <= _smooth_coef.cache_info().maxsize
-
-
 def test_parity_split_cache_is_bounded():
+    from framepcm.limit_error import _dimension
+
     for d in range(2, 1002):
         parity_split(d)
-    assert parity_split.cache_info().maxsize is not None
-    assert parity_split.cache_info().currsize <= parity_split.cache_info().maxsize
-    # a numpy d keeps its own entry, as it did uncached: n stays a numpy int
-    assert type(parity_split(np.int64(6)).n) is np.int64 and type(parity_split(6).n) is int
+    assert _dimension.cache_info().maxsize is not None
+    assert _dimension.cache_info().currsize <= _dimension.cache_info().maxsize
+    # a numpy d is the int it equals: the record holds ints
+    split = parity_split(np.int64(6))
+    assert split == parity_split(6) and type(split.d) is int and type(split.n) is int
 
 
 def test_monte_carlo_refuses_a_value_that_overflows():
@@ -1086,3 +1080,50 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         limiting_error_grid(3, 1.0, [0.1, -0.2])
     assert limiting_error_grid(3, 1.0, []) == []
+
+
+_NUMPY_D = """
+import numpy as np
+from framepcm import angular_constant, limiting_error_grid, lower_bound, scaling_slope_fit
+
+ks, eps = [100, 200, 400, 800], 0.46
+calls = [lambda d: limiting_error_grid(d, 100.3, [1.0, 0.37]),
+         lambda d: lower_bound(d, 100.3, 1.0),
+         lambda d: scaling_slope_fit(d, 1.0, eps, ks),
+         angular_constant]
+for numpy_int in (np.int64, np.int32):
+    # the numpy d first, in a fresh process: no int d has warmed a cache
+    got = [call(numpy_int(12)) for call in calls]
+    assert got == [call(12) for call in calls], numpy_int
+print("ok")
+"""
+
+
+def test_an_even_numpy_d_equals_the_int_d_in_a_fresh_process():
+    # the even base coefficient took 4 ** (n - 1) of a numpy n, which has no
+    # bit_length: an AttributeError, unless an int d had cached its value
+    import os
+    import subprocess
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _NUMPY_D], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
+
+
+@pytest.mark.parametrize("d", [2.5, 4.0, True, np.float64(4.0), 1, np.int64(1)], ids=repr)
+def test_a_dimension_that_is_not_an_integer_of_at_least_2_raises(d):
+    from framepcm import limiting_error_grid, lower_bound
+
+    parity_split(np.int64(4))  # an equal numpy d in the cache hands 4.0 nothing
+    for call in (parity_split, angular_constant, lambda d: limiting_error_grid(d, 100.3, [1.0]),
+                 lambda d: lower_bound(d, 100.3, 1.0)):
+        with pytest.raises(ValueError, match="integer dimension d >= 2"):
+            call(d)
+
+
+def test_monte_carlo_refuses_a_one_dimensional_signal():
+    # the sphere integral needs d >= 2, which the other routes checked and this one did not
+    for call in (monte_carlo_limit, lambda x, scheme, *args: limiting_error(x, scheme)):
+        with pytest.raises(ValueError, match="integer dimension d >= 2, got 1"):
+            call(np.ones(1), UNIT, 1000, 0)

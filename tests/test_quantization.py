@@ -134,3 +134,27 @@ def test_wnh_mse_that_leaves_binary64_raises_precision_exhausted(delta):
     # it is 0, which simulate divides by
     with pytest.raises(PrecisionExhausted, match="WNH MSE leaves binary64"):
         wnh_mse(3, 10, QuantScheme(delta))
+
+
+@pytest.mark.parametrize("t, delta", [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0),
+                                      (1e300, 1e-10)])
+def test_quantizer_refuses_a_t_over_delta_that_is_not_finite(t, delta):
+    # a scalar raised OverflowError (inf, 1e300/1e-10) or math.floor's
+    # ValueError (nan); an array returned inf or nan: both now raise ValueError
+    scheme = QuantScheme(delta)
+    for call in (pcm_quantize, quant_error):
+        with pytest.raises(ValueError, match="t/delta must be finite"):
+            call(t, scheme)
+        with pytest.raises(ValueError, match="t/delta must be finite"):
+            call(np.array([0.0, t]), scheme)
+    # the finite values of either form stay as they were
+    assert pcm_quantize(7.3, UNIT) == 7.0 and type(pcm_quantize(7.3, UNIT)) is np.float64
+    assert pcm_quantize(np.array([7.3, -0.5]), UNIT).tolist() == [7.0, 0.0]
+
+
+@pytest.mark.parametrize("x, delta", [([math.inf, 0.0], 1.0), ([math.nan, 0.0], 1.0),
+                                      ([1e300, 0.0], 1e-10)])
+def test_reconstruct_checks_a_raw_signal(x, delta):
+    # these returned an error of nan, with RuntimeWarnings
+    with pytest.raises(ValueError, match="signal"):
+        quantize_and_reconstruct(np.array(x), harmonic_frame_2d(7), QuantScheme(delta))

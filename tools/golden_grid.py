@@ -43,6 +43,10 @@ recorded as ``raise <Type>: <message>``.  The grid:
   its default route at d = 3 and 4 and the (r, delta) of EDGE_SUBNORMAL_R
   (``edge/limit/default/d=<d>/r=<r>/delta=<delta>``), where R G is
   subnormal and the limit is r;
+* the per-d constants (``dimension/d=<d>/...``) at DIMENSION_DS: the
+  angular constant ``c_d`` and the leading coefficient ``base`` of the
+  series prefactor and the bounds, read off ``parity_split(d)``, whose
+  raise is recorded from d = 441 on;
 * the exact layer (``combinatorics/...``) at indices up to COMB_MAX:
   ``L_closed``, ``D_closed``, ``weighted_sum_A`` and ``gosper_g`` as exact
   ``Fraction`` and integer reprs, and the result of each of the six identity
@@ -110,6 +114,9 @@ EDGE_DELTAS = (2.0 ** -900, 2.0 ** 900)
 # (r, delta) where R G falls below binary64's normal range, and the limit is
 # r; in the last two r itself is subnormal
 EDGE_SUBNORMAL_R = ((1e-10, 1e300), (1e-300, 1e10), (5e-324, 1.0), (1e-310, 1.0))
+# d = 2..12 of the grid, the large d of LARGE_D, and two past d = 440, where
+# the base coefficient leaves binary64
+DIMENSION_DS = (*DIMS, 21, 40, 41, 63, 441, 1000)
 COMB_MAX = 24  # the top of the benchmark's verify --max range
 # the k of framepcm bounds --slope at its defaults --kmin 100 --kmax 1000 --points 9
 SLOPE_KS = np.unique(np.round(np.logspace(2, 3, 9)).astype(int))
@@ -230,6 +237,7 @@ def golden() -> dict:
             _record(out, f"{at}/quantize_error/delta={delta!r}",
                     lambda: quantize_and_reconstruct(3.7 * delta * _direction(d), frame,
                                                      QuantScheme(delta))[1])
+    _dimension(out)
     _exact_layer(out)
     _verify_suites(out)
     return out
@@ -262,6 +270,14 @@ def _edge(out: dict) -> None:
             x[0] = r
             _record(out, f"edge/limit/default/d={d}/r={r!r}/delta={delta!r}",
                     lambda: limiting_error(x, QuantScheme(delta)))
+
+
+def _dimension(out: dict) -> None:
+    from framepcm.limit_error import parity_split
+
+    for d in DIMENSION_DS:
+        _record(out, f"dimension/d={d}/c_d", lambda: parity_split(d).c_d)
+        _record(out, f"dimension/d={d}/base", lambda: parity_split(d).base)
 
 
 def _exact_layer(out: dict) -> None:
